@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .device import Device, DeviceConfig
-from .dk import ReducedQueue
+from .dk import CTR_BITS, ReducedQueue
 from .errors import PqlabError
 from .ops import EXTRACTMIN, INSERT, Op
 from .pq import BufferedHeap, OracleQueue, TournamentQueue
@@ -69,6 +69,16 @@ def _device(args) -> Device:
     return Device(DeviceConfig(B=args.b, M=args.mem, w=args.w))
 
 
+def _widen_for_dk(args, universe: int) -> None:
+    """dk queues pack a counter beside each key; widen args.w so every key fits."""
+    if not args.queue.startswith("dk_"):
+        return
+    need = max(1, (universe - 1).bit_length()) + CTR_BITS
+    if args.w < need:
+        print(f"note: widening words to {need} bits so augmented keys fit", file=sys.stderr)
+        args.w = need
+
+
 def _write_rows(path, header, rows) -> None:
     out = open(path, "w", newline="") if path else sys.stdout
     try:
@@ -116,25 +126,22 @@ def cmd_gen(args) -> int:
 
 def cmd_run(args) -> int:
     wl = read_workload(args.workload)
-    if args.queue.startswith("dk_"):
-        need = max(1, (wl.universe - 1).bit_length()) + 32
-        if args.w < need:
-            print(f"note: widening words to {need} bits so augmented keys fit", file=sys.stderr)
-            args.w = need
+    _widen_for_dk(args, wl.universe)
     dev = _device(args)
     queue = make_queue(args.queue, dev, n_hint=max(1024, len(wl.ops)), seed=args.seed)
     report = run_workload(queue, dev, wl)
     counts = wl.counts()
     rows = [report.csv_row()]
     _write_rows(args.out, RunReport.CSV_HEADER, rows)
-    for cls, probes in (
-        ("insert", report.probes_insert),
-        ("delete", report.probes_delete),
-        ("extractmin", report.probes_extractmin),
+    for label, cls, probes in (
+        ("I", "insert", report.probes_insert),
+        ("D", "delete", report.probes_delete),
+        ("E", "extractmin", report.probes_extractmin),
+        ("DK", "decrease", report.probes_decrease),
     ):
         n = counts[cls]
         amort = probes / n if n else 0.0
-        print(f"t_{cls[0].upper()}: {probes} probes / {n} ops = {amort:.4f}")
+        print(f"t_{label}: {probes} probes / {n} ops = {amort:.4f}")
     print(f"total: {report.probes_total} probes / {len(wl.ops)} ops")
     return 0
 
@@ -177,16 +184,17 @@ def cmd_comm(args) -> int:
     else:
         height = args.hv if args.hv is not None else max(2, (params.h + 1) // 2)
         v = next(n.id for n in tree.internal_nodes() if n.height == height)
+    _widen_for_dk(args, params.universe)
     cfg = DeviceConfig(B=args.b, M=args.mem, w=args.w)
+
+    def factory(device):
+        return make_queue(args.queue, device, n_hint=4096, seed=args.seed)
+
     rows = []
     failures = 0
     for t in range(args.trials):
         run_seed = args.seed + t
         inst = sample_instance(params, v, seed=run_seed)
-
-        def factory(device, _s=run_seed):
-            return make_queue(args.queue, device, n_hint=4096, seed=args.seed)
-
         res = run_embedding_protocol(factory, params, v, args.k, inst, cfg, seed=run_seed)
         rows.append(res.csv_row())
         if not res.correct:

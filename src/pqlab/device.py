@@ -99,9 +99,9 @@ class Device:
         if len(blk) != self.config.B:
             raise BlockSizeError(f"block has {len(blk)} words, expected {self.config.B}")
         limit = self.config.word_limit
-        for word in blk:
-            if not 0 <= word < limit:
-                raise BlockSizeError(f"word {word} does not fit in {self.config.w} bits")
+        if min(blk) < 0 or max(blk) >= limit:
+            word = next(word for word in blk if not 0 <= word < limit)
+            raise BlockSizeError(f"word {word} does not fit in {self.config.w} bits")
         self._blocks[addr] = blk
         self.log.append(ProbeRecord(len(self.log), self._op_index, self._leaf_id, addr, WRITE))
 

@@ -71,13 +71,13 @@ class RunReport:
 
     CSV_HEADER = [
         "structure", "B", "M", "w", "N", "probes_total",
-        "probes_insert", "probes_delete", "probes_extractmin", "seed",
+        "probes_insert", "probes_delete", "probes_extractmin", "probes_decrease", "seed",
     ]
 
     def csv_row(self) -> list:
         return [
             self.structure, self.B, self.M, self.w, self.n_ops, self.probes_total,
-            self.probes_insert, self.probes_delete, self.probes_extractmin,
+            self.probes_insert, self.probes_delete, self.probes_extractmin, self.probes_decrease,
             "" if self.seed is None else self.seed,
         ]
 

@@ -24,6 +24,17 @@ the pending region without reading the rest of the node.  In-memory
 occupancy bitmaps say which arenas mean anything, making ``clear()`` free.
 Resident state is audited against the M-word budget at construction;
 transient merge scratch is simulated in host memory and not charged.
+
+A refill merges its children with a heap keyed by ``(head, child index)``.
+Each cursor decodes its head entry once and keeps it until the entry is
+popped, so a refill that takes c entries from f children decodes about
+c + f heads rather than c * f.  The probe sequence is part of the output and
+must not depend on that bookkeeping, so the merge keeps the read order of a
+full rescan: the first round evaluates every cursor in child order
+(promoting and recursively refilling a child whose tops ran dry), after that
+only the popped cursor is evaluated again, and only while the node still
+wants entries.  A head is decoded priority word first, so when an entry
+straddles two unread blocks the later block is probed before the earlier.
 """
 
 from __future__ import annotations
@@ -50,9 +61,13 @@ class _Node:
 
 
 class _Cursor:
-    """Lazy front-consumption of one child's sorted tops region."""
+    """Lazy front-consumption of one child's sorted tops region.
 
-    __slots__ = ("owner", "x", "blocks", "n_tops", "n_pending", "off", "eaten", "mode", "full")
+    The decoded head entry is cached until ``pop`` consumes it, so each entry
+    is decoded, and each of its blocks read, exactly once.
+    """
+
+    __slots__ = ("owner", "x", "blocks", "n_tops", "n_pending", "off", "eaten", "mode", "full", "_head")
 
     def __init__(self, owner: "BufferedHeap", x: int):
         self.owner = owner
@@ -63,30 +78,55 @@ class _Cursor:
         self.eaten = 0
         self.mode = "clean"  # clean | consumed | full
         self.full: _Node | None = None
+        self._head: tuple[int, int, int] | None = None
 
-    def _word(self, pos: int) -> int:
-        b, i = divmod(pos, self.owner.B)
+    def _block(self, b: int) -> list[int]:
         blk = self.blocks.get(b)
         if blk is None:
             blk = self.owner._read_block_of(self.x, b)
             self.blocks[b] = blk
-        return blk[i]
+        return blk
 
     def head(self) -> tuple[int, int, int] | None:
+        if self._head is not None:
+            return self._head
         if self.mode == "full":
-            return self.full.tops[0] if self.full.tops else None
+            tops = self.full.tops
+            self._head = tops[0] if tops else None
+            return self._head
         if self.eaten >= self.n_tops:
             return None
         pos = HEADER_WORDS + ENTRY_WORDS * (self.off + self.eaten)
-        return (self._word(pos + 1) - self.owner._prio_bias, self._word(pos), self._word(pos + 2))
+        B = self.owner.B
+        b, i = divmod(pos, B)
+        if i + ENTRY_WORDS <= B:
+            blk = self._block(b)
+            key, prio, ts = blk[i], blk[i + 1], blk[i + 2]
+        else:
+            # The entry straddles two blocks; the priority word is read
+            # first, so the later block may be probed before the earlier.
+            prio = self._block((pos + 1) // B)[(pos + 1) % B]
+            key = self._block(b)[i]
+            ts = self._block((pos + 2) // B)[(pos + 2) % B]
+        self._head = (prio - self.owner._prio_bias, key, ts)
+        return self._head
 
     def pop(self) -> tuple[int, int, int]:
+        entry = self.head()
+        self._head = None
         if self.mode == "full":
             return self.full.tops.pop(0)
-        entry = self.head()
         self.eaten += 1
         self.mode = "consumed"
         return entry
+
+    def next_head(self) -> tuple[int, int, int] | None:
+        """The head entry, first refilling the child from below if it ran dry."""
+        head = self.head()
+        if head is None and self.exhausted_with_more_below():
+            self.owner._refill(self.x, self.promote())
+            head = self.head()
+        return head
 
     def exhausted_with_more_below(self) -> bool:
         if self.mode == "full":
@@ -207,53 +247,48 @@ class BufferedHeap(PriorityQueueBase):
             return _Node()
         cache: dict[int, list[int]] = {0: self._read_block_of(x, 0)}
         n_tops, n_pending, rr, off = cache[0][:4]
+        lo = HEADER_WORDS + ENTRY_WORDS * off
         pb = self._pending_base(x)
-        self._read_span(x, HEADER_WORDS + ENTRY_WORDS * off,
-                        HEADER_WORDS + ENTRY_WORDS * (off + n_tops), cache)
+        self._read_span(x, lo, lo + ENTRY_WORDS * n_tops, cache)
         self._read_span(x, pb, pb + ENTRY_WORDS * n_pending, cache)
+        B = self.B
+        words = [0] * ((max(cache) + 1) * B)
+        for b, blk in cache.items():
+            words[b * B : (b + 1) * B] = blk
+        return _Node(self._decode(words, lo, n_tops), self._decode(words, pb, n_pending), rr)
 
-        def word(pos: int) -> int:
-            return cache[pos // self.B][pos % self.B]
-
+    def _decode(self, words: list[int], lo: int, n: int) -> list[tuple[int, int, int]]:
+        """The n entries packed from word lo, as (priority, key, timestamp)."""
+        span = words[lo : lo + ENTRY_WORDS * n]
         bias = self._prio_bias
-        tops = []
-        for i in range(n_tops):
-            pos = HEADER_WORDS + ENTRY_WORDS * (off + i)
-            tops.append((word(pos + 1) - bias, word(pos), word(pos + 2)))
-        pending = []
-        for i in range(n_pending):
-            pos = pb + ENTRY_WORDS * i
-            pending.append((word(pos + 1) - bias, word(pos), word(pos + 2)))
-        return _Node(tops, pending, rr)
+        return [(p - bias, k, ts) for k, p, ts in zip(span[0::3], span[1::3], span[2::3])]
+
+    def _encode(self, entries: list[tuple[int, int, int]]) -> list[int]:
+        """Pack entries 3 words each as key, biased priority, timestamp."""
+        bias = self._prio_bias
+        return [word for p, k, ts in entries for word in (k, p + bias, ts)]
 
     def _store(self, x: int, node: _Node) -> None:
         if x == 0:
             self._root = node
             self._refresh_maybe(x, node)
             return
-        bias = self._prio_bias
+        B = self.B
         pb = self._pending_base(x)
         t_end = HEADER_WORDS + ENTRY_WORDS * len(node.tops)
         p_end = pb + ENTRY_WORDS * len(node.pending)
-        words = [0] * (self._blocks_for(max(t_end, p_end)) * self.B)
+        words = [0] * (self._blocks_for(max(t_end, p_end)) * B)
         words[0], words[1], words[2], words[3] = len(node.tops), len(node.pending), node.rr, 0
         if node.tops:
-            mp, mk, mts = node.tops[-1]
-            words[4], words[5], words[6] = mk, mp + bias, mts
-        pos = HEADER_WORDS
-        for p, k, ts in node.tops:
-            words[pos : pos + ENTRY_WORDS] = (k, p + bias, ts)
-            pos += ENTRY_WORDS
-        pos = pb
-        for p, k, ts in node.pending:
-            words[pos : pos + ENTRY_WORDS] = (k, p + bias, ts)
-            pos += ENTRY_WORDS
-        touched = set(range(0, (t_end - 1) // self.B + 1))
+            words[4:7] = self._encode(node.tops[-1:])
+        words[HEADER_WORDS:t_end] = self._encode(node.tops)
+        words[pb:p_end] = self._encode(node.pending)
+        touched = set(range(0, (t_end - 1) // B + 1))
         if node.pending:
-            touched.update(range(pb // self.B, (p_end - 1) // self.B + 1))
+            touched.update(range(pb // B, (p_end - 1) // B + 1))
         base = self._node_base(x)
         for b in sorted(touched):
-            self.device.write_block(base + b, words[b * self.B : (b + 1) * self.B])
+            self.device.write_block(base + b, words[b * B : (b + 1) * B])
         self._written.add(x)
         self._refresh_maybe(x, node)
 
@@ -333,15 +368,11 @@ class BufferedHeap(PriorityQueueBase):
         first = lo // self.B
         if first != 0 and lo % self.B:
             cache[first] = self._read_block_of(child, first)
-        bias = self._prio_bias
         span = [0] * (((hi - 1) // self.B + 1 - first) * self.B)
         base_word = first * self.B
         if first in cache:
             span[: self.B] = cache[first]
-        pos = lo - base_word
-        for p, k, ts in moved:
-            span[pos : pos + ENTRY_WORDS] = (k, p + bias, ts)
-            pos += ENTRY_WORDS
+        span[lo - base_word : hi - base_word] = self._encode(moved)
         words0[1] = n_pending + len(moved)
         if first == 0:
             span[:HEADER_WORDS] = words0[:HEADER_WORDS]
@@ -394,22 +425,27 @@ class BufferedHeap(PriorityQueueBase):
         if node.tops:
             return
         cursors = [_Cursor(self, c) for c in self._children(x) if c in self._maybe]
+        # Heads are first evaluated in child order, then only the popped
+        # cursor is re-evaluated, and only while more entries are wanted:
+        # this issues exactly the reads (and recursive refills) of a full
+        # rescan of all cursors per taken entry, in the same order.
+        merge = []
+        for i, cur in enumerate(cursors):
+            head = cur.next_head()
+            if head is not None:
+                merge.append((head, i))
+        heapq.heapify(merge)
         taken: list[tuple[int, int, int]] = []
-        while len(taken) < self.cap:
-            best = None
-            best_head = None
-            for cur in cursors:
-                head = cur.head()
-                if head is None and cur.exhausted_with_more_below():
-                    sub = cur.promote()
-                    self._refill(cur.x, sub)
-                    head = cur.head()
-                if head is not None and (best_head is None or head < best_head):
-                    best = cur
-                    best_head = head
-            if best is None:
+        while merge:
+            i = merge[0][1]
+            taken.append(cursors[i].pop())
+            if len(taken) >= self.cap:
                 break
-            taken.append(best.pop())
+            head = cursors[i].next_head()
+            if head is None:
+                heapq.heappop(merge)
+            else:
+                heapq.heapreplace(merge, (head, i))
         node.tops = taken
         for cur in cursors:
             cur.writeback()

@@ -61,11 +61,6 @@ class OracleQueue(PriorityQueueBase):
             raise KeyError(f"Delete on absent key {key}")
         del self._live[key]
 
-    def peek_min(self) -> tuple[int, int]:
-        self._settle()
-        priority, key, _ = self._heap[0]
-        return key, priority
-
     def extract_min(self) -> tuple[int, int]:
         self._settle()
         priority, key, _ = heapq.heappop(self._heap)

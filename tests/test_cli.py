@@ -3,7 +3,8 @@ import csv
 import pytest
 
 from pqlab.cli import main
-from pqlab.workload import read_workload
+from pqlab.ops import DECREASE, EXTRACTMIN, INSERT, Op
+from pqlab.workload import Workload, read_workload, write_workload
 
 
 def test_gen_property1_counts(tmp_path, capsys):
@@ -59,6 +60,23 @@ def test_run_tournament_nonzero_and_deterministic(tmp_path):
     assert int(rows1[0]["probes_total"]) > 0
 
 
+def test_run_reports_decrease_probes(tmp_path, capsys):
+    ops = [Op(INSERT, k, 100 + k, None) for k in range(40)]
+    ops += [Op(DECREASE, k, k, None) for k in range(20, 40)]
+    ops += [Op(EXTRACTMIN, k, k, None) for k in range(20, 40)]
+    wl = tmp_path / "wl.bin"
+    write_workload(Workload(None, "random", 1 << 10, 0, ops), wl)
+    rep = tmp_path / "rep.csv"
+    rc = main(["run", "--workload", str(wl), "--queue", "tournament",
+               "--b", "16", "--mem", "256", "--out", str(rep)])
+    assert rc == 0
+    row = list(csv.DictReader(open(rep)))[0]
+    by_class = [int(row[f"probes_{c}"]) for c in ("insert", "delete", "extractmin", "decrease")]
+    assert int(row["probes_decrease"]) > 0
+    assert sum(by_class) == int(row["probes_total"])
+    assert f"t_DK: {row['probes_decrease']} probes / 20 ops" in capsys.readouterr().out
+
+
 def test_run_capability_mismatch(tmp_path, capsys):
     wl = tmp_path / "wl.bin"
     main(["gen", "--beta", "2", "--h", "2", "--m", "1", "--seed", "3", "--out", str(wl)])
@@ -87,6 +105,19 @@ def test_comm_rows_all_correct(tmp_path, capsys):
     rows = list(csv.DictReader(open(out)))
     assert len(rows) == 4
     assert all(r["correct"] == "1" for r in rows)
+
+
+def test_comm_widens_words_for_dk_queues(tmp_path, capsys):
+    # (2,6,2) keys need 39 bits; with the 32 counter bits they exceed the default w=64.
+    out = tmp_path / "comm.csv"
+    rc = main([
+        "comm", "--beta", "2", "--h", "6", "--m", "2", "--trials", "2",
+        "--queue", "dk_buffered_heap", "--b", "16", "--mem", "256", "--out", str(out),
+    ])
+    assert rc == 0
+    assert "widening words to 71 bits" in capsys.readouterr().err
+    rows = list(csv.DictReader(open(out)))
+    assert len(rows) == 2 and all(r["correct"] == "1" for r in rows)
 
 
 def test_obs1_reproduces_reference_value(capsys):

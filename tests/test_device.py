@@ -70,8 +70,11 @@ def test_address_range(device):
 def test_block_size_enforced(device):
     with pytest.raises(BlockSizeError):
         device.write_block(0, (1, 2, 3))
-    with pytest.raises(BlockSizeError):
+    with pytest.raises(BlockSizeError, match=f"word {1 << 64} "):
         device.write_block(0, (1 << 64,) + (0,) * 15)
+    with pytest.raises(BlockSizeError, match="word -1 "):
+        device.write_block(0, (0,) * 15 + (-1,))
+    assert device.probe_count == 0
 
 
 def test_context_tagging(device):
