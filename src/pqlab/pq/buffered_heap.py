@@ -91,9 +91,7 @@ class _Cursor:
         if self._head is not None:
             return self._head
         if self.mode == "full":
-            tops = self.full.tops
-            self._head = tops[0] if tops else None
-            return self._head
+            return self.full.tops[0] if self.full.tops else None
         if self.eaten >= self.n_tops:
             return None
         pos = HEADER_WORDS + ENTRY_WORDS * (self.off + self.eaten)
@@ -112,10 +110,10 @@ class _Cursor:
         return self._head
 
     def pop(self) -> tuple[int, int, int]:
-        entry = self.head()
-        self._head = None
         if self.mode == "full":
             return self.full.tops.pop(0)
+        entry = self.head()
+        self._head = None
         self.eaten += 1
         self.mode = "consumed"
         return entry
