@@ -271,22 +271,21 @@ class BufferedHeap(PriorityQueueBase):
             self._root = node
             self._refresh_maybe(x, node)
             return
-        B = self.B
         pb = self._pending_base(x)
         t_end = HEADER_WORDS + ENTRY_WORDS * len(node.tops)
         p_end = pb + ENTRY_WORDS * len(node.pending)
-        words = [0] * (self._blocks_for(max(t_end, p_end)) * B)
+        words = [0] * (self._blocks_for(max(t_end, p_end)) * self.B)
         words[0], words[1], words[2], words[3] = len(node.tops), len(node.pending), node.rr, 0
         if node.tops:
             words[4:7] = self._encode(node.tops[-1:])
         words[HEADER_WORDS:t_end] = self._encode(node.tops)
         words[pb:p_end] = self._encode(node.pending)
-        touched = set(range(0, (t_end - 1) // B + 1))
+        touched = set(range(0, (t_end - 1) // self.B + 1))
         if node.pending:
-            touched.update(range(pb // B, (p_end - 1) // B + 1))
+            touched.update(range(pb // self.B, (p_end - 1) // self.B + 1))
         base = self._node_base(x)
         for b in sorted(touched):
-            self.device.write_block(base + b, words[b * B : (b + 1) * B])
+            self.device.write_block(base + b, words[b * self.B : (b + 1) * self.B])
         self._written.add(x)
         self._refresh_maybe(x, node)
 
@@ -423,10 +422,9 @@ class BufferedHeap(PriorityQueueBase):
         if node.tops:
             return
         cursors = [_Cursor(self, c) for c in self._children(x) if c in self._maybe]
-        # Heads are first evaluated in child order, then only the popped
-        # cursor is re-evaluated, and only while more entries are wanted:
-        # this issues exactly the reads (and recursive refills) of a full
-        # rescan of all cursors per taken entry, in the same order.
+        # Probes as a rescan of every cursor per taken entry would (module
+        # docstring): all cursors once in child order, then only the popped
+        # one, and only while more entries are wanted.
         merge = []
         for i, cur in enumerate(cursors):
             head = cur.next_head()

@@ -13,23 +13,13 @@ import hashlib
 
 import pytest
 
-from pqlab import BufferedHeap, Device, DeviceConfig, OracleQueue, TournamentQueue
-from pqlab.dk import ReducedQueue
+from pqlab import Device, DeviceConfig, OracleQueue
+from pqlab.cli import make_queue
 from pqlab.ops import EXTRACTMIN, INSERT, Op
 from pqlab.pq.base import run_workload
 from pqlab.workload import TreeParams, Workload, materialize
 
 HASH_SEED = 3
-
-
-def _queue(kind: str, dev: Device, n_hint: int):
-    if kind == "heap":
-        return BufferedHeap(dev, n_hint=n_hint)
-    if kind == "tournament":
-        return TournamentQueue(dev, n_hint=n_hint, seed=HASH_SEED)
-    if kind == "dk_heap":
-        return ReducedQueue(BufferedHeap(dev, n_hint=n_hint))
-    return ReducedQueue(TournamentQueue(dev, n_hint=n_hint, seed=HASH_SEED))
 
 
 def _insert_all_extract_all(n: int) -> Workload:
@@ -46,7 +36,7 @@ def _insert_all_extract_all(n: int) -> Workload:
 
 def _digest(kind: str, work: Workload, B: int, M: int, w: int) -> tuple[int, str]:
     dev = Device(DeviceConfig(B=B, M=M, w=w))
-    queue = _queue(kind, dev, max(1024, len(work.ops)))
+    queue = make_queue(kind, dev, n_hint=max(1024, len(work.ops)), seed=HASH_SEED)
     rep = run_workload(queue, dev, work)  # raises on any answer divergence
     h = hashlib.sha256()
     h.update(repr([(rec.addr, rec.access) for rec in dev.log]).encode())
@@ -65,15 +55,15 @@ def _dk_w(work: Workload) -> int:
 
 # (queue, workload, B, M) -> (probes, sha256)
 CASES = {
-    ("dk_heap", "insert_extract_3000", 16, 192): (76545, "007c282da76b8e61a21278b85bc7e3c05240478a96ab3736347498e140852349"),
-    ("dk_heap", "tree_2_4_2_s1", 16, 256): (749, "7d22640f22818291c924c7ef5343303f6cdf7d19a00e4f79c47805a19d4df1ab"),
-    ("dk_heap", "tree_2_6_2_s5", 16, 256): (8537, "d634f91e72535f59f5aed4eecaa040c3b6e5adfa25d8fa24078e7be0a842dcb0"),
-    ("dk_heap", "tree_2_6_2_s5", 64, 1024): (1104, "2552fcfb3213723eb61ab3f558fdfdd8365fd11abcaacf3f387c6b2ea0ce6995"),
+    ("dk_buffered_heap", "insert_extract_3000", 16, 192): (76545, "007c282da76b8e61a21278b85bc7e3c05240478a96ab3736347498e140852349"),
+    ("dk_buffered_heap", "tree_2_4_2_s1", 16, 256): (749, "7d22640f22818291c924c7ef5343303f6cdf7d19a00e4f79c47805a19d4df1ab"),
+    ("dk_buffered_heap", "tree_2_6_2_s5", 16, 256): (8537, "d634f91e72535f59f5aed4eecaa040c3b6e5adfa25d8fa24078e7be0a842dcb0"),
+    ("dk_buffered_heap", "tree_2_6_2_s5", 64, 1024): (1104, "2552fcfb3213723eb61ab3f558fdfdd8365fd11abcaacf3f387c6b2ea0ce6995"),
     ("dk_tournament", "insert_extract_3000", 16, 192): (161515, "5ce189a26f1d35d52cf075b3edb2866eeabfe7de65d3e507a889573376c5b0d0"),
     ("dk_tournament", "tree_2_4_2_s1", 16, 256): (2491, "f500560e9954682641670895ec25d4bc0d8dbacdd89144e25f72e99682f74ac1"),
     ("dk_tournament", "tree_2_6_2_s5", 16, 256): (32029, "2a32f3fccf143ba7f9987a09827d5b008768ad44b26bff097d2209dbeea68b1d"),
-    ("heap", "insert_extract_3000", 8, 128): (49642, "dfae8e76d7155be03a7aa71aaf18c0e15fe49d7a8ef8066f087ed6ac485ea533"),
-    ("heap", "insert_extract_3000", 16, 192): (21790, "8fe9759e38878e534a4ce3d7d73a51e2991674bb480b4026b5f7cb900dd75e1a"),
+    ("buffered_heap", "insert_extract_3000", 8, 128): (49642, "dfae8e76d7155be03a7aa71aaf18c0e15fe49d7a8ef8066f087ed6ac485ea533"),
+    ("buffered_heap", "insert_extract_3000", 16, 192): (21790, "8fe9759e38878e534a4ce3d7d73a51e2991674bb480b4026b5f7cb900dd75e1a"),
     ("tournament", "insert_extract_3000", 16, 192): (38583, "f0d2474e2120e2f2ed5a18c62bb18e7387fcb9722dd1426f212ea692b7aa1f18"),
     ("tournament", "tree_2_4_2_s1", 16, 256): (740, "1e639a1169b19f25135380fbefd41c13e29fbc2040e8ce3837f10f3e599b05e2"),
     ("tournament", "tree_2_6_2_s5", 16, 256): (7989, "bb7ff5646a979afa667cfde2317d5cf8133ae6d981588a7c94b9cd035683cec3"),
