@@ -21,7 +21,6 @@ from . import __version__
 from .device import Device, DeviceConfig
 from .dk import CTR_BITS, ReducedQueue
 from .errors import PqlabError
-from .ops import EXTRACTMIN, INSERT, Op
 from .pq import BufferedHeap, OracleQueue, TournamentQueue
 from .pq.base import RunReport, run_workload
 from .probe_stats import attribute, export_stats_csv, find_embedding, node_stats
@@ -36,6 +35,7 @@ from .workload import (
     TreeParams,
     Workload,
     build_tree,
+    insert_extract_workload,
     materialize,
     read_workload,
     transform_no_spurious,
@@ -143,6 +143,10 @@ def cmd_run(args) -> int:
         amort = probes / n if n else 0.0
         print(f"t_{label}: {probes} probes / {n} ops = {amort:.4f}")
     print(f"total: {report.probes_total} probes / {len(wl.ops)} ops")
+    if isinstance(queue, ReducedQueue):
+        stats = queue.report_stats()
+        print(f"dk: rebuilds={stats['rebuilds']} stale_discards={stats['stale_discards']} "
+              f"absent_decreases={stats['absent_decreases']}")
     return 0
 
 
@@ -238,15 +242,8 @@ def cmd_bench(args) -> int:
     status = 0
     if args.queue in ("buffered_heap", "all"):
         half = n // 2
-        ops = [Op(INSERT, int(k), int(p), None)
-               for k, p in zip(rng.permutation(half), rng.integers(0, 1 << 30, half))]
-        oracle = OracleQueue()
-        for op in ops:
-            oracle.insert(op.key, op.priority)
-        for _ in range(half):
-            k, p = oracle.extract_min()
-            ops.append(Op(EXTRACTMIN, k, p, None))
-        wl = Workload(None, "random", 1 << 30, args.seed, ops)
+        wl = insert_extract_workload(rng.permutation(half), rng.integers(0, 1 << 30, half),
+                                     1 << 30, args.seed)
         dev = Device(cfg)
         rep = run_workload(BufferedHeap(dev, n_hint=half), dev, wl)
         bound = 20 * (n / cfg.B) * (1 + math.log(max(n, cfg.M) / cfg.M, cfg.M / cfg.B))

@@ -34,8 +34,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..device import Device, DeviceConfig
-from ..errors import ConfigError, DivergenceError
-from ..ops import DELETE, EXTRACTMIN, INSERT
+from ..errors import ConfigError
+from ..pq import base
 from ..probe_stats import attribute, node_stats
 from ..workload import (
     DELETE_LEAF,
@@ -44,6 +44,7 @@ from ..workload import (
     TreeParams,
     Workload,
     build_tree,
+    extractions_at_height,
     resolve_leaf_ops,
     uniform_distinct,
 )
@@ -123,6 +124,7 @@ class _ReplicaDevice(Device):
 class ProtocolResult:
     params: TreeParams
     v: int
+    h_v: int
     k_child: int
     seed: int
     instance: SetIntersectionInstance
@@ -143,10 +145,6 @@ class ProtocolResult:
     @property
     def correct(self) -> bool:
         return self.alice_output == self.expected and self.bob_output == self.expected
-
-    @property
-    def h_v(self) -> int:
-        return build_tree(self.params).nodes[self.v].height
 
     def csv_row(self) -> list:
         p = self.params
@@ -205,26 +203,6 @@ def _disjoint_sample(rng: np.random.Generator, universe: int, n: int, avoid: fro
                 if len(out) == n:
                     break
     return sorted(out)
-
-
-def _run_segment(queue, device, ops, lo: int, hi: int) -> None:
-    for idx in range(lo, hi):
-        op = ops[idx]
-        device.set_context(idx, op.leaf_id)
-        if op.kind == INSERT:
-            queue.insert(op.key, op.priority)
-        elif op.kind == DELETE:
-            queue.delete(op.key)
-        elif op.kind == EXTRACTMIN:
-            key, priority = queue.extract_min()
-            if (key, priority) != (op.key, op.priority):
-                raise DivergenceError(
-                    f"replica diverged at op {idx}: got ({key},{priority}), "
-                    f"expected ({op.key},{op.priority})"
-                )
-        else:
-            raise ConfigError(f"unexpected op kind {op.kind} in protocol prefix")
-    device.set_context(None, None)
 
 
 def run_embedding_protocol(
@@ -336,9 +314,9 @@ def run_embedding_protocol(
     # the attribution cross-check and doubles as a determinism witness.
     ref_dev = Device(device_config)
     ref_queue = queue_factory(ref_dev)
-    from ..pq.base import run_workload  # local import to avoid a cycle
-
-    run_workload(ref_queue, ref_dev, prefix)
+    # Looked up through the module at call time, so a rebound run_workload
+    # sees the reference run and every replica segment.
+    base.run_workload(ref_queue, ref_dev, prefix)
 
     def first_op(leaf: int) -> int:
         for i, op in enumerate(ops):
@@ -357,11 +335,11 @@ def run_embedding_protocol(
     bob_q = queue_factory(bob_dev)
     alice_q = queue_factory(alice_dev)
 
-    _run_segment(bob_q, bob_dev, ops, 0, shared_end)
-    _run_segment(alice_q, alice_dev, ops, 0, shared_end)
+    base.run_workload(bob_q, bob_dev, prefix, hi=shared_end)
+    base.run_workload(alice_q, alice_dev, prefix, hi=shared_end)
 
     mark = len(bob_dev.log)
-    _run_segment(bob_q, bob_dev, ops, shared_end, bob1_end)
+    base.run_workload(bob_q, bob_dev, prefix, lo=shared_end, hi=bob1_end)
     a_set = {rec.addr for rec in bob_dev.log[mark:]}
     w, bw, mw = device_config.w, device_config.B * device_config.w, device_config.M * device_config.w
     ledger.send(BOB, 1, "address_set", len(a_set) * w, tuple(sorted(a_set)))
@@ -379,7 +357,7 @@ def run_embedding_protocol(
     alice_dev.fetched = set()
     alice_dev.on_fetch = alice_fetch
     mark = len(alice_dev.log)
-    _run_segment(alice_q, alice_dev, ops, bob1_end, alice_end)
+    base.run_workload(alice_q, alice_dev, prefix, lo=bob1_end, hi=alice_end)
     alice_requests = len(alice_dev.fetched)
     alice_dev.watch = None
     z_set = {rec.addr for rec in alice_dev.log[mark:]}
@@ -399,17 +377,14 @@ def run_embedding_protocol(
     bob_dev.watch = z_set
     bob_dev.fetched = set()
     bob_dev.on_fetch = bob_fetch
-    _run_segment(bob_q, bob_dev, ops, alice_end, len(ops))
+    base.run_workload(bob_q, bob_dev, prefix, lo=alice_end)
     bob_requests = len(bob_dev.fetched)
     bob_dev.watch = None
 
     # Bob reads the extract-min answers of v's last child and reconstructs
     # the intersection: Y minus the publicly deleted keys of the middle
     # subtrees minus the keys extracted at priority h_v.
-    extracted_hv = {
-        op.key for op in ops
-        if op.leaf_id == ext_leaf and op.kind == EXTRACTMIN and op.priority == node.height
-    }
+    extracted_hv = extractions_at_height(prefix, tree, v)
     d_pub_mid: set[int] = set()
     for mid in node.children[1:-1]:
         if mid == ck_root:
@@ -424,7 +399,7 @@ def run_embedding_protocol(
 
     stats = node_stats(attribute(ref_dev.log, tree))
     return ProtocolResult(
-        params=params, v=v, k_child=k_child, seed=seed, instance=instance,
+        params=params, v=v, h_v=node.height, k_child=k_child, seed=seed, instance=instance,
         alice_output=alice_output, bob_output=bob_output,
         expected=instance.intersection(),
         cost=ledger.cost(), transcript=ledger.messages,

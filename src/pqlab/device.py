@@ -41,14 +41,6 @@ class DeviceConfig:
     def word_limit(self) -> int:
         return 1 << self.w
 
-    @property
-    def block_bits(self) -> int:
-        return self.B * self.w
-
-    @property
-    def memory_bits(self) -> int:
-        return self.M * self.w
-
 
 class ProbeRecord(NamedTuple):
     seq: int

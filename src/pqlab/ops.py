@@ -23,8 +23,6 @@ DELETE = 2
 EXTRACTMIN = 3
 DECREASE = 4
 
-OP_NAMES = {INSERT: "insert", DELETE: "delete", EXTRACTMIN: "extractmin", DECREASE: "decrease"}
-
 
 class Op(NamedTuple):
     kind: int
@@ -32,12 +30,3 @@ class Op(NamedTuple):
     priority: int
     leaf_id: int | None
 
-
-class Entry(NamedTuple):
-    key: int
-    priority: int
-    timestamp: int
-
-    @property
-    def order(self) -> tuple[int, int, int]:
-        return (self.priority, self.key, self.timestamp)

@@ -1,4 +1,4 @@
-"""Priority-queue interface and the instrumented workload runner.
+"""Priority-queue interface and the one replay loop.
 
 Queue implementations expose:
 
@@ -18,15 +18,22 @@ Queue implementations expose:
 
 Capability flags ``supports_decrease_key``/``supports_delete`` gate which
 workloads a queue may run.
+
+``run_workload`` is the only loop that dispatches ops to a queue; the CLI,
+the protocol replicas and the tests all replay through it.  It replays the
+half-open range ``ops[lo:hi]`` (``hi=None`` means the end), tags each probe
+with the op's absolute index in ``ops``, reports ``n_ops = hi - lo`` and
+checks each ExtractMin answer against the transcript, so a queue resumed
+from a snapshot can run the tail of the same workload.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
+from itertools import islice
 
 from ..errors import CapabilityError, DivergenceError
-from ..ops import DECREASE, DELETE, EXTRACTMIN, INSERT, Op
+from ..ops import DECREASE, DELETE, EXTRACTMIN, INSERT
 
 
 class PriorityQueueBase:
@@ -66,7 +73,6 @@ class RunReport:
     probes_extractmin: int = 0
     probes_decrease: int = 0
     seed: int | None = None
-    hash_seed: int | None = None  # key-to-position hash seed, when the structure has one
     extractions: list[tuple[int, int]] = field(default_factory=list)
 
     CSV_HEADER = [
@@ -81,14 +87,8 @@ class RunReport:
             "" if self.seed is None else self.seed,
         ]
 
-    @property
-    def amortized(self) -> dict[str, float]:
-        return {
-            "t_all": self.probes_total / max(1, self.n_ops),
-        }
 
-
-def _require_capabilities(queue, ops: list[Op]) -> None:
+def _require_capabilities(queue, ops) -> None:
     kinds = {op.kind for op in ops}
     if DELETE in kinds and not queue.supports_delete:
         raise CapabilityError(
@@ -98,23 +98,26 @@ def _require_capabilities(queue, ops: list[Op]) -> None:
         raise CapabilityError(f"workload contains DecreaseKey but {queue.name} does not support it")
 
 
-def run_workload(queue, device, workload, check_answers: bool = True) -> RunReport:
-    """Execute a workload on an instrumented queue, one context per op.
+def run_workload(queue, device, workload, check_answers: bool = True, lo: int = 0, hi: int | None = None) -> RunReport:
+    """Replay ``workload.ops[lo:hi]`` on an instrumented queue, one context per op.
 
     The workload's recorded ExtractMin answers (when present) act as the
-    oracle transcript; any divergence aborts with a diagnostic.  Probe counts
-    are aggregated per operation class from the device log delta.
+    oracle transcript; any divergence aborts with a diagnostic naming the
+    absolute op index.  Probe counts are aggregated per operation class from
+    the device log delta.
     """
     ops = workload.ops
-    _require_capabilities(queue, ops)
+    hi = len(ops) if hi is None else hi
+    if not 0 <= lo <= hi <= len(ops):
+        raise ValueError(f"op range [{lo}, {hi}) outside a workload of {len(ops)} ops")
+    _require_capabilities(queue, islice(ops, lo, hi))
     cfg = device.config
     report = RunReport(
-        structure=queue.name, B=cfg.B, M=cfg.M, w=cfg.w, n_ops=len(ops),
+        structure=queue.name, B=cfg.B, M=cfg.M, w=cfg.w, n_ops=hi - lo,
         seed=getattr(workload, "seed", None),
-        hash_seed=getattr(queue, "hash_seed", None),
     )
     start = device.probe_count
-    for idx, op in enumerate(ops):
+    for idx, op in enumerate(islice(ops, lo, hi), lo):
         device.set_context(idx, op.leaf_id)
         before = device.probe_count
         if op.kind == INSERT:
@@ -141,11 +144,3 @@ def run_workload(queue, device, workload, check_answers: bool = True) -> RunRepo
     device.set_context(None, None)
     report.probes_total = device.probe_count - start
     return report
-
-
-def write_report_csv(path, reports: list[RunReport]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(RunReport.CSV_HEADER)
-        for report in reports:
-            writer.writerow(report.csv_row())

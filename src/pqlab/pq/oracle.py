@@ -31,9 +31,6 @@ class OracleQueue(PriorityQueueBase):
     def is_live(self, key: int) -> bool:
         return key in self._live
 
-    def priority_of(self, key: int) -> int:
-        return self._live[key][0]
-
     def live_items(self) -> list[tuple[int, int]]:
         """Live (key, priority) pairs in extraction order."""
         return sorted(((k, p) for k, (p, _) in self._live.items()), key=lambda kp: (kp[1], kp[0]))

@@ -471,6 +471,22 @@ def make_random_workload(
     return Workload(None, "random", universe, seed, ops)
 
 
+def insert_extract_workload(keys, priorities, universe: int, seed: int) -> Workload:
+    """Insert every (key, priority) pair in order, then extract them all.
+
+    The ExtractMin answers are resolved against the oracle, so the workload
+    is a closed transcript.
+    """
+    ops = [Op(INSERT, int(k), int(p), None) for k, p in zip(keys, priorities)]
+    oracle = OracleQueue()
+    for op in ops:
+        oracle.insert(op.key, op.priority)
+    for _ in range(len(ops)):
+        k, p = oracle.extract_min()
+        ops.append(Op(EXTRACTMIN, k, p, None))
+    return Workload(None, "random", universe, seed, ops)
+
+
 def _pick_live(rng, oracle: OracleQueue, live: list[int]) -> int | None:
     while live:
         i = int(rng.integers(0, len(live)))

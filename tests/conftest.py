@@ -1,26 +1,10 @@
 import pytest
 
 from pqlab import Device, DeviceConfig
-from pqlab.ops import DECREASE, DELETE, EXTRACTMIN, INSERT
 
 
 def small_device(B=16, M=256, w=64) -> Device:
     return Device(DeviceConfig(B=B, M=M, w=w))
-
-
-def drive(queue, ops):
-    """Run raw ops on a queue, returning the extraction answers."""
-    out = []
-    for op in ops:
-        if op.kind == INSERT:
-            queue.insert(op.key, op.priority)
-        elif op.kind == DELETE:
-            queue.delete(op.key)
-        elif op.kind == DECREASE:
-            queue.decrease_key(op.key, op.priority)
-        elif op.kind == EXTRACTMIN:
-            out.append(queue.extract_min())
-    return out
 
 
 @pytest.fixture

@@ -23,10 +23,10 @@ from pqlab import (
 )
 from pqlab.comm.protocol import run_embedding_protocol, sample_instance
 from pqlab.comm.samplers import check_observation1
-from pqlab.ops import DELETE, EXTRACTMIN, INSERT, PRIORITY_INF, Op
+from pqlab.ops import DELETE, EXTRACTMIN, INSERT, PRIORITY_INF
 from pqlab.pq.base import run_workload
 from pqlab.probe_stats import attribute, node_stats
-from pqlab.workload import INSERT_LEAF, Workload, make_random_workload
+from pqlab.workload import INSERT_LEAF, insert_extract_workload, make_random_workload
 
 HARD_FAMILIES = [(2, 4, 2), (2, 8, 4), (3, 4, 2)]
 SEEDS_20 = list(range(20))
@@ -194,15 +194,7 @@ def test_09_measured_cost_envelopes():
     cfg = DeviceConfig(B=64, M=1024, w=64)
     rng = np.random.default_rng(9)
     half = n // 2
-    ops = [Op(INSERT, int(k), int(p), None)
-           for k, p in zip(rng.permutation(half), rng.integers(0, 1 << 30, half))]
-    oracle = OracleQueue()
-    for op in ops:
-        oracle.insert(op.key, op.priority)
-    for _ in range(half):
-        k, p = oracle.extract_min()
-        ops.append(Op(EXTRACTMIN, k, p, None))
-    wl = Workload(None, "random", 1 << 30, 9, ops)
+    wl = insert_extract_workload(rng.permutation(half), rng.integers(0, 1 << 30, half), 1 << 30, 9)
     dev = Device(cfg)
     rep = run_workload(BufferedHeap(dev, n_hint=half), dev, wl)
     heap_bound = 20 * (n / cfg.B) * (1 + math.log(n / cfg.M, cfg.M / cfg.B))

@@ -7,8 +7,6 @@ from pqlab.errors import CapabilityError, ConfigError, EmptyQueueError
 from pqlab.pq.base import run_workload
 from pqlab.workload import make_random_workload
 
-from conftest import drive
-
 
 def make(B=16, M=192, w=64, n_hint=2048):
     dev = Device(DeviceConfig(B=B, M=M, w=w))
@@ -71,13 +69,13 @@ def test_snapshot_resume_identical_probes():
     wl = make_random_workload(1200, 7, universe=400, profile="insert_extract")
     q, dev = make()
     half = len(wl.ops) // 2
-    drive(q, wl.ops[:half])
+    run_workload(q, dev, wl, hi=half)
     img = q.memory_image()
     dev2 = dev.copy()
     q2 = BufferedHeap(dev2, n_hint=2048)
     q2.load_memory_image(img)
-    tail1 = drive(q, wl.ops[half:])
-    tail2 = drive(q2, wl.ops[half:])
+    tail1 = run_workload(q, dev, wl, lo=half).extractions
+    tail2 = run_workload(q2, dev2, wl, lo=half).extractions
     assert tail1 == tail2
     suffix = [(r.addr, r.access) for r in dev.log[len(dev.log) - len(dev2.log):]]
     assert suffix == [(r.addr, r.access) for r in dev2.log]

@@ -2,8 +2,10 @@ import csv
 
 import pytest
 
-from pqlab.cli import main
+from pqlab import Device, DeviceConfig
+from pqlab.cli import main, make_queue
 from pqlab.ops import DECREASE, EXTRACTMIN, INSERT, Op
+from pqlab.pq.base import run_workload
 from pqlab.workload import Workload, read_workload, write_workload
 
 
@@ -75,6 +77,17 @@ def test_run_reports_decrease_probes(tmp_path, capsys):
     assert int(row["probes_decrease"]) > 0
     assert sum(by_class) == int(row["probes_total"])
     assert f"t_DK: {row['probes_decrease']} probes / 20 ops" in capsys.readouterr().out
+
+    # dk queues also print the wrapper's counters.
+    dev = Device(DeviceConfig(B=16, M=256, w=64))
+    queue = make_queue("dk_tournament", dev, n_hint=1024, seed=0)
+    run_workload(queue, dev, read_workload(wl))
+    stats = queue.report_stats()
+    assert stats["rebuilds"] > 0 and stats["stale_discards"] > 0
+    rc = main(["run", "--workload", str(wl), "--queue", "dk_tournament", "--b", "16", "--mem", "256"])
+    assert rc == 0
+    assert (f"dk: rebuilds={stats['rebuilds']} stale_discards={stats['stale_discards']} "
+            f"absent_decreases={stats['absent_decreases']}") in capsys.readouterr().out
 
 
 def test_run_capability_mismatch(tmp_path, capsys):

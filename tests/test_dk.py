@@ -6,8 +6,6 @@ from pqlab.errors import DuplicateKeyError, EmptyQueueError
 from pqlab.pq.base import run_workload
 from pqlab.workload import make_random_workload
 
-from conftest import drive
-
 
 def over_oracle(n0_min=16, rebuild=True):
     return ReducedQueue(OracleQueue(), n0_min=n0_min, rebuild=rebuild)
@@ -239,9 +237,11 @@ def test_snapshot_roundtrip():
     wl = make_random_workload(600, 3, universe=200, profile="mixed")
     q, dev = over_heap()
     half = len(wl.ops) // 2
-    drive(q, wl.ops[:half])
+    run_workload(q, dev, wl, hi=half)
     img = q.memory_image()
     dev2 = dev.copy()
     q2 = ReducedQueue(BufferedHeap(dev2, n_hint=4096), n0_min=16)
     q2.load_memory_image(img)
-    assert drive(q, wl.ops[half:]) == drive(q2, wl.ops[half:])
+    tail1 = run_workload(q, dev, wl, lo=half).extractions
+    tail2 = run_workload(q2, dev2, wl, lo=half).extractions
+    assert tail1 == tail2

@@ -13,25 +13,17 @@ import hashlib
 
 import pytest
 
-from pqlab import Device, DeviceConfig, OracleQueue
+from pqlab import Device, DeviceConfig
 from pqlab.cli import make_queue
-from pqlab.ops import EXTRACTMIN, INSERT, Op
 from pqlab.pq.base import run_workload
-from pqlab.workload import TreeParams, Workload, materialize
+from pqlab.workload import TreeParams, Workload, insert_extract_workload, materialize
 
 HASH_SEED = 3
 
 
 def _insert_all_extract_all(n: int) -> Workload:
     """n inserts with scattered, partly tied priorities, then n extractions."""
-    ops = [Op(INSERT, k, (k * 7919) % (n // 3), None) for k in range(n)]
-    oracle = OracleQueue()
-    for op in ops:
-        oracle.insert(op.key, op.priority)
-    for _ in range(n):
-        k, p = oracle.extract_min()
-        ops.append(Op(EXTRACTMIN, k, p, None))
-    return Workload(None, "insert_extract", n, 0, ops)
+    return insert_extract_workload(range(n), [(k * 7919) % (n // 3) for k in range(n)], n, 0)
 
 
 def _digest(kind: str, work: Workload, B: int, M: int, w: int) -> tuple[int, str]:

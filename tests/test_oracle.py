@@ -92,15 +92,6 @@ def test_snapshot_roundtrip():
     assert seq == [(3, 1), (2, 3), (1, 5)]
 
 
-def test_entry_order_is_priority_key_timestamp():
-    from pqlab.ops import Entry
-
-    entries = [Entry(2, 7, 1), Entry(1, 7, 2), Entry(9, 1, 3)]
-    ranked = sorted(entries, key=lambda e: e.order)
-    assert ranked[0] == Entry(9, 1, 3)      # smallest priority first
-    assert ranked[1] == Entry(1, 7, 2)      # key breaks the priority tie
-
-
 class BruteQueue:
     """Independent reference: a plain dict scanned with min()."""
 

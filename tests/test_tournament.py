@@ -4,11 +4,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pqlab import Device, DeviceConfig, OracleQueue, TournamentQueue
-from pqlab.errors import ConfigError, EmptyQueueError
+from pqlab.errors import ConfigError, DivergenceError, EmptyQueueError
+from pqlab.ops import EXTRACTMIN
 from pqlab.pq.base import run_workload
-from pqlab.workload import make_random_workload, materialize, TreeParams
-
-from conftest import drive
+from pqlab.workload import Workload, make_random_workload, materialize, TreeParams
 
 
 def make(B=16, M=256, w=64, n_hint=1024, seed=0, node_blocks=4):
@@ -84,16 +83,40 @@ def test_snapshot_resume_identical_probes():
     wl = make_random_workload(1000, 23, universe=300, profile="mixed")
     q, dev = make(seed=1)
     half = len(wl.ops) // 2
-    drive(q, wl.ops[:half])
+    run_workload(q, dev, wl, hi=half)
     img = q.memory_image()
     dev2 = dev.copy()
     q2 = TournamentQueue(dev2, n_hint=1024, seed=1)
     q2.load_memory_image(img)
-    tail1 = drive(q, wl.ops[half:])
-    tail2 = drive(q2, wl.ops[half:])
+    tail1 = run_workload(q, dev, wl, lo=half).extractions
+    tail2 = run_workload(q2, dev2, wl, lo=half).extractions
     assert tail1 == tail2
     suffix = [(r.addr, r.access) for r in dev.log[len(dev.log) - len(dev2.log):]]
     assert suffix == [(r.addr, r.access) for r in dev2.log]
+
+
+def test_run_workload_range_counts_and_catches_divergence():
+    wl = make_random_workload(800, 5, universe=300, profile="mixed")
+    lo, hi = 300, 600
+    q, dev = make(seed=2)
+    run_workload(q, dev, wl, hi=lo)
+    mark = dev.probe_count
+    rep = run_workload(q, dev, wl, lo=lo, hi=hi)
+    assert rep.n_ops == hi - lo
+    by_class = (rep.probes_insert, rep.probes_delete, rep.probes_extractmin, rep.probes_decrease)
+    assert sum(by_class) == rep.probes_total == dev.probe_count - mark > 0
+    assert {r.op_index for r in dev.log[mark:]} <= set(range(lo, hi))
+    with pytest.raises(ValueError):
+        run_workload(q, dev, wl, lo=hi, hi=len(wl.ops) + 1)
+
+    bad = next(i for i in range(lo + 1, hi) if wl.ops[i].kind == EXTRACTMIN)
+    ops = list(wl.ops)
+    ops[bad] = ops[bad]._replace(priority=ops[bad].priority + 1)
+    tampered = Workload(None, "random", wl.universe, wl.seed, ops)
+    q, dev = make(seed=2)
+    run_workload(q, dev, tampered, hi=lo)
+    with pytest.raises(DivergenceError, match=rf"^op {bad} "):
+        run_workload(q, dev, tampered, lo=lo, hi=hi)
 
 
 def test_reinsert_after_extraction():
