@@ -7,17 +7,19 @@ leaves up to and including v's extract-min leaf are populated publicly, with
 one rejection-sampling flag per key class (a fresh private set is sent when
 the public candidate collides with a player's secret set).
 
-Phase one: both replay the shared prefix; Bob additionally runs
-c_1..c_{k-1}(v), sends the set A of addresses he probed and his memory
-image, and Alice runs c_k(v)'s subtree, requesting the content of every
-address in A on its first touch.  Phase two mirrors it: Alice sends the
-address set Z she probed plus her memory image, Bob runs the remaining
-children and requests first-touched addresses in Z, reads the extract-min
-answers of c_{2+beta}(v), computes the intersection as the Y keys neither
-publicly deleted in the middle subtrees nor extracted at priority h_v, and
-sends it to Alice.  Because request sets equal probed-address sets, Alice's
-phase-one request count is exactly |R(v,k)| and Bob's phase-two request
-count exactly |L(v,k)| of the probe attribution on a reference run.
+Phase one: both replay the shared prefix and Bob additionally runs
+c_1..c_{k-1}(v).  Each phase then ends in ``_hand_off``, the step both
+phases share: the sender sends the set of addresses it probed and its
+memory image, and the receiver loads the image, runs its slice and requests
+the content of every address in that set on its first touch.  In phase one
+Bob hands A to Alice, who runs c_k(v)'s subtree; in phase two Alice hands
+her probed set Z to Bob, who runs the remaining children, reads the
+extract-min answers of c_{2+beta}(v), computes the intersection as the Y
+keys neither publicly deleted in the middle subtrees nor extracted at
+priority h_v, and sends it to Alice.  Because request sets equal
+probed-address sets, Alice's phase-one request count is exactly |R(v,k)|
+and Bob's phase-two request count exactly |L(v,k)| of the probe attribution
+on a reference run.
 
 Bit prices are fixed constants of the ledger: address = w, block content =
 B*w, memory image = M*w, rejection flag = 1, resampled or intersection sets
@@ -43,12 +45,15 @@ from ..workload import (
     INTERNAL,
     TreeParams,
     Workload,
+    assign_random_order,
     build_tree,
+    deal_keys,
     extractions_at_height,
     resolve_leaf_ops,
+    subset_np,
     uniform_distinct,
 )
-from .samplers import SetIntersectionInstance, subset_np
+from .samplers import SetIntersectionInstance
 
 ALICE = "A"
 BOB = "B"
@@ -60,9 +65,6 @@ class CostVector:
     b1: int = 0
     a2: int = 0
     b2: int = 0
-
-    def total(self) -> int:
-        return self.a1 + self.b1 + self.a2 + self.b2
 
     def as_tuple(self) -> tuple[int, int, int, int]:
         return (self.a1, self.b1, self.a2, self.b2)
@@ -170,15 +172,15 @@ def write_transcript_csv(path, transcript: list[Message]) -> None:
             writer.writerow([m.index, m.sender, m.phase, m.kind, m.bits])
 
 
+def _node_shape(params: TreeParams, node) -> tuple[int, int]:
+    if node.kind != INTERNAL:
+        raise ConfigError(f"node {node.id} is not internal")
+    return params.m * params.h * params.beta ** (node.height - 1), params.m * params.beta**node.height
+
+
 def instance_shape(params: TreeParams, v: int) -> tuple[int, int]:
     """(|X|, |Y|) the protocol requires for embedding at node v."""
-    tree = build_tree(params)
-    node = tree.nodes[v]
-    if node.kind != INTERNAL:
-        raise ConfigError(f"node {v} is not internal")
-    x_size = params.m * params.h * params.beta ** (node.height - 1)
-    y_size = params.m * params.beta**node.height
-    return x_size, y_size
+    return _node_shape(params, build_tree(params).nodes[v])
 
 
 def sample_instance(params: TreeParams, v: int, seed: int) -> SetIntersectionInstance:
@@ -186,23 +188,75 @@ def sample_instance(params: TreeParams, v: int, seed: int) -> SetIntersectionIns
     x_size, y_size = instance_shape(params, v)
     rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
     u = params.universe
-    x = frozenset(int(e) for e in subset_np(rng, u, x_size))
-    y = frozenset(int(e) for e in subset_np(rng, u, y_size))
+    x = frozenset(subset_np(rng, u, x_size).tolist())
+    y = frozenset(subset_np(rng, u, y_size).tolist())
     return SetIntersectionInstance(u, x_size, y_size, x, y)
 
 
-def _disjoint_sample(rng: np.random.Generator, universe: int, n: int, avoid: frozenset[int]) -> list[int]:
-    out: list[int] = []
-    seen: set[int] = set()
-    while len(out) < n:
-        for e in subset_np(rng, universe, n - len(out)):
-            e = int(e)
-            if e not in avoid and e not in seen:
-                seen.add(e)
-                out.append(e)
-                if len(out) == n:
-                    break
-    return sorted(out)
+def _key_bits(u: int) -> int:
+    return max(1, math.ceil(math.log2(u)))
+
+
+def _vetted_keys(ledger: Ledger, player: str, secret: frozenset[int], n: int,
+                 rng_pub: np.random.Generator, rng_own: np.random.Generator, u: int) -> list[int]:
+    """Public keys for n slots, vetted by the player who holds ``secret``.
+
+    The public candidate set is kept when it misses ``secret`` (flag 1);
+    otherwise the player sends a private resample disjoint from it (flag 0).
+    The keys come back in public random order.
+    """
+    keys = uniform_distinct(rng_pub, u, n)
+    if secret.intersection(keys):
+        ledger.send(player, 1, "reject_flag", 1, 0)
+        seen: set[int] = set()
+        while len(seen) < n:
+            for e in subset_np(rng_own, u, n - len(seen)).tolist():
+                if e not in secret:
+                    seen.add(e)
+                    if len(seen) == n:
+                        break
+        keys = sorted(seen)
+        ledger.send(player, 1, "resampled_set", n * _key_bits(u), tuple(keys))
+    else:
+        ledger.send(player, 1, "reject_flag", 1, 1)
+    return assign_random_order(rng_pub, keys)
+
+
+def _replay(queue, device, prefix: Workload, lo: int, hi: int | None) -> set[int]:
+    """Replay ``prefix.ops[lo:hi]`` and return the addresses it probed."""
+    mark = len(device.log)
+    base.run_workload(queue, device, prefix, lo=lo, hi=hi)
+    return {rec.addr for rec in device.log[mark:]}
+
+
+def _hand_off(ledger: Ledger, phase: int, sender, receiver, watched: set[int],
+              prefix: Workload, lo: int, hi: int | None) -> tuple[int, set[int]]:
+    """The step both phases share: one player hands the run to the other.
+
+    ``sender`` and ``receiver`` are (name, queue, device) triples.  The
+    sender sends the address set it probed and its memory image; the
+    receiver loads the image, replays ``ops[lo:hi]`` and fetches each
+    watched address from the sender on first touch.  Returns the receiver's
+    request count and the set of addresses it probed.
+    """
+    s_name, s_queue, s_dev = sender
+    r_name, r_queue, r_dev = receiver
+    cfg = s_dev.config
+    ledger.send(s_name, phase, "address_set", len(watched) * cfg.w, tuple(sorted(watched)))
+    image = s_queue.memory_image()
+    ledger.send(s_name, phase, "memory_snapshot", cfg.M * cfg.w, image)
+    r_queue.load_memory_image(image)
+
+    def fetch(addr: int) -> None:
+        ledger.send(r_name, phase, "content_request", cfg.w, addr)
+        block = s_dev.peek_block(addr)
+        ledger.send(s_name, phase, "block_content", cfg.B * cfg.w, block)
+        r_dev.poke_block(addr, block)
+
+    r_dev.watch, r_dev.fetched, r_dev.on_fetch = watched, set(), fetch
+    touched = _replay(r_queue, r_dev, prefix, lo, hi)
+    r_dev.watch = None
+    return len(r_dev.fetched), touched
 
 
 def run_embedding_protocol(
@@ -221,11 +275,9 @@ def run_embedding_protocol(
     """
     tree = build_tree(params)
     node = tree.nodes[v]
-    if node.kind != INTERNAL:
-        raise ConfigError(f"embedding node {v} is not internal")
+    x_size, y_size = _node_shape(params, node)
     if not 2 <= k_child <= params.beta + 1:
         raise ConfigError(f"k_child must lie in [2, beta+1], got {k_child}")
-    x_size, y_size = instance_shape(params, v)
     if (len(instance.X), len(instance.Y)) != (x_size, y_size):
         raise ConfigError(
             f"instance shape mismatch: need |X|={x_size}, |Y|={y_size}, "
@@ -240,72 +292,26 @@ def run_embedding_protocol(
     ext_leaf = node.children[-1]
     ck_leaves = set(tree.subtree_leaves(ck_root))
     covered = tree.leaves[: tree.leaves.index(ext_leaf) + 1]
+    del_slots = [lf for lf in covered if tree.nodes[lf].kind == DELETE_LEAF]
+    pub_del_slots = [lf for lf in del_slots if lf not in ck_leaves]
+    alice_del_slots = [lf for lf in del_slots if lf in ck_leaves]
+    pub_ins_slots = [lf for lf in covered if tree.nodes[lf].kind == INSERT_LEAF and lf != c1_leaf]
 
-    pub_del_slots = [
-        lf for lf in covered
-        if tree.nodes[lf].kind == DELETE_LEAF and lf not in ck_leaves
-    ]
-    alice_del_slots = [
-        lf for lf in covered
-        if tree.nodes[lf].kind == DELETE_LEAF and lf in ck_leaves
-    ]
-    pub_ins_slots = [
-        lf for lf in covered
-        if tree.nodes[lf].kind == INSERT_LEAF and lf != c1_leaf
-    ]
-    l_pub = sum(tree.leaf_op_count(tree.nodes[lf]) for lf in pub_del_slots)
-    k_pub = sum(tree.leaf_op_count(tree.nodes[lf]) for lf in pub_ins_slots)
-    x_slots = sum(tree.leaf_op_count(tree.nodes[lf]) for lf in alice_del_slots)
-    if x_slots != x_size:
-        raise AssertionError(f"delete slots under c_k cover {x_slots} keys, need {x_size}")
+    def slot_count(slots: list[int]) -> int:
+        return sum(tree.leaf_op_count(tree.nodes[lf]) for lf in slots)
 
     ss = np.random.SeedSequence(seed)
     rng_pub, rng_alice, rng_bob = [np.random.default_rng(s) for s in ss.spawn(3)]
     ledger = Ledger()
-    key_bits = max(1, math.ceil(math.log2(u)))
 
     # Rejection sampling: public candidate keys for the delete slots, vetted
     # by Alice against X; then insert slots vetted by Bob against Y.
-    cand_del = uniform_distinct(rng_pub, u, l_pub)
-    if instance.X.intersection(cand_del):
-        ledger.send(ALICE, 1, "reject_flag", 1, 0)
-        del_keys = _disjoint_sample(rng_alice, u, l_pub, instance.X)
-        ledger.send(ALICE, 1, "resampled_set", l_pub * key_bits, tuple(del_keys))
-    else:
-        ledger.send(ALICE, 1, "reject_flag", 1, 1)
-        del_keys = cand_del
-    del_order = [del_keys[i] for i in rng_pub.permutation(l_pub)]
-
-    cand_ins = uniform_distinct(rng_pub, u, k_pub)
-    if instance.Y.intersection(cand_ins):
-        ledger.send(BOB, 1, "reject_flag", 1, 0)
-        ins_keys = _disjoint_sample(rng_bob, u, k_pub, instance.Y)
-        ledger.send(BOB, 1, "resampled_set", k_pub * key_bits, tuple(ins_keys))
-    else:
-        ledger.send(BOB, 1, "reject_flag", 1, 1)
-        ins_keys = cand_ins
-    ins_order = [ins_keys[i] for i in rng_pub.permutation(k_pub)]
-
-    leaf_keys: dict[int, list[int]] = {}
-    pos = 0
-    for lf in pub_del_slots:
-        cnt = tree.leaf_op_count(tree.nodes[lf])
-        leaf_keys[lf] = del_order[pos : pos + cnt]
-        pos += cnt
-    pos = 0
-    for lf in pub_ins_slots:
-        cnt = tree.leaf_op_count(tree.nodes[lf])
-        leaf_keys[lf] = ins_order[pos : pos + cnt]
-        pos += cnt
-    y_sorted = sorted(instance.Y)
-    leaf_keys[c1_leaf] = [y_sorted[i] for i in rng_bob.permutation(y_size)]
-    x_sorted = sorted(instance.X)
-    x_order = [x_sorted[i] for i in rng_alice.permutation(x_size)]
-    pos = 0
-    for lf in alice_del_slots:
-        cnt = tree.leaf_op_count(tree.nodes[lf])
-        leaf_keys[lf] = x_order[pos : pos + cnt]
-        pos += cnt
+    del_order = _vetted_keys(ledger, ALICE, instance.X, slot_count(pub_del_slots), rng_pub, rng_alice, u)
+    ins_order = _vetted_keys(ledger, BOB, instance.Y, slot_count(pub_ins_slots), rng_pub, rng_bob, u)
+    leaf_keys = deal_keys(tree, pub_del_slots, del_order)
+    leaf_keys.update(deal_keys(tree, pub_ins_slots, ins_order))
+    leaf_keys[c1_leaf] = assign_random_order(rng_bob, sorted(instance.Y))
+    leaf_keys.update(deal_keys(tree, alice_del_slots, assign_random_order(rng_alice, sorted(instance.X))))
 
     ops = resolve_leaf_ops(tree, leaf_keys, stop_leaf=ext_leaf)
     prefix = Workload(params, "basic", u, seed, ops)
@@ -318,68 +324,23 @@ def run_embedding_protocol(
     # sees the reference run and every replica segment.
     base.run_workload(ref_queue, ref_dev, prefix)
 
-    def first_op(leaf: int) -> int:
-        for i, op in enumerate(ops):
-            if op.leaf_id == leaf:
-                return i
-        raise AssertionError(f"leaf {leaf} has no operations")
+    first_op: dict[int, int] = {}
+    for i, op in enumerate(ops):
+        first_op.setdefault(op.leaf_id, i)
+    shared_end = first_op[c1_leaf]
+    bob1_end = first_op[min(ck_leaves)]
+    alice_end = first_op[tree.subtree_leaves(node.children[k_child])[0]]
 
-    shared_end = first_op(c1_leaf)
-    bob1_end = first_op(tree.subtree_leaves(ck_root)[0])
-    nxt = node.children[k_child]
-    nxt_first_leaf = nxt if tree.nodes[nxt].kind != INTERNAL else tree.subtree_leaves(nxt)[0]
-    alice_end = first_op(nxt_first_leaf)
-
-    bob_dev = _ReplicaDevice(device_config)
-    alice_dev = _ReplicaDevice(device_config)
-    bob_q = queue_factory(bob_dev)
-    alice_q = queue_factory(alice_dev)
-
+    bob_dev, alice_dev = _ReplicaDevice(device_config), _ReplicaDevice(device_config)
+    bob_q, alice_q = queue_factory(bob_dev), queue_factory(alice_dev)
+    bob, alice = (BOB, bob_q, bob_dev), (ALICE, alice_q, alice_dev)
     base.run_workload(bob_q, bob_dev, prefix, hi=shared_end)
     base.run_workload(alice_q, alice_dev, prefix, hi=shared_end)
 
-    mark = len(bob_dev.log)
-    base.run_workload(bob_q, bob_dev, prefix, lo=shared_end, hi=bob1_end)
-    a_set = {rec.addr for rec in bob_dev.log[mark:]}
-    w, bw, mw = device_config.w, device_config.B * device_config.w, device_config.M * device_config.w
-    ledger.send(BOB, 1, "address_set", len(a_set) * w, tuple(sorted(a_set)))
-    ledger.send(BOB, 1, "memory_snapshot", mw, bob_q.memory_image())
-
-    alice_q.load_memory_image(bob_q.memory_image())
-
-    def alice_fetch(addr: int) -> None:
-        ledger.send(ALICE, 1, "content_request", w, addr)
-        block = bob_dev.peek_block(addr)
-        ledger.send(BOB, 1, "block_content", bw, block)
-        alice_dev.poke_block(addr, block)
-
-    alice_dev.watch = a_set
-    alice_dev.fetched = set()
-    alice_dev.on_fetch = alice_fetch
-    mark = len(alice_dev.log)
-    base.run_workload(alice_q, alice_dev, prefix, lo=bob1_end, hi=alice_end)
-    alice_requests = len(alice_dev.fetched)
-    alice_dev.watch = None
-    z_set = {rec.addr for rec in alice_dev.log[mark:]}
-
+    a_set = _replay(bob_q, bob_dev, prefix, shared_end, bob1_end)
+    alice_requests, z_set = _hand_off(ledger, 1, bob, alice, a_set, prefix, bob1_end, alice_end)
     ledger.send(ALICE, 1, "phase_transition", 0, None)
-    ledger.send(ALICE, 2, "address_set", len(z_set) * w, tuple(sorted(z_set)))
-    ledger.send(ALICE, 2, "memory_snapshot", mw, alice_q.memory_image())
-
-    bob_q.load_memory_image(alice_q.memory_image())
-
-    def bob_fetch(addr: int) -> None:
-        ledger.send(BOB, 2, "content_request", w, addr)
-        block = alice_dev.peek_block(addr)
-        ledger.send(ALICE, 2, "block_content", bw, block)
-        bob_dev.poke_block(addr, block)
-
-    bob_dev.watch = z_set
-    bob_dev.fetched = set()
-    bob_dev.on_fetch = bob_fetch
-    base.run_workload(bob_q, bob_dev, prefix, lo=alice_end)
-    bob_requests = len(bob_dev.fetched)
-    bob_dev.watch = None
+    bob_requests, _ = _hand_off(ledger, 2, alice, bob, z_set, prefix, alice_end, None)
 
     # Bob reads the extract-min answers of v's last child and reconstructs
     # the intersection: Y minus the publicly deleted keys of the middle
@@ -393,7 +354,7 @@ def run_embedding_protocol(
             if tree.nodes[lf].kind == DELETE_LEAF:
                 d_pub_mid.update(leaf_keys[lf])
     bob_output = frozenset(instance.Y) - d_pub_mid - extracted_hv
-    inter_bits = math.ceil(math.log2(params.n_updates + 1)) + len(bob_output) * key_bits
+    inter_bits = math.ceil(math.log2(params.n_updates + 1)) + len(bob_output) * _key_bits(u)
     ledger.send(BOB, 2, "intersection", inter_bits, tuple(sorted(bob_output)))
     alice_output = bob_output
 

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ConfigError
+from ..workload import subset_np
 
 
 @dataclass(frozen=True)
@@ -66,21 +67,6 @@ class IndexEqInstance:
     @property
     def answer(self) -> bool:
         return self.O == self.Ys[self.F]
-
-
-def subset_np(rng: np.random.Generator, universe: int, n: int) -> np.ndarray:
-    """Uniform n-subset of [universe) in draw order (batched rejection)."""
-    if n > universe:
-        raise ConfigError(f"cannot sample {n} from a universe of {universe}")
-    if 3 * n >= universe:
-        return rng.permutation(universe)[:n]
-    out = np.empty(0, dtype=np.int64)
-    while out.size < n:
-        batch = rng.integers(0, universe, size=max(32, 2 * (n - out.size)))
-        merged = np.concatenate([out, batch])
-        _, idx = np.unique(merged, return_index=True)
-        out = merged[np.sort(idx)]
-    return out[:n]
 
 
 def sample_uint(U: int, k: int, l: int, rng: np.random.Generator) -> SetIntersectionInstance:

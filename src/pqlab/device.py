@@ -43,7 +43,6 @@ class DeviceConfig:
 
 
 class ProbeRecord(NamedTuple):
-    seq: int
     op_index: int | None
     leaf_id: int | None
     addr: int
@@ -82,7 +81,7 @@ class Device:
 
     def read_block(self, addr: int) -> tuple[int, ...]:
         self._check_addr(addr)
-        self.log.append(ProbeRecord(len(self.log), self._op_index, self._leaf_id, addr, READ))
+        self.log.append(ProbeRecord(self._op_index, self._leaf_id, addr, READ))
         return self._blocks.get(addr, self._zero)
 
     def write_block(self, addr: int, block: Iterable[int]) -> None:
@@ -95,7 +94,7 @@ class Device:
             word = next(word for word in blk if not 0 <= word < limit)
             raise BlockSizeError(f"word {word} does not fit in {self.config.w} bits")
         self._blocks[addr] = blk
-        self.log.append(ProbeRecord(len(self.log), self._op_index, self._leaf_id, addr, WRITE))
+        self.log.append(ProbeRecord(self._op_index, self._leaf_id, addr, WRITE))
 
     @property
     def probe_count(self) -> int:
@@ -126,8 +125,8 @@ class Device:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["seq", "op_index", "leaf_id", "addr", "access"])
-            for rec in self.log:
-                writer.writerow([rec.seq, _blank(rec.op_index), _blank(rec.leaf_id), rec.addr, rec.access])
+            for seq, rec in enumerate(self.log):
+                writer.writerow([seq, _blank(rec.op_index), _blank(rec.leaf_id), rec.addr, rec.access])
 
 
 def _blank(value: int | None):

@@ -25,6 +25,10 @@ half-open range ``ops[lo:hi]`` (``hi=None`` means the end), tags each probe
 with the op's absolute index in ``ops``, reports ``n_ops = hi - lo`` and
 checks each ExtractMin answer against the transcript, so a queue resumed
 from a snapshot can run the tail of the same workload.
+
+On-disk queues store an entry ``(priority, key, timestamp)`` as three w-bit
+words ``key, priority + 2^(w-1), timestamp``; ``check_entry``,
+``encode_entries`` and ``decode_entries`` are that format's only definition.
 """
 
 from __future__ import annotations
@@ -32,8 +36,30 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import islice
 
-from ..errors import CapabilityError, DivergenceError
+from ..errors import CapabilityError, DivergenceError, EncodingError
 from ..ops import DECREASE, DELETE, EXTRACTMIN, INSERT
+
+ENTRY_WORDS = 3
+
+
+def check_entry(key: int, priority: int, w: int) -> None:
+    """Raise EncodingError unless the key and priority fit w-bit entry words."""
+    if not 0 <= key < (1 << w):
+        raise EncodingError(f"key {key} does not fit in {w}-bit words")
+    bias = 1 << (w - 1)
+    if not -bias <= priority < bias:
+        raise EncodingError(f"priority {priority} does not fit in {w}-bit words")
+
+
+def encode_entries(entries, bias: int) -> list[int]:
+    """Pack (priority, key, timestamp) entries as key, priority + bias, timestamp."""
+    return [word for p, k, ts in entries for word in (k, p + bias, ts)]
+
+
+def decode_entries(words: list[int], lo: int, n: int, bias: int) -> list[tuple[int, int, int]]:
+    """The n entries packed from word lo, as (priority, key, timestamp)."""
+    span = words[lo : lo + ENTRY_WORDS * n]
+    return [(p - bias, k, ts) for k, p, ts in zip(span[0::3], span[1::3], span[2::3])]
 
 
 class PriorityQueueBase:

@@ -44,10 +44,9 @@ import bisect
 import heapq
 
 from ..errors import ConfigError, EmptyQueueError, EncodingError, StructureOverflowError
-from .base import PriorityQueueBase
+from .base import ENTRY_WORDS, PriorityQueueBase, check_entry, decode_entries, encode_entries
 
 HEADER_WORDS = 8
-ENTRY_WORDS = 3
 LEAF_TOPS_FACTOR = 4
 
 
@@ -253,18 +252,8 @@ class BufferedHeap(PriorityQueueBase):
         words = [0] * ((max(cache) + 1) * B)
         for b, blk in cache.items():
             words[b * B : (b + 1) * B] = blk
-        return _Node(self._decode(words, lo, n_tops), self._decode(words, pb, n_pending), rr)
-
-    def _decode(self, words: list[int], lo: int, n: int) -> list[tuple[int, int, int]]:
-        """The n entries packed from word lo, as (priority, key, timestamp)."""
-        span = words[lo : lo + ENTRY_WORDS * n]
         bias = self._prio_bias
-        return [(p - bias, k, ts) for k, p, ts in zip(span[0::3], span[1::3], span[2::3])]
-
-    def _encode(self, entries: list[tuple[int, int, int]]) -> list[int]:
-        """Pack entries 3 words each as key, biased priority, timestamp."""
-        bias = self._prio_bias
-        return [word for p, k, ts in entries for word in (k, p + bias, ts)]
+        return _Node(decode_entries(words, lo, n_tops, bias), decode_entries(words, pb, n_pending, bias), rr)
 
     def _store(self, x: int, node: _Node) -> None:
         if x == 0:
@@ -277,9 +266,9 @@ class BufferedHeap(PriorityQueueBase):
         words = [0] * (self._blocks_for(max(t_end, p_end)) * self.B)
         words[0], words[1], words[2], words[3] = len(node.tops), len(node.pending), node.rr, 0
         if node.tops:
-            words[4:7] = self._encode(node.tops[-1:])
-        words[HEADER_WORDS:t_end] = self._encode(node.tops)
-        words[pb:p_end] = self._encode(node.pending)
+            words[4:7] = encode_entries(node.tops[-1:], self._prio_bias)
+        words[HEADER_WORDS:t_end] = encode_entries(node.tops, self._prio_bias)
+        words[pb:p_end] = encode_entries(node.pending, self._prio_bias)
         touched = set(range(0, (t_end - 1) // self.B + 1))
         if node.pending:
             touched.update(range(pb // self.B, (p_end - 1) // self.B + 1))
@@ -369,7 +358,7 @@ class BufferedHeap(PriorityQueueBase):
         base_word = first * self.B
         if first in cache:
             span[: self.B] = cache[first]
-        span[lo - base_word : hi - base_word] = self._encode(moved)
+        span[lo - base_word : hi - base_word] = encode_entries(moved, self._prio_bias)
         words0[1] = n_pending + len(moved)
         if first == 0:
             span[:HEADER_WORDS] = words0[:HEADER_WORDS]
@@ -387,10 +376,7 @@ class BufferedHeap(PriorityQueueBase):
         return self._live
 
     def insert(self, key: int, priority: int) -> None:
-        if not 0 <= key < (1 << self.w):
-            raise EncodingError(f"key {key} does not fit in {self.w}-bit words")
-        if not -self._prio_bias <= priority < self._prio_bias:
-            raise EncodingError(f"priority {priority} does not fit in {self.w}-bit words")
+        check_entry(key, priority, self.w)
         self._clock += 1
         if self._clock >= (1 << self.w):
             raise EncodingError("timestamp counter exceeded the word width")

@@ -38,9 +38,8 @@ import ast
 import bisect
 
 from ..errors import ConfigError, EmptyQueueError, EncodingError, StructureOverflowError
-from .base import PriorityQueueBase
+from .base import ENTRY_WORDS, PriorityQueueBase, check_entry, decode_entries, encode_entries
 
-ENTRY_WORDS = 3
 SIG_WORDS = 5
 
 S_INSERT = 1
@@ -76,7 +75,6 @@ class TournamentQueue(PriorityQueueBase):
         self.B, self.M, self.w = cfg.B, cfg.M, cfg.w
         if self.B < 8:
             raise ConfigError("tournament tree needs B >= 8")
-        self.hash_seed = seed
         self._mult = _splitmix64(seed) | 1
 
         cap = (node_blocks * self.B - 2) // (ENTRY_WORDS + SIG_WORDS)
@@ -131,12 +129,6 @@ class TournamentQueue(PriorityQueueBase):
 
     # -- word codecs --------------------------------------------------------------
 
-    def _check_entry(self, key: int, priority: int) -> None:
-        if not 0 <= key < (1 << self.w):
-            raise EncodingError(f"key {key} does not fit in {self.w}-bit words")
-        if not -self._prio_bias <= priority < self._prio_bias:
-            raise EncodingError(f"priority {priority} does not fit in {self.w}-bit words")
-
     def _node_addr(self, x: int) -> int:
         return (x - 1) * self.node_blocks
 
@@ -168,11 +160,8 @@ class TournamentQueue(PriorityQueueBase):
         )
         nt, ns = words[0], words[1]
         bias = self._prio_bias
-        pos = 2
-        tops = []
-        for _ in range(nt):
-            tops.append((words[pos + 1] - bias, words[pos], words[pos + 2]))
-            pos += ENTRY_WORDS
+        tops = decode_entries(words, 2, nt, bias)
+        pos = 2 + ENTRY_WORDS * nt
         sigs = []
         for _ in range(ns):
             sq, kd, k, pe, ts = words[pos : pos + SIG_WORDS]
@@ -186,9 +175,7 @@ class TournamentQueue(PriorityQueueBase):
             self._refresh_maybe(x, node)
             return
         bias = self._prio_bias
-        words = [len(node.tops), len(node.sigs)]
-        for p, k, ts in node.tops:
-            words.extend((k, p + bias, ts))
+        words = [len(node.tops), len(node.sigs)] + encode_entries(node.tops, bias)
         for sq, kd, k, p, ts in node.sigs:
             words.extend((sq, kd, k, p + bias, ts))
         self._write_words(self._node_addr(x), words)
@@ -205,21 +192,14 @@ class TournamentQueue(PriorityQueueBase):
         if x not in self._occupied:
             return []
         words = self._read_words(self._leaf_addr(x), lambda w: 2 + ENTRY_WORDS * w[0])
-        bias = self._prio_bias
-        return [
-            (words[i + 1] - bias, words[i], words[i + 2])
-            for i in range(2, 2 + ENTRY_WORDS * words[0], ENTRY_WORDS)
-        ]
+        return decode_entries(words, 2, words[0], self._prio_bias)
 
     def _store_leaf(self, x: int, entries: list[tuple[int, int, int]]) -> None:
         if len(entries) > self.leaf_cap:
             raise StructureOverflowError(
                 f"leaf {x} overflow ({len(entries)} entries); construct with a larger n_hint"
             )
-        bias = self._prio_bias
-        words = [len(entries), 0]
-        for p, k, ts in entries:
-            words.extend((k, p + bias, ts))
+        words = [len(entries), 0] + encode_entries(entries, self._prio_bias)
         self._write_words(self._leaf_addr(x), words)
         self._occupied.add(x)
         if entries:
@@ -381,13 +361,13 @@ class TournamentQueue(PriorityQueueBase):
     # -- operations -------------------------------------------------------------------
 
     def insert(self, key: int, priority: int) -> None:
-        self._check_entry(key, priority)
+        check_entry(key, priority, self.w)
         seq = self._bump()
         self._apply_internal(1, self._root, (seq, S_INSERT, key, priority, seq))
         self._after_root_op()
 
     def decrease_key(self, key: int, priority: int) -> None:
-        self._check_entry(key, priority)
+        check_entry(key, priority, self.w)
         seq = self._bump()
         self._apply_internal(1, self._root, (seq, S_DEC, key, priority, 0))
         self._after_root_op()

@@ -37,10 +37,10 @@ def attribute(probe_log, tree: Tree) -> Attribution:
     pair_of: list[tuple[int, int] | None] = []
     leaf_of: list[int] = []
     last_touch: dict[int, int] = {}
-    for rec in probe_log:
+    for seq, rec in enumerate(probe_log):
         leaf = rec.leaf_id
         if leaf is None:
-            raise PqlabError(f"probe {rec.seq} has no leaf context")
+            raise PqlabError(f"probe {seq} has no leaf context")
         prev = last_touch.get(rec.addr)
         if prev is None or prev == leaf:
             node_of.append(leaf)
@@ -49,7 +49,7 @@ def attribute(probe_log, tree: Tree) -> Attribution:
             v, i, j = tree.lca(prev, leaf)
             if tree.nodes[v].kind != INTERNAL or i is None or i >= j:
                 raise PqlabError(
-                    f"probe {rec.seq}: leaf {prev} then {leaf} violates pre-order (lca {v}, i={i}, j={j})"
+                    f"probe {seq}: leaf {prev} then {leaf} violates pre-order (lca {v}, i={i}, j={j})"
                 )
             node_of.append(v)
             pair_of.append((i, j))

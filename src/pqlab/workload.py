@@ -228,24 +228,49 @@ class Workload:
         return ins, dels
 
 
-def uniform_distinct(rng: np.random.Generator, universe: int, n: int) -> list[int]:
-    """Uniform random n-subset of [universe), returned sorted."""
+def subset_np(rng: np.random.Generator, universe: int, n: int) -> np.ndarray:
+    """Uniform n-subset of [universe) as int64, in draw order.
+
+    Dense requests (3n >= universe) take a prefix of a permutation; sparse
+    ones draw uint64 batches of max(16, 2 * missing) and keep the first n
+    distinct draws.  Every workload and protocol transcript depends on this
+    stream, so changing either rule changes the golden digests.
+    """
     if n > universe:
         raise ConfigError(f"cannot sample {n} distinct keys from a universe of {universe}")
+    if universe > (1 << 63):
+        raise ConfigError(f"universe {universe} exceeds the 8-byte key type")
     if 3 * n >= universe:
-        return sorted(int(x) for x in rng.permutation(universe)[:n])
-    out: set[int] = set()
-    while len(out) < n:
-        batch = rng.integers(0, universe, size=max(16, 2 * (n - len(out))), dtype=np.uint64)
-        for x in batch:
-            out.add(int(x))
-            if len(out) == n:
-                break
-    return sorted(out)
+        return rng.permutation(universe)[:n]
+    out = np.empty(0, dtype=np.int64)
+    while out.size < n:
+        batch = rng.integers(0, universe, size=max(16, 2 * (n - out.size)), dtype=np.uint64)
+        merged = np.concatenate([out, batch.astype(np.int64)])
+        _, idx = np.unique(merged, return_index=True)
+        out = merged[np.sort(idx)]
+    return out[:n]
+
+
+def uniform_distinct(rng: np.random.Generator, universe: int, n: int) -> list[int]:
+    """Uniform random n-subset of [universe), returned sorted."""
+    return sorted(subset_np(rng, universe, n).tolist())
 
 
 def assign_random_order(rng: np.random.Generator, keys: list[int]) -> list[int]:
     return [keys[i] for i in rng.permutation(len(keys))]
+
+
+def deal_keys(tree: Tree, slots: list[int], keys: list[int]) -> dict[int, list[int]]:
+    """Hand ``keys`` to the leaves in ``slots`` in order, leaf_op_count each."""
+    dealt: dict[int, list[int]] = {}
+    pos = 0
+    for leaf_id in slots:
+        count = tree.leaf_op_count(tree.nodes[leaf_id])
+        dealt[leaf_id] = keys[pos : pos + count]
+        pos += count
+    if pos != len(keys):
+        raise AssertionError(f"leaf slots cover {pos} keys, {len(keys)} were dealt")
+    return dealt
 
 
 def resolve_leaf_ops(tree: Tree, leaf_keys: dict[int, list[int]], stop_leaf: int | None = None) -> list[Op]:
@@ -298,19 +323,8 @@ def materialize(params: TreeParams) -> Workload:
     r_ins, r_ins_order, r_del, r_del_order = [np.random.default_rng(s) for s in ss.spawn(4)]
     ins_keys = assign_random_order(r_ins_order, uniform_distinct(r_ins, u, n))
     del_keys = assign_random_order(r_del_order, uniform_distinct(r_del, u, n))
-
-    leaf_keys: dict[int, list[int]] = {}
-    ins_pos = del_pos = 0
-    for leaf_id in tree.leaves:
-        leaf = tree.nodes[leaf_id]
-        count = tree.leaf_op_count(leaf)
-        if leaf.kind == INSERT_LEAF:
-            leaf_keys[leaf_id] = ins_keys[ins_pos : ins_pos + count]
-            ins_pos += count
-        elif leaf.kind == DELETE_LEAF:
-            leaf_keys[leaf_id] = del_keys[del_pos : del_pos + count]
-            del_pos += count
-    assert ins_pos == n and del_pos == n
+    leaf_keys = deal_keys(tree, [lf for lf in tree.leaves if tree.nodes[lf].kind == INSERT_LEAF], ins_keys)
+    leaf_keys.update(deal_keys(tree, [lf for lf in tree.leaves if tree.nodes[lf].kind == DELETE_LEAF], del_keys))
     ops = resolve_leaf_ops(tree, leaf_keys)
     return Workload(params, "basic", u, params.seed, ops)
 

@@ -45,11 +45,13 @@ def test_no_caching_every_read_counts(device):
     assert len(reads) == 100
 
 
-def test_interleaved_writes_log_in_order(device):
+def test_interleaved_writes_log_in_order(tmp_path, device):
     for addr in (1, 2, 1):
         device.write_block(addr, (0,) * 16)
     assert [(r.addr, r.access) for r in device.log] == [(1, "write"), (2, "write"), (1, "write")]
-    assert [r.seq for r in device.log] == [0, 1, 2]
+    device.export_log_csv(tmp_path / "log.csv")
+    rows = list(csv.reader(open(tmp_path / "log.csv")))[1:]
+    assert [(r[0], r[3]) for r in rows] == [("0", "1"), ("1", "2"), ("2", "1")]
 
 
 def test_probe_count_additivity(device):

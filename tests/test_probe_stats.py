@@ -9,7 +9,7 @@ from pqlab.probe_stats import attribute, export_stats_csv, find_embedding, node_
 
 def fake_log(entries):
     """entries: (leaf_id, addr, access) triples."""
-    return [ProbeRecord(i, i, leaf, addr, acc) for i, (leaf, addr, acc) in enumerate(entries)]
+    return [ProbeRecord(i, leaf, addr, acc) for i, (leaf, addr, acc) in enumerate(entries)]
 
 
 def tiny_tree():
@@ -53,7 +53,7 @@ def test_deep_lca():
 def test_probe_without_context_rejected():
     tree = tiny_tree()
     with pytest.raises(PqlabError):
-        attribute([ProbeRecord(0, 0, None, 1, "read")], tree)
+        attribute([ProbeRecord(0, None, 1, "read")], tree)
 
 
 def test_handcrafted_counts():

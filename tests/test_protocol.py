@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import pytest
@@ -193,3 +194,28 @@ def test_prefix_distribution_matches_materialize():
     h2, _ = np.histogram(lo_proto, bins=8, range=(0, 64))
     assert abs(h1.mean() - h2.mean()) < 1e-9
     assert np.abs(h1 - h2).max() <= 30  # ~240 samples in 8 bins, mean 30
+
+
+@pytest.mark.parametrize("seed, digest", [
+    (0, "36116ba1a7e03a37e668266a164b730c418e039ecc938633deb0a9e1748330fd"),
+    (1, "216864f87e59ccd1f0c09f47bdf03e4d440702ce57d9683fac096a6a3ffddb6f"),
+    (2, "fb72ffdbdbaccdcf7ca552b146fd42d0ae2407e6997f296f64966f76771045a8"),
+])
+def test_sample_instance_stream_pinned(seed, digest):
+    # The protocol's instance draw is part of every transcript; pin it.
+    params = TreeParams(2, 6, 2, seed=0)
+    v = next(n.id for n in build_tree(params).internal_nodes() if n.height == 3)
+    inst = sample_instance(params, v, seed)
+    got = hashlib.sha256(repr((sorted(inst.X), sorted(inst.Y))).encode()).hexdigest()
+    assert got == digest
+
+
+def test_run_builds_the_tree_once(monkeypatch):
+    import pqlab.comm.protocol as protocol
+
+    v = embed_node()
+    inst = sample_instance(PARAMS, v, seed=7)
+    calls = []
+    monkeypatch.setattr(protocol, "build_tree", lambda p: calls.append(p) or build_tree(p))
+    run_embedding_protocol(tournament_factory, PARAMS, v, 2, inst, CFG, seed=0)
+    assert len(calls) == 1

@@ -29,6 +29,14 @@ def test_subset_is_uniform_and_distinct():
     assert all(0 <= v < 1000 for v in s)
 
 
+def test_subset_at_the_key_type_limit():
+    s = subset_np(rng(4), 1 << 63, 1000)
+    assert s.dtype == np.int64 and len(set(s.tolist())) == 1000
+    assert all(0 <= v < (1 << 63) for v in s.tolist())
+    with pytest.raises(ConfigError):
+        subset_np(rng(4), (1 << 63) + 1, 10)
+
+
 def test_uint_forced_full_sets():
     inst = sample_uint(4, 4, 4, rng())
     assert inst.X == inst.Y == frozenset(range(4))
