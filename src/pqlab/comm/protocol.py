@@ -143,6 +143,7 @@ class ProtocolResult:
     z_set_size: int
     prefix_workload: Workload
     probes_reference: int
+    image_words: int  # the largest memory image handed off, in words
 
     @property
     def correct(self) -> bool:
@@ -153,12 +154,12 @@ class ProtocolResult:
         return [
             self.seed, p.beta, p.h, p.m, self.v, self.h_v, self.k_child,
             self.cost.a1, self.cost.b1, self.cost.a2, self.cost.b2,
-            len(self.expected), int(self.correct),
+            len(self.expected), int(self.correct), self.image_words,
         ]
 
     CSV_HEADER = [
         "seed", "beta", "h", "m", "v", "h_v", "k_child",
-        "a1", "b1", "a2", "b2", "intersection", "correct",
+        "a1", "b1", "a2", "b2", "intersection", "correct", "image_words",
     ]
 
 
@@ -230,14 +231,14 @@ def _replay(queue, device, prefix: Workload, lo: int, hi: int | None) -> set[int
 
 
 def _hand_off(ledger: Ledger, phase: int, sender, receiver, watched: set[int],
-              prefix: Workload, lo: int, hi: int | None) -> tuple[int, set[int]]:
+              prefix: Workload, lo: int, hi: int | None) -> tuple[int, set[int], int]:
     """The step both phases share: one player hands the run to the other.
 
     ``sender`` and ``receiver`` are (name, queue, device) triples.  The
     sender sends the address set it probed and its memory image; the
     receiver loads the image, replays ``ops[lo:hi]`` and fetches each
     watched address from the sender on first touch.  Returns the receiver's
-    request count and the set of addresses it probed.
+    request count, the addresses it probed and the image's length in words.
     """
     s_name, s_queue, s_dev = sender
     r_name, r_queue, r_dev = receiver
@@ -256,7 +257,7 @@ def _hand_off(ledger: Ledger, phase: int, sender, receiver, watched: set[int],
     r_dev.watch, r_dev.fetched, r_dev.on_fetch = watched, set(), fetch
     touched = _replay(r_queue, r_dev, prefix, lo, hi)
     r_dev.watch = None
-    return len(r_dev.fetched), touched
+    return len(r_dev.fetched), touched, len(image)
 
 
 def run_embedding_protocol(
@@ -338,9 +339,9 @@ def run_embedding_protocol(
     base.run_workload(alice_q, alice_dev, prefix, hi=shared_end)
 
     a_set = _replay(bob_q, bob_dev, prefix, shared_end, bob1_end)
-    alice_requests, z_set = _hand_off(ledger, 1, bob, alice, a_set, prefix, bob1_end, alice_end)
+    alice_requests, z_set, image1 = _hand_off(ledger, 1, bob, alice, a_set, prefix, bob1_end, alice_end)
     ledger.send(ALICE, 1, "phase_transition", 0, None)
-    bob_requests, _ = _hand_off(ledger, 2, alice, bob, z_set, prefix, alice_end, None)
+    bob_requests, _, image2 = _hand_off(ledger, 2, alice, bob, z_set, prefix, alice_end, None)
 
     # Bob reads the extract-min answers of v's last child and reconstructs
     # the intersection: Y minus the publicly deleted keys of the middle
@@ -367,5 +368,5 @@ def run_embedding_protocol(
         alice_requests=alice_requests, bob_requests=bob_requests,
         r_vk=stats.nodes[v].r_counts[k_child], l_vk=stats.nodes[v].l_counts[k_child],
         a_set_size=len(a_set), z_set_size=len(z_set),
-        prefix_workload=prefix, probes_reference=ref_dev.probe_count,
+        prefix_workload=prefix, probes_reference=ref_dev.probe_count, image_words=max(image1, image2),
     )

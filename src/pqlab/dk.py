@@ -22,9 +22,8 @@ inherent to the construction and is reported, not hidden.
 
 from __future__ import annotations
 
-import ast
-
 from .errors import ConfigError, DuplicateKeyError, EmptyQueueError
+from .ops import PRIORITY_DELETE
 from .pq.base import PriorityQueueBase
 
 CTR_BITS = 32
@@ -44,10 +43,7 @@ class ReducedQueue(PriorityQueueBase):
         self._key_limit = 1 << (base_w - CTR_BITS) if base_w is not None else None
         if self._key_limit is not None and self._key_limit < 2:
             raise ConfigError(f"base word width {base_w} leaves no room for {CTR_BITS} counter bits")
-        if base_w is not None:
-            self._delete_sentinel = -(1 << (base_w - 1))
-        else:
-            self._delete_sentinel = -(1 << 63)
+        self._delete_sentinel = -(1 << (base_w - 1)) if base_w is not None else PRIORITY_DELETE
         self._ctr = 0
         self._ops_since = 0
         self._n0 = n0_min
@@ -57,10 +53,6 @@ class ReducedQueue(PriorityQueueBase):
         self.rebuilds = 0
         self.stale_discards = 0
         self.absent_decreases = 0
-
-    @property
-    def device(self):
-        return getattr(self.base, "device", None)
 
     def __len__(self) -> int:
         return self._live
@@ -188,24 +180,25 @@ class ReducedQueue(PriorityQueueBase):
             "stale_discards": self.stale_discards,
             "absent_decreases": self.absent_decreases,
             "live": self._live,
-            "probes": self.device.probe_count if self.device is not None else 0,
+            "probes": self.base.device.probe_count if hasattr(self.base, "device") else 0,
         }
 
     # -- snapshot ----------------------------------------------------------------
 
-    def memory_image(self) -> bytes:
-        state = (
-            self._ctr, self._ops_since, self._n0, self._live,
-            self.rebuilds, self.stale_discards, self.absent_decreases,
-            sorted(self._extracted), sorted(self._last_insert.items()),
-            self.base.memory_image().decode(),
+    def memory_image(self) -> list[int]:
+        extracted = sorted(self._extracted)
+        last_insert = [v for pair in sorted(self._last_insert.items()) for v in pair]
+        return (
+            [self._ctr, self._ops_since, self._n0, self._live,
+             self.rebuilds, self.stale_discards, self.absent_decreases, len(extracted)]
+            + extracted + [len(last_insert) // 2] + last_insert + self.base.memory_image()
         )
-        return repr(state).encode()
 
-    def load_memory_image(self, image: bytes) -> None:
+    def load_memory_image(self, words: list[int]) -> None:
         (self._ctr, self._ops_since, self._n0, self._live,
-         self.rebuilds, self.stale_discards, self.absent_decreases,
-         extracted, last_insert, base_image) = ast.literal_eval(image.decode())
-        self._extracted = set(extracted)
-        self._last_insert = dict(last_insert)
-        self.base.load_memory_image(base_image.encode())
+         self.rebuilds, self.stale_discards, self.absent_decreases, n_h) = words[:8]
+        self._extracted = set(words[8 : 8 + n_h])
+        t = 9 + n_h
+        t_end = t + 2 * words[t - 1]
+        self._last_insert = dict(zip(words[t:t_end:2], words[t + 1 : t_end : 2]))
+        self.base.load_memory_image(words[t_end:])

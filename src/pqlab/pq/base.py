@@ -14,7 +14,10 @@ Queue implementations expose:
   structure can tell, and is the DecreaseKey-then-ExtractMin recipe on
   DecreaseKey-capable queues.
 * ``clear()``, ``memory_image()``/``load_memory_image()`` for global
-  rebuilding and snapshot-resume replication.
+  rebuilding and snapshot-resume replication.  The image is a list of w-bit
+  words in the queue's own layouts: counters, occupancy bitmaps
+  (``pack_ids``) and the root in its node layout, so its length is the
+  number of words resident in the M-word memory.
 
 Capability flags ``supports_decrease_key``/``supports_delete`` gate which
 workloads a queue may run.
@@ -60,6 +63,19 @@ def decode_entries(words: list[int], lo: int, n: int, bias: int) -> list[tuple[i
     """The n entries packed from word lo, as (priority, key, timestamp)."""
     span = words[lo : lo + ENTRY_WORDS * n]
     return [(p - bias, k, ts) for k, p, ts in zip(span[0::3], span[1::3], span[2::3])]
+
+
+def pack_ids(ids, n: int, w: int) -> list[int]:
+    """Node ids in [0, n) as a bitmap of ceil(n/w) w-bit words, id i at bit i % w of word i // w."""
+    words = [0] * -(-n // w)
+    for i in ids:
+        words[i // w] |= 1 << (i % w)
+    return words
+
+
+def unpack_ids(words: list[int], w: int) -> set[int]:
+    """The node ids set in a ``pack_ids`` bitmap."""
+    return {j * w + i for j, word in enumerate(words) for i, bit in enumerate(f"{word:b}"[::-1]) if bit == "1"}
 
 
 class PriorityQueueBase:

@@ -39,12 +39,11 @@ straddles two unread blocks the later block is probed before the earlier.
 
 from __future__ import annotations
 
-import ast
 import bisect
 import heapq
 
 from ..errors import ConfigError, EmptyQueueError, EncodingError, StructureOverflowError
-from .base import ENTRY_WORDS, PriorityQueueBase, check_entry, decode_entries, encode_entries
+from .base import ENTRY_WORDS, PriorityQueueBase, check_entry, decode_entries, encode_entries, pack_ids, unpack_ids
 
 HEADER_WORDS = 8
 LEAF_TOPS_FACTOR = 4
@@ -442,16 +441,18 @@ class BufferedHeap(PriorityQueueBase):
 
     # -- snapshot ----------------------------------------------------------------
 
-    def memory_image(self) -> bytes:
-        state = (
-            self._clock, self._live, self._root.tops, self._root.pending, self._root.rr,
-            sorted(self._maybe), sorted(self._written),
+    def memory_image(self) -> list[int]:
+        root = self._root
+        return (
+            [self._clock, self._live, root.rr, len(root.tops)]
+            + pack_ids(self._maybe, self.n_nodes, self.w) + pack_ids(self._written, self.n_nodes, self.w)
+            + encode_entries(root.tops + root.pending, self._prio_bias)
         )
-        return repr(state).encode()
 
-    def load_memory_image(self, image: bytes) -> None:
-        clock, live, tops, pending, rr, maybe, written = ast.literal_eval(image.decode())
-        self._clock, self._live = clock, live
-        self._root = _Node([tuple(e) for e in tops], [tuple(e) for e in pending], rr)
-        self._maybe = set(maybe)
-        self._written = set(written)
+    def load_memory_image(self, words: list[int]) -> None:
+        self._clock, self._live, rr, n_tops = words[:4]
+        nb = -(-self.n_nodes // self.w)
+        self._maybe = unpack_ids(words[4 : 4 + nb], self.w)
+        self._written = unpack_ids(words[4 + nb : 4 + 2 * nb], self.w)
+        entries = decode_entries(words, 4 + 2 * nb, (len(words) - 4 - 2 * nb) // ENTRY_WORDS, self._prio_bias)
+        self._root = _Node(entries[:n_tops], entries[n_tops:], rr)

@@ -8,11 +8,10 @@ for resolving extract-min leaves.
 
 from __future__ import annotations
 
-import ast
 import heapq
 
 from ..errors import DuplicateKeyError, EmptyQueueError
-from .base import PriorityQueueBase
+from .base import ENTRY_WORDS, PriorityQueueBase, decode_entries, encode_entries
 
 
 class OracleQueue(PriorityQueueBase):
@@ -80,12 +79,12 @@ class OracleQueue(PriorityQueueBase):
         self._live.clear()
         self._heap.clear()
 
-    def memory_image(self) -> bytes:
-        items = sorted(self._live.items())
-        return repr((self._clock, items)).encode()
+    def memory_image(self) -> list[int]:
+        entries = sorted((p, k, ts) for k, (p, ts) in self._live.items())
+        return [self._clock] + encode_entries(entries, 0)
 
-    def load_memory_image(self, image: bytes) -> None:
-        self._clock, items = ast.literal_eval(image.decode())
-        self._live = {k: tuple(v) for k, v in items}
-        self._heap = [(p, k, ts) for k, (p, ts) in self._live.items()]
-        heapq.heapify(self._heap)
+    def load_memory_image(self, words: list[int]) -> None:
+        self._clock = words[0]
+        # Sorted entries already satisfy the heap invariant.
+        self._heap = decode_entries(words, 1, (len(words) - 1) // ENTRY_WORDS, 0)
+        self._live = {k: (p, ts) for p, k, ts in self._heap}

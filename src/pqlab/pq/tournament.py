@@ -34,11 +34,10 @@ transient flush working sets are simulated in host memory and not charged.
 
 from __future__ import annotations
 
-import ast
 import bisect
 
 from ..errors import ConfigError, EmptyQueueError, EncodingError, StructureOverflowError
-from .base import ENTRY_WORDS, PriorityQueueBase, check_entry, decode_entries, encode_entries
+from .base import ENTRY_WORDS, PriorityQueueBase, check_entry, decode_entries, encode_entries, pack_ids, unpack_ids
 
 SIG_WORDS = 5
 
@@ -154,31 +153,29 @@ class TournamentQueue(PriorityQueueBase):
             return self._root
         if x not in self._occupied:
             return _Node()
-        words = self._read_words(
-            self._node_addr(x),
-            lambda w: 2 + ENTRY_WORDS * w[0] + SIG_WORDS * w[1],
-        )
+        words = self._read_words(self._node_addr(x), lambda w: 2 + ENTRY_WORDS * w[0] + SIG_WORDS * w[1])
+        return self._node_from_words(words)
+
+    def _node_from_words(self, words: list[int]) -> _Node:
+        """Decode the ``[n_tops, n_sigs] + entries + sigs`` node layout."""
         nt, ns = words[0], words[1]
         bias = self._prio_bias
-        tops = decode_entries(words, 2, nt, bias)
         pos = 2 + ENTRY_WORDS * nt
-        sigs = []
-        for _ in range(ns):
-            sq, kd, k, pe, ts = words[pos : pos + SIG_WORDS]
-            sigs.append((sq, kd, k, pe - bias, ts))
-            pos += SIG_WORDS
-        return _Node(tops, sigs)
+        sigs = [(sq, kd, k, pe - bias, ts) for sq, kd, k, pe, ts in
+                (words[i : i + SIG_WORDS] for i in range(pos, pos + SIG_WORDS * ns, SIG_WORDS))]
+        return _Node(decode_entries(words, 2, nt, bias), sigs)
+
+    def _node_words(self, node: _Node) -> list[int]:
+        bias = self._prio_bias
+        sigs = [word for sq, kd, k, p, ts in node.sigs for word in (sq, kd, k, p + bias, ts)]
+        return [len(node.tops), len(node.sigs)] + encode_entries(node.tops, bias) + sigs
 
     def _store_node(self, x: int, node: _Node) -> None:
         if x == 1:
             self._root = node
             self._refresh_maybe(x, node)
             return
-        bias = self._prio_bias
-        words = [len(node.tops), len(node.sigs)] + encode_entries(node.tops, bias)
-        for sq, kd, k, p, ts in node.sigs:
-            words.extend((sq, kd, k, p + bias, ts))
-        self._write_words(self._node_addr(x), words)
+        self._write_words(self._node_addr(x), self._node_words(node))
         self._occupied.add(x)
         self._refresh_maybe(x, node)
 
@@ -395,16 +392,15 @@ class TournamentQueue(PriorityQueueBase):
 
     # -- snapshot -----------------------------------------------------------------------
 
-    def memory_image(self) -> bytes:
-        state = (
-            self._seq, self._root.tops, self._root.sigs,
-            sorted(self._occupied), sorted(self._maybe),
+    def memory_image(self) -> list[int]:
+        return (
+            [self._seq] + pack_ids(self._occupied, 2 * self.K, self.w) + pack_ids(self._maybe, 2 * self.K, self.w)
+            + self._node_words(self._root)
         )
-        return repr(state).encode()
 
-    def load_memory_image(self, image: bytes) -> None:
-        seq, tops, sigs, occupied, maybe = ast.literal_eval(image.decode())
-        self._seq = seq
-        self._root = _Node([tuple(t) for t in tops], [tuple(s) for s in sigs])
-        self._occupied = set(occupied)
-        self._maybe = set(maybe)
+    def load_memory_image(self, words: list[int]) -> None:
+        nb = -(-2 * self.K // self.w)
+        self._seq = words[0]
+        self._occupied = unpack_ids(words[1 : 1 + nb], self.w)
+        self._maybe = unpack_ids(words[1 + nb : 1 + 2 * nb], self.w)
+        self._root = self._node_from_words(words[1 + 2 * nb :])

@@ -75,9 +75,6 @@ class StatsReport:
     nodes: list[NodeStats]
     total_probes: int
 
-    def node(self, node_id: int) -> NodeStats:
-        return self.nodes[node_id]
-
 
 def node_stats(attribution: Attribution) -> StatsReport:
     tree = attribution.tree

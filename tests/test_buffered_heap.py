@@ -81,6 +81,17 @@ def test_snapshot_resume_identical_probes():
     assert suffix == [(r.addr, r.access) for r in dev2.log]
 
 
+@pytest.mark.parametrize("B,M,w", [(8, 128, 64), (16, 192, 64), (16, 256, 128)])
+def test_image_within_memory_after_every_op(B, M, w):
+    wl = make_random_workload(1500, 4, universe=600, profile="insert_extract")
+    q, dev = make(B=B, M=M, w=w, n_hint=4096)
+    for i in range(len(wl.ops)):
+        run_workload(q, dev, wl, lo=i, hi=i + 1)
+        image = q.memory_image()
+        assert len(image) <= M
+        assert all(0 <= word < (1 << w) for word in image)
+
+
 def test_clear_resets_behavior():
     q, dev = make()
     for k in range(100):

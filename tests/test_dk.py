@@ -233,15 +233,20 @@ def test_wrapper_key_width_guard():
         q.insert(1 << 20, 0)  # 20 bits of key + 32 counter bits > 40
 
 
-def test_snapshot_roundtrip():
+@pytest.mark.parametrize(
+    "make_base", [lambda dev: BufferedHeap(dev, n_hint=4096), lambda dev: OracleQueue()], ids=["buffered_heap", "oracle"]
+)
+def test_snapshot_roundtrip(make_base):
     wl = make_random_workload(600, 3, universe=200, profile="mixed")
-    q, dev = over_heap()
+    dev = Device(DeviceConfig(B=16, M=192, w=64))
+    q = ReducedQueue(make_base(dev), n0_min=16)
     half = len(wl.ops) // 2
     run_workload(q, dev, wl, hi=half)
     img = q.memory_image()
     dev2 = dev.copy()
-    q2 = ReducedQueue(BufferedHeap(dev2, n_hint=4096), n0_min=16)
+    q2 = ReducedQueue(make_base(dev2), n0_min=16)
     q2.load_memory_image(img)
+    assert q2.memory_image() == img
     tail1 = run_workload(q, dev, wl, lo=half).extractions
     tail2 = run_workload(q2, dev2, wl, lo=half).extractions
     assert tail1 == tail2

@@ -17,6 +17,7 @@ from pqlab.comm.protocol import (
     run_embedding_protocol,
     sample_instance,
 )
+from pqlab.cli import make_queue
 from pqlab.comm.samplers import SetIntersectionInstance
 from pqlab.errors import ConfigError
 
@@ -109,6 +110,21 @@ def test_cost_composition_terms():
     # b2 = request addresses + intersection message
     inter = math.ceil(math.log2(PARAMS.n_updates + 1)) + len(res.expected) * key_bits
     assert res.cost.b2 == w * res.bob_requests + inter
+
+
+@pytest.mark.parametrize("name,fits", [("tournament", True), ("dk_buffered_heap", False)])
+def test_image_words_reported(name, fits):
+    # The dk tables over a heap outgrow the M-word memory the ledger prices;
+    # the run reports the size rather than hiding it.
+    params = TreeParams(2, 6, 2, seed=0)
+    v = next(n.id for n in build_tree(params).internal_nodes() if n.height == 3)
+    cfg = DeviceConfig(B=16, M=256, w=128)
+    res = run_embedding_protocol(lambda dev: make_queue(name, dev, n_hint=4096, seed=0),
+                                 params, v, 2, sample_instance(params, v, seed=0), cfg, seed=0)
+    assert res.correct
+    assert (res.image_words <= cfg.M) == fits
+    assert res.csv_row()[-1] == res.image_words
+    assert [m.bits for m in res.transcript if m.kind == "memory_snapshot"] == [cfg.M * cfg.w] * 2
 
 
 def test_exactly_one_phase_transition():
