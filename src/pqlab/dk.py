@@ -83,12 +83,16 @@ class ReducedQueue(PriorityQueueBase):
     def insert(self, key: int, priority: int) -> None:
         if self.is_live(key):
             raise DuplicateKeyError(f"key {key} is already live")
+        self._put(key, priority)
+        self._maybe_rebuild()
+
+    def _put(self, key: int, priority: int) -> None:
+        """Insert a key that is not live: one counter value, one base insert."""
         c = self._next_op()
         self.base.insert(self._aug(key, c), priority)
         self._last_insert[key] = c
         self._extracted.discard(key)
         self._live += 1
-        self._maybe_rebuild()
 
     def decrease_key(self, key: int, priority: int) -> None:
         c = self._next_op()
@@ -150,11 +154,7 @@ class ReducedQueue(PriorityQueueBase):
         self._last_insert.clear()
         self._live = 0
         for key, priority in drained:
-            c = self._ctr
-            self._ctr += 1
-            self.base.insert(self._aug(key, c), priority)
-            self._last_insert[key] = c
-            self._live += 1
+            self._put(key, priority)
         self._n0 = max(len(drained) // 2, self.n0_min)
         self._ops_since = 0
         self.rebuilds += 1

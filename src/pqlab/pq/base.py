@@ -32,6 +32,18 @@ from a snapshot can run the tail of the same workload.
 On-disk queues store an entry ``(priority, key, timestamp)`` as three w-bit
 words ``key, priority + 2^(w-1), timestamp``; ``check_entry``,
 ``encode_entries`` and ``decode_entries`` are that format's only definition.
+
+``BufferedTree`` is the resident half of both external queues (the buffered
+heap and the tournament).  It owns the M-word memory: an operation counter
+``_seq``, the ids of node arenas written since ``clear()`` (``_occupied``)
+and of subtrees that may hold entries (``_maybe``), and the root node.  The
+memory image is ``[seq] + pack_ids(_occupied) + pack_ids(_maybe)`` followed
+by the subclass's root words, and the constructor audit charges the largest
+image that layout can produce plus 2B words of block buffers against M, so
+an accepted queue's image never exceeds M - 2B words.  A subclass gives the
+node id space, ``_children(x)``, the root's id and word layout, and how a
+node other than the root is read and written; a node whose id is not
+occupied is empty without a probe, which makes ``clear()`` free.
 """
 
 from __future__ import annotations
@@ -39,7 +51,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import islice
 
-from ..errors import CapabilityError, DivergenceError, EncodingError
+from ..errors import CapabilityError, ConfigError, DivergenceError, EncodingError
 from ..ops import DECREASE, DELETE, EXTRACTMIN, INSERT
 
 ENTRY_WORDS = 3
@@ -100,6 +112,95 @@ class PriorityQueueBase:
 
     def clear(self) -> None:
         raise NotImplementedError
+
+
+class Node:
+    """A buffered-tree node: sorted ``tops``, the buffer ``buf`` in transit
+    toward the leaves, and ``rr``, the next child a buffer flush goes to."""
+
+    __slots__ = ("tops", "buf", "rr")
+
+    def __init__(self, tops=None, buf=None, rr=0):
+        self.tops = tops if tops is not None else []
+        self.buf = buf if buf is not None else []
+        self.rr = rr
+
+
+class BufferedTree(PriorityQueueBase):
+    """Resident state, memory image and M-word audit of an on-disk buffered tree.
+
+    Subclasses set ``ROOT`` (the root's id) and ``ROOT_HEADER`` (the length
+    of their root words' header, which reads all-zero as an empty root), and
+    define ``_children``, ``_root_words``/``_load_root_words`` and
+    ``_read_node``/``_write_node``.
+    """
+
+    ROOT: int
+    ROOT_HEADER: int
+
+    def __init__(self, device):
+        self.device = device
+        cfg = device.config
+        self.B, self.M, self.w = cfg.B, cfg.M, cfg.w
+        self._prio_bias = 1 << (self.w - 1)
+
+    def _setup(self, n_ids: int, root_words_max: int) -> None:
+        """Audit the largest image (ids in [0, n_ids)) against M - 2B, then start empty."""
+        self._n_ids = n_ids
+        resident = 1 + 2 * -(-n_ids // self.w) + root_words_max
+        if resident > self.M - 2 * self.B:
+            raise ConfigError(
+                f"M={self.M} words cannot hold {2 * self.B} words of block buffers "
+                f"plus the largest memory image ({resident} words)"
+            )
+        self.clear()
+
+    def _bump(self) -> int:
+        self._seq += 1
+        if self._seq >= (1 << self.w):
+            raise EncodingError("operation counter exceeded the word width")
+        return self._seq
+
+    def _below_maybe(self, x: int) -> bool:
+        return not self._maybe.isdisjoint(self._children(x))
+
+    def _refresh_maybe(self, x: int, node: Node) -> None:
+        if node.tops or node.buf or self._below_maybe(x):
+            self._maybe.add(x)
+        else:
+            self._maybe.discard(x)
+
+    def _load(self, x: int) -> Node:
+        if x == self.ROOT:
+            return self._root
+        if x not in self._occupied:
+            return Node()
+        return self._read_node(x)
+
+    def _store(self, x: int, node: Node) -> None:
+        if x == self.ROOT:
+            self._root = node
+        else:
+            self._write_node(x, node)
+            self._occupied.add(x)
+        self._refresh_maybe(x, node)
+
+    def clear(self) -> None:
+        self._seq = 0
+        self._occupied: set[int] = set()
+        self._maybe: set[int] = set()
+        self._load_root_words([0] * self.ROOT_HEADER)
+
+    def memory_image(self) -> list[int]:
+        n, w = self._n_ids, self.w
+        return [self._seq] + pack_ids(self._occupied, n, w) + pack_ids(self._maybe, n, w) + self._root_words()
+
+    def load_memory_image(self, words: list[int]) -> None:
+        nb = -(-self._n_ids // self.w)
+        self._seq = words[0]
+        self._occupied = unpack_ids(words[1 : 1 + nb], self.w)
+        self._maybe = unpack_ids(words[1 + nb : 1 + 2 * nb], self.w)
+        self._load_root_words(words[1 + 2 * nb :])
 
 
 @dataclass

@@ -2,16 +2,17 @@
 
 An f-ary tree of on-disk node buffers, f derived from M/B.  Each node keeps
 two buffers: ``tops``, an authoritative prefix of its subtree's minima
-(every entry below the node is >= the tops maximum), and ``pending``,
-entries in transit toward the leaves.  An arriving entry joins ``tops`` only
-when it beats the current maximum or the subtree holds nothing else;
-otherwise it rides ``pending``, which flushes one level down to a
-round-robin child when full.  ExtractMin pops the root's ``tops`` (held in
-the M-word memory) and, when empty, refills it by cursor-merging child
-minima; a refill flushes the node's own ``pending`` first so no small entry
-is overlooked.  Entries move in half-buffer batches both ways, targeting
-O((1/B) log_{M/B} N) probes per operation amortized; the constant is
-asserted as a measured regression bound, not proved.
+(every entry below the node is >= the tops maximum), and ``pending`` (the
+shared ``Node``'s ``buf``), entries in transit toward the leaves.  An
+arriving entry joins ``tops`` only when it beats the current maximum or the
+subtree holds nothing else; otherwise it rides ``pending``, which flushes
+one level down to a round-robin child when full.  ExtractMin pops the
+root's ``tops`` (held in the M-word memory) and, when empty, refills it by
+cursor-merging child minima; a refill flushes the node's own ``pending``
+first so no small entry is overlooked.  Entries move in half-buffer
+batches both ways, targeting O((1/B) log_{M/B} N) probes per operation
+amortized; the constant is asserted as a measured regression bound, not
+proved.
 
 Node arena layout: block 0 opens with [n_tops, n_pending, round_robin,
 tops_offset, max_key, max_prio, max_ts, 0]; the sorted tops region follows
@@ -22,8 +23,10 @@ reads only blocks it merges from and writes one header block per consumed
 child), and a flush whose batch provably misses the child's tops appends to
 the pending region without reading the rest of the node.  In-memory
 occupancy bitmaps say which arenas mean anything, making ``clear()`` free.
-Resident state is audited against the M-word budget at construction;
-transient merge scratch is simulated in host memory and not charged.
+Resident state, its memory image and the M-word audit live in
+``base.BufferedTree``: the root words are ``[live, rr, n_tops]`` followed
+by the root's tops and pending entries.  Transient merge scratch is
+simulated in host memory and not charged.
 
 A refill merges its children with a heap keyed by ``(head, child index)``.
 Each cursor decodes its head entry once and keeps it until the entry is
@@ -42,20 +45,11 @@ from __future__ import annotations
 import bisect
 import heapq
 
-from ..errors import ConfigError, EmptyQueueError, EncodingError, StructureOverflowError
-from .base import ENTRY_WORDS, PriorityQueueBase, check_entry, decode_entries, encode_entries, pack_ids, unpack_ids
+from ..errors import ConfigError, EmptyQueueError, StructureOverflowError
+from .base import ENTRY_WORDS, BufferedTree, Node, check_entry, decode_entries, encode_entries
 
 HEADER_WORDS = 8
 LEAF_TOPS_FACTOR = 4
-
-
-class _Node:
-    __slots__ = ("tops", "pending", "rr")
-
-    def __init__(self, tops=None, pending=None, rr=0):
-        self.tops = tops if tops is not None else []
-        self.pending = pending if pending is not None else []
-        self.rr = rr
 
 
 class _Cursor:
@@ -75,7 +69,7 @@ class _Cursor:
         self.n_tops, self.n_pending, _, self.off = words0[:4]
         self.eaten = 0
         self.mode = "clean"  # clean | consumed | full
-        self.full: _Node | None = None
+        self.full: Node | None = None
         self._head: tuple[int, int, int] | None = None
 
     def _block(self, b: int) -> list[int]:
@@ -129,10 +123,9 @@ class _Cursor:
             return False
         if self.eaten < self.n_tops:
             return False
-        o = self.owner
-        return self.n_pending > 0 or (not o._is_leaf(self.x) and o._below_maybe(self.x))
+        return self.n_pending > 0 or self.owner._below_maybe(self.x)
 
-    def promote(self) -> _Node:
+    def promote(self) -> Node:
         """Switch to a fully loaded node for recursive refilling."""
         node = self.owner._load(self.x)
         node.tops = node.tops[self.eaten :]
@@ -151,20 +144,19 @@ class _Cursor:
         words0[0] = self.n_tops - self.eaten
         words0[3] = self.off + self.eaten
         o.device.write_block(o._node_base(self.x), words0)
-        if words0[0] == 0 and self.n_pending == 0:
-            if o._is_leaf(self.x) or not o._below_maybe(self.x):
-                o._maybe.discard(self.x)
+        if words0[0] == 0 and self.n_pending == 0 and not o._below_maybe(self.x):
+            o._maybe.discard(self.x)
 
 
-class BufferedHeap(PriorityQueueBase):
+class BufferedHeap(BufferedTree):
     supports_decrease_key = False
     supports_delete = False
     name = "buffered_heap"
+    ROOT = 0
+    ROOT_HEADER = 3
 
     def __init__(self, device, n_hint: int = 1 << 14):
-        self.device = device
-        cfg = device.config
-        self.B, self.M, self.w = cfg.B, cfg.M, cfg.w
+        super().__init__(device)
         self.cap = max(4, (self.M - 64) // 12)
         self.leaf_tops_cap = LEAF_TOPS_FACTOR * self.cap
         self.fanout = min(8, max(2, self.M // (2 * self.B)))
@@ -178,22 +170,9 @@ class BufferedHeap(PriorityQueueBase):
 
         self._internal_blocks = self._blocks_for(HEADER_WORDS + ENTRY_WORDS * (2 * self.cap))
         self._leaf_blocks = self._blocks_for(HEADER_WORDS + ENTRY_WORDS * (self.leaf_tops_cap + self.cap))
-        if self._node_base(self.n_nodes) >= cfg.word_limit:
+        if self._node_base(self.n_nodes) >= device.config.word_limit:
             raise ConfigError("address space too small for the heap arena; increase w")
-
-        self._prio_bias = 1 << (self.w - 1)
-        self._root = _Node()
-        self._clock = 0
-        self._live = 0
-        self._maybe: set[int] = set()    # subtree may hold entries
-        self._written: set[int] = set()  # arena holds meaningful words since clear()
-
-        bitmap_words = 2 * ((self.n_nodes + 63) // 64)
-        resident = 2 * ENTRY_WORDS * self.cap + bitmap_words + 8
-        if resident > self.M - 2 * self.B:
-            raise ConfigError(
-                f"M={self.M} words cannot hold the root node plus bookkeeping ({resident} words)"
-            )
+        self._setup(self.n_nodes, self.ROOT_HEADER + 2 * ENTRY_WORDS * self.cap)
 
     # -- geometry -------------------------------------------------------------
 
@@ -221,9 +200,6 @@ class BufferedHeap(PriorityQueueBase):
     def _pending_base(self, x: int) -> int:
         return HEADER_WORDS + ENTRY_WORDS * self._tops_cap(x)
 
-    def _below_maybe(self, x: int) -> bool:
-        return any(c in self._maybe for c in self._children(x))
-
     # -- node I/O ---------------------------------------------------------------
 
     def _read_block_of(self, x: int, b: int) -> list[int]:
@@ -236,11 +212,7 @@ class BufferedHeap(PriorityQueueBase):
             if b not in cache:
                 cache[b] = self._read_block_of(x, b)
 
-    def _load(self, x: int) -> _Node:
-        if x == 0:
-            return self._root
-        if x not in self._written:
-            return _Node()
+    def _read_node(self, x: int) -> Node:
         cache: dict[int, list[int]] = {0: self._read_block_of(x, 0)}
         n_tops, n_pending, rr, off = cache[0][:4]
         lo = HEADER_WORDS + ENTRY_WORDS * off
@@ -252,68 +224,56 @@ class BufferedHeap(PriorityQueueBase):
         for b, blk in cache.items():
             words[b * B : (b + 1) * B] = blk
         bias = self._prio_bias
-        return _Node(decode_entries(words, lo, n_tops, bias), decode_entries(words, pb, n_pending, bias), rr)
+        return Node(decode_entries(words, lo, n_tops, bias), decode_entries(words, pb, n_pending, bias), rr)
 
-    def _store(self, x: int, node: _Node) -> None:
-        if x == 0:
-            self._root = node
-            self._refresh_maybe(x, node)
-            return
+    def _write_node(self, x: int, node: Node) -> None:
         pb = self._pending_base(x)
         t_end = HEADER_WORDS + ENTRY_WORDS * len(node.tops)
-        p_end = pb + ENTRY_WORDS * len(node.pending)
+        p_end = pb + ENTRY_WORDS * len(node.buf)
         words = [0] * (self._blocks_for(max(t_end, p_end)) * self.B)
-        words[0], words[1], words[2], words[3] = len(node.tops), len(node.pending), node.rr, 0
+        words[0], words[1], words[2], words[3] = len(node.tops), len(node.buf), node.rr, 0
         if node.tops:
             words[4:7] = encode_entries(node.tops[-1:], self._prio_bias)
         words[HEADER_WORDS:t_end] = encode_entries(node.tops, self._prio_bias)
-        words[pb:p_end] = encode_entries(node.pending, self._prio_bias)
+        words[pb:p_end] = encode_entries(node.buf, self._prio_bias)
         touched = set(range(0, (t_end - 1) // self.B + 1))
-        if node.pending:
+        if node.buf:
             touched.update(range(pb // self.B, (p_end - 1) // self.B + 1))
         base = self._node_base(x)
         for b in sorted(touched):
             self.device.write_block(base + b, words[b * self.B : (b + 1) * self.B])
-        self._written.add(x)
-        self._refresh_maybe(x, node)
-
-    def _refresh_maybe(self, x: int, node: _Node) -> None:
-        if node.tops or node.pending or (not self._is_leaf(x) and self._below_maybe(x)):
-            self._maybe.add(x)
-        else:
-            self._maybe.discard(x)
 
     # -- arrival and flush ---------------------------------------------------------
 
-    def _absorb(self, x: int, node: _Node, incoming: list[tuple[int, int, int]]) -> None:
+    def _absorb(self, x: int, node: Node, incoming: list[tuple[int, int, int]]) -> None:
         """Merge arriving entries into tops where provable, else into pending."""
         tops = node.tops
-        if not tops and not node.pending and (self._is_leaf(x) or not self._below_maybe(x)):
+        if not tops and not node.buf and not self._below_maybe(x):
             node.tops = sorted(incoming)
         else:
             for e in sorted(incoming):
                 if tops and e < tops[-1]:
                     bisect.insort(tops, e)
                 else:
-                    node.pending.append(e)
+                    node.buf.append(e)
         cap_t = self._tops_cap(x)
         if self._is_leaf(x):
-            if node.pending:
-                node.tops = list(heapq.merge(node.tops, sorted(node.pending)))
-                node.pending = []
+            if node.buf:
+                node.tops = list(heapq.merge(node.tops, sorted(node.buf)))
+                node.buf = []
             if len(node.tops) > cap_t:
                 raise StructureOverflowError(
                     f"leaf {x} overflow ({len(node.tops)} entries); construct with a larger n_hint"
                 )
             return
         while len(node.tops) > cap_t:
-            node.pending.append(node.tops.pop())
-        if len(node.pending) > self.cap:
+            node.buf.append(node.tops.pop())
+        if len(node.buf) > self.cap:
             self._flush(x, node)
 
-    def _flush(self, x: int, node: _Node) -> None:
-        moved = node.pending
-        node.pending = []
+    def _flush(self, x: int, node: Node) -> None:
+        moved = node.buf
+        node.buf = []
         child = self._children(x)[node.rr]
         node.rr = (node.rr + 1) % self.fanout
         if not self._lazy_append(child, moved):
@@ -329,7 +289,7 @@ class BufferedHeap(PriorityQueueBase):
         the child must hold something already, the incoming minimum must not
         beat the tops maximum, and the pending region must have room.
         """
-        if child not in self._written:
+        if child not in self._occupied:
             return False
         words0 = self._read_block_of(child, 0)
         n_tops, n_pending = words0[0], words0[1]
@@ -337,7 +297,7 @@ class BufferedHeap(PriorityQueueBase):
             return False
         if n_tops == 0:
             # Arrivals may enter tops only when the whole subtree is empty.
-            if n_pending == 0 and (self._is_leaf(child) or not self._below_maybe(child)):
+            if n_pending == 0 and not self._below_maybe(child):
                 return False
         else:
             bias = self._prio_bias
@@ -376,10 +336,7 @@ class BufferedHeap(PriorityQueueBase):
 
     def insert(self, key: int, priority: int) -> None:
         check_entry(key, priority, self.w)
-        self._clock += 1
-        if self._clock >= (1 << self.w):
-            raise EncodingError("timestamp counter exceeded the word width")
-        self._absorb(0, self._root, [(priority, key, self._clock)])
+        self._absorb(self.ROOT, self._root, [(priority, key, self._bump())])
         self._live += 1
 
     def extract_min(self) -> tuple[int, int]:
@@ -387,22 +344,22 @@ class BufferedHeap(PriorityQueueBase):
             raise EmptyQueueError("extract from empty queue")
         root = self._root
         if not root.tops:
-            self._refill(0, root)
+            self._refill(self.ROOT, root)
             if not root.tops:
                 raise AssertionError("live count positive but no entries found")
         priority, key, _ = root.tops.pop(0)
         self._live -= 1
-        self._refresh_maybe(0, root)
+        self._refresh_maybe(self.ROOT, root)
         return key, priority
 
-    def _refill(self, x: int, node: _Node) -> None:
+    def _refill(self, x: int, node: Node) -> None:
         """Fill node.tops with its subtree's minima; own pending flushed first."""
         if self._is_leaf(x):
-            if node.pending:
-                node.tops = list(heapq.merge(node.tops, sorted(node.pending)))
-                node.pending = []
+            if node.buf:
+                node.tops = list(heapq.merge(node.tops, sorted(node.buf)))
+                node.buf = []
             return
-        if node.pending:
+        if node.buf:
             self._flush(x, node)
         if node.tops:
             return
@@ -432,27 +389,13 @@ class BufferedHeap(PriorityQueueBase):
             cur.writeback()
         self._refresh_maybe(x, node)
 
-    def clear(self) -> None:
-        self._root = _Node()
-        self._clock = 0
-        self._live = 0
-        self._maybe.clear()
-        self._written.clear()
+    # -- root words ----------------------------------------------------------------
 
-    # -- snapshot ----------------------------------------------------------------
-
-    def memory_image(self) -> list[int]:
+    def _root_words(self) -> list[int]:
         root = self._root
-        return (
-            [self._clock, self._live, root.rr, len(root.tops)]
-            + pack_ids(self._maybe, self.n_nodes, self.w) + pack_ids(self._written, self.n_nodes, self.w)
-            + encode_entries(root.tops + root.pending, self._prio_bias)
-        )
+        return [self._live, root.rr, len(root.tops)] + encode_entries(root.tops + root.buf, self._prio_bias)
 
-    def load_memory_image(self, words: list[int]) -> None:
-        self._clock, self._live, rr, n_tops = words[:4]
-        nb = -(-self.n_nodes // self.w)
-        self._maybe = unpack_ids(words[4 : 4 + nb], self.w)
-        self._written = unpack_ids(words[4 + nb : 4 + 2 * nb], self.w)
-        entries = decode_entries(words, 4 + 2 * nb, (len(words) - 4 - 2 * nb) // ENTRY_WORDS, self._prio_bias)
-        self._root = _Node(entries[:n_tops], entries[n_tops:], rr)
+    def _load_root_words(self, words: list[int]) -> None:
+        self._live, rr, n_tops = words[:3]
+        entries = decode_entries(words, 3, (len(words) - 3) // ENTRY_WORDS, self._prio_bias)
+        self._root = Node(entries[:n_tops], entries[n_tops:], rr)

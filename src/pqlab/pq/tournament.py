@@ -2,12 +2,12 @@
 
 A static binary tree over the hashed key space.  Leaves store settled
 entries for their hash interval; every internal node keeps two on-disk
-structures:
+structures, the fields of the shared ``Node``:
 
 * ``tops`` -- an authoritative prefix of its subtree's minima: entries
   stored here are removed from everywhere else and precede, in (priority,
   key) order, every entry held anywhere below the node.
-* ``sigs`` -- a FIFO buffer of pending signals (insert, decrease, delete,
+* ``buf`` -- a FIFO buffer of pending signals (insert, decrease, delete,
   erase, push) travelling toward the key's leaf.
 
 Operations append one signal at the root; buffers flush one level down when
@@ -26,18 +26,23 @@ below.  Deletes annihilate at the leaf when the key is absent, which gives
 the workload model's tolerant Delete.  DecreaseKey on an absent key is a
 contract violation the structure cannot detect; behavior is undefined.
 
+Every node, leaves included, is stored as ``[n_tops, n_sigs] + entries +
+sigs``.  A leaf is a node with no signals in a larger arena, so one pair
+of codecs reads and writes both.
+
 The amortized cost target is O((1/B) log2 N) probes per operation, asserted
 as a measured regression bound.  Resident state (root node, occupancy
-bitmaps, counters) is audited against the M-word memory at construction;
-transient flush working sets are simulated in host memory and not charged.
+bitmaps, counter), its memory image and the M-word audit live in
+``base.BufferedTree``; the root words are the root's node layout.
+Transient flush working sets are simulated in host memory and not charged.
 """
 
 from __future__ import annotations
 
 import bisect
 
-from ..errors import ConfigError, EmptyQueueError, EncodingError, StructureOverflowError
-from .base import ENTRY_WORDS, PriorityQueueBase, check_entry, decode_entries, encode_entries, pack_ids, unpack_ids
+from ..errors import ConfigError, EmptyQueueError, StructureOverflowError
+from .base import ENTRY_WORDS, BufferedTree, Node, check_entry, decode_entries, encode_entries
 
 SIG_WORDS = 5
 
@@ -55,23 +60,15 @@ def _splitmix64(v: int) -> int:
     return v ^ (v >> 31)
 
 
-class _Node:
-    __slots__ = ("tops", "sigs")
-
-    def __init__(self, tops=None, sigs=None):
-        self.tops = tops if tops is not None else []
-        self.sigs = sigs if sigs is not None else []
-
-
-class TournamentQueue(PriorityQueueBase):
+class TournamentQueue(BufferedTree):
     supports_decrease_key = True
     supports_delete = True
     name = "tournament"
+    ROOT = 1
+    ROOT_HEADER = 2
 
     def __init__(self, device, n_hint: int = 1 << 14, seed: int = 0, node_blocks: int = 4):
-        self.device = device
-        cfg = device.config
-        self.B, self.M, self.w = cfg.B, cfg.M, cfg.w
+        super().__init__(device)
         if self.B < 8:
             raise ConfigError("tournament tree needs B >= 8")
         self._mult = _splitmix64(seed) | 1
@@ -95,21 +92,9 @@ class TournamentQueue(PriorityQueueBase):
 
         self._leaf_base = (self.K - 1) * node_blocks
         total_blocks = self._leaf_base + self.K * self.leaf_blocks
-        if total_blocks >= cfg.word_limit:
+        if total_blocks >= device.config.word_limit:
             raise ConfigError("address space too small for tournament arenas; increase w")
-
-        self._prio_bias = 1 << (self.w - 1)
-        self._seq = 0
-        self._root = _Node()
-        self._occupied: set[int] = set()  # node arenas with meaningful disk contents
-        self._maybe: set[int] = set()     # subtree may hold entries
-
-        bitmap_words = 2 * ((2 * self.K + 63) // 64)
-        resident = ENTRY_WORDS * self.top_cap + SIG_WORDS * self.sig_cap + bitmap_words + 8
-        if resident > self.M - 2 * self.B:
-            raise ConfigError(
-                f"M={self.M} words cannot hold root node plus bookkeeping ({resident} words)"
-            )
+        self._setup(2 * self.K, self.ROOT_HEADER + ENTRY_WORDS * self.top_cap + SIG_WORDS * self.sig_cap)
 
     # -- geometry ---------------------------------------------------------------
 
@@ -123,101 +108,63 @@ class TournamentQueue(PriorityQueueBase):
     def _is_leaf(self, x: int) -> bool:
         return x >= self.K
 
-    def _below_maybe(self, x: int) -> bool:
-        return (2 * x in self._maybe) or (2 * x + 1 in self._maybe)
+    def _children(self, x: int) -> tuple[int, int]:
+        return 2 * x, 2 * x + 1
 
-    # -- word codecs --------------------------------------------------------------
+    # -- node I/O -----------------------------------------------------------------
 
-    def _node_addr(self, x: int) -> int:
+    def _addr(self, x: int) -> int:
+        if self._is_leaf(x):
+            return self._leaf_base + (x - self.K) * self.leaf_blocks
         return (x - 1) * self.node_blocks
 
-    def _leaf_addr(self, x: int) -> int:
-        return self._leaf_base + (x - self.K) * self.leaf_blocks
-
-    def _read_words(self, base: int, need_words) -> list[int]:
+    def _read_node(self, x: int) -> Node:
+        base = self._addr(x)
         words = list(self.device.read_block(base))
-        total = need_words(words)
-        blocks = (total + self.B - 1) // self.B
-        for i in range(1, blocks):
+        n_words = 2 + ENTRY_WORDS * words[0] + SIG_WORDS * words[1]
+        for i in range(1, -(-n_words // self.B)):
             words.extend(self.device.read_block(base + i))
-        return words
+        return self._node_from_words(words)
 
-    def _write_words(self, base: int, words: list[int]) -> None:
-        pad = (-len(words)) % self.B
-        words = words + [0] * pad
+    def _write_node(self, x: int, node: Node) -> None:
+        if self._is_leaf(x) and len(node.tops) > self.leaf_cap:
+            raise StructureOverflowError(
+                f"leaf {x} overflow ({len(node.tops)} entries); construct with a larger n_hint"
+            )
+        words = self._node_words(node)
+        words += [0] * (-len(words) % self.B)
+        base = self._addr(x)
         for i in range(0, len(words), self.B):
             self.device.write_block(base + i // self.B, words[i : i + self.B])
 
-    def _load_node(self, x: int) -> _Node:
-        if x == 1:
-            return self._root
-        if x not in self._occupied:
-            return _Node()
-        words = self._read_words(self._node_addr(x), lambda w: 2 + ENTRY_WORDS * w[0] + SIG_WORDS * w[1])
-        return self._node_from_words(words)
-
-    def _node_from_words(self, words: list[int]) -> _Node:
+    def _node_from_words(self, words: list[int]) -> Node:
         """Decode the ``[n_tops, n_sigs] + entries + sigs`` node layout."""
         nt, ns = words[0], words[1]
         bias = self._prio_bias
         pos = 2 + ENTRY_WORDS * nt
         sigs = [(sq, kd, k, pe - bias, ts) for sq, kd, k, pe, ts in
                 (words[i : i + SIG_WORDS] for i in range(pos, pos + SIG_WORDS * ns, SIG_WORDS))]
-        return _Node(decode_entries(words, 2, nt, bias), sigs)
+        return Node(decode_entries(words, 2, nt, bias), sigs)
 
-    def _node_words(self, node: _Node) -> list[int]:
+    def _node_words(self, node: Node) -> list[int]:
         bias = self._prio_bias
-        sigs = [word for sq, kd, k, p, ts in node.sigs for word in (sq, kd, k, p + bias, ts)]
-        return [len(node.tops), len(node.sigs)] + encode_entries(node.tops, bias) + sigs
+        sigs = [word for sq, kd, k, p, ts in node.buf for word in (sq, kd, k, p + bias, ts)]
+        return [len(node.tops), len(node.buf)] + encode_entries(node.tops, bias) + sigs
 
-    def _store_node(self, x: int, node: _Node) -> None:
-        if x == 1:
-            self._root = node
-            self._refresh_maybe(x, node)
-            return
-        self._write_words(self._node_addr(x), self._node_words(node))
-        self._occupied.add(x)
-        self._refresh_maybe(x, node)
+    def _root_words(self) -> list[int]:
+        return self._node_words(self._root)
 
-    def _refresh_maybe(self, x: int, node: _Node) -> None:
-        if node.tops or node.sigs or self._below_maybe(x):
-            self._maybe.add(x)
-        else:
-            self._maybe.discard(x)
-
-    def _load_leaf(self, x: int) -> list[tuple[int, int, int]]:
-        if x not in self._occupied:
-            return []
-        words = self._read_words(self._leaf_addr(x), lambda w: 2 + ENTRY_WORDS * w[0])
-        return decode_entries(words, 2, words[0], self._prio_bias)
-
-    def _store_leaf(self, x: int, entries: list[tuple[int, int, int]]) -> None:
-        if len(entries) > self.leaf_cap:
-            raise StructureOverflowError(
-                f"leaf {x} overflow ({len(entries)} entries); construct with a larger n_hint"
-            )
-        words = [len(entries), 0] + encode_entries(entries, self._prio_bias)
-        self._write_words(self._leaf_addr(x), words)
-        self._occupied.add(x)
-        if entries:
-            self._maybe.add(x)
-        else:
-            self._maybe.discard(x)
+    def _load_root_words(self, words: list[int]) -> None:
+        self._root = self._node_from_words(words)
 
     # -- signal machinery -----------------------------------------------------------
 
-    def _bump(self) -> int:
-        self._seq += 1
-        if self._seq >= (1 << self.w):
-            raise EncodingError("operation counter exceeded the word width")
-        return self._seq
-
-    def _evict_if_over(self, node: _Node) -> None:
+    def _evict_if_over(self, node: Node) -> None:
         if len(node.tops) > self.top_cap:
             p, k, ts = node.tops.pop()
-            node.sigs.append((self._bump(), S_PUSH, k, p, ts))
+            node.buf.append((self._bump(), S_PUSH, k, p, ts))
 
-    def _apply_internal(self, x: int, node: _Node, sig) -> None:
+    def _apply_internal(self, x: int, node: Node, sig) -> None:
         seq, kind, key, prio, ts = sig
         tops = node.tops
         if kind == S_INSERT or kind == S_PUSH:
@@ -225,11 +172,11 @@ class TournamentQueue(PriorityQueueBase):
             # Accept into tops when it provably belongs to the subtree minima:
             # either it beats the current maximum, or the subtree holds
             # nothing else at all.
-            if (tops and entry < tops[-1]) or (not node.sigs and not self._below_maybe(x)):
+            if (tops and entry < tops[-1]) or (not node.buf and not self._below_maybe(x)):
                 bisect.insort(tops, entry)
                 self._evict_if_over(node)
             else:
-                node.sigs.append(sig)
+                node.buf.append(sig)
             return
         if kind == S_DEC:
             for i, (p, k, t0) in enumerate(tops):
@@ -238,32 +185,31 @@ class TournamentQueue(PriorityQueueBase):
                         del tops[i]
                         bisect.insort(tops, (prio, key, t0))
                     return
-            if not node.sigs and not self._below_maybe(x):
+            if not node.buf and not self._below_maybe(x):
                 return  # key is nowhere in this subtree: spurious decrease
             cand = (prio, key, 0)
             if tops and cand < tops[-1]:
                 # The key's record sits below with a larger priority; adopt the
                 # decreased record here and chase the stale copy with an erase.
                 bisect.insort(tops, cand)
-                node.sigs.append((self._bump(), S_ERASE, key, 0, 0))
+                node.buf.append((self._bump(), S_ERASE, key, 0, 0))
                 self._evict_if_over(node)
             else:
-                node.sigs.append(sig)
+                node.buf.append(sig)
             return
         # S_DEL and S_ERASE remove the first matching record and stop.
         for i, (p, k, t0) in enumerate(tops):
             if k == key:
                 del tops[i]
                 return
-        if not node.sigs and not self._below_maybe(x):
+        if not node.buf and not self._below_maybe(x):
             if kind == S_ERASE:
                 raise AssertionError(f"erase lost its target record for key {key}")
             return
-        node.sigs.append(sig)
+        node.buf.append(sig)
 
     def _apply_leaf_batch(self, x: int, sigs) -> None:
-        entries = self._load_leaf(x)
-        bykey = {k: (p, k, ts) for (p, k, ts) in entries}
+        bykey = {k: (p, k, ts) for (p, k, ts) in self._load(x).tops}
         for seq, kind, key, prio, ts in sigs:
             if kind == S_INSERT or kind == S_PUSH:
                 if key in bykey:
@@ -279,11 +225,11 @@ class TournamentQueue(PriorityQueueBase):
                 if key not in bykey:
                     raise AssertionError(f"erase found no record for key {key} at leaf {x}")
                 del bykey[key]
-        self._store_leaf(x, sorted(bykey.values()))
+        self._store(x, Node(sorted(bykey.values())))
 
-    def _flush(self, x: int, node: _Node) -> None:
-        sigs = node.sigs
-        node.sigs = []
+    def _flush(self, x: int, node: Node) -> None:
+        sigs = node.buf
+        node.buf = []
         lchild = 2 * x
         left: list = []
         right: list = []
@@ -298,109 +244,72 @@ class TournamentQueue(PriorityQueueBase):
             if self._is_leaf(child):
                 self._apply_leaf_batch(child, batch)
                 continue
-            cnode = self._load_node(child)
+            cnode = self._load(child)
             for sig in batch:
                 self._apply_internal(child, cnode, sig)
-            if len(cnode.sigs) > self.sig_cap:
+            if len(cnode.buf) > self.sig_cap:
                 self._flush(child, cnode)
-            self._store_node(child, cnode)
+            self._store(child, cnode)
         self._refresh_maybe(x, node)
 
-    def _refill(self, x: int, node: _Node) -> None:
+    def _refill(self, x: int, node: Node) -> None:
         """Fill node.tops with its subtree's minima; own buffer flushed first."""
-        if node.sigs:
+        if node.buf:
             self._flush(x, node)
         if node.tops:
             return
-        sources = []  # [child_id, is_leaf, entries-list or _Node, dirty]
-        for c in (2 * x, 2 * x + 1):
-            if c not in self._maybe:
-                continue
-            if self._is_leaf(c):
-                sources.append([c, True, self._load_leaf(c), False])
-            else:
-                sources.append([c, False, self._load_node(c), False])
+        sources = [[c, self._load(c), False] for c in self._children(x) if c in self._maybe]  # [id, node, dirty]
         taken: list[tuple[int, int, int]] = []
         while len(taken) < self.top_cap:
             best = None
-            best_heads = None
             for src in sources:
-                c, leaf, st, _ = src
-                heads = st if leaf else st.tops
-                if not heads and not leaf:
-                    if st.sigs or self._below_maybe(c):
-                        self._refill(c, st)
-                        src[3] = True
-                        heads = st.tops
-                if heads and (best_heads is None or heads[0] < best_heads[0]):
+                c, st, _ = src
+                if not st.tops and (st.buf or self._below_maybe(c)):
+                    self._refill(c, st)
+                    src[2] = True
+                if st.tops and (best is None or st.tops[0] < best[1].tops[0]):
                     best = src
-                    best_heads = heads
             if best is None:
                 break
-            taken.append(best_heads.pop(0))
-            best[3] = True
+            taken.append(best[1].tops.pop(0))
+            best[2] = True
         node.tops = taken
-        for c, leaf, st, dirty in sources:
-            if not dirty:
-                continue
-            if leaf:
-                self._store_leaf(c, st)
-            else:
-                self._store_node(c, st)
+        for c, st, dirty in sources:
+            if dirty:
+                self._store(c, st)
         self._refresh_maybe(x, node)
 
     def _after_root_op(self) -> None:
         root = self._root
-        if len(root.sigs) > self.sig_cap:
-            self._flush(1, root)
-        self._refresh_maybe(1, root)
+        if len(root.buf) > self.sig_cap:
+            self._flush(self.ROOT, root)
+        self._refresh_maybe(self.ROOT, root)
 
     # -- operations -------------------------------------------------------------------
 
     def insert(self, key: int, priority: int) -> None:
         check_entry(key, priority, self.w)
         seq = self._bump()
-        self._apply_internal(1, self._root, (seq, S_INSERT, key, priority, seq))
+        self._apply_internal(self.ROOT, self._root, (seq, S_INSERT, key, priority, seq))
         self._after_root_op()
 
     def decrease_key(self, key: int, priority: int) -> None:
         check_entry(key, priority, self.w)
         seq = self._bump()
-        self._apply_internal(1, self._root, (seq, S_DEC, key, priority, 0))
+        self._apply_internal(self.ROOT, self._root, (seq, S_DEC, key, priority, 0))
         self._after_root_op()
 
     def delete(self, key: int) -> None:
         seq = self._bump()
-        self._apply_internal(1, self._root, (seq, S_DEL, key, 0, 0))
+        self._apply_internal(self.ROOT, self._root, (seq, S_DEL, key, 0, 0))
         self._after_root_op()
 
     def extract_min(self) -> tuple[int, int]:
         root = self._root
         if not root.tops:
-            self._refill(1, root)
+            self._refill(self.ROOT, root)
             if not root.tops:
                 raise EmptyQueueError("extract from empty queue")
         priority, key, _ = root.tops.pop(0)
-        self._refresh_maybe(1, root)
+        self._refresh_maybe(self.ROOT, root)
         return key, priority
-
-    def clear(self) -> None:
-        self._seq = 0
-        self._root = _Node()
-        self._occupied.clear()
-        self._maybe.clear()
-
-    # -- snapshot -----------------------------------------------------------------------
-
-    def memory_image(self) -> list[int]:
-        return (
-            [self._seq] + pack_ids(self._occupied, 2 * self.K, self.w) + pack_ids(self._maybe, 2 * self.K, self.w)
-            + self._node_words(self._root)
-        )
-
-    def load_memory_image(self, words: list[int]) -> None:
-        nb = -(-2 * self.K // self.w)
-        self._seq = words[0]
-        self._occupied = unpack_ids(words[1 : 1 + nb], self.w)
-        self._maybe = unpack_ids(words[1 + nb : 1 + 2 * nb], self.w)
-        self._root = self._node_from_words(words[1 + 2 * nb :])

@@ -3,7 +3,7 @@ import math
 import pytest
 
 from pqlab import BufferedHeap, Device, DeviceConfig
-from pqlab.errors import CapabilityError, ConfigError, EmptyQueueError
+from pqlab.errors import CapabilityError, ConfigError, EmptyQueueError, EncodingError, StructureOverflowError
 from pqlab.pq.base import run_workload
 from pqlab.workload import make_random_workload
 
@@ -81,7 +81,7 @@ def test_snapshot_resume_identical_probes():
     assert suffix == [(r.addr, r.access) for r in dev2.log]
 
 
-@pytest.mark.parametrize("B,M,w", [(8, 128, 64), (16, 192, 64), (16, 256, 128)])
+@pytest.mark.parametrize("B,M,w", [(8, 128, 64), (16, 192, 64), (16, 256, 128), (8, 128, 32)])
 def test_image_within_memory_after_every_op(B, M, w):
     wl = make_random_workload(1500, 4, universe=600, profile="insert_extract")
     q, dev = make(B=B, M=M, w=w, n_hint=4096)
@@ -90,6 +90,22 @@ def test_image_within_memory_after_every_op(B, M, w):
         image = q.memory_image()
         assert len(image) <= M
         assert all(0 <= word < (1 << w) for word in image)
+
+
+def test_leaf_overflow_raises():
+    q, _ = make(B=8, M=128, n_hint=16)
+    for k in range(150):
+        q.insert(k, k)
+    with pytest.raises(StructureOverflowError, match="leaf 1 overflow"):
+        q.insert(150, 150)
+
+
+def test_counter_limit_raises():
+    q, _ = make()
+    q.insert(1, 1)
+    q.load_memory_image([(1 << 64) - 1] + q.memory_image()[1:])
+    with pytest.raises(EncodingError, match="operation counter"):
+        q.insert(2, 2)
 
 
 def test_clear_resets_behavior():

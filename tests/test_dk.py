@@ -1,8 +1,8 @@
 import pytest
 
 from pqlab import BufferedHeap, Device, DeviceConfig, OracleQueue, ReducedQueue
-from pqlab.dk import CTR_BITS
-from pqlab.errors import DuplicateKeyError, EmptyQueueError
+from pqlab.dk import CTR_BITS, CTR_MASK
+from pqlab.errors import ConfigError, DuplicateKeyError, EmptyQueueError
 from pqlab.pq.base import run_workload
 from pqlab.workload import make_random_workload
 
@@ -121,6 +121,19 @@ def test_rebuild_of_empty_queue():
     q.rebuild()
     assert q.n0 == 16
     assert q.rebuilds == 1
+
+
+def test_rebuild_checks_the_counter_limit():
+    # The rebuild re-inserts through insert's bookkeeping, so a counter that
+    # runs out mid-rebuild raises there, not one op later in extract_min.
+    q = over_oracle(n0_min=4)
+    for k in range(3):
+        q.insert(k, k)
+    img = q.memory_image()
+    q.load_memory_image([CTR_MASK - 1] + img[1:])
+    with pytest.raises(ConfigError, match="32-bit"):
+        q.insert(10, 10)
+    assert q.rebuilds == 0
 
 
 def test_post_rebuild_equals_fresh_queue():

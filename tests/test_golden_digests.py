@@ -6,7 +6,8 @@ are ``materialize`` tree workloads and one hand-built insert-all/extract-all
 sequence; they deliberately avoid ``make_random_workload`` so that a change to
 the random generator cannot move them.  A digest that changes means the probe
 order, the probe set or an answer changed; that is a cost-model change and
-must be declared, never re-pinned silently.
+must be declared, never re-pinned silently.  The memory-image digests pin the
+word layout of the heap's and the tournament's images the same way.
 """
 
 import hashlib
@@ -74,3 +75,19 @@ def test_probe_log_digest_pinned(case):
     work = WORKLOADS[name]()
     w = _dk_w(work) if kind.startswith("dk_") else 64
     assert _digest(kind, work, B, M, w) == CASES[case]
+
+
+# queue -> sha256 of repr(memory_image()) after the insert half of insert_extract_3000 at (16, 192)
+IMAGES = {
+    "buffered_heap": "47e88f729ca00c9bbaa3044707b21f30763bb16684d45a3e38d921d0495b9900",
+    "tournament": "2f22c4a7eb8fc3ebbe6df8fe894e7d3e80b8ae0c4b52fad0c831d048cc88f372",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(IMAGES))
+def test_memory_image_digest_pinned(kind):
+    work = WORKLOADS["insert_extract_3000"]()
+    dev = Device(DeviceConfig(B=16, M=192, w=64))
+    queue = make_queue(kind, dev, n_hint=max(1024, len(work.ops)), seed=HASH_SEED)
+    run_workload(queue, dev, work, hi=len(work.ops) // 2)
+    assert hashlib.sha256(repr(queue.memory_image()).encode()).hexdigest() == IMAGES[kind]

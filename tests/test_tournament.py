@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pqlab import Device, DeviceConfig, OracleQueue, TournamentQueue
-from pqlab.errors import ConfigError, DivergenceError, EmptyQueueError
+from pqlab.errors import ConfigError, DivergenceError, EmptyQueueError, EncodingError, StructureOverflowError
 from pqlab.ops import EXTRACTMIN
 from pqlab.pq.base import run_workload
 from pqlab.workload import Workload, make_random_workload, materialize, TreeParams
@@ -104,6 +104,30 @@ def test_image_within_memory_after_every_op(B, M, w):
         image = q.memory_image()
         assert len(image) <= M
         assert all(0 <= word < (1 << w) for word in image)
+
+
+@pytest.mark.parametrize("B,M,w,n_hint", [(8, 128, 32, 4096), (16, 256, 32, 16384)])
+def test_audit_rejects_images_over_memory(B, M, w, n_hint):
+    # Each occupancy bitmap takes ceil(2K/w) w-bit words; these images would
+    # reach 155 and 315 words.
+    with pytest.raises(ConfigError, match="largest memory image"):
+        make(B=B, M=M, w=w, n_hint=n_hint)
+
+
+def test_leaf_overflow_raises():
+    q, _ = make(B=8, M=128, n_hint=16)
+    for k in range(198):
+        q.insert(k, k)
+    with pytest.raises(StructureOverflowError, match="leaf 4 overflow"):
+        q.insert(198, 198)
+
+
+def test_counter_limit_raises():
+    q, _ = make()
+    q.insert(1, 1)
+    q.load_memory_image([(1 << 64) - 1] + q.memory_image()[1:])
+    with pytest.raises(EncodingError, match="operation counter"):
+        q.insert(2, 2)
 
 
 def test_run_workload_range_counts_and_catches_divergence():
