@@ -187,7 +187,9 @@ def cmd_comm(args) -> int:
         v = args.node
     else:
         height = args.hv if args.hv is not None else max(2, (params.h + 1) // 2)
-        v = next(n.id for n in tree.internal_nodes() if n.height == height)
+        v = next((n.id for n in tree.internal_nodes() if n.height == height), None)
+        if v is None:
+            raise PqlabError(f"the tree has no internal node of height {height}")
     _widen_for_dk(args, params.universe)
     cfg = DeviceConfig(B=args.b, M=args.mem, w=args.w)
 
@@ -209,6 +211,10 @@ def cmd_comm(args) -> int:
             write_transcript_csv(args.transcript, res.transcript)
     _write_rows(args.out, ProtocolResult.CSV_HEADER, rows)
     print(f"{args.trials} runs at v={v}, k={args.k}; failures={failures}")
+    image_words = max((r[-1] for r in rows), default=0)
+    if image_words > args.mem:
+        print(f"note: memory images reach {image_words} words, over M={args.mem}; "
+              "the ledger still prices each at M*w bits", file=sys.stderr)
     # Asymmetry report: a requester pays w bits per exchange where the
     # responder pays B*w, so responder/requester ratios near B are expected.
     req1 = sum(r[7] for r in rows)   # a1: Alice asks
@@ -344,7 +350,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except PqlabError as exc:
+    except (PqlabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -173,15 +173,16 @@ def write_transcript_csv(path, transcript: list[Message]) -> None:
             writer.writerow([m.index, m.sender, m.phase, m.kind, m.bits])
 
 
-def _node_shape(params: TreeParams, node) -> tuple[int, int]:
-    if node.kind != INTERNAL:
-        raise ConfigError(f"node {node.id} is not internal")
-    return params.m * params.h * params.beta ** (node.height - 1), params.m * params.beta**node.height
+def _node_shape(params: TreeParams, tree, v: int) -> tuple[int, int]:
+    if not 0 <= v < len(tree.nodes) or tree.nodes[v].kind != INTERNAL:
+        raise ConfigError(f"node {v} is not an internal node of the tree")
+    h_v = tree.nodes[v].height
+    return params.m * params.h * params.beta ** (h_v - 1), params.m * params.beta**h_v
 
 
 def instance_shape(params: TreeParams, v: int) -> tuple[int, int]:
     """(|X|, |Y|) the protocol requires for embedding at node v."""
-    return _node_shape(params, build_tree(params).nodes[v])
+    return _node_shape(params, build_tree(params), v)
 
 
 def sample_instance(params: TreeParams, v: int, seed: int) -> SetIntersectionInstance:
@@ -275,8 +276,8 @@ def run_embedding_protocol(
     deterministic queues; replica divergence aborts.
     """
     tree = build_tree(params)
+    x_size, y_size = _node_shape(params, tree, v)
     node = tree.nodes[v]
-    x_size, y_size = _node_shape(params, node)
     if not 2 <= k_child <= params.beta + 1:
         raise ConfigError(f"k_child must lie in [2, beta+1], got {k_child}")
     if (len(instance.X), len(instance.Y)) != (x_size, y_size):

@@ -2,12 +2,12 @@
 
 Every insertion into the base queue uses an augmented key (key << 32) | C,
 where C is the wrapper's operation counter, so repeated DecreaseKeys of one
-key coexist as distinct base entries.  ExtractMin filters what the base
-returns: a popped pair is stale, and silently discarded, when its key was
-already extracted in its current lifetime (the extracted-key table H), was
-never inserted, or carries a counter older than the key's most recent
-insert.  H drops a key when it is re-inserted, so re-insertion after
-extraction is legal.
+key coexist as distinct base entries.  One live-key table maps each live key
+to the counter of its most recent insert.  ExtractMin filters what the base
+returns: a popped pair is stale, and silently discarded, when its key is
+not in the table (already extracted in its current lifetime, or never
+inserted) or carries a counter older than the key's entry.  Extraction
+drops the key from the table, so re-insertion after extraction is legal.
 
 Delete is the two-step recipe: DecreaseKey to the minimal sentinel, then one
 ExtractMin whose result is discarded; an absent key is a free-table no-op.
@@ -15,7 +15,7 @@ Global rebuilding keeps the base size proportional to the live count: after
 N0 operations everything is drained, filtered, and re-inserted into a fresh
 base, and N0 becomes max(|live|/2, N0_min).
 
-The tables are internal-memory state charged zero probes; when the base is
+The table is internal-memory state charged zero probes; when the base is
 an external-memory queue only base probes count.  This asymmetry is
 inherent to the construction and is reported, not hidden.
 """
@@ -47,18 +47,16 @@ class ReducedQueue(PriorityQueueBase):
         self._ctr = 0
         self._ops_since = 0
         self._n0 = n0_min
-        self._extracted: set[int] = set()      # H
-        self._last_insert: dict[int, int] = {}  # key -> C of most recent insert
-        self._live = 0
+        self._live: dict[int, int] = {}  # live key -> C of its most recent insert
         self.rebuilds = 0
         self.stale_discards = 0
         self.absent_decreases = 0
 
     def __len__(self) -> int:
-        return self._live
+        return len(self._live)
 
     def is_live(self, key: int) -> bool:
-        return key in self._last_insert and key not in self._extracted
+        return key in self._live
 
     def _aug(self, key: int, c: int) -> int:
         if self._key_limit is not None and key >= self._key_limit:
@@ -90,9 +88,7 @@ class ReducedQueue(PriorityQueueBase):
         """Insert a key that is not live: one counter value, one base insert."""
         c = self._next_op()
         self.base.insert(self._aug(key, c), priority)
-        self._last_insert[key] = c
-        self._extracted.discard(key)
-        self._live += 1
+        self._live[key] = c
 
     def decrease_key(self, key: int, priority: int) -> None:
         c = self._next_op()
@@ -118,12 +114,11 @@ class ReducedQueue(PriorityQueueBase):
             except EmptyQueueError:
                 return None
             key, ck = aug >> CTR_BITS, aug & CTR_MASK
-            last = self._last_insert.get(key)
-            if key in self._extracted or last is None or ck < last:
+            last = self._live.get(key)
+            if last is None or ck < last:
                 self.stale_discards += 1
                 continue
-            self._extracted.add(key)
-            self._live -= 1
+            del self._live[key]
             return key, priority
 
     def delete(self, key: int) -> None:
@@ -143,6 +138,7 @@ class ReducedQueue(PriorityQueueBase):
 
     def rebuild(self) -> None:
         """Drain live elements, reset the base, and re-insert them."""
+        # Each live key's current entry is in the base, so the drain empties the table.
         drained: list[tuple[int, int]] = []
         while True:
             pair = self._pop_live()
@@ -150,9 +146,6 @@ class ReducedQueue(PriorityQueueBase):
                 break
             drained.append(pair)
         self.base.clear()
-        self._extracted.clear()
-        self._last_insert.clear()
-        self._live = 0
         for key, priority in drained:
             self._put(key, priority)
         self._n0 = max(len(drained) // 2, self.n0_min)
@@ -164,9 +157,7 @@ class ReducedQueue(PriorityQueueBase):
         self._ctr = 0
         self._ops_since = 0
         self._n0 = self.n0_min
-        self._extracted.clear()
-        self._last_insert.clear()
-        self._live = 0
+        self._live.clear()
 
     @property
     def n0(self) -> int:
@@ -179,26 +170,19 @@ class ReducedQueue(PriorityQueueBase):
             "rebuilds": self.rebuilds,
             "stale_discards": self.stale_discards,
             "absent_decreases": self.absent_decreases,
-            "live": self._live,
-            "probes": self.base.device.probe_count if hasattr(self.base, "device") else 0,
+            "live": len(self._live),
         }
 
     # -- snapshot ----------------------------------------------------------------
 
     def memory_image(self) -> list[int]:
-        extracted = sorted(self._extracted)
-        last_insert = [v for pair in sorted(self._last_insert.items()) for v in pair]
-        return (
-            [self._ctr, self._ops_since, self._n0, self._live,
-             self.rebuilds, self.stale_discards, self.absent_decreases, len(extracted)]
-            + extracted + [len(last_insert) // 2] + last_insert + self.base.memory_image()
-        )
+        live = [v for pair in sorted(self._live.items()) for v in pair]
+        return ([self._ctr, self._ops_since, self._n0, self.rebuilds, self.stale_discards,
+                 self.absent_decreases, len(self._live)] + live + self.base.memory_image())
 
     def load_memory_image(self, words: list[int]) -> None:
-        (self._ctr, self._ops_since, self._n0, self._live,
-         self.rebuilds, self.stale_discards, self.absent_decreases, n_h) = words[:8]
-        self._extracted = set(words[8 : 8 + n_h])
-        t = 9 + n_h
-        t_end = t + 2 * words[t - 1]
-        self._last_insert = dict(zip(words[t:t_end:2], words[t + 1 : t_end : 2]))
-        self.base.load_memory_image(words[t_end:])
+        (self._ctr, self._ops_since, self._n0, self.rebuilds,
+         self.stale_discards, self.absent_decreases, n) = words[:7]
+        end = 7 + 2 * n
+        self._live = dict(zip(words[7:end:2], words[8:end:2]))
+        self.base.load_memory_image(words[end:])

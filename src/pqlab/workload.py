@@ -531,16 +531,20 @@ def write_workload(workload: Workload, path) -> None:
 
 def read_workload(path) -> Workload:
     with open(path, "rb") as fh:
-        head = fh.read(_HEADER.size)
-        magic, version, beta, h, m, variant, trees, universe, seed, count = _HEADER.unpack(head)
-        if magic != MAGIC:
-            raise ConfigError(f"not a workload file: bad magic {magic!r}")
-        if version != VERSION:
-            raise ConfigError(f"unsupported workload version {version}")
-        ops = []
-        for _ in range(count):
-            kind, key, priority, leaf = _RECORD.unpack(fh.read(_RECORD.size))
-            ops.append(Op(kind, key, priority, None if leaf == NO_LEAF else leaf))
+        data = fh.read()
+    if len(data) < _HEADER.size:
+        raise ConfigError(f"not a workload file: {len(data)} bytes is shorter than the header")
+    magic, version, beta, h, m, variant, trees, universe, seed, count = _HEADER.unpack_from(data)
+    if magic != MAGIC:
+        raise ConfigError(f"not a workload file: bad magic {magic!r}")
+    if version != VERSION:
+        raise ConfigError(f"unsupported workload version {version}")
+    if variant not in VARIANT_NAMES:
+        raise ConfigError(f"unknown workload variant code {variant}")
+    if len(data) != _HEADER.size + count * _RECORD.size:
+        raise ConfigError(f"workload file has {len(data)} bytes; its header declares {count} ops")
+    ops = [Op(kind, key, priority, None if leaf == NO_LEAF else leaf)
+           for kind, key, priority, leaf in _RECORD.iter_unpack(data[_HEADER.size:])]
     name = VARIANT_NAMES[variant]
     params = None
     if beta:

@@ -44,6 +44,25 @@ def test_run_oracle_zero_probes(tmp_path, capsys):
     assert rows[0]["probes_total"] == "0"
 
 
+@pytest.mark.parametrize(
+    "cut", [lambda b: b[:20], lambda b: b[:100], lambda b: b + b"\0", lambda b: b[:24] + b"\x09" + b[25:]],
+    ids=["shorter_than_header", "truncated_records", "trailing_byte", "unknown_variant"],
+)
+def test_run_rejects_malformed_workload_file(tmp_path, capsys, cut):
+    wl = tmp_path / "wl.bin"
+    main(["gen", "--beta", "2", "--h", "2", "--m", "1", "--seed", "3", "--out", str(wl)])
+    assert len(read_workload(wl).ops) == 24
+    wl.write_bytes(cut(wl.read_bytes()))
+    capsys.readouterr()
+    assert main(["run", "--workload", str(wl), "--queue", "oracle", "--out", "/dev/null"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_run_reports_missing_workload_file(tmp_path, capsys):
+    assert main(["run", "--workload", str(tmp_path / "absent.bin"), "--queue", "oracle"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_run_tournament_nonzero_and_deterministic(tmp_path):
     wl = tmp_path / "wl.bin"
     main(["gen", "--beta", "2", "--h", "3", "--m", "2", "--seed", "5", "--out", str(wl)])
@@ -118,6 +137,14 @@ def test_comm_rows_all_correct(tmp_path, capsys):
     rows = list(csv.DictReader(open(out)))
     assert len(rows) == 4
     assert all(r["correct"] == "1" for r in rows)
+    assert "memory images reach" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("where", [["--hv", "9"], ["--node", "9999"], ["--node", "-1"]])
+def test_comm_rejects_missing_node(capsys, where):
+    argv = ["comm", "--beta", "2", "--h", "4", "--m", "2", "--trials", "1", "--out", "/dev/null"]
+    assert main(argv + where) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_comm_widens_words_for_dk_queues(tmp_path, capsys):
@@ -128,7 +155,10 @@ def test_comm_widens_words_for_dk_queues(tmp_path, capsys):
         "--queue", "dk_buffered_heap", "--b", "16", "--mem", "256", "--out", str(out),
     ])
     assert rc == 0
-    assert "widening words to 71 bits" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "widening words to 71 bits" in err
+    # the dk tables push the images past M; the run says so instead of hiding it
+    assert "memory images reach 566 words, over M=256" in err
     rows = list(csv.DictReader(open(out)))
     assert len(rows) == 2 and all(r["correct"] == "1" for r in rows)
 

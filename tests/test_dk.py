@@ -45,10 +45,24 @@ def test_decrease_then_extract_filters_stale():
     q.insert(5, 10)   # C=0
     q.decrease_key(5, 7)  # C=1
     assert q.extract_min() == (5, 7)
-    assert 5 in q._extracted
+    assert not q.is_live(5)
     with pytest.raises(EmptyQueueError):
         q.extract_min()  # the stale (5@C0, 10) pair is discarded, queue empty
     assert q.stale_discards == 1
+
+
+def test_image_holds_one_entry_per_live_key():
+    # The image is 7 header words, one (key, counter) pair per live key, then the base.
+    q = over_oracle(n0_min=4)
+    for k in range(10):
+        q.insert(k, 100 - k)
+    q.extract_min()
+    q.delete(3)
+    q.decrease_key(77, 5)   # absent key
+    q.decrease_key(5, 1)
+    q.extract_min()
+    assert len(q) == 7 and q.absent_decreases == 1
+    assert len(q.memory_image()) == 7 + 2 * len(q) + len(q.base.memory_image())
 
 
 def test_decrease_upward_is_stale():
