@@ -36,6 +36,7 @@ from .workload import (
     Workload,
     build_tree,
     insert_extract_workload,
+    make_random_workload,
     materialize,
     read_workload,
     transform_no_spurious,
@@ -258,8 +259,6 @@ def cmd_bench(args) -> int:
         rows.append(["buffered_heap", n, cfg.B, cfg.M, rep.probes_total, f"{bound:.0f}", int(ok)])
         print(f"buffered_heap: {rep.probes_total} probes vs bound {bound:.0f} -> {'ok' if ok else 'EXCEEDED'}")
     if args.queue in ("tournament", "all"):
-        from .workload import make_random_workload
-
         wl = make_random_workload(n, args.seed + 1, universe=1 << 20, profile="mixed")
         dev = Device(cfg)
         rep = run_workload(TournamentQueue(dev, n_hint=n, seed=args.seed), dev, wl)

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import json
 import struct
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -437,22 +438,28 @@ def make_random_workload(
 
     Profiles: ``insert_extract`` (heap-compatible), ``mixed`` (all four ops,
     deletes may target absent keys, decreases only live keys), and
-    ``delete_heavy``.
+    ``delete_heavy``.  Op kinds are drawn as ``Generator.choice(p=...)`` does:
+    one ``rng.random()`` bisected on numpy's normalised cumsum, so changing
+    the draw order changes every workload (test_random_workload_stream_pinned).
     """
-    weights = {
+    profiles = {
         "insert_extract": {INSERT: 0.6, EXTRACTMIN: 0.4},
         "mixed": {INSERT: 0.42, EXTRACTMIN: 0.23, DELETE: 0.15, DECREASE: 0.20},
         "delete_heavy": {INSERT: 0.40, EXTRACTMIN: 0.15, DELETE: 0.35, DECREASE: 0.10},
-    }[profile]
+    }
+    if profile not in profiles:
+        raise ConfigError(f"unknown profile {profile!r}; use one of {', '.join(profiles)}")
+    weights = profiles[profile]
     kinds = sorted(weights)
     probs = np.array([weights[k] for k in kinds], dtype=float)
-    probs /= probs.sum()
+    cdf = np.cumsum(probs / probs.sum())
+    cdf = (cdf / cdf[-1]).tolist()
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     oracle = OracleQueue()
     ops: list[Op] = []
     live: list[int] = []  # keys, duplicates pruned lazily
     while len(ops) < n_ops:
-        kind = kinds[int(rng.choice(len(kinds), p=probs))]
+        kind = kinds[bisect_right(cdf, rng.random())]
         if kind == INSERT or len(oracle) == 0:
             k = int(rng.integers(0, universe))
             if oracle.is_live(k):

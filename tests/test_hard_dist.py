@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from pqlab import OracleQueue, TreeParams, build_tree, materialize, transform_no_spurious
@@ -9,6 +11,7 @@ from pqlab.workload import (
     INSERT_LEAF,
     ground_truth,
     extractions_at_height,
+    make_random_workload,
     read_workload,
     write_workload,
 )
@@ -251,3 +254,29 @@ def test_key_assignment_marginals_roughly_uniform():
         firsts.append(wl.ops[0].key)
     hist, _ = np.histogram(firsts, bins=8, range=(0, u))
     assert hist.min() >= 5  # mean 25 per bin; gross non-uniformity would show
+
+
+# sha256 of repr([(kind, key, priority), ...]).  The first two are ACCEPT-03's
+# first seeds; the small-universe delete_heavy case often retries both on a live
+# Insert key and on a live key drawn for an absent Delete.
+RANDOM_STREAM_PINS = [
+    (10_000, 31_000, 4096, "insert_extract",
+     "f58e80481a1e225b39cf462c7aacb41f03298f2492ae50e21684f7efa09f4da2"),
+    (10_000, 47_000, 4096, "mixed",
+     "98bec385dab6a8f86d77346a42f447385e18f156c5847a45eb56fae63cc0e9bb"),
+    (2500, 17, 120, "delete_heavy",
+     "1eca7c719c2baa62eb93b193e9a183bac1977462ce6cd99f51b20b858fb40728"),
+]
+
+
+@pytest.mark.parametrize("n_ops,seed,universe,profile,digest", RANDOM_STREAM_PINS,
+                         ids=[case[3] for case in RANDOM_STREAM_PINS])
+def test_random_workload_stream_pinned(n_ops, seed, universe, profile, digest):
+    ops = make_random_workload(n_ops, seed, universe=universe, profile=profile).ops
+    stream = repr([(op.kind, op.key, op.priority) for op in ops]).encode()
+    assert hashlib.sha256(stream).hexdigest() == digest
+
+
+def test_random_workload_unknown_profile():
+    with pytest.raises(ConfigError, match="insert_extract.*mixed.*delete_heavy"):
+        make_random_workload(10, 0, profile="bogus")
