@@ -147,7 +147,7 @@ def cmd_run(args) -> int:
     if isinstance(queue, ReducedQueue):
         stats = queue.report_stats()
         print(f"dk: rebuilds={stats['rebuilds']} stale_discards={stats['stale_discards']} "
-              f"absent_decreases={stats['absent_decreases']}")
+              f"absent_decreases={stats['absent_decreases']} stale={stats['stale']}")
     return 0
 
 

@@ -13,7 +13,10 @@ Delete is the two-step recipe: DecreaseKey to the minimal sentinel, then one
 ExtractMin whose result is discarded; an absent key is a free-table no-op.
 Global rebuilding keeps the base size proportional to the live count: after
 N0 operations everything is drained, filtered, and re-inserted into a fresh
-base, and N0 becomes max(|live|/2, N0_min).
+base, and N0 becomes max(|live|/2, N0_min).  The wrapper counts the stale
+entries still in the base (one per DecreaseKey, less one per discard), so a
+rebuild with none to purge leaves the base as it is and costs no probe: each
+live key then has one entry, ordered among the others as its key is.
 
 The table is internal-memory state charged zero probes; when the base is
 an external-memory queue only base probes count.  This asymmetry is
@@ -51,6 +54,7 @@ class ReducedQueue(PriorityQueueBase):
         self.rebuilds = 0
         self.stale_discards = 0
         self.absent_decreases = 0
+        self._stale = 0  # base entries not in the table: len(base) == len(_live) + _stale
 
     def __len__(self) -> int:
         return len(self._live)
@@ -95,6 +99,7 @@ class ReducedQueue(PriorityQueueBase):
         if not self.is_live(key):
             self.absent_decreases += 1
         self.base.insert(self._aug(key, c), priority)
+        self._stale += 1  # the key's older entry, or this one if the key is absent
         self._maybe_rebuild()
 
     def extract_min(self) -> tuple[int, int]:
@@ -117,6 +122,7 @@ class ReducedQueue(PriorityQueueBase):
             last = self._live.get(key)
             if last is None or ck < last:
                 self.stale_discards += 1
+                self._stale -= 1
                 continue
             del self._live[key]
             return key, priority
@@ -137,18 +143,20 @@ class ReducedQueue(PriorityQueueBase):
             raise AssertionError(f"delete recipe extracted {key_out} instead of {key}")
 
     def rebuild(self) -> None:
-        """Drain live elements, reset the base, and re-insert them."""
-        # Each live key's current entry is in the base, so the drain empties the table.
-        drained: list[tuple[int, int]] = []
-        while True:
-            pair = self._pop_live()
-            if pair is None:
-                break
-            drained.append(pair)
-        self.base.clear()
-        for key, priority in drained:
-            self._put(key, priority)
-        self._n0 = max(len(drained) // 2, self.n0_min)
+        """Drain live elements, reset the base and re-insert them; skipped with no stale entry."""
+        if self._stale:
+            # Each live key's current entry is in the base, so the drain empties the table.
+            drained: list[tuple[int, int]] = []
+            while True:
+                pair = self._pop_live()
+                if pair is None:
+                    break
+                drained.append(pair)
+            self.base.clear()
+            self._stale = 0
+            for key, priority in drained:
+                self._put(key, priority)
+        self._n0 = max(len(self._live) // 2, self.n0_min)
         self._ops_since = 0
         self.rebuilds += 1
 
@@ -158,6 +166,7 @@ class ReducedQueue(PriorityQueueBase):
         self._ops_since = 0
         self._n0 = self.n0_min
         self._live.clear()
+        self._stale = 0
 
     @property
     def n0(self) -> int:
@@ -170,6 +179,7 @@ class ReducedQueue(PriorityQueueBase):
             "rebuilds": self.rebuilds,
             "stale_discards": self.stale_discards,
             "absent_decreases": self.absent_decreases,
+            "stale": self._stale,
             "live": len(self._live),
         }
 
@@ -178,11 +188,11 @@ class ReducedQueue(PriorityQueueBase):
     def memory_image(self) -> list[int]:
         live = [v for pair in sorted(self._live.items()) for v in pair]
         return ([self._ctr, self._ops_since, self._n0, self.rebuilds, self.stale_discards,
-                 self.absent_decreases, len(self._live)] + live + self.base.memory_image())
+                 self.absent_decreases, self._stale, len(self._live)] + live + self.base.memory_image())
 
     def load_memory_image(self, words: list[int]) -> None:
         (self._ctr, self._ops_since, self._n0, self.rebuilds,
-         self.stale_discards, self.absent_decreases, n) = words[:7]
-        end = 7 + 2 * n
-        self._live = dict(zip(words[7:end:2], words[8:end:2]))
+         self.stale_discards, self.absent_decreases, self._stale, n) = words[:8]
+        end = 8 + 2 * n
+        self._live = dict(zip(words[8:end:2], words[9:end:2]))
         self.base.load_memory_image(words[end:])

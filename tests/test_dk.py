@@ -3,8 +3,14 @@ import pytest
 from pqlab import BufferedHeap, Device, DeviceConfig, OracleQueue, ReducedQueue
 from pqlab.dk import CTR_BITS, CTR_MASK
 from pqlab.errors import ConfigError, DuplicateKeyError, EmptyQueueError
+from pqlab.ops import INSERT
 from pqlab.pq.base import run_workload
-from pqlab.workload import make_random_workload
+from pqlab.workload import insert_extract_workload, make_random_workload
+
+
+BASES = pytest.mark.parametrize(
+    "make_base", [lambda dev: BufferedHeap(dev, n_hint=4096), lambda dev: OracleQueue()], ids=["buffered_heap", "oracle"]
+)
 
 
 def over_oracle(n0_min=16, rebuild=True):
@@ -52,7 +58,7 @@ def test_decrease_then_extract_filters_stale():
 
 
 def test_image_holds_one_entry_per_live_key():
-    # The image is 7 header words, one (key, counter) pair per live key, then the base.
+    # The image is 8 header words, one (key, counter) pair per live key, then the base.
     q = over_oracle(n0_min=4)
     for k in range(10):
         q.insert(k, 100 - k)
@@ -62,7 +68,7 @@ def test_image_holds_one_entry_per_live_key():
     q.decrease_key(5, 1)
     q.extract_min()
     assert len(q) == 7 and q.absent_decreases == 1
-    assert len(q.memory_image()) == 7 + 2 * len(q) + len(q.base.memory_image())
+    assert len(q.memory_image()) == 8 + 2 * len(q) + len(q.base.memory_image())
 
 
 def test_decrease_upward_is_stale():
@@ -140,9 +146,11 @@ def test_rebuild_of_empty_queue():
 def test_rebuild_checks_the_counter_limit():
     # The rebuild re-inserts through insert's bookkeeping, so a counter that
     # runs out mid-rebuild raises there, not one op later in extract_min.
+    # The decrease leaves a stale entry, so the rebuild does re-insert.
     q = over_oracle(n0_min=4)
-    for k in range(3):
-        q.insert(k, k)
+    q.insert(0, 0)
+    q.insert(1, 1)
+    q.decrease_key(0, -1)
     img = q.memory_image()
     q.load_memory_image([CTR_MASK - 1] + img[1:])
     with pytest.raises(ConfigError, match="32-bit"):
@@ -260,9 +268,7 @@ def test_wrapper_key_width_guard():
         q.insert(1 << 20, 0)  # 20 bits of key + 32 counter bits > 40
 
 
-@pytest.mark.parametrize(
-    "make_base", [lambda dev: BufferedHeap(dev, n_hint=4096), lambda dev: OracleQueue()], ids=["buffered_heap", "oracle"]
-)
+@BASES
 def test_snapshot_roundtrip(make_base):
     wl = make_random_workload(600, 3, universe=200, profile="mixed")
     dev = Device(DeviceConfig(B=16, M=192, w=64))
@@ -277,3 +283,55 @@ def test_snapshot_roundtrip(make_base):
     tail1 = run_workload(q, dev, wl, lo=half).extractions
     tail2 = run_workload(q2, dev2, wl, lo=half).extractions
     assert tail1 == tail2
+
+
+@pytest.mark.parametrize("profile", ["mixed", "delete_heavy"])
+@BASES
+def test_stale_count_tracks_the_base(make_base, profile):
+    # Every base entry is either a live key's current entry or counted stale.
+    wl = make_random_workload(1500, 11, universe=200, profile=profile)
+    dev = Device(DeviceConfig(B=16, M=192, w=64))
+    q = ReducedQueue(make_base(dev), n0_min=16)
+    most_stale = 0
+    for i in range(len(wl.ops)):
+        run_workload(q, dev, wl, lo=i, hi=i + 1)
+        assert len(q.base) == len(q) + q._stale
+        most_stale = max(most_stale, q._stale)
+    assert q.rebuilds > 0 and most_stale > 0 and q.report_stats()["stale"] == q._stale
+
+
+def test_rebuild_without_stale_entries_costs_nothing():
+    # Insert/ExtractMin traffic never leaves a stale entry, so rebuilding
+    # must not change the probe log or spend counter values.
+    wl = insert_extract_workload(range(600), [(k * 7919) % 200 for k in range(600)], 600, 0)
+    logs, stats = [], []
+    for rebuild in (True, False):
+        dev = Device(DeviceConfig(B=16, M=192, w=64))
+        q = ReducedQueue(BufferedHeap(dev, n_hint=4096), n0_min=16, rebuild=rebuild)
+        run_workload(q, dev, wl)
+        logs.append([(r.addr, r.access) for r in dev.log])
+        stats.append(q.report_stats())
+    assert stats[0]["rebuilds"] > 0 and stats[1]["rebuilds"] == 0
+    assert stats[0]["ops"] == stats[1]["ops"] == len(wl.ops)
+    assert logs[0] == logs[1]
+
+
+def test_resume_just_before_a_purging_rebuild():
+    # The stale count is part of the image: a replica resumed one insert
+    # before a rebuild must purge exactly when the original does.
+    wl = make_random_workload(1200, 4, universe=200, profile="mixed")
+    dev = Device(DeviceConfig(B=16, M=192, w=64))
+    q = ReducedQueue(BufferedHeap(dev, n_hint=4096), n0_min=16)
+    at = 0
+    while not (q._stale > 0 and q._ops_since == q.n0 - 1 and wl.ops[at].kind == INSERT):
+        run_workload(q, dev, wl, lo=at, hi=at + 1)
+        at += 1
+    dev2 = dev.copy()
+    q2 = ReducedQueue(BufferedHeap(dev2, n_hint=4096), n0_min=16)
+    q2.load_memory_image(q.memory_image())
+    mark, rebuilds = dev.probe_count, q.rebuilds
+    run_workload(q, dev, wl, lo=at, hi=at + 1)
+    assert q.rebuilds == rebuilds + 1 and q._stale == 0
+    run_workload(q, dev, wl, lo=at + 1)
+    run_workload(q2, dev2, wl, lo=at)
+    assert [(r.addr, r.access) for r in dev.log[mark:]] == [(r.addr, r.access) for r in dev2.log]

@@ -48,13 +48,13 @@ def _dk_w(work: Workload) -> int:
 
 # (queue, workload, B, M) -> (probes, sha256)
 CASES = {
-    ("dk_buffered_heap", "insert_extract_3000", 16, 192): (76545, "007c282da76b8e61a21278b85bc7e3c05240478a96ab3736347498e140852349"),
-    ("dk_buffered_heap", "tree_2_4_2_s1", 16, 256): (749, "7d22640f22818291c924c7ef5343303f6cdf7d19a00e4f79c47805a19d4df1ab"),
-    ("dk_buffered_heap", "tree_2_6_2_s5", 16, 256): (8537, "d634f91e72535f59f5aed4eecaa040c3b6e5adfa25d8fa24078e7be0a842dcb0"),
-    ("dk_buffered_heap", "tree_2_6_2_s5", 64, 1024): (1104, "2552fcfb3213723eb61ab3f558fdfdd8365fd11abcaacf3f387c6b2ea0ce6995"),
-    ("dk_tournament", "insert_extract_3000", 16, 192): (161515, "5ce189a26f1d35d52cf075b3edb2866eeabfe7de65d3e507a889573376c5b0d0"),
-    ("dk_tournament", "tree_2_4_2_s1", 16, 256): (2491, "f500560e9954682641670895ec25d4bc0d8dbacdd89144e25f72e99682f74ac1"),
-    ("dk_tournament", "tree_2_6_2_s5", 16, 256): (32029, "2a32f3fccf143ba7f9987a09827d5b008768ad44b26bff097d2209dbeea68b1d"),
+    ("dk_buffered_heap", "insert_extract_3000", 16, 192): (21790, "8fe9759e38878e534a4ce3d7d73a51e2991674bb480b4026b5f7cb900dd75e1a"),
+    ("dk_buffered_heap", "tree_2_4_2_s1", 16, 256): (58, "71c50728f333747dcd4cf469d9f5d6703c74801690e9c4b7f2c5b5a51706a57d"),
+    ("dk_buffered_heap", "tree_2_6_2_s5", 16, 256): (1187, "71ebc36e69fdc046c98ae08ba1901ccc4a11157ccbf90051517f2cde4f8a4e08"),
+    ("dk_buffered_heap", "tree_2_6_2_s5", 64, 1024): (50, "359b74cd151a673bee5755cff28826d184f2a0d00bae76cb742f6ca56079ed57"),
+    ("dk_tournament", "insert_extract_3000", 16, 192): (37523, "be980fa06820369271b0254667262201b2c51276fe04878a606a1a30d618b33c"),
+    ("dk_tournament", "tree_2_4_2_s1", 16, 256): (359, "7d9dbd53b53b9863b6ee5e3a772253e74a424ea470afe83e2de0e30dd4aa946f"),
+    ("dk_tournament", "tree_2_6_2_s5", 16, 256): (4161, "6c75649706b78ebed822ed2ca6c9512e3fb5b92302f0ddfc0801878d0a5ebc39"),
     ("buffered_heap", "insert_extract_3000", 8, 128): (49642, "dfae8e76d7155be03a7aa71aaf18c0e15fe49d7a8ef8066f087ed6ac485ea533"),
     ("buffered_heap", "insert_extract_3000", 16, 192): (21790, "8fe9759e38878e534a4ce3d7d73a51e2991674bb480b4026b5f7cb900dd75e1a"),
     ("tournament", "insert_extract_3000", 16, 192): (38583, "f0d2474e2120e2f2ed5a18c62bb18e7387fcb9722dd1426f212ea692b7aa1f18"),
@@ -71,10 +71,14 @@ WORKLOADS = {
 
 @pytest.mark.parametrize("case", sorted(CASES), ids=lambda c: "-".join(map(str, c)))
 def test_probe_log_digest_pinned(case):
+    assert _case_digest(case) == CASES[case]
+
+
+def _case_digest(case) -> tuple[int, str]:
     kind, name, B, M = case
     work = WORKLOADS[name]()
     w = _dk_w(work) if kind.startswith("dk_") else 64
-    assert _digest(kind, work, B, M, w) == CASES[case]
+    return _digest(kind, work, B, M, w)
 
 
 # queue -> sha256 of repr(memory_image()) after the insert half of insert_extract_3000 at (16, 192)
@@ -91,3 +95,11 @@ def test_memory_image_digest_pinned(kind):
     queue = make_queue(kind, dev, n_hint=max(1024, len(work.ops)), seed=HASH_SEED)
     run_workload(queue, dev, work, hi=len(work.ops) // 2)
     assert hashlib.sha256(repr(queue.memory_image()).encode()).hexdigest() == IMAGES[kind]
+
+
+if __name__ == "__main__":
+    # A declared cost-model change re-pins from this listing: pinned beside computed.
+    for case in sorted(CASES):
+        got = _case_digest(case)
+        mark = "" if got == CASES[case] else "  CHANGED"
+        print(f"{case}:\n  pinned   {CASES[case]}\n  computed {got}{mark}")
