@@ -1,11 +1,12 @@
 """Command-line front end for reproducible experiments.
 
 Subcommands: gen (materialize workloads), run (execute a workload on an
-instrumented queue), stats (probe attribution and embedding selection over
-trials), comm (two-phase protocol runs), obs1 (singleton-bucket check),
-bench (probe envelope regression).  All randomness descends from the single
---seed via numpy SeedSequence spawning; every CSV row carries the seed,
-the parameter set, and the package version.
+instrumented queue; dk queues add their wrapper counters), stats (probe
+attribution and embedding selection over trials), comm (two-phase protocol
+runs), obs1 (singleton-bucket check), bench (probe envelope regression).
+All randomness descends from the single --seed via numpy SeedSequence
+spawning; every CSV row carries the seed, the parameter set, and the
+package version.
 """
 
 from __future__ import annotations
@@ -125,6 +126,9 @@ def cmd_gen(args) -> int:
     return 0
 
 
+DK_FIELDS = ("rebuilds", "stale_discards", "absent_decreases", "stale")
+
+
 def cmd_run(args) -> int:
     wl = read_workload(args.workload)
     _widen_for_dk(args, wl.universe)
@@ -132,8 +136,10 @@ def cmd_run(args) -> int:
     queue = make_queue(args.queue, dev, n_hint=max(1024, len(wl.ops)), seed=args.seed)
     report = run_workload(queue, dev, wl)
     counts = wl.counts()
-    rows = [report.csv_row()]
-    _write_rows(args.out, RunReport.CSV_HEADER, rows)
+    # dk wrapper counters; blank for queues without the DecreaseKey reduction
+    stats = queue.report_stats() if isinstance(queue, ReducedQueue) else {}
+    rows = [report.csv_row() + [stats.get(f, "") for f in DK_FIELDS]]
+    _write_rows(args.out, RunReport.CSV_HEADER + list(DK_FIELDS), rows)
     for label, cls, probes in (
         ("I", "insert", report.probes_insert),
         ("D", "delete", report.probes_delete),
@@ -144,10 +150,8 @@ def cmd_run(args) -> int:
         amort = probes / n if n else 0.0
         print(f"t_{label}: {probes} probes / {n} ops = {amort:.4f}")
     print(f"total: {report.probes_total} probes / {len(wl.ops)} ops")
-    if isinstance(queue, ReducedQueue):
-        stats = queue.report_stats()
-        print(f"dk: rebuilds={stats['rebuilds']} stale_discards={stats['stale_discards']} "
-              f"absent_decreases={stats['absent_decreases']} stale={stats['stale']}")
+    if stats:
+        print("dk: " + " ".join(f"{f}={stats[f]}" for f in DK_FIELDS))
     return 0
 
 

@@ -34,6 +34,7 @@ import json
 import struct
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -438,9 +439,18 @@ def make_random_workload(
 
     Profiles: ``insert_extract`` (heap-compatible), ``mixed`` (all four ops,
     deletes may target absent keys, decreases only live keys), and
-    ``delete_heavy``.  Op kinds are drawn as ``Generator.choice(p=...)`` does:
-    one ``rng.random()`` bisected on numpy's normalised cumsum, so changing
-    the draw order changes every workload (test_random_workload_stream_pinned).
+    ``delete_heavy``.  Keys and priorities lie in [0, universe), and
+    1 <= universe <= 2^63, the 8-byte key limit ``subset_np`` also uses.
+
+    Every draw is computed by ``_RawDraws`` from raw PCG64 words of
+    ``SeedSequence(seed)``: a float is ``(word >> 11) * 2^-53``, and an
+    integer below n is Lemire's method on the low then the high 32-bit half
+    of a word (whole words above 2^32).  These are the values numpy's
+    ``Generator.random()`` and ``integers(0, n)`` return, so the stream
+    depends only on SeedSequence and PCG64, not on Generator's methods.  Op
+    kinds are drawn as ``Generator.choice(p=...)`` does: one ``random()``
+    bisected on numpy's normalised cumsum.  Changing the draw order changes
+    every workload (test_random_workload_stream_pinned).
     """
     profiles = {
         "insert_extract": {INSERT: 0.6, EXTRACTMIN: 0.4},
@@ -449,22 +459,25 @@ def make_random_workload(
     }
     if profile not in profiles:
         raise ConfigError(f"unknown profile {profile!r}; use one of {', '.join(profiles)}")
+    if not 1 <= universe <= (1 << 63):
+        raise ConfigError(f"universe {universe} must lie in [1, 2^63], the 8-byte key type")
     weights = profiles[profile]
     kinds = sorted(weights)
     probs = np.array([weights[k] for k in kinds], dtype=float)
     cdf = np.cumsum(probs / probs.sum())
     cdf = (cdf / cdf[-1]).tolist()
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    draws = _RawDraws(seed)
+    random, below = draws.random, draws.below
     oracle = OracleQueue()
     ops: list[Op] = []
     live: list[int] = []  # keys, duplicates pruned lazily
     while len(ops) < n_ops:
-        kind = kinds[bisect_right(cdf, rng.random())]
+        kind = kinds[bisect_right(cdf, random())]
         if kind == INSERT or len(oracle) == 0:
-            k = int(rng.integers(0, universe))
+            k = below(universe)
             if oracle.is_live(k):
                 continue
-            p = int(rng.integers(0, universe))
+            p = below(universe)
             oracle.insert(k, p)
             live.append(k)
             ops.append(Op(INSERT, k, p, None))
@@ -472,21 +485,21 @@ def make_random_workload(
             k, p = oracle.extract_min()
             ops.append(Op(EXTRACTMIN, k, p, None))
         elif kind == DELETE:
-            if rng.random() < 0.25:
-                k = int(rng.integers(0, universe))
+            if random() < 0.25:
+                k = below(universe)
                 if oracle.is_live(k):
                     continue
             else:
-                k = _pick_live(rng, oracle, live)
+                k = _pick_live(below, oracle, live)
                 if k is None:
                     continue
             oracle.delete(k)
             ops.append(Op(DELETE, k, 0, None))
         else:
-            k = _pick_live(rng, oracle, live)
+            k = _pick_live(below, oracle, live)
             if k is None:
                 continue
-            p = int(rng.integers(0, universe))
+            p = below(universe)
             oracle.decrease_key(k, p)
             ops.append(Op(DECREASE, k, p, None))
     return Workload(None, "random", universe, seed, ops)
@@ -508,9 +521,63 @@ def insert_extract_workload(keys, priorities, universe: int, seed: int) -> Workl
     return Workload(None, "random", universe, seed, ops)
 
 
-def _pick_live(rng, oracle: OracleQueue, live: list[int]) -> int | None:
+_M32 = (1 << 32) - 1
+_M64 = (1 << 64) - 1
+
+
+class _RawDraws:
+    """Scalar draws equal to a fresh ``default_rng(SeedSequence(seed))``'s.
+
+    ``random()`` equals ``Generator.random()`` and ``below(n)`` equals
+    ``int(Generator.integers(0, n))`` for 1 <= n <= 2^63, draw for draw in
+    any interleaving.  Raw PCG64 words are fetched in chunks.  A 32-bit draw
+    is the low half of a fresh word, and the high half is kept for the next
+    32-bit draw, as PCG64's ``has_uint32`` buffer does; ``random()`` and
+    64-bit draws take whole words and leave the kept half alone.
+    """
+
+    __slots__ = ("_word", "_half")
+
+    def __init__(self, seed: int):
+        bitgen = np.random.PCG64(np.random.SeedSequence(seed))
+        chunks = iter(lambda: bitgen.random_raw(4096).tolist(), None)
+        self._word = chain.from_iterable(chunks).__next__
+        self._half: int | None = None
+
+    def random(self) -> float:
+        return (self._word() >> 11) * 2.0**-53
+
+    def _u32(self) -> int:
+        half = self._half
+        if half is not None:
+            self._half = None
+            return half
+        word = self._word()
+        self._half = word >> 32
+        return word & _M32
+
+    def below(self, n: int) -> int:
+        """Uniform integer in [0, n): numpy's Lemire rejection, no draw for n == 1."""
+        if n == 1:
+            return 0
+        if n <= 1 << 32:
+            m = self._u32() * n
+            if m & _M32 < n:
+                threshold = ((1 << 32) - n) % n
+                while m & _M32 < threshold:
+                    m = self._u32() * n
+            return m >> 32
+        m = self._word() * n
+        if m & _M64 < n:
+            threshold = ((1 << 64) - n) % n
+            while m & _M64 < threshold:
+                m = self._word() * n
+        return m >> 64
+
+
+def _pick_live(below, oracle: OracleQueue, live: list[int]) -> int | None:
     while live:
-        i = int(rng.integers(0, len(live)))
+        i = below(len(live))
         k = live[i]
         if oracle.is_live(k):
             return k

@@ -3,8 +3,8 @@ import csv
 import pytest
 
 from pqlab import Device, DeviceConfig
-from pqlab.cli import main, make_queue
-from pqlab.ops import DECREASE, EXTRACTMIN, INSERT, Op
+from pqlab.cli import DK_FIELDS, main, make_queue
+from pqlab.ops import DECREASE, DELETE, EXTRACTMIN, INSERT, Op
 from pqlab.pq.base import run_workload
 from pqlab.workload import Workload, read_workload, write_workload
 
@@ -107,6 +107,28 @@ def test_run_reports_decrease_probes(tmp_path, capsys):
     assert rc == 0
     assert (f"dk: rebuilds={stats['rebuilds']} stale_discards={stats['stale_discards']} "
             f"absent_decreases={stats['absent_decreases']}") in capsys.readouterr().out
+
+
+def test_run_csv_carries_dk_counters(tmp_path):
+    ops = [Op(INSERT, k, 100 + k, None) for k in range(40)]
+    ops += [Op(DECREASE, k, k, None) for k in range(20, 40)]
+    ops += [Op(DELETE, k, 0, None) for k in range(0, 40, 3)]
+    ops += [Op(EXTRACTMIN, k, k, None) for k in range(20, 40) if k % 3]
+    wl = tmp_path / "wl.bin"
+    write_workload(Workload(None, "random", 1 << 10, 0, ops), wl)
+    dev = Device(DeviceConfig(B=16, M=256, w=64))
+    queue = make_queue("dk_buffered_heap", dev, n_hint=1024, seed=0)
+    run_workload(queue, dev, read_workload(wl))
+    stats = queue.report_stats()
+    assert stats["rebuilds"] > 0 and stats["stale_discards"] > 0 and stats["stale"] > 0
+
+    for kind, want in (("dk_buffered_heap", {f: str(stats[f]) for f in DK_FIELDS}),
+                       ("tournament", dict.fromkeys(DK_FIELDS, ""))):
+        rep = tmp_path / f"{kind}.csv"
+        assert main(["run", "--workload", str(wl), "--queue", kind,
+                     "--b", "16", "--mem", "256", "--out", str(rep)]) == 0
+        row = list(csv.DictReader(open(rep)))[0]
+        assert {f: row[f] for f in DK_FIELDS} == want
 
 
 def test_run_capability_mismatch(tmp_path, capsys):

@@ -2,8 +2,8 @@
 
 Each case replays a fixed workload and pins the sha256 of the device log's
 ``(addr, access)`` sequence together with the extraction answers.  The inputs
-are ``materialize`` tree workloads and one hand-built insert-all/extract-all
-sequence; they deliberately avoid ``make_random_workload`` so that a change to
+are ``materialize`` tree workloads and two hand-built arithmetic sequences
+(insert-all/extract-all, and a mix of all four op kinds); they deliberately avoid ``make_random_workload`` so that a change to
 the random generator cannot move them.  A digest that changes means the probe
 order, the probe set or an answer changed; that is a cost-model change and
 must be declared, never re-pinned silently.  The memory-image digests pin the
@@ -17,6 +17,8 @@ import pytest
 from pqlab import Device, DeviceConfig
 from pqlab.cli import make_queue
 from pqlab.pq.base import run_workload
+from pqlab.ops import DECREASE, DELETE, EXTRACTMIN, INSERT, Op
+from pqlab.pq.oracle import OracleQueue
 from pqlab.workload import TreeParams, Workload, insert_extract_workload, materialize
 
 HASH_SEED = 3
@@ -25,6 +27,60 @@ HASH_SEED = 3
 def _insert_all_extract_all(n: int) -> Workload:
     """n inserts with scattered, partly tied priorities, then n extractions."""
     return insert_extract_workload(range(n), [(k * 7919) % (n // 3) for k in range(n)], n, 0)
+
+
+def _mixed_arith(n: int) -> Workload:
+    """n steps of all four op kinds on arithmetic keys, resolved against the oracle.
+
+    Step i uses key (i * 7919) % n, distinct per step.  Steps i % 8 < 4
+    insert it at priority (i * 104729) % n; i % 8 == 4 decreases a live key,
+    to a quarter of its priority on even such steps (often beating a node's
+    tops maximum, so the tournament adopts it and sends an erase) and by one
+    on odd ones; i % 16 == 5 deletes the step's own never-inserted key,
+    i % 16 == 13 a live key; i % 8 >= 6 extracts.
+    """
+    oracle = OracleQueue()
+    prio: dict[int, int] = {}
+    live: list[int] = []
+    ops: list[Op] = []
+
+    def pick(i: int) -> int | None:
+        while live:
+            j = (i * 31) % len(live)
+            if live[j] in prio:
+                return live[j]
+            live[j] = live[-1]
+            live.pop()
+        return None
+
+    for i in range(n):
+        key, step = (i * 7919) % n, i % 16
+        if step % 8 < 4:
+            p = (i * 104729) % n
+            oracle.insert(key, p)
+            prio[key] = p
+            live.append(key)
+            ops.append(Op(INSERT, key, p, None))
+        elif step % 8 == 4:
+            k = pick(i)
+            if k is None:
+                continue
+            p = prio[k] // 4 if step == 4 else prio[k] - 1
+            oracle.decrease_key(k, p)
+            prio[k] = min(prio[k], p)
+            ops.append(Op(DECREASE, k, p, None))
+        elif step == 5 or step == 13:
+            k = key if step == 5 else pick(i)
+            if k is None:
+                continue
+            oracle.delete(k)
+            prio.pop(k, None)
+            ops.append(Op(DELETE, k, 0, None))
+        elif prio:
+            k, p = oracle.extract_min()
+            del prio[k]
+            ops.append(Op(EXTRACTMIN, k, p, None))
+    return Workload(None, "random", n, 0, ops)
 
 
 def _digest(kind: str, work: Workload, B: int, M: int, w: int) -> tuple[int, str]:
@@ -58,12 +114,14 @@ CASES = {
     ("buffered_heap", "insert_extract_3000", 8, 128): (49642, "dfae8e76d7155be03a7aa71aaf18c0e15fe49d7a8ef8066f087ed6ac485ea533"),
     ("buffered_heap", "insert_extract_3000", 16, 192): (21790, "8fe9759e38878e534a4ce3d7d73a51e2991674bb480b4026b5f7cb900dd75e1a"),
     ("tournament", "insert_extract_3000", 16, 192): (38583, "f0d2474e2120e2f2ed5a18c62bb18e7387fcb9722dd1426f212ea692b7aa1f18"),
+    ("tournament", "mixed_arith_6000", 16, 192): (16775, "6c97a9e7d55cf45b12a09db0b7950c9df11bf82b2f50394a660b426c6695b1f9"),
     ("tournament", "tree_2_4_2_s1", 16, 256): (740, "1e639a1169b19f25135380fbefd41c13e29fbc2040e8ce3837f10f3e599b05e2"),
     ("tournament", "tree_2_6_2_s5", 16, 256): (7989, "bb7ff5646a979afa667cfde2317d5cf8133ae6d981588a7c94b9cd035683cec3"),
 }
 
 WORKLOADS = {
     "insert_extract_3000": lambda: _insert_all_extract_all(3000),
+    "mixed_arith_6000": lambda: _mixed_arith(6000),
     "tree_2_4_2_s1": lambda: _tree(2, 4, 2, 1),
     "tree_2_6_2_s5": lambda: _tree(2, 6, 2, 5),
 }

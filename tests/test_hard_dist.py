@@ -1,11 +1,13 @@
 import hashlib
 
+import numpy as np
 import pytest
 
 from pqlab import OracleQueue, TreeParams, build_tree, materialize, transform_no_spurious
 from pqlab.errors import ConfigError
 from pqlab.ops import DELETE, INSERT, PRIORITY_INF
 from pqlab.workload import (
+    _RawDraws,
     DELETE_LEAF,
     EXTRACT_LEAF,
     INSERT_LEAF,
@@ -239,7 +241,6 @@ def test_transformed_file_roundtrip(tmp_path):
 
 def test_key_assignment_marginals_roughly_uniform():
     # first insert-leaf key over many seeds should spread across the universe
-    import numpy as np
     from pqlab.errors import WorkloadUnderflowError
 
     u = 64
@@ -280,3 +281,35 @@ def test_random_workload_stream_pinned(n_ops, seed, universe, profile, digest):
 def test_random_workload_unknown_profile():
     with pytest.raises(ConfigError, match="insert_extract.*mixed.*delete_heavy"):
         make_random_workload(10, 0, profile="bogus")
+
+
+@pytest.mark.parametrize("universe", [0, (1 << 63) + 1])
+def test_random_workload_rejects_universe_outside_key_type(universe):
+    with pytest.raises(ConfigError, match="universe"):
+        make_random_workload(10, 0, universe=universe)
+
+
+def test_random_workload_full_key_type_universe():
+    ops = make_random_workload(500, 0, universe=1 << 63, profile="mixed").ops
+    values = [op.key for op in ops] + [op.priority for op in ops if op.kind != DELETE]
+    assert all(0 <= v < 1 << 63 for v in values)
+    assert max(values) >= 1 << 62
+
+
+# Above 2^32 draws take whole words.  3 * 2^30 rejects about a quarter of its
+# 32-bit draws and (2^64 + 2) / 3 about a third of its 64-bit draws.
+DRAW_BOUNDS = [1, 2, 3, 120, 4096, 1 << 20, 3 << 30, (1 << 32) - 1, 1 << 32, (1 << 32) + 1,
+               3 << 40, ((1 << 64) + 2) // 3, (1 << 63) - 1]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 47_003, 2**40 + 7])
+def test_raw_draws_match_numpy_generator(seed):
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    draws = _RawDraws(seed)
+    choice = np.random.default_rng(seed + 1).integers(0, len(DRAW_BOUNDS) + 1, size=5000).tolist()
+    for c in choice:
+        if c == len(DRAW_BOUNDS):
+            assert draws.random() == rng.random()
+        else:
+            n = DRAW_BOUNDS[c]
+            assert draws.below(n) == int(rng.integers(0, n)), n
