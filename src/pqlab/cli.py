@@ -136,10 +136,11 @@ def cmd_run(args) -> int:
     queue = make_queue(args.queue, dev, n_hint=max(1024, len(wl.ops)), seed=args.seed)
     report = run_workload(queue, dev, wl)
     counts = wl.counts()
-    # dk wrapper counters; blank for queues without the DecreaseKey reduction
+    # seed is the workload file's, hash_seed the --seed the queue hashed with;
+    # dk wrapper counters are blank for queues without the DecreaseKey reduction
     stats = queue.report_stats() if isinstance(queue, ReducedQueue) else {}
-    rows = [report.csv_row() + [stats.get(f, "") for f in DK_FIELDS]]
-    _write_rows(args.out, RunReport.CSV_HEADER + list(DK_FIELDS), rows)
+    rows = [report.csv_row() + [args.seed] + [stats.get(f, "") for f in DK_FIELDS]]
+    _write_rows(args.out, RunReport.CSV_HEADER + ["hash_seed", *DK_FIELDS], rows)
     for label, cls, probes in (
         ("I", "insert", report.probes_insert),
         ("D", "delete", report.probes_delete),

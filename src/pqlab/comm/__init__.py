@@ -1,20 +1,7 @@
-from .samplers import (
-    BlockedInstance,
-    IndexEqInstance,
-    SetIntersectionInstance,
-    check_observation1,
-    embed_die_in_dint,
-    embed_dint_in_uint,
-    sample_dint,
-    sample_die,
-    sample_eq,
-    sample_uint,
-)
+from .samplers import SetIntersectionInstance, check_observation1
 from .protocol import CostVector, Message, ProtocolResult, run_embedding_protocol
 
 __all__ = [
-    "BlockedInstance", "IndexEqInstance", "SetIntersectionInstance",
-    "check_observation1", "embed_die_in_dint", "embed_dint_in_uint",
-    "sample_dint", "sample_die", "sample_eq", "sample_uint",
+    "SetIntersectionInstance", "check_observation1",
     "CostVector", "Message", "ProtocolResult", "run_embedding_protocol",
 ]

@@ -13,7 +13,6 @@ map from address to block tuple, so w may be large.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
@@ -118,16 +117,3 @@ class Device:
         dup = Device(self.config)
         dup._blocks = dict(self._blocks)
         return dup
-
-    # -- export ---------------------------------------------------------------
-
-    def export_log_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["seq", "op_index", "leaf_id", "addr", "access"])
-            for seq, rec in enumerate(self.log):
-                writer.writerow([seq, _blank(rec.op_index), _blank(rec.leaf_id), rec.addr, rec.access])
-
-
-def _blank(value: int | None):
-    return "" if value is None else value

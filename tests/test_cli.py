@@ -208,7 +208,9 @@ def test_rows_carry_seed_and_version(tmp_path):
     wl = tmp_path / "wl.bin"
     main(["gen", "--beta", "2", "--h", "2", "--m", "1", "--seed", "3", "--out", str(wl)])
     rep = tmp_path / "rep.csv"
-    main(["run", "--workload", str(wl), "--queue", "oracle", "--seed", "3", "--out", str(rep)])
+    main(["run", "--workload", str(wl), "--queue", "oracle", "--seed", "5", "--out", str(rep)])
     rows = list(csv.DictReader(open(rep)))
     assert rows[0]["version"] == "0.1.0"
+    # the workload's generation seed and the queue's hash seed, told apart
     assert rows[0]["seed"] == "3"
+    assert rows[0]["hash_seed"] == "5"

@@ -1,5 +1,3 @@
-import csv
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -45,13 +43,10 @@ def test_no_caching_every_read_counts(device):
     assert len(reads) == 100
 
 
-def test_interleaved_writes_log_in_order(tmp_path, device):
+def test_interleaved_writes_log_in_order(device):
     for addr in (1, 2, 1):
         device.write_block(addr, (0,) * 16)
     assert [(r.addr, r.access) for r in device.log] == [(1, "write"), (2, "write"), (1, "write")]
-    device.export_log_csv(tmp_path / "log.csv")
-    rows = list(csv.reader(open(tmp_path / "log.csv")))[1:]
-    assert [(r[0], r[3]) for r in rows] == [("0", "1"), ("1", "2"), ("2", "1")]
 
 
 def test_probe_count_additivity(device):
@@ -119,19 +114,6 @@ def test_copy_is_unlogged_and_independent(device):
     dup.poke_block(1, (4,) * 16)
     assert device.peek_block(1) == (3,) * 16
     assert device.probe_count == 1  # peek/poke never log
-
-
-def test_csv_export(tmp_path, device):
-    device.set_context(0, 3)
-    device.write_block(2, (1,) * 16)
-    device.set_context(None, None)
-    device.read_block(2)
-    path = tmp_path / "log.csv"
-    device.export_log_csv(path)
-    rows = list(csv.reader(open(path)))
-    assert rows[0] == ["seq", "op_index", "leaf_id", "addr", "access"]
-    assert rows[1] == ["0", "0", "3", "2", "write"]
-    assert rows[2] == ["1", "", "", "2", "read"]
 
 
 @settings(max_examples=50)

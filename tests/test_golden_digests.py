@@ -7,7 +7,9 @@ are ``materialize`` tree workloads and two hand-built arithmetic sequences
 the random generator cannot move them.  A digest that changes means the probe
 order, the probe set or an answer changed; that is a cost-model change and
 must be declared, never re-pinned silently.  The memory-image digests pin the
-word layout of the heap's and the tournament's images the same way.
+word layout of the heap's and the tournament's images the same way, and the
+CLI pins fix the bytes of ``pqlab comm``'s CSV and transcript and the exact
+singleton counts behind ``pqlab obs1``.
 """
 
 import hashlib
@@ -15,7 +17,8 @@ import hashlib
 import pytest
 
 from pqlab import Device, DeviceConfig
-from pqlab.cli import make_queue
+from pqlab.cli import main, make_queue
+from pqlab.comm.samplers import check_observation1
 from pqlab.pq.base import run_workload
 from pqlab.ops import DECREASE, DELETE, EXTRACTMIN, INSERT, Op
 from pqlab.pq.oracle import OracleQueue
@@ -153,6 +156,30 @@ def test_memory_image_digest_pinned(kind):
     queue = make_queue(kind, dev, n_hint=max(1024, len(work.ops)), seed=HASH_SEED)
     run_workload(queue, dev, work, hi=len(work.ops) // 2)
     assert hashlib.sha256(repr(queue.memory_image()).encode()).hexdigest() == IMAGES[kind]
+
+
+# queue -> sha256 of (CSV, transcript) from `pqlab comm --beta 2 --h 4 --m 2 --trials 3`
+COMM = {
+    "dk_buffered_heap": ("77ae100526179e420b5cddb903f8eff82bce5e098ec0a3673775df602319d297",
+                         "761a4402fd9b6e7d0da90b104abe7335820cfad9f5c59f3320283879f38dd8c0"),
+    "tournament": ("2fbe6ddf9b2d7b5edad827abb95d18d49acd4f86ef6eaae754ee810b7a46fa9b",
+                   "9a36b6b66cfe433b103800937e20fcf18942a5dbb80c928a0f144d197dbfcfda"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(COMM))
+def test_comm_outputs_pinned(tmp_path, kind):
+    out, transcript = tmp_path / "comm.csv", tmp_path / "transcript.csv"
+    rc = main(["comm", "--beta", "2", "--h", "4", "--m", "2", "--trials", "3", "--queue", kind,
+               "--out", str(out), "--transcript", str(transcript)])
+    assert rc == 0
+    got = tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in (out, transcript))
+    assert got == COMM[kind]
+
+
+def test_obs1_singleton_counts_pinned():
+    rep = check_observation1(600, 30, 12, 4)
+    assert rep.singleton_counts == [19, 16, 18, 6, 10, 12, 18, 12, 13, 6, 10, 10]
 
 
 if __name__ == "__main__":

@@ -3,19 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from pqlab.comm.samplers import (
-    IndexEqInstance,
-    check_observation1,
-    embed_die_in_dint,
-    embed_dint_in_uint,
-    sample_dint,
-    sample_die,
-    sample_embed_frame,
-    sample_eq,
-    sample_uint,
-    subset_np,
-)
+from pqlab.comm.protocol import instance_shape, sample_instance
+from pqlab.comm.samplers import check_observation1
 from pqlab.errors import ConfigError
+from pqlab.workload import TreeParams, build_tree, subset_np
 
 
 def rng(seed=0):
@@ -38,160 +29,30 @@ def test_subset_at_the_key_type_limit():
 
 
 def test_uint_forced_full_sets():
-    inst = sample_uint(4, 4, 4, rng())
-    assert inst.X == inst.Y == frozenset(range(4))
+    # n == universe takes the dense-permutation branch and returns every key
+    assert sorted(subset_np(rng(), 4, 4).tolist()) == [0, 1, 2, 3]
 
 
-def test_uint_size_validation():
-    with pytest.raises(ConfigError):
-        sample_uint(10, 5, 3, rng())
+def _first_node(params, height):
+    return next(n.id for n in build_tree(params).internal_nodes() if n.height == height)
 
 
 def test_uint_intersection_expectation():
-    # E|X cap Y| = k*l/U = 0.1
-    r = rng(2)
-    total = 0
+    # E|X cap Y| = |X|*|Y|/U = 16*8/1280 = 0.1
+    params = TreeParams(2, 4, 2, seed=0, universe_override=1280)
+    v = _first_node(params, 2)
+    assert instance_shape(params, v) == (16, 8)
     trials = 10_000
-    for _ in range(trials):
-        inst = sample_uint(10**6, 100, 1000, r)
-        total += len(inst.intersection())
+    total = sum(len(sample_instance(params, v, seed).intersection()) for seed in range(trials))
     assert abs(total / trials - 0.1) <= 0.02
 
 
 def test_uint_marginal_inclusion():
-    # P[0 in X] = k/U
-    r = rng(3)
-    hits = sum(0 in sample_uint(50, 10, 20, r).X for _ in range(5000))
-    assert abs(hits / 5000 - 10 / 50) < 0.02
-
-
-def test_dint_structure():
-    inst = sample_dint(8, 2, 4, rng(4))
-    assert len(inst.X) == 2 and len(inst.Y) == 4
-    for i in range(2):
-        assert sum(1 for e in inst.X if e // 4 == i) == 1
-    for b in range(4):
-        assert sum(1 for e in inst.Y if e // 2 == b) == 1
-
-
-def test_dint_divisibility():
-    with pytest.raises(ConfigError):
-        sample_dint(8, 3, 4, rng())
-    with pytest.raises(ConfigError):
-        sample_dint(9, 2, 4, rng())
-
-
-def test_die_singleton_range_always_equal():
-    inst = sample_die(1, 7, rng(5))
-    assert inst.answer
-
-
-def test_eq_frequency():
-    r = rng(6)
-    hits = sum(1 for _ in range(10_000) if (lambda p: p[0] == p[1])(sample_eq(2, r)))
-    assert abs(hits / 10_000 - 0.5) <= 0.02
-
-
-def test_embed_die_displacement_formula():
-    # zero-indexed planting matches the one-indexed O+(F-1)U/l+(I-1)U/k rule
-    inst = IndexEqInstance(3, 4, 2, 1, (0, 1, 2, 0))
-    blocked, i_pub = embed_die_in_dint(inst, 5, rng(7))
-    u, k, l = blocked.U, blocked.k, blocked.l
-    planted = next(e for e in blocked.X if e // (u // k) == i_pub)
-    assert planted + 1 == (inst.O + 1) + inst.F * (u // l) + i_pub * (u // k)
-
-
-def test_embed_die_exhaustive_equivalence():
-    for f in range(2):
-        for o in range(2):
-            for y0 in range(2):
-                for y1 in range(2):
-                    inst = IndexEqInstance(2, 2, f, o, (y0, y1))
-                    for s in range(10):
-                        blocked, i_pub = embed_die_in_dint(inst, 2, rng(100 * s + 1))
-                        block = blocked.U // blocked.k
-                        hit = any(e // block == i_pub for e in blocked.intersection())
-                        assert hit == inst.answer
-
-
-def test_embed_die_marginal_matches_dint():
-    # per-position frequency of X elements should match direct blocked sampling
-    r1, r2 = rng(8), rng(9)
-    v, l_, k = 2, 2, 2
-    u = k * l_ * v
-    counts_embed = np.zeros(u)
-    counts_direct = np.zeros(u)
-    trials = 4000
-    for _ in range(trials):
-        blocked, _ = embed_die_in_dint(sample_die(v, l_, r1), k, r1)
-        for e in blocked.X:
-            counts_embed[e] += 1
-        for e in sample_dint(u, k, l_ * k, r2).X:
-            counts_direct[e] += 1
-    assert np.abs(counts_embed - counts_direct).max() / trials < 0.05
-
-
-def test_frame_failure_rate_vanishes_with_scale():
-    # At k=100 the margin between the e^-1/3 singleton-block yield and the
-    # k/9 demand is ~1.3 sigma, so failures run near 28%; by k=4096 the same
-    # margin is ~2.7 sigma and the rate drops under 5%.
-    r = rng(10)
-    small_fail = sum(sample_embed_frame(10**5, 100, 1000, r) is None for _ in range(60))
-    assert small_fail > 0  # small-k failures are real, not a bug
-    trials = 100
-    fails = sum(sample_embed_frame(4_096_000, 4096, 40960, r) is None for _ in range(trials))
-    assert fails / trials <= 0.05
-
-
-def test_embed_dint_good_block_intersection():
-    r = rng(11)
-    hits = 0
-    for trial in range(30):
-        small = sample_dint(162, 1, 2, r)
-        out = embed_dint_in_uint(small, 1458, 9, 18, r)
-        while not out.ok:
-            out = embed_dint_in_uint(small, 1458, 9, 18, r)
-        us = 1458 // 18
-        def mapped(e):
-            i = e // small.block_size
-            j = (e % small.block_size) // small.bucket_size
-            return out.good_vblocks[i][j] * us + e % small.bucket_size
-        want = frozenset(mapped(e) for e in small.intersection())
-        got = out.instance.intersection() & frozenset(out.good_region())
-        assert got == want
-        hits += bool(want)
-        assert len(out.instance.X) == 9 and len(out.instance.Y) == 18
-    assert hits > 0  # some trials exercised a nonempty planted intersection
-
-
-def test_embed_dint_shape_guard():
-    small = sample_dint(162, 1, 2, rng(12))
-    with pytest.raises(ConfigError):
-        embed_dint_in_uint(small, 1000, 9, 18, rng(12))
-
-
-def test_embed_dint_marginal_matches_uint():
-    # element-frequency of the embedded output vs direct uniform sampling
-    r1, r2 = rng(13), rng(14)
-    u, k, l_ = 162, 9, 18
-    small_shape = (18, 1, 2)
-    counts_embed = np.zeros(u)
-    counts_direct = np.zeros(u)
-    done = 0
-    while done < 1500:
-        small = sample_dint(*small_shape, r1)
-        out = embed_dint_in_uint(small, u, k, l_, r1)
-        if not out.ok:
-            continue
-        for e in out.instance.Y:
-            counts_embed[e] += 1
-        done += 1
-    for _ in range(1500):
-        for e in sample_uint(u, k, l_, r2).Y:
-            counts_direct[e] += 1
-    # each element appears in Y w.p. l/U = 1/9
-    assert abs(counts_embed.mean() / 1500 - 1 / 9) < 0.01
-    assert np.abs(counts_embed - counts_direct).max() / 1500 < 0.06
+    # P[0 in X] = |X|/U = 16/256
+    params = TreeParams(2, 4, 2, seed=0, universe_override=256)
+    v = _first_node(params, 2)
+    hits = sum(0 in sample_instance(params, v, seed).X for seed in range(5000))
+    assert abs(hits / 5000 - 16 / 256) < 0.02
 
 
 def test_obs1_l_equals_u():
