@@ -20,11 +20,11 @@ import numpy as np
 
 from . import __version__
 from .device import Device, DeviceConfig
-from .dk import CTR_BITS, ReducedQueue
+from .dk import ReducedQueue, augmented_key_bits
 from .errors import PqlabError
 from .pq import BufferedHeap, OracleQueue, TournamentQueue
 from .pq.base import RunReport, run_workload
-from .probe_stats import attribute, export_stats_csv, find_embedding, node_stats
+from .probe_stats import attribute, find_embedding, node_stats
 from .comm.protocol import (
     ProtocolResult,
     run_embedding_protocol,
@@ -75,7 +75,7 @@ def _widen_for_dk(args, universe: int) -> None:
     """dk queues pack a counter beside each key; widen args.w so every key fits."""
     if not args.queue.startswith("dk_"):
         return
-    need = max(1, (universe - 1).bit_length()) + CTR_BITS
+    need = augmented_key_bits(universe)
     if args.w < need:
         print(f"note: widening words to {need} bits so augmented keys fit", file=sys.stderr)
         args.w = need
@@ -161,6 +161,7 @@ def cmd_stats(args) -> int:
     tree = build_tree(params)
     seeds = np.random.SeedSequence(args.seed).spawn(args.trials)
     reports = []
+    rows = []
     for i, s in enumerate(seeds):
         trial_seed = int(s.generate_state(1)[0])
         wl = materialize(TreeParams(args.beta, args.h, args.m, trial_seed,
@@ -171,12 +172,18 @@ def cmd_stats(args) -> int:
         att = attribute(dev.log, tree)
         rep = node_stats(att)
         total_p = sum(st.p_count for st in rep.nodes)
-        if total_p != rep.total_probes:
-            raise PqlabError(f"attribution lost probes: {total_p} != {rep.total_probes}")
-        print(f"trial {i}: probes={rep.total_probes} sum P(v)={total_p} (conserved)")
+        if total_p != dev.probe_count:
+            raise PqlabError(f"attribution lost probes: {total_p} != {dev.probe_count}")
+        print(f"trial {i}: probes={dev.probe_count} sum P(v)={total_p} (conserved)")
         reports.append(rep)
+        run = [args.seed, i, trial_seed, args.queue, args.beta, args.h, args.m, args.b, args.mem, args.w]
+        rows += [run + [st.node_id, st.height, st.kind, st.p_count, st.c_count]
+                 + st.l_counts[1:] + st.r_counts[1:] for st in rep.nodes]
     if args.out:
-        export_stats_csv(reports[0], args.out)
+        children = range(1, args.beta + 3)
+        header = ["seed", "trial", "trial_seed", "queue", "beta", "h", "m", "B", "M", "w",
+                  "node_id", "height", "kind", "P", "C"]
+        _write_rows(args.out, header + [f"L{k}" for k in children] + [f"R{k}" for k in children], rows)
     if args.h >= 2:
         choice = find_embedding(reports, args.h, c_factor=args.c_factor)
         print(
@@ -203,12 +210,15 @@ def cmd_comm(args) -> int:
         return make_queue(args.queue, device, n_hint=4096, seed=args.seed)
 
     rows = []
-    failures = 0
+    costs = []
+    failures = image_words = 0
     for t in range(args.trials):
         run_seed = args.seed + t
         inst = sample_instance(params, v, seed=run_seed)
         res = run_embedding_protocol(factory, params, v, args.k, inst, cfg, seed=run_seed)
         rows.append(res.csv_row())
+        costs.append(res.cost)
+        image_words = max(image_words, res.image_words)
         if not res.correct:
             failures += 1
         if res.alice_requests != res.r_vk or res.bob_requests != res.l_vk:
@@ -217,16 +227,15 @@ def cmd_comm(args) -> int:
             write_transcript_csv(args.transcript, res.transcript)
     _write_rows(args.out, ProtocolResult.CSV_HEADER, rows)
     print(f"{args.trials} runs at v={v}, k={args.k}; failures={failures}")
-    image_words = max((r[-1] for r in rows), default=0)
     if image_words > args.mem:
         print(f"note: memory images reach {image_words} words, over M={args.mem}; "
               "the ledger still prices each at M*w bits", file=sys.stderr)
     # Asymmetry report: a requester pays w bits per exchange where the
     # responder pays B*w, so responder/requester ratios near B are expected.
-    req1 = sum(r[7] for r in rows)   # a1: Alice asks
-    resp1 = sum(r[8] for r in rows)  # b1: Bob answers
-    req2 = sum(r[10] for r in rows)  # b2: Bob asks
-    resp2 = sum(r[9] for r in rows)  # a2: Alice answers
+    req1 = sum(c.a1 for c in costs)   # Alice asks
+    resp1 = sum(c.b1 for c in costs)  # Bob answers
+    req2 = sum(c.b2 for c in costs)   # Bob asks
+    resp2 = sum(c.a2 for c in costs)  # Alice answers
     if req1 and req2:
         print(f"phase-1 responder/requester bits: {resp1 / req1:.1f}  "
               f"phase-2: {resp2 / req2:.1f}  (B = {args.b})")

@@ -129,7 +129,6 @@ class ProtocolResult:
     h_v: int
     k_child: int
     seed: int
-    instance: SetIntersectionInstance
     alice_output: frozenset[int]
     bob_output: frozenset[int]
     expected: frozenset[int]
@@ -192,7 +191,7 @@ def sample_instance(params: TreeParams, v: int, seed: int) -> SetIntersectionIns
     u = params.universe
     x = frozenset(subset_np(rng, u, x_size).tolist())
     y = frozenset(subset_np(rng, u, y_size).tolist())
-    return SetIntersectionInstance(u, x_size, y_size, x, y)
+    return SetIntersectionInstance(u, x, y)
 
 
 def _key_bits(u: int) -> int:
@@ -362,7 +361,7 @@ def run_embedding_protocol(
 
     stats = node_stats(attribute(ref_dev.log, tree))
     return ProtocolResult(
-        params=params, v=v, h_v=node.height, k_child=k_child, seed=seed, instance=instance,
+        params=params, v=v, h_v=node.height, k_child=k_child, seed=seed,
         alice_output=alice_output, bob_output=bob_output,
         expected=instance.intersection(),
         cost=ledger.cost(), transcript=ledger.messages,

@@ -21,8 +21,6 @@ from ..workload import subset_np
 @dataclass(frozen=True)
 class SetIntersectionInstance:
     U: int
-    k: int
-    l: int
     X: frozenset[int]
     Y: frozenset[int]
 
@@ -45,11 +43,6 @@ class Obs1Report:
     def p_at_least_third(self) -> float:
         threshold = self.l / 3
         return float(np.mean([c >= threshold for c in self.singleton_counts]))
-
-    @property
-    def variance_ratio(self) -> float:
-        """Var of the singleton count over l^2 (vanishes for concentrated counts)."""
-        return float(np.var(self.singleton_counts)) / self.l**2
 
 
 def check_observation1(U: int, l: int, trials: int, seed: int) -> Obs1Report:

@@ -33,15 +33,19 @@ CTR_BITS = 32
 CTR_MASK = (1 << CTR_BITS) - 1
 
 
+def augmented_key_bits(universe: int) -> int:
+    """Word width an augmented key over [0, universe) needs: key bits plus CTR_BITS."""
+    return max(1, (universe - 1).bit_length()) + CTR_BITS
+
+
 class ReducedQueue(PriorityQueueBase):
     supports_decrease_key = True
     supports_delete = True
 
-    def __init__(self, base, n0_min: int = 16, rebuild: bool = True):
+    def __init__(self, base, n0_min: int = 16):
         self.base = base
         self.name = f"dk_{base.name}"
         self.n0_min = n0_min
-        self.rebuild_enabled = rebuild
         base_w = getattr(base, "w", None)
         self._key_limit = 1 << (base_w - CTR_BITS) if base_w is not None else None
         if self._key_limit is not None and self._key_limit < 2:
@@ -77,7 +81,7 @@ class ReducedQueue(PriorityQueueBase):
         return c
 
     def _maybe_rebuild(self) -> None:
-        if self.rebuild_enabled and self._ops_since >= self._n0:
+        if self._ops_since >= self._n0:
             self.rebuild()
 
     # -- operations -----------------------------------------------------------

@@ -22,6 +22,7 @@ INSERT = 1
 DELETE = 2
 EXTRACTMIN = 3
 DECREASE = 4
+OP_NAMES = {INSERT: "insert", DELETE: "delete", EXTRACTMIN: "extractmin", DECREASE: "decrease"}
 
 
 class Op(NamedTuple):

@@ -10,9 +10,9 @@ Queue implementations expose:
   min(old, new); requires a live key.
 * ``delete(key)`` where supported: removes the key if present, no effect
   otherwise (the workload model's reading of Delete).
-* ``delete_key(key)``: strict variant; raises on an absent key where the
-  structure can tell, and is the DecreaseKey-then-ExtractMin recipe on
-  DecreaseKey-capable queues.
+* ``delete_key(key)``, provided only by the oracle and the dk wrapper:
+  strict variant that raises on an absent key; on the wrapper it is the
+  DecreaseKey-then-ExtractMin recipe.
 * ``clear()``, ``memory_image()``/``load_memory_image()`` for global
   rebuilding and snapshot-resume replication.  The image is a list of w-bit
   words in the queue's own layouts: counters, occupancy bitmaps
@@ -106,9 +106,6 @@ class PriorityQueueBase:
 
     def delete(self, key: int) -> None:
         raise CapabilityError(f"{self.name} does not support Delete")
-
-    def delete_key(self, key: int) -> None:
-        self.delete(key)
 
     def clear(self) -> None:
         raise NotImplementedError
@@ -244,7 +241,7 @@ def _require_capabilities(queue, ops) -> None:
 def run_workload(queue, device, workload, check_answers: bool = True, lo: int = 0, hi: int | None = None) -> RunReport:
     """Replay ``workload.ops[lo:hi]`` on an instrumented queue, one context per op.
 
-    The workload's recorded ExtractMin answers (when present) act as the
+    Every ExtractMin record carries its answer, and the answers act as the
     oracle transcript; any divergence aborts with a diagnostic naming the
     absolute op index.  Probe counts are aggregated per operation class from
     the device log delta.
@@ -276,12 +273,11 @@ def run_workload(queue, device, workload, check_answers: bool = True, lo: int = 
             key, priority = queue.extract_min()
             report.probes_extractmin += device.probe_count - before
             report.extractions.append((key, priority))
-            if check_answers and op.key is not None:
-                if (key, priority) != (op.key, op.priority):
-                    raise DivergenceError(
-                        f"op {idx} (leaf {op.leaf_id}): {queue.name} extracted "
-                        f"({key},{priority}), oracle transcript says ({op.key},{op.priority})"
-                    )
+            if check_answers and (key, priority) != (op.key, op.priority):
+                raise DivergenceError(
+                    f"op {idx} (leaf {op.leaf_id}): {queue.name} extracted "
+                    f"({key},{priority}), oracle transcript says ({op.key},{op.priority})"
+                )
         else:
             raise ValueError(f"unknown op kind {op.kind}")
     device.set_context(None, None)

@@ -17,7 +17,6 @@ class mean.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 from .errors import PqlabError
@@ -106,7 +105,6 @@ class EmbeddingChoice:
     k: int
     avg_lr: float
     avg_c: float
-    avg_p_height: float
 
 
 def find_embedding(reports: list[StatsReport], h: int, c_factor: float = 4.0) -> EmbeddingChoice:
@@ -142,24 +140,4 @@ def find_embedding(reports: list[StatsReport], h: int, c_factor: float = 4.0) ->
             if best is None or cand < best:
                 best = cand
     lr, v, k = best
-    return EmbeddingChoice(
-        h_star, v, k,
-        avg_lr=lr, avg_c=avg_c(v),
-        avg_p_height=sum(avg_p(n) for n in by_height[h_star]),
-    )
-
-
-def export_stats_csv(report: StatsReport, path) -> None:
-    beta = report.tree.params.beta
-    width = 2 + beta
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        header = ["node_id", "height", "kind", "P", "C"]
-        header += [f"L{k}" for k in range(1, width + 1)]
-        header += [f"R{k}" for k in range(1, width + 1)]
-        writer.writerow(header)
-        for st in report.nodes:
-            row = [st.node_id, st.height, st.kind, st.p_count, st.c_count]
-            row += st.l_counts[1:]
-            row += st.r_counts[1:]
-            writer.writerow(row)
+    return EmbeddingChoice(h_star, v, k, avg_lr=lr, avg_c=avg_c(v))

@@ -34,12 +34,13 @@ import json
 import struct
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import chain
 
 import numpy as np
 
 from .errors import ConfigError, DivergenceError, WorkloadUnderflowError
-from .ops import DECREASE, DELETE, EXTRACTMIN, INSERT, PRIORITY_INF, Op
+from .ops import DECREASE, DELETE, EXTRACTMIN, INSERT, OP_NAMES, PRIORITY_INF, Op
 from .pq.oracle import OracleQueue
 
 MAGIC = b"IOPQW1"
@@ -189,7 +190,9 @@ class Tree:
         return na.id, ia, ib
 
 
+@lru_cache(maxsize=8)
 def build_tree(params: TreeParams) -> Tree:
+    """The tree of ``params``, built once: params are frozen and no code mutates a built Tree."""
     return Tree(params)
 
 
@@ -203,16 +206,9 @@ class Workload:
     trees: int = 1
 
     def counts(self) -> dict[str, int]:
-        c = {"insert": 0, "delete": 0, "extractmin": 0, "decrease": 0}
+        c = dict.fromkeys(OP_NAMES.values(), 0)
         for op in self.ops:
-            if op.kind == INSERT:
-                c["insert"] += 1
-            elif op.kind == DELETE:
-                c["delete"] += 1
-            elif op.kind == EXTRACTMIN:
-                c["extractmin"] += 1
-            else:
-                c["decrease"] += 1
+            c[OP_NAMES[op.kind]] += 1
         return c
 
     def key_assignment(self, tree: Tree) -> tuple[dict[int, list[int]], dict[int, list[int]]]:
@@ -355,7 +351,7 @@ def extractions_at_height(workload: Workload, tree: Tree, node_id: int) -> set[i
     }
 
 
-def transform_no_spurious(workloads: list[Workload], universe: int | None = None) -> Workload:
+def transform_no_spurious(workloads: list[Workload]) -> Workload:
     """Rewrite basic trees into a sequence with no deletes of absent keys.
 
     The universe is pre-populated at the sentinel priority; each source tree
@@ -373,9 +369,7 @@ def transform_no_spurious(workloads: list[Workload], universe: int | None = None
         p = wl.params
         if (p.beta, p.h, p.m, p.universe) != (base.beta, base.h, base.m, base.universe):
             raise ConfigError("workloads must share beta, h, m and universe")
-    u = base.universe if universe is None else universe
-    if u < base.universe:
-        raise ConfigError("transform universe cannot be smaller than the sampling universe")
+    u = base.universe
 
     tree = build_tree(base)
     n_nodes = len(tree)
@@ -617,6 +611,9 @@ def read_workload(path) -> Workload:
         raise ConfigError(f"unknown workload variant code {variant}")
     if len(data) != _HEADER.size + count * _RECORD.size:
         raise ConfigError(f"workload file has {len(data)} bytes; its header declares {count} ops")
+    unknown = set(data[_HEADER.size :: _RECORD.size]) - OP_NAMES.keys()
+    if unknown:
+        raise ConfigError(f"unknown op kind {min(unknown)} in workload file")
     ops = [Op(kind, key, priority, None if leaf == NO_LEAF else leaf)
            for kind, key, priority, leaf in _RECORD.iter_unpack(data[_HEADER.size:])]
     name = VARIANT_NAMES[variant]

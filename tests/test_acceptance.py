@@ -115,7 +115,7 @@ def test_04_rebuild_contract():
     # post-rebuild replay equivalence: same visible sequence as a fresh
     # queue loaded with the live set
     live = [(k, k) for k in range(48)]
-    fresh = ReducedQueue(OracleQueue(), n0_min=16, rebuild=False)
+    fresh = ReducedQueue(OracleQueue(), n0_min=1 << 30)  # never rebuilds
     for k, p in sorted(live, key=lambda kp: (kp[1], kp[0])):
         fresh.insert(k, p)
     got = [q.extract_min() for _ in range(48)]

@@ -1,4 +1,5 @@
 import csv
+import json
 
 import pytest
 
@@ -44,9 +45,24 @@ def test_run_oracle_zero_probes(tmp_path, capsys):
     assert rows[0]["probes_total"] == "0"
 
 
+@pytest.mark.parametrize("variant", ["no_spurious", "multi_tree"])
+def test_gen_variants_replay(tmp_path, variant):
+    wl, js = tmp_path / "wl.bin", tmp_path / "wl.jsonl"
+    assert main(["gen", "--beta", "2", "--h", "4", "--m", "2", "--seed", "2", "--trees", "3",
+                 "--universe", "100000", "--variant", variant, "--out", str(wl), "--jsonl", str(js)]) == 0
+    work = read_workload(wl)
+    assert (work.variant, work.trees, work.counts()["extractmin"]) == (variant, 3, 3 * 128)
+    lines = js.read_text().splitlines()
+    assert len(lines) == 1 + len(work.ops)
+    assert json.loads(lines[0])["ops"] == len(work.ops)
+    assert main(["run", "--workload", str(wl), "--queue", "oracle", "--out", str(tmp_path / "r.csv")]) == 0
+
+
 @pytest.mark.parametrize(
-    "cut", [lambda b: b[:20], lambda b: b[:100], lambda b: b + b"\0", lambda b: b[:24] + b"\x09" + b[25:]],
-    ids=["shorter_than_header", "truncated_records", "trailing_byte", "unknown_variant"],
+    "cut",
+    [lambda b: b[:20], lambda b: b[:100], lambda b: b + b"\0", lambda b: b[:24] + b"\x09" + b[25:],
+     lambda b: b[:53] + b"\x09" + b[54:]],
+    ids=["shorter_than_header", "truncated_records", "trailing_byte", "unknown_variant", "unknown_op_kind"],
 )
 def test_run_rejects_malformed_workload_file(tmp_path, capsys, cut):
     wl = tmp_path / "wl.bin"

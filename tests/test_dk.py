@@ -13,8 +13,12 @@ BASES = pytest.mark.parametrize(
 )
 
 
-def over_oracle(n0_min=16, rebuild=True):
-    return ReducedQueue(OracleQueue(), n0_min=n0_min, rebuild=rebuild)
+# An n0_min above any test's op count: the rebuild clock never fires.
+NEVER = 1 << 30
+
+
+def over_oracle(n0_min=16):
+    return ReducedQueue(OracleQueue(), n0_min=n0_min)
 
 
 def over_heap(B=16, M=192, n_hint=4096, n0_min=16):
@@ -23,7 +27,7 @@ def over_heap(B=16, M=192, n_hint=4096, n0_min=16):
 
 
 def test_augmented_key_at_counter_zero():
-    q = over_oracle(rebuild=False)
+    q = over_oracle(n0_min=NEVER)
     q.insert(5, 10)
     # the first operation runs at counter 0, so the base holds key 5*2^32
     (aug, p) = q.base.live_items()[0]
@@ -31,7 +35,7 @@ def test_augmented_key_at_counter_zero():
 
 
 def test_reinsert_after_extraction_updates_last_insert():
-    q = over_oracle(rebuild=False)
+    q = over_oracle(n0_min=NEVER)
     q.insert(5, 10)
     assert q.extract_min() == (5, 10)
     q.insert(5, 8)  # legal re-insert
@@ -47,7 +51,7 @@ def test_duplicate_live_insert_rejected():
 
 
 def test_decrease_then_extract_filters_stale():
-    q = over_oracle(rebuild=False)
+    q = over_oracle(n0_min=NEVER)
     q.insert(5, 10)   # C=0
     q.decrease_key(5, 7)  # C=1
     assert q.extract_min() == (5, 7)
@@ -72,14 +76,14 @@ def test_image_holds_one_entry_per_live_key():
 
 
 def test_decrease_upward_is_stale():
-    q = over_oracle(rebuild=False)
+    q = over_oracle(n0_min=NEVER)
     q.insert(5, 10)
     q.decrease_key(5, 12)  # not a decrease; becomes a stale entry
     assert q.extract_min() == (5, 10)
 
 
 def test_two_decreases_min_survives():
-    q = over_oracle(rebuild=False)
+    q = over_oracle(n0_min=NEVER)
     q.insert(5, 20)
     q.decrease_key(5, 9)
     q.decrease_key(5, 4)
@@ -87,7 +91,7 @@ def test_two_decreases_min_survives():
 
 
 def test_absent_decrease_logged_not_fatal():
-    q = over_oracle(rebuild=False)
+    q = over_oracle(n0_min=NEVER)
     q.decrease_key(77, 5)
     assert q.absent_decreases == 1
     q.insert(1, 9)
@@ -159,13 +163,13 @@ def test_rebuild_checks_the_counter_limit():
 
 
 def test_post_rebuild_equals_fresh_queue():
-    q = over_oracle(n0_min=16, rebuild=False)
+    q = over_oracle(n0_min=NEVER)
     pairs = [(k, 97 * k % 31) for k in range(20)]
     for k, p in pairs:
         q.insert(k, p)
     q.decrease_key(3, -5)
     q.rebuild()
-    fresh = over_oracle(rebuild=False)
+    fresh = over_oracle(n0_min=NEVER)
     for k, p in sorted(pairs, key=lambda kp: (kp[1], kp[0])):
         fresh.insert(k, min(p, -5) if k == 3 else p)
     got = [q.extract_min() for _ in range(20)]
@@ -183,7 +187,7 @@ def test_matches_native_decrease_oracle(seed):
 def test_rebuild_off_also_matches():
     wl = make_random_workload(1500, 5, universe=200, profile="delete_heavy")
     dev = Device(DeviceConfig(B=16, M=192, w=64))
-    q = ReducedQueue(BufferedHeap(dev, n_hint=4096), rebuild=False)
+    q = ReducedQueue(BufferedHeap(dev, n_hint=4096), n0_min=NEVER)
     run_workload(q, dev, wl)
     assert q.rebuilds == 0
 
@@ -192,7 +196,7 @@ def test_discard_conservation():
     # Every pair ever pushed into the base is returned, discarded, or still
     # inside: discards = created - returned - remaining.
     wl = make_random_workload(1200, 9, universe=150, profile="mixed")
-    q = over_oracle(rebuild=False)
+    q = over_oracle(n0_min=NEVER)
     created = returned = 0
     from pqlab.ops import DECREASE, DELETE, EXTRACTMIN, INSERT
 
@@ -216,7 +220,7 @@ def test_discard_conservation():
 
 
 def test_size_bound_without_rebuild():
-    q = over_oracle(rebuild=False)
+    q = over_oracle(n0_min=NEVER)
     n_ops = 0
     for k in range(64):
         q.insert(k, k)
@@ -305,9 +309,9 @@ def test_rebuild_without_stale_entries_costs_nothing():
     # must not change the probe log or spend counter values.
     wl = insert_extract_workload(range(600), [(k * 7919) % 200 for k in range(600)], 600, 0)
     logs, stats = [], []
-    for rebuild in (True, False):
+    for n0_min in (16, NEVER):
         dev = Device(DeviceConfig(B=16, M=192, w=64))
-        q = ReducedQueue(BufferedHeap(dev, n_hint=4096), n0_min=16, rebuild=rebuild)
+        q = ReducedQueue(BufferedHeap(dev, n_hint=4096), n0_min=n0_min)
         run_workload(q, dev, wl)
         logs.append([(r.addr, r.access) for r in dev.log])
         stats.append(q.report_stats())

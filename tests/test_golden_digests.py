@@ -19,6 +19,7 @@ import pytest
 from pqlab import Device, DeviceConfig
 from pqlab.cli import main, make_queue
 from pqlab.comm.samplers import check_observation1
+from pqlab.dk import augmented_key_bits
 from pqlab.pq.base import run_workload
 from pqlab.ops import DECREASE, DELETE, EXTRACTMIN, INSERT, Op
 from pqlab.pq.oracle import OracleQueue
@@ -101,8 +102,8 @@ def _tree(beta: int, h: int, m: int, seed: int) -> Workload:
 
 
 def _dk_w(work: Workload) -> int:
-    """Word width for dk queues: key bits plus the 32 counter bits, at least 64."""
-    return max(64, (work.universe - 1).bit_length() + 32)
+    """Word width for dk queues: the dk width rule, at least 64."""
+    return max(64, augmented_key_bits(work.universe))
 
 
 # (queue, workload, B, M) -> (probes, sha256)

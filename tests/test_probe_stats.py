@@ -1,10 +1,13 @@
+import csv
+
 import pytest
 
-from pqlab import Device, DeviceConfig, TournamentQueue, TreeParams, build_tree, materialize
+from pqlab import Device, DeviceConfig, TournamentQueue, TreeParams, __version__, build_tree, materialize
+from pqlab.cli import main
 from pqlab.device import ProbeRecord
 from pqlab.errors import PqlabError
 from pqlab.pq.base import run_workload
-from pqlab.probe_stats import attribute, export_stats_csv, find_embedding, node_stats
+from pqlab.probe_stats import attribute, find_embedding, node_stats
 
 
 def fake_log(entries):
@@ -170,12 +173,30 @@ def test_find_embedding_minimizes_lr():
     assert choice.avg_lr <= best[0] or (choice.avg_lr, choice.node_id, choice.k) == best
 
 
-def test_stats_csv(tmp_path):
-    params = TreeParams(2, 1, 1, seed=0)
-    tree = build_tree(params)
-    rep = node_stats(attribute(fake_log([(1, 0, "write"), (4, 0, "read")]), tree))
-    path = tmp_path / "stats.csv"
-    export_stats_csv(rep, path)
-    header = open(path).readline().strip().split(",")
-    assert header[:5] == ["node_id", "height", "kind", "P", "C"]
-    assert "L4" in header and "R4" in header
+def test_stats_csv(tmp_path, capsys):
+    # pqlab stats writes one row per (trial, node) for every trial, each
+    # carrying the run's seed, the trial seed, the parameters and the version.
+    tree = build_tree(TreeParams(2, 4, 2, seed=0))
+    tables = {}
+    for seed in (7, 8):
+        path = tmp_path / f"stats{seed}.csv"
+        rc = main(["stats", "--beta", "2", "--h", "4", "--m", "2", "--trials", "2", "--seed", str(seed),
+                   "--b", "16", "--mem", "256", "--out", str(path)])
+        assert rc == 0
+        printed = [int(line.split()[2].split("=")[1]) for line in capsys.readouterr().out.splitlines()
+                   if line.startswith("trial ")]
+        with open(path) as fh:
+            rows = list(csv.DictReader(fh))
+        header = list(rows[0])
+        assert header[:15] == ["seed", "trial", "trial_seed", "queue", "beta", "h", "m", "B", "M", "w",
+                               "node_id", "height", "kind", "P", "C"]
+        assert header[15:] == [f"L{k}" for k in range(1, 5)] + [f"R{k}" for k in range(1, 5)] + ["version"]
+        assert len(rows) == 2 * len(tree)
+        assert [r["trial"] for r in rows] == ["0"] * len(tree) + ["1"] * len(tree)
+        assert {(r["seed"], r["queue"], r["B"], r["M"], r["version"]) for r in rows} == {
+            (str(seed), "tournament", "16", "256", __version__)}
+        assert len({r["trial_seed"] for r in rows}) == 2
+        for t in (0, 1):
+            assert sum(int(r["P"]) for r in rows if r["trial"] == str(t)) == printed[t]
+        tables[seed] = [[v for k, v in r.items() if k != "seed"] for r in rows]
+    assert tables[7] != tables[8]

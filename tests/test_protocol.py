@@ -51,7 +51,7 @@ def test_shape():
 
 def test_shape_mismatch_rejected():
     v = embed_node()
-    bad = SetIntersectionInstance(PARAMS.universe, 3, 5, frozenset({1, 2, 3}), frozenset(range(5)))
+    bad = SetIntersectionInstance(PARAMS.universe, frozenset({1, 2, 3}), frozenset(range(5)))
     with pytest.raises(ConfigError):
         run_embedding_protocol(tournament_factory, PARAMS, v, 2, bad, CFG, seed=0)
 
@@ -164,7 +164,7 @@ def test_nonempty_intersection_case():
     shared = {5, 11}
     x = frozenset(range(100, 100 + x_size - len(shared))) | shared
     y = frozenset(range(10_000, 10_000 + y_size - len(shared))) | shared
-    inst = SetIntersectionInstance(u, x_size, y_size, x, y)
+    inst = SetIntersectionInstance(u, x, y)
     for factory in (tournament_factory, dk_factory):
         res = run_embedding_protocol(factory, PARAMS, v, 2, inst, CFG, seed=9)
         assert res.alice_output == res.bob_output == frozenset(shared)
