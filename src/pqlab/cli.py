@@ -158,6 +158,7 @@ def cmd_run(args) -> int:
 
 def cmd_stats(args) -> int:
     params = _tree_params(args)
+    _widen_for_dk(args, params.universe)
     tree = build_tree(params)
     seeds = np.random.SeedSequence(args.seed).spawn(args.trials)
     reports = []

@@ -1,6 +1,6 @@
 """Two-phase set-intersection protocol built from a deterministic queue.
 
-Both players hold replicas of the same queue over replica devices.  Given a
+Both players hold replicas of the same queue over plain devices.  Given a
 tree node v and a middle-child index k, Bob's set Y becomes the insert keys
 of c_1(v) and Alice's set X the delete keys of c_k(v)'s subtree; all other
 leaves up to and including v's extract-min leaf are populated publicly, with
@@ -9,17 +9,20 @@ the public candidate collides with a player's secret set).
 
 Phase one: both replay the shared prefix and Bob additionally runs
 c_1..c_{k-1}(v).  Each phase then ends in ``_hand_off``, the step both
-phases share: the sender sends the set of addresses it probed and its
-memory image, and the receiver loads the image, runs its slice and requests
-the content of every address in that set on its first touch.  In phase one
-Bob hands A to Alice, who runs c_k(v)'s subtree; in phase two Alice hands
-her probed set Z to Bob, who runs the remaining children, reads the
-extract-min answers of c_{2+beta}(v), computes the intersection as the Y
-keys neither publicly deleted in the middle subtrees nor extracted at
-priority h_v, and sends it to Alice.  Because request sets equal
-probed-address sets, Alice's phase-one request count is exactly |R(v,k)|
-and Bob's phase-two request count exactly |L(v,k)| of the probe attribution
-on a reference run.
+phases share: the sender sends the set of addresses it probed and its memory
+image, and the receiver loads the image, gets the sender's blocks at those
+addresses and runs its slice.  Content requests are charged from the
+receiver's probe log: one request (w bits) and one block content (B*w bits)
+per address of the set that the slice probed, in first-touch order.  This is
+exact because the sender is idle while the receiver runs, so its blocks
+cannot change.  In phase one Bob hands A to Alice, who runs c_k(v)'s
+subtree; in phase two Alice hands her probed set Z to Bob, who runs the
+remaining children, reads the extract-min answers of c_{2+beta}(v), computes
+the intersection as the Y keys neither publicly deleted in the middle
+subtrees nor extracted at priority h_v, and sends it to Alice.  Because
+request sets equal probed-address sets, Alice's phase-one request count is
+exactly |R(v,k)| and Bob's phase-two request count exactly |L(v,k)| of the
+probe attribution on a reference run.
 
 Bit prices are fixed constants of the ledger: address = w, block content =
 B*w, memory image = M*w, rejection flag = 1, resampled or intersection sets
@@ -99,29 +102,6 @@ class Ledger:
         )
 
 
-class _ReplicaDevice(Device):
-    """Device that fetches watched addresses from a peer on first touch."""
-
-    def __init__(self, config: DeviceConfig):
-        super().__init__(config)
-        self.watch: set[int] | None = None
-        self.fetched: set[int] = set()
-        self.on_fetch = None
-
-    def _sync(self, addr: int) -> None:
-        if self.watch is not None and addr in self.watch and addr not in self.fetched:
-            self.fetched.add(addr)
-            self.on_fetch(addr)
-
-    def read_block(self, addr: int):
-        self._sync(addr)
-        return super().read_block(addr)
-
-    def write_block(self, addr: int, block) -> None:
-        self._sync(addr)
-        super().write_block(addr, block)
-
-
 @dataclass
 class ProtocolResult:
     params: TreeParams
@@ -172,16 +152,13 @@ def write_transcript_csv(path, transcript: list[Message]) -> None:
             writer.writerow([m.index, m.sender, m.phase, m.kind, m.bits])
 
 
-def _node_shape(params: TreeParams, tree, v: int) -> tuple[int, int]:
+def instance_shape(params: TreeParams, v: int) -> tuple[int, int]:
+    """(|X|, |Y|) the protocol requires for embedding at node v."""
+    tree = build_tree(params)
     if not 0 <= v < len(tree.nodes) or tree.nodes[v].kind != INTERNAL:
         raise ConfigError(f"node {v} is not an internal node of the tree")
     h_v = tree.nodes[v].height
     return params.m * params.h * params.beta ** (h_v - 1), params.m * params.beta**h_v
-
-
-def instance_shape(params: TreeParams, v: int) -> tuple[int, int]:
-    """(|X|, |Y|) the protocol requires for embedding at node v."""
-    return _node_shape(params, build_tree(params), v)
 
 
 def sample_instance(params: TreeParams, v: int, seed: int) -> SetIntersectionInstance:
@@ -223,22 +200,25 @@ def _vetted_keys(ledger: Ledger, player: str, secret: frozenset[int], n: int,
     return assign_random_order(rng_pub, keys)
 
 
-def _replay(queue, device, prefix: Workload, lo: int, hi: int | None) -> set[int]:
-    """Replay ``prefix.ops[lo:hi]`` and return the addresses it probed."""
+def _replay(queue, device, prefix: Workload, lo: int, hi: int | None) -> dict[int, None]:
+    """Replay ``prefix.ops[lo:hi]``; return the addresses it probed, in first-touch order."""
     mark = len(device.log)
     base.run_workload(queue, device, prefix, lo=lo, hi=hi)
-    return {rec.addr for rec in device.log[mark:]}
+    return dict.fromkeys(rec.addr for rec in device.log[mark:])
 
 
-def _hand_off(ledger: Ledger, phase: int, sender, receiver, watched: set[int],
-              prefix: Workload, lo: int, hi: int | None) -> tuple[int, set[int], int]:
+def _hand_off(ledger: Ledger, phase: int, sender, receiver, watched: dict[int, None],
+              prefix: Workload, lo: int, hi: int | None) -> tuple[int, dict[int, None], int]:
     """The step both phases share: one player hands the run to the other.
 
     ``sender`` and ``receiver`` are (name, queue, device) triples.  The
-    sender sends the address set it probed and its memory image; the
-    receiver loads the image, replays ``ops[lo:hi]`` and fetches each
-    watched address from the sender on first touch.  Returns the receiver's
-    request count, the addresses it probed and the image's length in words.
+    receiver gets the sender's memory image and its blocks at the watched
+    addresses, replays ``ops[lo:hi]`` and is charged one request and reply
+    per watched address it probed, in first-touch order.  This is exact
+    because the sender is idle while the receiver runs, so its blocks cannot
+    change.  Only watched blocks are copied, so a set that missed an address
+    leaves the receiver reading its own stale block and the replicas diverge.
+    Returns the request count, the probed addresses and the image's words.
     """
     s_name, s_queue, s_dev = sender
     r_name, r_queue, r_dev = receiver
@@ -247,17 +227,14 @@ def _hand_off(ledger: Ledger, phase: int, sender, receiver, watched: set[int],
     image = s_queue.memory_image()
     ledger.send(s_name, phase, "memory_snapshot", cfg.M * cfg.w, image)
     r_queue.load_memory_image(image)
-
-    def fetch(addr: int) -> None:
-        ledger.send(r_name, phase, "content_request", cfg.w, addr)
-        block = s_dev.peek_block(addr)
-        ledger.send(s_name, phase, "block_content", cfg.B * cfg.w, block)
-        r_dev.poke_block(addr, block)
-
-    r_dev.watch, r_dev.fetched, r_dev.on_fetch = watched, set(), fetch
+    for addr in watched:
+        r_dev.poke_block(addr, s_dev.peek_block(addr))
     touched = _replay(r_queue, r_dev, prefix, lo, hi)
-    r_dev.watch = None
-    return len(r_dev.fetched), touched, len(image)
+    requests = [addr for addr in touched if addr in watched]
+    for addr in requests:
+        ledger.send(r_name, phase, "content_request", cfg.w, addr)
+        ledger.send(s_name, phase, "block_content", cfg.B * cfg.w, s_dev.peek_block(addr))
+    return len(requests), touched, len(image)
 
 
 def run_embedding_protocol(
@@ -274,8 +251,8 @@ def run_embedding_protocol(
     ``queue_factory(device)`` must build identically configured
     deterministic queues; replica divergence aborts.
     """
+    x_size, y_size = instance_shape(params, v)
     tree = build_tree(params)
-    x_size, y_size = _node_shape(params, tree, v)
     node = tree.nodes[v]
     if not 2 <= k_child <= params.beta + 1:
         raise ConfigError(f"k_child must lie in [2, beta+1], got {k_child}")
@@ -332,7 +309,7 @@ def run_embedding_protocol(
     bob1_end = first_op[min(ck_leaves)]
     alice_end = first_op[tree.subtree_leaves(node.children[k_child])[0]]
 
-    bob_dev, alice_dev = _ReplicaDevice(device_config), _ReplicaDevice(device_config)
+    bob_dev, alice_dev = Device(device_config), Device(device_config)
     bob_q, alice_q = queue_factory(bob_dev), queue_factory(alice_dev)
     bob, alice = (BOB, bob_q, bob_dev), (ALICE, alice_q, alice_dev)
     base.run_workload(bob_q, bob_dev, prefix, hi=shared_end)

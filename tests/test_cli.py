@@ -165,6 +165,18 @@ def test_stats_conservation_line(capsys):
     assert "(conserved)" in out and "embedding:" in out
 
 
+def test_stats_widens_words_for_dk_queues(capsys):
+    # (2,6,2) keys need 39 bits; with the 32 counter bits they exceed the default w=64.
+    rc = main([
+        "stats", "--beta", "2", "--h", "6", "--m", "2", "--trials", "1",
+        "--queue", "dk_buffered_heap", "--b", "16", "--mem", "256",
+    ])
+    assert rc == 0
+    captured = capsys.readouterr()
+    assert "widening words to 71 bits" in captured.err
+    assert "sum P(v)=" in captured.out and "(conserved)" in captured.out
+
+
 def test_comm_rows_all_correct(tmp_path, capsys):
     out = tmp_path / "comm.csv"
     rc = main([

@@ -9,7 +9,9 @@ order, the probe set or an answer changed; that is a cost-model change and
 must be declared, never re-pinned silently.  The memory-image digests pin the
 word layout of the heap's and the tournament's images the same way, and the
 CLI pins fix the bytes of ``pqlab comm``'s CSV and transcript and the exact
-singleton counts behind ``pqlab obs1``.
+singleton counts behind ``pqlab obs1``.  The ledger pins go further than the
+CSV: every message's payload digest, so a content request charged out of
+order or answered with the wrong block moves them.
 """
 
 import hashlib
@@ -18,12 +20,13 @@ import pytest
 
 from pqlab import Device, DeviceConfig
 from pqlab.cli import main, make_queue
+from pqlab.comm.protocol import run_embedding_protocol, sample_instance
 from pqlab.comm.samplers import check_observation1
 from pqlab.dk import augmented_key_bits
 from pqlab.pq.base import run_workload
 from pqlab.ops import DECREASE, DELETE, EXTRACTMIN, INSERT, Op
 from pqlab.pq.oracle import OracleQueue
-from pqlab.workload import TreeParams, Workload, insert_extract_workload, materialize
+from pqlab.workload import TreeParams, Workload, build_tree, insert_extract_workload, materialize
 
 HASH_SEED = 3
 
@@ -176,6 +179,36 @@ def test_comm_outputs_pinned(tmp_path, kind):
     assert rc == 0
     got = tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in (out, transcript))
     assert got == COMM[kind]
+
+
+# queue -> sha256 of every protocol run's ledger at (2,4,2), B=16, M=256, w=64:
+# the first internal node of each height, every k, seeds 0..2
+LEDGERS = {
+    "dk_buffered_heap": "448687868f39cd767624e3a50b4303daf239cbdc616313e35b051edab80d8603",
+    "tournament": "adc66ab2f63c8ed41703e0602a0f01fd048b760cc3eb1d08e15f11bccf2ac83d",
+}
+
+
+def _ledger_digest(kind: str) -> str:
+    params = TreeParams(2, 4, 2, seed=0)
+    tree = build_tree(params)
+    cfg = DeviceConfig(B=16, M=256, w=64)
+    h = hashlib.sha256()
+    for height in range(1, params.h + 1):
+        v = next(n.id for n in tree.internal_nodes() if n.height == height)
+        for k in range(2, params.beta + 2):
+            for seed in range(3):
+                res = run_embedding_protocol(lambda dev: make_queue(kind, dev, n_hint=4096, seed=0),
+                                             params, v, k, sample_instance(params, v, seed=seed), cfg, seed=seed)
+                assert res.correct
+                h.update(repr(([(m.sender, m.phase, m.kind, m.bits, m.digest) for m in res.transcript],
+                               res.alice_requests, res.bob_requests, res.a_set_size, res.z_set_size)).encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("kind", sorted(LEDGERS))
+def test_protocol_ledger_pinned(kind):
+    assert _ledger_digest(kind) == LEDGERS[kind]
 
 
 def test_obs1_singleton_counts_pinned():

@@ -1,5 +1,7 @@
+import gc
 import hashlib
 import math
+import weakref
 
 import pytest
 
@@ -226,12 +228,30 @@ def test_sample_instance_stream_pinned(seed, digest):
     assert got == digest
 
 
-def test_run_builds_the_tree_once(monkeypatch):
-    import pqlab.comm.protocol as protocol
+def test_run_builds_the_tree_once():
+    v = embed_node()
+    inst = sample_instance(PARAMS, v, seed=7)
+    build_tree.cache_clear()
+    run_embedding_protocol(tournament_factory, PARAMS, v, 2, inst, CFG, seed=0)
+    assert build_tree.cache_info().misses == 1
+
+
+@pytest.mark.parametrize("factory", [tournament_factory, dk_factory], ids=["tournament", "dk_heap"])
+def test_devices_freed_without_cyclic_gc(factory):
+    # Reference counting alone must free the reference device and both
+    # replicas with their probe logs: the protocol leaves no cycle behind.
+    refs = []
+
+    def recording(device):
+        refs.append(weakref.ref(device))
+        return factory(device)
 
     v = embed_node()
     inst = sample_instance(PARAMS, v, seed=7)
-    calls = []
-    monkeypatch.setattr(protocol, "build_tree", lambda p: calls.append(p) or build_tree(p))
-    run_embedding_protocol(tournament_factory, PARAMS, v, 2, inst, CFG, seed=0)
-    assert len(calls) == 1
+    gc.collect()
+    gc.disable()
+    try:
+        run_embedding_protocol(recording, PARAMS, v, 2, inst, CFG, seed=0)
+        assert [ref() is None for ref in refs] == [True, True, True]
+    finally:
+        gc.enable()
