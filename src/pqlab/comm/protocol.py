@@ -7,8 +7,9 @@ leaves up to and including v's extract-min leaf are populated publicly, with
 one rejection-sampling flag per key class (a fresh private set is sent when
 the public candidate collides with a player's secret set).
 
-Phase one: both replay the shared prefix and Bob additionally runs
-c_1..c_{k-1}(v).  Each phase then ends in ``_hand_off``, the step both
+Phase one: both players start from the reference run's state at the end
+of the shared prefix, which costs no bits because the prefix is public, and
+Bob runs c_1..c_{k-1}(v).  Each phase then ends in ``_hand_off``, the step both
 phases share: the sender sends the set of addresses it probed and its memory
 image, and the receiver loads the image, gets the sender's blocks at those
 addresses and runs its slice.  Content requests are charged from the
@@ -294,14 +295,6 @@ def run_embedding_protocol(
     ops = resolve_leaf_ops(tree, leaf_keys, stop_leaf=ext_leaf)
     prefix = Workload(params, "basic", u, seed, ops)
 
-    # Reference run: one queue sees the whole prefix; its probe log feeds
-    # the attribution cross-check and doubles as a determinism witness.
-    ref_dev = Device(device_config)
-    ref_queue = queue_factory(ref_dev)
-    # Looked up through the module at call time, so a rebound run_workload
-    # sees the reference run and every replica segment.
-    base.run_workload(ref_queue, ref_dev, prefix)
-
     first_op: dict[int, int] = {}
     for i, op in enumerate(ops):
         first_op.setdefault(op.leaf_id, i)
@@ -309,13 +302,24 @@ def run_embedding_protocol(
     bob1_end = first_op[min(ck_leaves)]
     alice_end = first_op[tree.subtree_leaves(node.children[k_child])[0]]
 
-    bob_dev, alice_dev = Device(device_config), Device(device_config)
-    bob_q, alice_q = queue_factory(bob_dev), queue_factory(alice_dev)
-    bob, alice = (BOB, bob_q, bob_dev), (ALICE, alice_q, alice_dev)
-    base.run_workload(bob_q, bob_dev, prefix, hi=shared_end)
-    base.run_workload(alice_q, alice_dev, prefix, hi=shared_end)
+    # Reference run: one queue sees the whole prefix; its probe log feeds
+    # the attribution cross-check and doubles as a determinism witness.
+    # Both players start from its state at shared_end: the shared prefix is
+    # public, so the copies cost no bits.  run_workload is looked up through
+    # the module at call time, so a rebound one sees every segment.
+    ref_dev = Device(device_config)
+    ref_queue = queue_factory(ref_dev)
+    base.run_workload(ref_queue, ref_dev, prefix, hi=shared_end)
+    image, players = ref_queue.memory_image(), []
+    for name in (BOB, ALICE):
+        dev = ref_dev.copy()
+        queue = queue_factory(dev)
+        queue.load_memory_image(image)
+        players.append((name, queue, dev))
+    bob, alice = players
+    base.run_workload(ref_queue, ref_dev, prefix, lo=shared_end)
 
-    a_set = _replay(bob_q, bob_dev, prefix, shared_end, bob1_end)
+    a_set = _replay(bob[1], bob[2], prefix, shared_end, bob1_end)
     alice_requests, z_set, image1 = _hand_off(ledger, 1, bob, alice, a_set, prefix, bob1_end, alice_end)
     ledger.send(ALICE, 1, "phase_transition", 0, None)
     bob_requests, _, image2 = _hand_off(ledger, 2, alice, bob, z_set, prefix, alice_end, None)

@@ -1,9 +1,10 @@
 import csv
+import dataclasses
 import json
 
 import pytest
 
-from pqlab import Device, DeviceConfig
+from pqlab import Device, DeviceConfig, cli
 from pqlab.cli import DK_FIELDS, main, make_queue
 from pqlab.ops import DECREASE, DELETE, EXTRACTMIN, INSERT, Op
 from pqlab.pq.base import run_workload
@@ -211,6 +212,20 @@ def test_comm_widens_words_for_dk_queues(tmp_path, capsys):
     assert "memory images reach 567 words, over M=256" in err
     rows = list(csv.DictReader(open(out)))
     assert len(rows) == 2 and all(r["correct"] == "1" for r in rows)
+
+
+def test_comm_counts_a_failing_run_once(monkeypatch, capsys):
+    real = cli.run_embedding_protocol
+
+    def broken(*args, **kwargs):
+        res = real(*args, **kwargs)
+        # wrong output and a request count off the attribution: two checks fail
+        return dataclasses.replace(res, bob_output=res.expected | {-1}, alice_requests=res.r_vk + 1)
+
+    monkeypatch.setattr(cli, "run_embedding_protocol", broken)
+    rc = main(["comm", "--beta", "2", "--h", "4", "--m", "2", "--trials", "1", "--out", "/dev/null"])
+    assert rc == 1
+    assert "failures=1" in capsys.readouterr().out
 
 
 def test_obs1_reproduces_reference_value(capsys):

@@ -22,6 +22,7 @@ from pqlab.comm.protocol import (
 from pqlab.cli import make_queue
 from pqlab.comm.samplers import SetIntersectionInstance
 from pqlab.errors import ConfigError
+from pqlab.pq import base
 
 PARAMS = TreeParams(2, 4, 2, seed=0)
 CFG = DeviceConfig(B=16, M=256, w=64)
@@ -255,3 +256,58 @@ def test_devices_freed_without_cyclic_gc(factory):
         assert [ref() is None for ref in refs] == [True, True, True]
     finally:
         gc.enable()
+
+
+def recorded_run(factory, monkeypatch):
+    """One run at a height-3 node with k=2; returns the result, the devices in creation
+    order (reference, Bob, Alice), the replayed op ranges and the segment
+    bounds (shared_end, bob1_end, alice_end)."""
+    devices, ranges = [], []
+    real = base.run_workload
+
+    def recording(device):
+        devices.append(device)
+        return factory(device)
+
+    def counting(queue, device, workload, *args, lo=0, hi=None, **kwargs):
+        ranges.append((lo, len(workload.ops) if hi is None else hi))
+        return real(queue, device, workload, *args, lo=lo, hi=hi, **kwargs)
+
+    monkeypatch.setattr(base, "run_workload", counting)
+    v = embed_node(3)
+    res = run_embedding_protocol(recording, PARAMS, v, 2, sample_instance(PARAMS, v, seed=3), CFG, seed=1)
+    tree = build_tree(PARAMS)
+    children = tree.nodes[v].children
+    first_op = {}
+    for i, op in enumerate(res.prefix_workload.ops):
+        first_op.setdefault(op.leaf_id, i)
+    bounds = (first_op[children[0]], first_op[min(tree.subtree_leaves(children[1]))],
+              first_op[tree.subtree_leaves(children[2])[0]])
+    return res, devices, ranges, bounds
+
+
+@pytest.mark.parametrize("factory", [tournament_factory, dk_factory], ids=["tournament", "dk_heap"])
+def test_players_start_at_the_shared_prefix_end(factory, monkeypatch):
+    # The shared prefix is replayed once, by the reference run; the players
+    # start from its state and replay only their own segments.
+    res, devices, ranges, (shared_end, _, _) = recorded_run(factory, monkeypatch)
+    n_ops = len(res.prefix_workload.ops)
+    assert 0 < shared_end < n_ops and len(devices) == 3
+    assert sum(hi - lo for lo, hi in ranges) == 2 * n_ops - shared_end
+    for player in devices[1:]:
+        assert all(rec.op_index >= shared_end for rec in player.log)
+
+
+@pytest.mark.parametrize("factory", [tournament_factory, dk_factory], ids=["tournament", "dk_heap"])
+def test_player_segments_match_the_reference_log(factory, monkeypatch):
+    # Each player segment probes exactly what the reference run probed for
+    # the same ops, so the players ran from the reference run's state.
+    res, (ref, bob, alice), _, (shared_end, bob1_end, alice_end) = recorded_run(factory, monkeypatch)
+    end = len(res.prefix_workload.ops)
+
+    def records(dev, spans):
+        return [(r.op_index, r.addr, r.access) for r in dev.log
+                if any(lo <= r.op_index < hi for lo, hi in spans)]
+
+    for player, spans in ((bob, [(shared_end, bob1_end), (alice_end, end)]), (alice, [(bob1_end, alice_end)])):
+        assert records(player, spans) and records(player, spans) == records(ref, spans)

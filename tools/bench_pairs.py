@@ -1,0 +1,123 @@
+"""Alternating parent/change benchmark pairs, written to one BENCH_<label>.json.
+
+    python3 tools/bench_pairs.py --base REV --change REV --label NAME \\
+        --seconds 30 --run protocol_pair:41:10 --run tree_dk_heap:41:1
+
+Each ``--run WORKLOAD:SEED:PAIRS`` runs ``perfbench/run.py --workload
+WORKLOAD --seed SEED --seconds S`` PAIRS times on each revision, each
+revision from its own ``git archive`` checkout and with the same benchmark
+code it commits.  Pair i runs the base first when i is even and the change
+first when it is odd.  The file records every run's end-to-end metrics and
+witness digest, each side's median and quartiles, how many pairs the change
+won under BENCHMARK.json's ``better`` direction, both commits, the git tree
+of each side's ``src/`` and the exact commands.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+from io import BytesIO
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def git(*args: str) -> str:
+    return subprocess.run(["git", "-C", str(ROOT), *args], capture_output=True, text=True,
+                          check=True).stdout.strip()
+
+
+def checkout(rev: str, into: Path) -> Path:
+    archive = subprocess.run(["git", "-C", str(ROOT), "archive", rev], capture_output=True, check=True).stdout
+    with tarfile.open(fileobj=BytesIO(archive)) as tar:
+        tar.extractall(into)
+    return into
+
+
+def bench_command(workload: str, seed: int, seconds: float) -> list[str]:
+    return ["python3", "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+            "--seconds", f"{seconds:g}"]
+
+
+def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+    proc = subprocess.run(bench_command(workload, seed, seconds), cwd=tree, capture_output=True, text=True)
+    lines = proc.stdout.splitlines()
+    if proc.returncode != 0 or not lines:
+        sys.stderr.write(proc.stderr)
+        raise SystemExit(f"error: {workload} seed {seed} in {tree} exited with {proc.returncode}")
+    result = json.loads(lines[-1])
+    record = json.loads((tree / "perfbench" / "out" / f"{workload}-seed{seed}-trace0.json").read_text())
+    return {"metrics": {k: v["value"] for k, v in result["metrics"].items()},
+            "failed": result["failed"], "attempted": result["attempted"], "digest": record["digest"]}
+
+
+def summary(values: list[float]) -> dict:
+    q1, _, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
+    return {"median": statistics.median(values), "q1": q1, "q3": q3}
+
+
+def compare(pairs: list[dict], better: dict[str, str]) -> dict:
+    out = {}
+    for name, direction in better.items():
+        base = [p["base"]["metrics"][name] for p in pairs]
+        change = [p["change"]["metrics"][name] for p in pairs]
+        sign = 1 if direction == "lower" else -1
+        base_s, change_s = summary(base), summary(change)
+        out[name] = {
+            "base": base_s, "change": change_s,
+            "change_wins": sum(sign * (b - c) > 0 for b, c in zip(base, change)),
+            "ties": sum(b == c for b, c in zip(base, change)),
+            "pairs": len(pairs),
+            "median_diff_over_base_iqr": (abs(change_s["median"] - base_s["median"])
+                                          / (base_s["q3"] - base_s["q1"]) if base_s["q3"] > base_s["q1"] else None),
+        }
+    return out
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("--base", required=True, help="parent revision")
+    ap.add_argument("--change", required=True, help="changed revision")
+    ap.add_argument("--label", required=True, help="writes BENCH_<label>.json at the repo root")
+    ap.add_argument("--seconds", type=float, default=30)
+    ap.add_argument("--run", action="append", required=True, metavar="WORKLOAD:SEED:PAIRS")
+    args = ap.parse_args()
+
+    revs = {side: {"rev": rev, "commit": git("rev-parse", f"{rev}^{{commit}}"),
+                   "src_tree": git("rev-parse", f"{rev}:src")}
+            for side, rev in (("base", args.base), ("change", args.change))}
+    better = {m["name"]: m["better"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+    runs = []
+    with tempfile.TemporaryDirectory() as tmp:
+        trees = {side: checkout(r["commit"], Path(tmp) / side) for side, r in revs.items()}
+        for spec in args.run:
+            workload, seed, n_pairs = spec.split(":")
+            seed, n_pairs = int(seed), int(n_pairs)
+            pairs = []
+            for i in range(n_pairs):
+                order = ("base", "change") if i % 2 == 0 else ("change", "base")
+                pair = {"first": order[0]}
+                for side in order:
+                    pair[side] = run_once(trees[side], workload, seed, args.seconds)
+                    print(f"{workload} seed={seed} pair={i} {side}: pass_s="
+                          f"{pair[side]['metrics']['pass_s']:.4f}", file=sys.stderr, flush=True)
+                pairs.append(pair)
+            runs.append({"workload": workload, "seed": seed, "seconds": args.seconds,
+                         "command": " ".join(bench_command(workload, seed, args.seconds)),
+                         "pairs": pairs, "summary": compare(pairs, better)})
+    bench = {"label": args.label, "command": " ".join(["python3", "tools/bench_pairs.py", *sys.argv[1:]]),
+             "revisions": revs, "runs": runs}
+    out = ROOT / f"BENCH_{args.label}.json"
+    out.write_text(json.dumps(bench, indent=1) + "\n")
+    print(out)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
