@@ -59,6 +59,7 @@ class Device:
 
     def __init__(self, config: DeviceConfig):
         self.config = config
+        self.word_limit = config.word_limit
         self._blocks: dict[int, tuple[int, ...]] = {}
         self._zero = (0,) * config.B
         self.log: list[ProbeRecord] = []
@@ -73,27 +74,30 @@ class Device:
         self._leaf_id = leaf_id
 
     # -- probes -------------------------------------------------------------
+    # Run once per probe: the address check is inlined and records are
+    # built with ``tuple.__new__``, which still makes ``ProbeRecord``s.
 
-    def _check_addr(self, addr: int) -> None:
-        if not 0 <= addr < self.config.word_limit:
-            raise AddressError(f"address {addr} outside [0, 2^{self.config.w})")
+    def _address_error(self, addr: int) -> AddressError:
+        return AddressError(f"address {addr} outside [0, 2^{self.config.w})")
 
     def read_block(self, addr: int) -> tuple[int, ...]:
-        self._check_addr(addr)
-        self.log.append(ProbeRecord(self._op_index, self._leaf_id, addr, READ))
+        if not 0 <= addr < self.word_limit:
+            raise self._address_error(addr)
+        self.log.append(tuple.__new__(ProbeRecord, (self._op_index, self._leaf_id, addr, READ)))
         return self._blocks.get(addr, self._zero)
 
     def write_block(self, addr: int, block: Iterable[int]) -> None:
-        self._check_addr(addr)
+        if not 0 <= addr < self.word_limit:
+            raise self._address_error(addr)
         blk = tuple(block)
         if len(blk) != self.config.B:
             raise BlockSizeError(f"block has {len(blk)} words, expected {self.config.B}")
-        limit = self.config.word_limit
+        limit = self.word_limit
         if min(blk) < 0 or max(blk) >= limit:
             word = next(word for word in blk if not 0 <= word < limit)
             raise BlockSizeError(f"word {word} does not fit in {self.config.w} bits")
         self._blocks[addr] = blk
-        self.log.append(ProbeRecord(self._op_index, self._leaf_id, addr, WRITE))
+        self.log.append(tuple.__new__(ProbeRecord, (self._op_index, self._leaf_id, addr, WRITE)))
 
     @property
     def probe_count(self) -> int:
@@ -102,11 +106,13 @@ class Device:
     # -- unlogged plumbing ----------------------------------------------------
 
     def peek_block(self, addr: int) -> tuple[int, ...]:
-        self._check_addr(addr)
+        if not 0 <= addr < self.word_limit:
+            raise self._address_error(addr)
         return self._blocks.get(addr, self._zero)
 
     def poke_block(self, addr: int, block: Iterable[int]) -> None:
-        self._check_addr(addr)
+        if not 0 <= addr < self.word_limit:
+            raise self._address_error(addr)
         blk = tuple(block)
         if len(blk) != self.config.B:
             raise BlockSizeError(f"block has {len(blk)} words, expected {self.config.B}")

@@ -30,8 +30,10 @@ checks each ExtractMin answer against the transcript, so a queue resumed
 from a snapshot can run the tail of the same workload.
 
 On-disk queues store an entry ``(priority, key, timestamp)`` as three w-bit
-words ``key, priority + 2^(w-1), timestamp``; ``check_entry``,
-``encode_entries`` and ``decode_entries`` are that format's only definition.
+words ``key, priority + 2^(w-1), timestamp``; ``check_entry`` checks that
+an entry fits.  The heap and the oracle image convert entries with
+``encode_entries``/``decode_entries``; the tournament keeps them in memory
+as stored words.
 
 ``BufferedTree`` is the resident half of both external queues (the buffered
 heap and the tournament).  It owns the M-word memory: an operation counter

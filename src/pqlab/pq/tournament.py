@@ -27,8 +27,13 @@ the workload model's tolerant Delete.  DecreaseKey on an absent key is a
 contract violation the structure cannot detect; behavior is undefined.
 
 Every node, leaves included, is stored as ``[n_tops, n_sigs] + entries +
-sigs``.  A leaf is a node with no signals in a larger arena, so one pair
-of codecs reads and writes both.
+sigs``: an entry as ``key, priority + 2^(w-1), timestamp`` and a signal as
+``seq, kind, key, priority + 2^(w-1), timestamp``.  A leaf is a node with
+no signals in a larger arena, so one pair of codecs reads and writes both.
+In memory, entries ``(priority word, key, timestamp)`` and signals already
+hold the stored priority word, so the codecs only slice; the bias 2^(w-1)
+is added in ``insert``/``decrease_key`` and removed in ``extract_min``, and
+delete and erase signals carry the word 2^(w-1) (priority 0).
 
 The amortized cost target is O((1/B) log2 N) probes per operation, asserted
 as a measured regression bound.  Resident state (root node, occupancy
@@ -40,9 +45,10 @@ Transient flush working sets are simulated in host memory and not charged.
 from __future__ import annotations
 
 import bisect
+from itertools import chain
 
 from ..errors import ConfigError, EmptyQueueError, StructureOverflowError
-from .base import ENTRY_WORDS, BufferedTree, Node, check_entry, decode_entries, encode_entries
+from .base import ENTRY_WORDS, BufferedTree, Node, check_entry
 
 SIG_WORDS = 5
 
@@ -53,10 +59,13 @@ S_ERASE = 4
 S_PUSH = 5
 
 
+M64 = 0xFFFFFFFFFFFFFFFF
+
+
 def _splitmix64(v: int) -> int:
-    v = (v + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
-    v = ((v ^ (v >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
-    v = ((v ^ (v >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
+    v = (v + 0x9E3779B97F4A7C15) & M64
+    v = ((v ^ (v >> 30)) * 0xBF58476D1CE4E5B9) & M64
+    v = ((v ^ (v >> 27)) * 0x94D049BB133111EB) & M64
     return v ^ (v >> 31)
 
 
@@ -98,13 +107,6 @@ class TournamentQueue(BufferedTree):
 
     # -- geometry ---------------------------------------------------------------
 
-    def _leaf_node(self, key: int) -> int:
-        h = (key * self._mult) & 0xFFFFFFFFFFFFFFFF
-        return self.K + (h >> (64 - self.levels))
-
-    def _child_toward(self, x: int, key: int) -> int:
-        return self._leaf_node(key) >> (self.levels - x.bit_length())
-
     def _is_leaf(self, x: int) -> bool:
         return x >= self.K
 
@@ -132,24 +134,27 @@ class TournamentQueue(BufferedTree):
                 f"leaf {x} overflow ({len(node.tops)} entries); construct with a larger n_hint"
             )
         words = self._node_words(node)
-        words += [0] * (-len(words) % self.B)
-        base = self._addr(x)
-        for i in range(0, len(words), self.B):
-            self.device.write_block(base + i // self.B, words[i : i + self.B])
+        B = self.B
+        words += [0] * (-len(words) % B)
+        blocks = [tuple(words[i : i + B]) for i in range(0, len(words), B)]
+        write = self.device.write_block
+        for addr, block in enumerate(blocks, self._addr(x)):
+            write(addr, block)
 
     def _node_from_words(self, words: list[int]) -> Node:
         """Decode the ``[n_tops, n_sigs] + entries + sigs`` node layout."""
-        nt, ns = words[0], words[1]
-        bias = self._prio_bias
-        pos = 2 + ENTRY_WORDS * nt
-        sigs = [(sq, kd, k, pe - bias, ts) for sq, kd, k, pe, ts in
-                (words[i : i + SIG_WORDS] for i in range(pos, pos + SIG_WORDS * ns, SIG_WORDS))]
-        return Node(decode_entries(words, 2, nt, bias), sigs)
+        p = 2 + ENTRY_WORDS * words[0]
+        it = iter(words[p : p + SIG_WORDS * words[1]])
+        return Node(list(zip(words[3:p:3], words[2:p:3], words[4:p:3])), list(zip(it, it, it, it, it)))
 
     def _node_words(self, node: Node) -> list[int]:
-        bias = self._prio_bias
-        sigs = [word for sq, kd, k, p, ts in node.buf for word in (sq, kd, k, p + bias, ts)]
-        return [len(node.tops), len(node.buf)] + encode_entries(node.tops, bias) + sigs
+        tops = node.tops
+        p = 2 + ENTRY_WORDS * len(tops)
+        words = [len(tops), len(node.buf)] + [0] * (p - 2)
+        if tops:
+            words[3:p:3], words[2:p:3], words[4:p:3] = zip(*tops)
+        words.extend(chain.from_iterable(node.buf))
+        return words
 
     def _root_words(self) -> list[int]:
         return self._node_words(self._root)
@@ -192,7 +197,7 @@ class TournamentQueue(BufferedTree):
                 # The key's record sits below with a larger priority; adopt the
                 # decreased record here and chase the stale copy with an erase.
                 bisect.insort(tops, cand)
-                node.buf.append((self._bump(), S_ERASE, key, 0, 0))
+                node.buf.append((self._bump(), S_ERASE, key, self._prio_bias, 0))
                 self._evict_if_over(node)
             else:
                 node.buf.append(sig)
@@ -233,11 +238,13 @@ class TournamentQueue(BufferedTree):
         lchild = 2 * x
         left: list = []
         right: list = []
+        # The child toward a key's leaf is the next bit of its 64-bit hash.
+        mult, shift = self._mult, 64 - x.bit_length()
         for sig in sigs:
-            if self._child_toward(x, sig[2]) == lchild:
-                left.append(sig)
-            else:
+            if ((sig[2] * mult) & M64) >> shift & 1:
                 right.append(sig)
+            else:
+                left.append(sig)
         for child, batch in ((lchild, left), (lchild + 1, right)):
             if not batch:
                 continue
@@ -290,18 +297,19 @@ class TournamentQueue(BufferedTree):
     def insert(self, key: int, priority: int) -> None:
         check_entry(key, priority, self.w)
         seq = self._bump()
-        self._apply_internal(self.ROOT, self._root, (seq, S_INSERT, key, priority, seq))
+        self._apply_internal(self.ROOT, self._root, (seq, S_INSERT, key, priority + self._prio_bias, seq))
         self._after_root_op()
 
     def decrease_key(self, key: int, priority: int) -> None:
         check_entry(key, priority, self.w)
         seq = self._bump()
-        self._apply_internal(self.ROOT, self._root, (seq, S_DEC, key, priority, 0))
+        self._apply_internal(self.ROOT, self._root, (seq, S_DEC, key, priority + self._prio_bias, 0))
         self._after_root_op()
 
     def delete(self, key: int) -> None:
+        check_entry(key, 0, self.w)
         seq = self._bump()
-        self._apply_internal(self.ROOT, self._root, (seq, S_DEL, key, 0, 0))
+        self._apply_internal(self.ROOT, self._root, (seq, S_DEL, key, self._prio_bias, 0))
         self._after_root_op()
 
     def extract_min(self) -> tuple[int, int]:
@@ -310,6 +318,6 @@ class TournamentQueue(BufferedTree):
             self._refill(self.ROOT, root)
             if not root.tops:
                 raise EmptyQueueError("extract from empty queue")
-        priority, key, _ = root.tops.pop(0)
+        word, key, _ = root.tops.pop(0)
         self._refresh_maybe(self.ROOT, root)
-        return key, priority
+        return key, word - self._prio_bias

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pqlab import Device, DeviceConfig
+from pqlab import Device, DeviceConfig, ProbeRecord
 from pqlab.errors import AddressError, BlockSizeError, ConfigError
 
 
@@ -58,10 +58,12 @@ def test_probe_count_additivity(device):
 
 
 def test_address_range(device):
-    with pytest.raises(AddressError):
-        device.read_block(1 << 64)
-    with pytest.raises(AddressError):
-        device.read_block(-1)
+    for addr in (-1, 1 << 64):
+        with pytest.raises(AddressError, match=f"address {addr} "):
+            device.read_block(addr)
+        with pytest.raises(AddressError, match=f"address {addr} "):
+            device.write_block(addr, (0,) * 16)
+    assert device.probe_count == 0 and device.log == []
 
 
 def test_block_size_enforced(device):
@@ -77,7 +79,12 @@ def test_block_size_enforced(device):
 def test_context_tagging(device):
     device.set_context(5, 12)
     device.read_block(0)
-    assert device.log[-1].op_index == 5 and device.log[-1].leaf_id == 12
+    device.write_block(3, (0,) * 16)
+    assert all(type(r) is ProbeRecord for r in device.log)
+    assert [r._asdict() for r in device.log] == [
+        {"op_index": 5, "leaf_id": 12, "addr": 0, "access": "read"},
+        {"op_index": 5, "leaf_id": 12, "addr": 3, "access": "write"},
+    ]
     device.set_context(None, None)
     device.read_block(0)
     assert device.log[-1].leaf_id is None

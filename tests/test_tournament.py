@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,6 +8,7 @@ from pqlab import Device, DeviceConfig, OracleQueue, TournamentQueue
 from pqlab.errors import ConfigError, DivergenceError, EmptyQueueError, EncodingError, StructureOverflowError
 from pqlab.ops import EXTRACTMIN
 from pqlab.pq.base import run_workload
+from pqlab.pq.tournament import S_DEC, S_DEL, S_ERASE, S_INSERT, S_PUSH
 from pqlab.workload import Workload, make_random_workload, materialize, TreeParams
 
 
@@ -80,19 +82,21 @@ def test_hard_workload_with_spurious_deletes():
 
 
 def test_snapshot_resume_identical_probes():
+    # The image carries the root's pending signals, delete and erase included.
     wl = make_random_workload(1000, 23, universe=300, profile="mixed")
-    q, dev = make(seed=1)
-    half = len(wl.ops) // 2
-    run_workload(q, dev, wl, hi=half)
-    img = q.memory_image()
-    dev2 = dev.copy()
-    q2 = TournamentQueue(dev2, n_hint=1024, seed=1)
-    q2.load_memory_image(img)
-    tail1 = run_workload(q, dev, wl, lo=half).extractions
-    tail2 = run_workload(q2, dev2, wl, lo=half).extractions
-    assert tail1 == tail2
-    suffix = [(r.addr, r.access) for r in dev.log[len(dev.log) - len(dev2.log):]]
-    assert suffix == [(r.addr, r.access) for r in dev2.log]
+    for w, split, pending in ((64, 500, {S_DEL}), (64, 130, {S_DEL, S_ERASE}), (128, 130, {S_DEL, S_ERASE})):
+        q, dev = make(w=w, seed=1)
+        run_workload(q, dev, wl, hi=split)
+        assert pending <= {sig[1] for sig in q._root.buf}
+        img = q.memory_image()
+        dev2 = dev.copy()
+        q2 = TournamentQueue(dev2, n_hint=1024, seed=1)
+        q2.load_memory_image(img)
+        assert q2.memory_image() == img
+        tail1 = run_workload(q, dev, wl, lo=split).extractions
+        tail2 = run_workload(q2, dev2, wl, lo=split).extractions
+        assert tail1 == tail2
+        assert dev.log[len(dev.log) - len(dev2.log):] == dev2.log
 
 
 @pytest.mark.parametrize("B,M,w", [(8, 128, 64), (16, 256, 128)])
@@ -120,6 +124,89 @@ def test_leaf_overflow_raises():
         q.insert(k, k)
     with pytest.raises(StructureOverflowError, match="leaf 4 overflow"):
         q.insert(198, 198)
+
+
+def test_delete_rejects_keys_wider_than_words():
+    q, dev = make()
+    for k in range(40):
+        q.insert(k, 40 - k)
+    for bad in (1 << 64, -1):
+        with pytest.raises(EncodingError, match=f"key {bad} "):
+            q.delete(bad)
+    q.delete((1 << 64) - 1)  # widest key: absent, no effect
+    for k in range(40, 80):
+        q.insert(k, 40 - k)
+    assert [q.extract_min() for _ in range(80)] == [(k, 40 - k) for k in range(79, -1, -1)]
+
+
+def _scripted_queue(w: int, n_ops: int):
+    """Run a fixed mix of ops with fresh keys and negative priorities at
+    B=16, M=256 and four leaves, then flush the root into both children.
+    Returns the queue, its device and each key's (insert priority, insert
+    timestamp, decrease priorities)."""
+    dev = Device(DeviceConfig(B=16, M=256, w=w))
+    q = TournamentQueue(dev, n_hint=40, seed=0)
+    assert q.K == 4
+    rng = random.Random(1)
+    model: dict[int, tuple[int, int, list[int]]] = {}
+    live: dict[int, int] = {}
+    for key in range(n_ops):
+        r = rng.random()
+        if r < 0.5 or not live:
+            p = rng.randrange(-1000, 1000)
+            model[key] = (p, q._seq + 1, [])
+            q.insert(key, p)
+            live[key] = p
+        elif r < 0.75:
+            k = rng.choice(sorted(live))
+            p = live[k] - rng.randrange(1, 2000)
+            model[k][2].append(p)
+            q.decrease_key(k, p)
+            live[k] = p
+        elif r < 0.9:
+            k = rng.choice(sorted(live))
+            q.delete(k)
+            del live[k]
+        else:
+            k, _ = q.extract_min()
+            del live[k]
+    q._flush(q.ROOT, q._root)
+    return q, dev, model
+
+
+@pytest.mark.parametrize("w", [64, 128])
+def test_node_layout_pinned(w):
+    # A node is [n_tops, n_sigs] + (key, prio + 2^(w-1), ts)* +
+    # (seq, kind, key, prio + 2^(w-1), ts)*, zero-padded to whole blocks.
+    # Delete and erase signals carry the word of priority 0.
+    bias = 1 << (w - 1)
+    seen = set()
+    q, dev, model = _scripted_queue(w, 240)
+    for child in (2, 3):
+        words = [word for i in range(q.node_blocks) for word in dev.peek_block(q._addr(child) + i)]
+        nt, ns = words[0], words[1]
+        end = 2 + 3 * nt + 5 * ns
+        assert nt <= q.top_cap and ns <= q.sig_cap
+        assert words[end : -(-end // q.B) * q.B] == [0] * (-end % q.B)
+        entries = [tuple(words[i : i + 3]) for i in range(2, 2 + 3 * nt, 3)]
+        assert entries == sorted(entries, key=lambda e: (e[1], e[0], e[2]))
+        for key, word, ts in entries:
+            p, ts0, decs = model[key]
+            assert word - bias in [p] + decs and ts in (ts0, 0)
+        for i in range(2 + 3 * nt, end, 5):
+            seq, kind, key, word, ts = words[i : i + 5]
+            p, ts0, decs = model[key]
+            seen.add(kind)
+            if kind == S_INSERT:
+                assert (seq, word, ts) == (ts0, p + bias, ts0)
+            elif kind == S_PUSH:
+                assert word - bias in [p] + decs and ts in (ts0, 0)
+            elif kind == S_DEC:
+                assert word - bias in decs and ts == 0
+            else:
+                assert kind in (S_DEL, S_ERASE) and (word, ts) == (bias, 0)
+            assert 0 < seq <= q._seq
+    assert seen == {S_INSERT, S_DEC, S_DEL, S_ERASE, S_PUSH}
 
 
 def test_counter_limit_raises():
