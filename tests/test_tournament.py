@@ -127,7 +127,7 @@ def test_leaf_overflow_raises():
 
 
 def test_delete_rejects_keys_wider_than_words():
-    q, dev = make()
+    q, _ = make()
     for k in range(40):
         q.insert(k, 40 - k)
     for bad in (1 << 64, -1):
@@ -139,18 +139,20 @@ def test_delete_rejects_keys_wider_than_words():
     assert [q.extract_min() for _ in range(80)] == [(k, 40 - k) for k in range(79, -1, -1)]
 
 
-def _scripted_queue(w: int, n_ops: int):
-    """Run a fixed mix of ops with fresh keys and negative priorities at
-    B=16, M=256 and four leaves, then flush the root into both children.
-    Returns the queue, its device and each key's (insert priority, insert
-    timestamp, decrease priorities)."""
+@pytest.mark.parametrize("w", [64, 128])
+def test_node_layout_pinned(w):
+    # A node is [n_tops, n_sigs] + (key, prio + 2^(w-1), ts)* +
+    # (seq, kind, key, prio + 2^(w-1), ts)*, zero-padded to whole blocks.
+    # Delete and erase signals carry the word of priority 0.  A fixed mix of
+    # 240 ops with fresh keys over four leaves, then a forced root flush,
+    # leaves all five signal kinds in the two children's buffers.
     dev = Device(DeviceConfig(B=16, M=256, w=w))
     q = TournamentQueue(dev, n_hint=40, seed=0)
     assert q.K == 4
     rng = random.Random(1)
-    model: dict[int, tuple[int, int, list[int]]] = {}
+    model: dict[int, tuple[int, int, list[int]]] = {}  # key -> (priority, insert ts, decreases)
     live: dict[int, int] = {}
-    for key in range(n_ops):
+    for key in range(240):
         r = rng.random()
         if r < 0.5 or not live:
             p = rng.randrange(-1000, 1000)
@@ -171,17 +173,9 @@ def _scripted_queue(w: int, n_ops: int):
             k, _ = q.extract_min()
             del live[k]
     q._flush(q.ROOT, q._root)
-    return q, dev, model
 
-
-@pytest.mark.parametrize("w", [64, 128])
-def test_node_layout_pinned(w):
-    # A node is [n_tops, n_sigs] + (key, prio + 2^(w-1), ts)* +
-    # (seq, kind, key, prio + 2^(w-1), ts)*, zero-padded to whole blocks.
-    # Delete and erase signals carry the word of priority 0.
     bias = 1 << (w - 1)
     seen = set()
-    q, dev, model = _scripted_queue(w, 240)
     for child in (2, 3):
         words = [word for i in range(q.node_blocks) for word in dev.peek_block(q._addr(child) + i)]
         nt, ns = words[0], words[1]
