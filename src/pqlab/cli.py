@@ -1,9 +1,10 @@
 """Command-line front end for reproducible experiments.
 
-Subcommands: gen (materialize workloads), run (execute a workload on an
-instrumented queue; dk queues add their wrapper counters), stats (probe
-attribution and embedding selection over trials), comm (two-phase protocol
-runs), obs1 (singleton-bucket check), bench (probe envelope regression).
+Subcommands: gen (materialize tree workloads, or write a random one), run
+(execute a workload on an instrumented queue; dk queues add their wrapper
+counters), stats (probe attribution and embedding selection over trials),
+comm (two-phase protocol runs), obs1 (singleton-bucket check), bench (probe
+envelope regression).
 All randomness descends from the single --seed via numpy SeedSequence
 spawning; every CSV row carries the seed, the parameter set, and the
 package version.
@@ -94,6 +95,26 @@ def _write_rows(path, header, rows) -> None:
 
 
 def cmd_gen(args) -> int:
+    if args.variant == "random":
+        if args.n is None:
+            args.usage_error("--variant random needs --n")
+        universe = 1 << 20 if args.universe is None else args.universe
+        wl = make_random_workload(args.n, args.seed, universe=universe, profile=args.profile)
+    else:
+        if None in (args.beta, args.h, args.m):
+            args.usage_error(f"--variant {args.variant} needs --beta, --h and --m")
+        wl = _tree_workload(args)
+    write_workload(wl, args.out)
+    if args.jsonl:
+        write_workload_jsonl(wl, args.jsonl)
+    c = wl.counts()
+    print(f"workload {args.out}: variant={wl.variant} trees={wl.trees} universe={wl.universe}")
+    shape = f" (m*h*beta^h={wl.params.n_updates})" if wl.params else f" decreases={c['decrease']}"
+    print(f"inserts={c['insert']} deletes={c['delete']} extractmins={c['extractmin']}{shape}")
+    return 0
+
+
+def _tree_workload(args) -> Workload:
     params = _tree_params(args)
     if not params.strict and params.h < 8:
         print(f"note: h={params.h} is below the h>=8 regime; fine for desk-scale runs", file=sys.stderr)
@@ -103,27 +124,17 @@ def cmd_gen(args) -> int:
             "pass --universe (at least 2*m*h*beta^h)"
         )
     if args.variant == "basic" and args.trees == 1:
-        wl = materialize(params)
-    else:
-        seeds = np.random.SeedSequence(args.seed).spawn(args.trees)
-        parts = [
-            materialize(TreeParams(args.beta, args.h, args.m, int(s.generate_state(1)[0]),
-                                   universe_override=args.universe))
-            for s in seeds
-        ]
-        if args.variant == "no_spurious":
-            wl = transform_no_spurious(parts)
-        else:
-            ops = [op for part in parts for op in part.ops]
-            wl = Workload(params, "multi_tree", params.universe, args.seed, ops, trees=args.trees)
-    write_workload(wl, args.out)
-    if args.jsonl:
-        write_workload_jsonl(wl, args.jsonl)
-    c = wl.counts()
-    n = params.n_updates
-    print(f"workload {args.out}: variant={wl.variant} trees={wl.trees} universe={wl.universe}")
-    print(f"inserts={c['insert']} deletes={c['delete']} extractmins={c['extractmin']} (m*h*beta^h={n})")
-    return 0
+        return materialize(params)
+    seeds = np.random.SeedSequence(args.seed).spawn(args.trees)
+    parts = [
+        materialize(TreeParams(args.beta, args.h, args.m, int(s.generate_state(1)[0]),
+                               universe_override=args.universe))
+        for s in seeds
+    ]
+    if args.variant == "no_spurious":
+        return transform_no_spurious(parts)
+    ops = [op for part in parts for op in part.ops]
+    return Workload(params, "multi_tree", params.universe, args.seed, ops, trees=args.trees)
 
 
 DK_FIELDS = ("rebuilds", "stale_discards", "absent_decreases", "stale")
@@ -289,10 +300,10 @@ def build_parser() -> argparse.ArgumentParser:
     top.add_argument("--version", action="version", version=f"pqlab {__version__}")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def tree_args(p):
-        p.add_argument("--beta", type=int, required=True)
-        p.add_argument("--h", type=int, required=True)
-        p.add_argument("--m", type=int, required=True)
+    def tree_args(p, required=True):
+        p.add_argument("--beta", type=int, required=required)
+        p.add_argument("--h", type=int, required=required)
+        p.add_argument("--m", type=int, required=required)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--strict", action="store_true")
         p.add_argument("--universe", type=int, default=None,
@@ -304,12 +315,14 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--w", type=int, default=64, help="bits per word")
 
     p = sub.add_parser("gen", help="materialize a workload file")
-    tree_args(p)
-    p.add_argument("--variant", choices=("basic", "no_spurious", "multi_tree"), default="basic")
+    tree_args(p, required=False)  # not for --variant random
+    p.add_argument("--variant", choices=("basic", "no_spurious", "multi_tree", "random"), default="basic")
     p.add_argument("--trees", type=int, default=1)
+    p.add_argument("--n", type=int, default=None, help="ops of a random workload")
+    p.add_argument("--profile", default="mixed", help="op mix of a random workload")
     p.add_argument("--out", required=True)
     p.add_argument("--jsonl", default=None, help="also write a JSON-lines debug copy")
-    p.set_defaults(func=cmd_gen)
+    p.set_defaults(func=cmd_gen, usage_error=p.error)
 
     p = sub.add_parser("run", help="execute a workload on an instrumented queue")
     p.add_argument("--workload", required=True)

@@ -54,7 +54,7 @@ from dataclasses import dataclass, field
 from itertools import islice
 
 from ..errors import CapabilityError, ConfigError, DivergenceError, EncodingError
-from ..ops import DECREASE, DELETE, EXTRACTMIN, INSERT
+from ..ops import DECREASE, DELETE, EXTRACTMIN, INSERT, OP_NAMES
 
 ENTRY_WORDS = 3
 
@@ -136,6 +136,7 @@ class BufferedTree(PriorityQueueBase):
 
     ROOT: int
     ROOT_HEADER: int
+    NODE = Node  # the class of the empty node an unoccupied id reads as
 
     def __init__(self, device):
         self.device = device
@@ -173,7 +174,7 @@ class BufferedTree(PriorityQueueBase):
         if x == self.ROOT:
             return self._root
         if x not in self._occupied:
-            return Node()
+            return self.NODE()
         return self._read_node(x)
 
     def _store(self, x: int, node: Node) -> None:
@@ -258,22 +259,21 @@ def run_workload(queue, device, workload, check_answers: bool = True, lo: int = 
         structure=queue.name, B=cfg.B, M=cfg.M, w=cfg.w, n_ops=hi - lo,
         seed=getattr(workload, "seed", None),
     )
-    start = device.probe_count
+    log, set_context = device.log, device.set_context
+    probes = [0] * (max(OP_NAMES) + 1)  # per op kind
+    start = len(log)
     for idx, op in enumerate(islice(ops, lo, hi), lo):
-        device.set_context(idx, op.leaf_id)
-        before = device.probe_count
-        if op.kind == INSERT:
+        set_context(idx, op.leaf_id)
+        before = len(log)
+        kind = op.kind
+        if kind == INSERT:
             queue.insert(op.key, op.priority)
-            report.probes_insert += device.probe_count - before
-        elif op.kind == DELETE:
+        elif kind == DELETE:
             queue.delete(op.key)
-            report.probes_delete += device.probe_count - before
-        elif op.kind == DECREASE:
+        elif kind == DECREASE:
             queue.decrease_key(op.key, op.priority)
-            report.probes_decrease += device.probe_count - before
-        elif op.kind == EXTRACTMIN:
+        elif kind == EXTRACTMIN:
             key, priority = queue.extract_min()
-            report.probes_extractmin += device.probe_count - before
             report.extractions.append((key, priority))
             if check_answers and (key, priority) != (op.key, op.priority):
                 raise DivergenceError(
@@ -282,6 +282,9 @@ def run_workload(queue, device, workload, check_answers: bool = True, lo: int = 
                 )
         else:
             raise ValueError(f"unknown op kind {op.kind}")
+        probes[kind] += len(log) - before
     device.set_context(None, None)
-    report.probes_total = device.probe_count - start
+    report.probes_insert, report.probes_delete = probes[INSERT], probes[DELETE]
+    report.probes_extractmin, report.probes_decrease = probes[EXTRACTMIN], probes[DECREASE]
+    report.probes_total = len(log) - start
     return report

@@ -10,21 +10,26 @@ structures, the fields of the shared ``Node``:
 * ``buf`` -- a FIFO buffer of pending signals (insert, decrease, delete,
   erase, push) travelling toward the key's leaf.
 
-Operations append one signal at the root; buffers flush one level down when
-full, so a signal costs O(1/B) probes per level travelled.  ExtractMin pops
-the root's ``tops`` and refills it with child minima when empty.  Two rules
-keep the minima exact under lazy signals:
+Operations apply one signal at the root; a full buffer flushes one level
+down, each child applying its batch in order in one ``_apply``, so a signal
+costs O(1/B) probes per level travelled.  ExtractMin pops the root's
+``tops`` and refills it with child minima when empty.  Two rules keep the
+minima exact under lazy signals:
 
 * an arriving signal is matched against a node's ``tops`` before it may be
   buffered, so a signal never sinks below the record it targets;
 * a refill flushes the node's own buffer before pulling entries up, so a
   record never climbs past a signal aimed at it.
 
-A DecreaseKey that beats the local ``tops`` maximum adopts the decreased
-record in place and sends an ``erase`` signal chasing the obsolete copy
-below.  Deletes annihilate at the leaf when the key is absent, which gives
-the workload model's tolerant Delete.  DecreaseKey on an absent key is a
-contract violation the structure cannot detect; behavior is undefined.
+A subtree is bare while it holds nothing but its root's ``tops`` (empty
+buffer, no child that may hold entries): an insert or push joins ``tops``
+whatever its priority, and a decrease or delete that misses ``tops`` is
+spurious.  A batch tests this once, since only buffering a signal or
+evicting a push ends it.  A DecreaseKey that beats the local ``tops``
+maximum adopts the decreased record in place and sends an ``erase`` after
+the obsolete copy below.  Deletes annihilate at the leaf when the key is
+absent (the workload model's tolerant Delete).  DecreaseKey on an absent
+key is a contract violation the structure cannot detect: undefined.
 
 Every node, leaves included, is stored as ``[n_tops, n_sigs] + entries +
 sigs``: an entry as ``key, priority + 2^(w-1), timestamp`` and a signal as
@@ -33,13 +38,15 @@ no signals in a larger arena, so one pair of codecs reads and writes both.
 In memory, entries ``(priority word, key, timestamp)`` and signals already
 hold the stored priority word, so the codecs only slice; the bias 2^(w-1)
 is added in ``insert``/``decrease_key`` and removed in ``extract_min``, and
-delete and erase signals carry the word 2^(w-1) (priority 0).
+delete and erase signals carry the word 2^(w-1) (priority 0).  A ``TNode``
+also holds ``keys``, the set of its ``tops`` keys (decoded from the key
+column, then kept in step), so a signal that misses ``tops`` costs one
+lookup, not a scan.
 
 The amortized cost target is O((1/B) log2 N) probes per operation, asserted
 as a measured regression bound.  Resident state (root node, occupancy
 bitmaps, counter), its memory image and the M-word audit live in
-``base.BufferedTree``; the root words are the root's node layout.
-Transient flush working sets are simulated in host memory and not charged.
+``base.BufferedTree``.  Flush working sets are host memory, not charged.
 """
 
 from __future__ import annotations
@@ -69,12 +76,22 @@ def _splitmix64(v: int) -> int:
     return v ^ (v >> 31)
 
 
+class TNode(Node):
+    """A tournament node; ``keys`` is the set of keys in ``tops``."""
+    __slots__ = ("keys",)
+
+    def __init__(self, tops=None, buf=None, keys=None):
+        super().__init__(tops, buf)
+        self.keys = {e[1] for e in self.tops} if keys is None else keys
+
+
 class TournamentQueue(BufferedTree):
     supports_decrease_key = True
     supports_delete = True
     name = "tournament"
     ROOT = 1
     ROOT_HEADER = 2
+    NODE = TNode
 
     def __init__(self, device, n_hint: int = 1 << 14, seed: int = 0, node_blocks: int = 4):
         super().__init__(device)
@@ -120,7 +137,7 @@ class TournamentQueue(BufferedTree):
             return self._leaf_base + (x - self.K) * self.leaf_blocks
         return (x - 1) * self.node_blocks
 
-    def _read_node(self, x: int) -> Node:
+    def _read_node(self, x: int) -> TNode:
         base = self._addr(x)
         words = list(self.device.read_block(base))
         n_words = 2 + ENTRY_WORDS * words[0] + SIG_WORDS * words[1]
@@ -141,11 +158,12 @@ class TournamentQueue(BufferedTree):
         for addr, block in enumerate(blocks, self._addr(x)):
             write(addr, block)
 
-    def _node_from_words(self, words: list[int]) -> Node:
+    def _node_from_words(self, words: list[int]) -> TNode:
         """Decode the ``[n_tops, n_sigs] + entries + sigs`` node layout."""
         p = 2 + ENTRY_WORDS * words[0]
         it = iter(words[p : p + SIG_WORDS * words[1]])
-        return Node(list(zip(words[3:p:3], words[2:p:3], words[4:p:3])), list(zip(it, it, it, it, it)))
+        keys = words[2:p:3]
+        return TNode(list(zip(words[3:p:3], keys, words[4:p:3])), list(zip(it, it, it, it, it)), set(keys))
 
     def _node_words(self, node: Node) -> list[int]:
         tops = node.tops
@@ -164,54 +182,44 @@ class TournamentQueue(BufferedTree):
 
     # -- signal machinery -----------------------------------------------------------
 
-    def _evict_if_over(self, node: Node) -> None:
-        if len(node.tops) > self.top_cap:
-            p, k, ts = node.tops.pop()
-            node.buf.append((self._bump(), S_PUSH, k, p, ts))
-
-    def _apply_internal(self, x: int, node: Node, sig) -> None:
-        seq, kind, key, prio, ts = sig
-        tops = node.tops
-        if kind == S_INSERT or kind == S_PUSH:
-            entry = (prio, key, ts)
-            # Accept into tops when it provably belongs to the subtree minima:
-            # either it beats the current maximum, or the subtree holds
-            # nothing else at all.
-            if (tops and entry < tops[-1]) or (not node.buf and not self._below_maybe(x)):
-                bisect.insort(tops, entry)
-                self._evict_if_over(node)
-            else:
-                node.buf.append(sig)
-            return
-        if kind == S_DEC:
-            for i, (p, k, t0) in enumerate(tops):
-                if k == key:
-                    if prio < p:
-                        del tops[i]
-                        bisect.insort(tops, (prio, key, t0))
-                    return
-            if not node.buf and not self._below_maybe(x):
-                return  # key is nowhere in this subtree: spurious decrease
-            cand = (prio, key, 0)
-            if tops and cand < tops[-1]:
+    def _apply(self, x: int, node: TNode, sigs) -> None:
+        """Apply signals, in order, to internal node x."""
+        tops, buf, keys, insort = node.tops, node.buf, node.keys, bisect.insort
+        bare = not buf and not self._below_maybe(x)  # the subtree holds nothing but tops
+        for sig in sigs:
+            seq, kind, key, prio, ts = sig
+            if kind == S_INSERT or kind == S_PUSH:
+                entry = (prio, key, ts)
+                # It provably belongs to the subtree minima: bare, or below the maximum.
+                if bare or (tops and entry < tops[-1]):
+                    insort(tops, entry)
+                    keys.add(key)
+                else:
+                    buf.append(sig)
+                    bare = False
+            elif key in keys:
+                i = [e[1] for e in tops].index(key)
+                if kind != S_DEC:  # S_DEL and S_ERASE remove the record and stop
+                    del tops[i]
+                    keys.discard(key)
+                elif prio < tops[i][0]:
+                    insort(tops, (prio, key, tops.pop(i)[2]))
+            elif bare:  # the key is nowhere in this subtree: a spurious decrease or delete
+                if kind == S_ERASE:
+                    raise AssertionError(f"erase lost its target record for key {key}")
+            elif kind == S_DEC and tops and (prio, key, 0) < tops[-1]:
                 # The key's record sits below with a larger priority; adopt the
                 # decreased record here and chase the stale copy with an erase.
-                bisect.insort(tops, cand)
-                node.buf.append((self._bump(), S_ERASE, key, self._prio_bias, 0))
-                self._evict_if_over(node)
+                insort(tops, (prio, key, 0))
+                keys.add(key)
+                buf.append((self._bump(), S_ERASE, key, self._prio_bias, 0))
             else:
-                node.buf.append(sig)
-            return
-        # S_DEL and S_ERASE remove the first matching record and stop.
-        for i, (p, k, t0) in enumerate(tops):
-            if k == key:
-                del tops[i]
-                return
-        if not node.buf and not self._below_maybe(x):
-            if kind == S_ERASE:
-                raise AssertionError(f"erase lost its target record for key {key}")
-            return
-        node.buf.append(sig)
+                buf.append(sig)
+            if len(tops) > self.top_cap:
+                p, k, t0 = tops.pop()
+                keys.discard(k)
+                buf.append((self._bump(), S_PUSH, k, p, t0))
+                bare = False
 
     def _apply_leaf_batch(self, x: int, sigs) -> None:
         bykey = {k: (p, k, ts) for (p, k, ts) in self._load(x).tops}
@@ -230,9 +238,9 @@ class TournamentQueue(BufferedTree):
                 if key not in bykey:
                     raise AssertionError(f"erase found no record for key {key} at leaf {x}")
                 del bykey[key]
-        self._store(x, Node(sorted(bykey.values())))
+        self._store(x, TNode(sorted(bykey.values())))
 
-    def _flush(self, x: int, node: Node) -> None:
+    def _flush(self, x: int, node: TNode) -> None:
         sigs = node.buf
         node.buf = []
         lchild = 2 * x
@@ -252,14 +260,13 @@ class TournamentQueue(BufferedTree):
                 self._apply_leaf_batch(child, batch)
                 continue
             cnode = self._load(child)
-            for sig in batch:
-                self._apply_internal(child, cnode, sig)
+            self._apply(child, cnode, batch)
             if len(cnode.buf) > self.sig_cap:
                 self._flush(child, cnode)
             self._store(child, cnode)
         self._refresh_maybe(x, node)
 
-    def _refill(self, x: int, node: Node) -> None:
+    def _refill(self, x: int, node: TNode) -> None:
         """Fill node.tops with its subtree's minima; own buffer flushed first."""
         if node.buf:
             self._flush(x, node)
@@ -279,8 +286,9 @@ class TournamentQueue(BufferedTree):
             if best is None:
                 break
             taken.append(best[1].tops.pop(0))
+            best[1].keys.discard(taken[-1][1])
             best[2] = True
-        node.tops = taken
+        node.tops, node.keys = taken, {e[1] for e in taken}
         for c, st, dirty in sources:
             if dirty:
                 self._store(c, st)
@@ -297,19 +305,19 @@ class TournamentQueue(BufferedTree):
     def insert(self, key: int, priority: int) -> None:
         check_entry(key, priority, self.w)
         seq = self._bump()
-        self._apply_internal(self.ROOT, self._root, (seq, S_INSERT, key, priority + self._prio_bias, seq))
+        self._apply(self.ROOT, self._root, ((seq, S_INSERT, key, priority + self._prio_bias, seq),))
         self._after_root_op()
 
     def decrease_key(self, key: int, priority: int) -> None:
         check_entry(key, priority, self.w)
         seq = self._bump()
-        self._apply_internal(self.ROOT, self._root, (seq, S_DEC, key, priority + self._prio_bias, 0))
+        self._apply(self.ROOT, self._root, ((seq, S_DEC, key, priority + self._prio_bias, 0),))
         self._after_root_op()
 
     def delete(self, key: int) -> None:
         check_entry(key, 0, self.w)
         seq = self._bump()
-        self._apply_internal(self.ROOT, self._root, (seq, S_DEL, key, self._prio_bias, 0))
+        self._apply(self.ROOT, self._root, ((seq, S_DEL, key, self._prio_bias, 0),))
         self._after_root_op()
 
     def extract_min(self) -> tuple[int, int]:
@@ -319,5 +327,6 @@ class TournamentQueue(BufferedTree):
             if not root.tops:
                 raise EmptyQueueError("extract from empty queue")
         word, key, _ = root.tops.pop(0)
+        root.keys.discard(key)
         self._refresh_maybe(self.ROOT, root)
         return key, word - self._prio_bias

@@ -8,7 +8,7 @@ from pqlab import Device, DeviceConfig, cli
 from pqlab.cli import DK_FIELDS, main, make_queue
 from pqlab.ops import DECREASE, DELETE, EXTRACTMIN, INSERT, Op
 from pqlab.pq.base import run_workload
-from pqlab.workload import Workload, read_workload, write_workload
+from pqlab.workload import Workload, make_random_workload, read_workload, write_workload
 
 
 def test_gen_property1_counts(tmp_path, capsys):
@@ -257,3 +257,27 @@ def test_rows_carry_seed_and_version(tmp_path):
     # the workload's generation seed and the queue's hash seed, told apart
     assert rows[0]["seed"] == "3"
     assert rows[0]["hash_seed"] == "5"
+
+
+def test_gen_random_variant_replays_decrease_traffic(tmp_path, capsys):
+    wl = tmp_path / "wl.bin"
+    argv = ["gen", "--variant", "random", "--profile", "mixed", "--n", "3000", "--seed", "4",
+            "--universe", "5000", "--out", str(wl)]
+    assert main(argv) == 0
+    work = read_workload(wl)
+    assert work.ops == make_random_workload(3000, 4, universe=5000, profile="mixed").ops
+    assert (work.variant, work.universe, work.seed) == ("random", 5000, 4)
+    assert f"decreases={work.counts()['decrease']}" in capsys.readouterr().out
+    assert work.counts()["decrease"] > 0
+    # run checks every ExtractMin answer against the transcript and exits 2 on a divergence
+    for queue in ("tournament", "dk_buffered_heap"):
+        rep = tmp_path / f"{queue}.csv"
+        assert main(["run", "--workload", str(wl), "--queue", queue, "--b", "16", "--mem", "256",
+                     "--out", str(rep)]) == 0
+        row = list(csv.DictReader(open(rep)))[0]
+        assert int(row["probes_decrease"]) > 0 and row["N"] == "3000"
+
+    with pytest.raises(SystemExit) as exc:
+        main(["gen", "--variant", "random", "--out", str(wl)])
+    assert exc.value.code == 2
+    assert "--variant random needs --n" in capsys.readouterr().err

@@ -333,3 +333,58 @@ def test_probe_envelope_mixed():
     run_workload(TournamentQueue(dev, n_hint=n, seed=0), dev, wl)
     bound = 20 * (n / B) * math.log2(n)
     assert dev.probe_count <= bound
+
+
+def test_key_index_matches_tops():
+    # Every node keeps the set of keys in its tops; check it at every store
+    # and at the root after every op of a mixed run with constant flushing.
+    wl = make_random_workload(2000, 29, universe=150, profile="mixed")
+    dev = Device(DeviceConfig(B=8, M=96, w=64))
+    q = TournamentQueue(dev, n_hint=256, seed=5, node_blocks=3)
+    store, stored = q._store, set()
+
+    def checked_store(x, node):
+        assert node.keys == {e[1] for e in node.tops}, f"node {x}"
+        stored.add(x)
+        store(x, node)
+
+    q._store = checked_store
+    for i in range(len(wl.ops)):
+        run_workload(q, dev, wl, lo=i, hi=i + 1)
+        assert q._root.keys == {e[1] for e in q._root.tops}
+    assert any(q._is_leaf(x) for x in stored) and any(not q._is_leaf(x) for x in stored)
+    for x in q._occupied:
+        node = q._load(x)
+        assert node.keys == {e[1] for e in node.tops}
+
+
+def test_batch_buffers_after_evicting_from_bare_child():
+    # Child 2 holds five tops and nothing else, so its subtree is bare.  One
+    # forced root flush then sends it four inserts: two fill its tops to
+    # top_cap, the third overflows them and evicts a push, and the fourth,
+    # above every top, must now be buffered behind that push.
+    dev = Device(DeviceConfig(B=16, M=256, w=64))
+    q = TournamentQueue(dev, n_hint=40, seed=0)
+    assert (q.K, q.top_cap) == (4, 7)
+    k = [key for key in range(100, 200) if not (key * q._mult) & (1 << 63)][:9]  # routed to child 2
+    for key in range(7):
+        q.insert(key, key)  # seq 1-7, they fill the root's tops
+    for key, p in zip(k, (50, 40, 30, 20, 10)):
+        q.insert(key, p)  # seq 8 evicts itself as a push (seq 9), seq 10-13 are buffered
+    q._flush(q.ROOT, q._root)
+    for key, p in zip(k[5:], (15, 25, 35, 100)):
+        q.insert(key, p)  # seq 14-17, buffered at the root
+    q._flush(q.ROOT, q._root)
+    assert q._occupied == {2}
+
+    bias = 1 << 63
+    tops = [(k[4], 10, 13), (k[5], 15, 14), (k[3], 20, 12), (k[6], 25, 15), (k[2], 30, 11),
+            (k[7], 35, 16), (k[1], 40, 10)]
+    sigs = [(18, S_PUSH, k[0], 50, 8), (17, S_INSERT, k[8], 100, 17)]
+    want = [7, 2]
+    for key, p, ts in tops:
+        want += [key, p + bias, ts]
+    for seq, kind, key, p, ts in sigs:
+        want += [seq, kind, key, p + bias, ts]
+    words = [word for i in range(q.node_blocks) for word in dev.peek_block(q._addr(2) + i)]
+    assert words == want + [0] * (q.node_blocks * q.B - len(want))

@@ -8,9 +8,11 @@ WORKLOAD --seed SEED --seconds S`` PAIRS times on each revision, each
 revision from its own ``git archive`` checkout and with the same benchmark
 code it commits.  Pair i runs the base first when i is even and the change
 first when it is odd.  The file records every run's end-to-end metrics and
-witness digest, each side's median and quartiles, how many pairs the change
-won under BENCHMARK.json's ``better`` direction, both commits, the git tree
-of each side's ``src/`` and the exact commands.
+witness digest, whether all the digests of a ``--run`` agree
+(``witness_equal``; a warning goes to stderr when they do not), each side's
+median and quartiles, how many pairs the change won under BENCHMARK.json's
+``better`` direction, both commits, the git tree of each side's ``src/`` and
+the exact commands.
 """
 
 from __future__ import annotations
@@ -108,9 +110,13 @@ def main() -> int:
                     print(f"{workload} seed={seed} pair={i} {side}: pass_s="
                           f"{pair[side]['metrics']['pass_s']:.4f}", file=sys.stderr, flush=True)
                 pairs.append(pair)
+            witness_equal = len({p[side]["digest"] for p in pairs for side in revs}) == 1
+            if not witness_equal:
+                print(f"warning: {workload} seed={seed}: witness digests differ between runs",
+                      file=sys.stderr, flush=True)
             runs.append({"workload": workload, "seed": seed, "seconds": args.seconds,
                          "command": " ".join(bench_command(workload, seed, args.seconds)),
-                         "pairs": pairs, "summary": compare(pairs, better)})
+                         "witness_equal": witness_equal, "pairs": pairs, "summary": compare(pairs, better)})
     bench = {"label": args.label, "command": " ".join(["python3", "tools/bench_pairs.py", *sys.argv[1:]]),
              "revisions": revs, "runs": runs}
     out = ROOT / f"BENCH_{args.label}.json"
