@@ -87,7 +87,7 @@ class ReducedQueue(PriorityQueueBase):
     # -- operations -----------------------------------------------------------
 
     def insert(self, key: int, priority: int) -> None:
-        if self.is_live(key):
+        if key in self._live:
             raise DuplicateKeyError(f"key {key} is already live")
         self._put(key, priority)
         self._maybe_rebuild()
@@ -100,7 +100,7 @@ class ReducedQueue(PriorityQueueBase):
 
     def decrease_key(self, key: int, priority: int) -> None:
         c = self._next_op()
-        if not self.is_live(key):
+        if key not in self._live:
             self.absent_decreases += 1
         self.base.insert(self._aug(key, c), priority)
         self._stale += 1  # the key's older entry, or this one if the key is absent
@@ -132,14 +132,14 @@ class ReducedQueue(PriorityQueueBase):
             return key, priority
 
     def delete(self, key: int) -> None:
-        if not self.is_live(key):
+        if key not in self._live:
             self._next_op()
             self._maybe_rebuild()
             return
         self.delete_key(key)
 
     def delete_key(self, key: int) -> None:
-        if not self.is_live(key):
+        if key not in self._live:
             raise KeyError(f"Delete on absent key {key}")
         self.decrease_key(key, self._delete_sentinel)
         key_out, _ = self.extract_min()

@@ -31,9 +31,10 @@ from a snapshot can run the tail of the same workload.
 
 On-disk queues store an entry ``(priority, key, timestamp)`` as three w-bit
 words ``key, priority + 2^(w-1), timestamp``; ``check_entry`` checks that
-an entry fits.  The heap and the oracle image convert entries with
-``encode_entries``/``decode_entries``; the tournament keeps them in memory
-as stored words.
+an entry fits.  In memory, the heap and the tournament hold an entry as its
+stored words ``(priority + 2^(w-1), key, timestamp)``, which order as the
+entries do, so no codec converts one; ``entry_words``/``word_entries``
+only reorder words, and the oracle's image uses them unbiased.
 
 ``BufferedTree`` is the resident half of both external queues (the buffered
 heap and the tournament).  It owns the M-word memory: an operation counter
@@ -68,15 +69,18 @@ def check_entry(key: int, priority: int, w: int) -> None:
         raise EncodingError(f"priority {priority} does not fit in {w}-bit words")
 
 
-def encode_entries(entries, bias: int) -> list[int]:
-    """Pack (priority, key, timestamp) entries as key, priority + bias, timestamp."""
-    return [word for p, k, ts in entries for word in (k, p + bias, ts)]
+def entry_words(entries) -> list[int]:
+    """Lay (priority word, key, timestamp) entries out as key, priority word, timestamp."""
+    words = [0] * (ENTRY_WORDS * len(entries))
+    if entries:
+        words[1::3], words[0::3], words[2::3] = zip(*entries)
+    return words
 
 
-def decode_entries(words: list[int], lo: int, n: int, bias: int) -> list[tuple[int, int, int]]:
-    """The n entries packed from word lo, as (priority, key, timestamp)."""
+def word_entries(words: list[int], lo: int, n: int) -> list[tuple[int, int, int]]:
+    """The n entries laid out from word lo, as (priority word, key, timestamp)."""
     span = words[lo : lo + ENTRY_WORDS * n]
-    return [(p - bias, k, ts) for k, p, ts in zip(span[0::3], span[1::3], span[2::3])]
+    return list(zip(span[1::3], span[0::3], span[2::3]))
 
 
 def pack_ids(ids, n: int, w: int) -> list[int]:
@@ -247,7 +251,7 @@ def run_workload(queue, device, workload, check_answers: bool = True, lo: int = 
     Every ExtractMin record carries its answer, and the answers act as the
     oracle transcript; any divergence aborts with a diagnostic naming the
     absolute op index.  Probe counts are aggregated per operation class from
-    the device log delta.
+    the device log delta.  The device context is reset on every exit.
     """
     ops = workload.ops
     hi = len(ops) if hi is None else hi
@@ -260,30 +264,32 @@ def run_workload(queue, device, workload, check_answers: bool = True, lo: int = 
         seed=getattr(workload, "seed", None),
     )
     log, set_context = device.log, device.set_context
+    insert, extract_min, decrease_key, delete = queue.insert, queue.extract_min, queue.decrease_key, queue.delete
     probes = [0] * (max(OP_NAMES) + 1)  # per op kind
     start = len(log)
-    for idx, op in enumerate(islice(ops, lo, hi), lo):
-        set_context(idx, op.leaf_id)
-        before = len(log)
-        kind = op.kind
-        if kind == INSERT:
-            queue.insert(op.key, op.priority)
-        elif kind == DELETE:
-            queue.delete(op.key)
-        elif kind == DECREASE:
-            queue.decrease_key(op.key, op.priority)
-        elif kind == EXTRACTMIN:
-            key, priority = queue.extract_min()
-            report.extractions.append((key, priority))
-            if check_answers and (key, priority) != (op.key, op.priority):
-                raise DivergenceError(
-                    f"op {idx} (leaf {op.leaf_id}): {queue.name} extracted "
-                    f"({key},{priority}), oracle transcript says ({op.key},{op.priority})"
-                )
-        else:
-            raise ValueError(f"unknown op kind {op.kind}")
-        probes[kind] += len(log) - before
-    device.set_context(None, None)
+    try:
+        for idx, (kind, key, priority, leaf_id) in enumerate(islice(ops, lo, hi), lo):
+            set_context(idx, leaf_id)
+            before = len(log)
+            if kind == INSERT:
+                insert(key, priority)
+            elif kind == EXTRACTMIN:
+                got = extract_min()
+                report.extractions.append(got)
+                if check_answers and got != (key, priority):
+                    raise DivergenceError(
+                        f"op {idx} (leaf {leaf_id}): {queue.name} extracted "
+                        f"({got[0]},{got[1]}), oracle transcript says ({key},{priority})"
+                    )
+            elif kind == DECREASE:
+                decrease_key(key, priority)
+            elif kind == DELETE:
+                delete(key)
+            else:
+                raise ValueError(f"unknown op kind {kind}")
+            probes[kind] += len(log) - before
+    finally:
+        set_context(None, None)
     report.probes_insert, report.probes_delete = probes[INSERT], probes[DELETE]
     report.probes_extractmin, report.probes_decrease = probes[EXTRACTMIN], probes[DECREASE]
     report.probes_total = len(log) - start

@@ -17,27 +17,39 @@ proved.
 Node arena layout: block 0 opens with [n_tops, n_pending, round_robin,
 tops_offset, max_key, max_prio, max_ts, 0]; the sorted tops region follows
 the header, the pending region sits behind it at a fixed offset, entries
-packed 3 words each.  Two access paths keep probes near the batching lower
-bound: tops are consumed front-first by bumping ``tops_offset`` (a refill
-reads only blocks it merges from and writes one header block per consumed
-child), and a flush whose batch provably misses the child's tops appends to
-the pending region without reading the rest of the node.  In-memory
-occupancy bitmaps say which arenas mean anything, making ``clear()`` free.
-Resident state, its memory image and the M-word audit live in
-``base.BufferedTree``: the root words are ``[live, rr, n_tops]`` followed
-by the root's tops and pending entries.  Transient merge scratch is
-simulated in host memory and not charged.
+packed 3 words each as ``key, priority + 2^(w-1), timestamp``.  In memory an
+entry is already its stored words, ``(priority + 2^(w-1), key, timestamp)``,
+which order as the entries do: ``insert`` adds the bias, ``extract_min``
+removes it, and the node codecs, the header's tops maximum and the cursor
+heads only reorder words.  Two access paths keep probes near the batching
+lower bound: tops are consumed front-first by bumping ``tops_offset`` (a
+refill reads only blocks it merges from and writes one header block per
+consumed child), and a flush whose batch provably misses the child's tops
+appends to the pending region without reading the rest of the node.
+In-memory occupancy bitmaps say which arenas mean anything, making
+``clear()`` free.  Resident state, its memory image and the M-word audit
+live in ``base.BufferedTree``: the root words are ``[live, rr, n_tops]``
+followed by the root's tops and pending entries.  Transient merge scratch
+is simulated in host memory and not charged.
+
+A flushed batch that enters a loaded node is sorted and split at the tops
+maximum: the entries below it join tops, which never moves the maximum,
+and the rest go to pending in order.  ``insert`` applies the same rule to
+its one entry at the root.
 
 A refill merges its children with a heap keyed by ``(head, child index)``.
 Each cursor decodes its head entry once and keeps it until the entry is
 popped, so a refill that takes c entries from f children decodes about
-c + f heads rather than c * f.  The probe sequence is part of the output and
-must not depend on that bookkeeping, so the merge keeps the read order of a
-full rescan: the first round evaluates every cursor in child order
-(promoting and recursively refilling a child whose tops ran dry), after that
-only the popped cursor is evaluated again, and only while the node still
-wants entries.  A head is decoded priority word first, so when an entry
-straddles two unread blocks the later block is probed before the earlier.
+c + f heads rather than c * f.  Taking an entry is one cursor call,
+``pop_next``, which decodes the next head in place when it follows the
+current one inside the same block.  The probe sequence is part of the
+output and must not depend on that bookkeeping, so the merge keeps the
+read order of a full rescan: the first round evaluates every cursor in
+child order (promoting and recursively refilling a child whose tops ran
+dry), after that only the popped cursor is evaluated again, and only while
+the node still wants entries.  A head is decoded priority word first, so
+when an entry straddles two unread blocks the later block is probed before
+the earlier.
 """
 
 from __future__ import annotations
@@ -46,7 +58,7 @@ import bisect
 import heapq
 
 from ..errors import ConfigError, EmptyQueueError, StructureOverflowError
-from .base import ENTRY_WORDS, BufferedTree, Node, check_entry, decode_entries, encode_entries
+from .base import ENTRY_WORDS, BufferedTree, Node, check_entry, entry_words, word_entries
 
 HEADER_WORDS = 8
 LEAF_TOPS_FACTOR = 4
@@ -55,15 +67,17 @@ LEAF_TOPS_FACTOR = 4
 class _Cursor:
     """Lazy front-consumption of one child's sorted tops region.
 
-    The decoded head entry is cached until ``pop`` consumes it, so each entry
-    is decoded, and each of its blocks read, exactly once.
+    The decoded head entry is cached until ``pop`` or ``pop_next`` consumes
+    it, so each entry is decoded, and each of its blocks read, exactly once.
     """
 
-    __slots__ = ("owner", "x", "blocks", "n_tops", "n_pending", "off", "eaten", "mode", "full", "_head")
+    __slots__ = ("owner", "x", "B", "blocks", "n_tops", "n_pending", "off", "eaten", "mode", "full", "_head",
+                 "_blk", "_i")
 
     def __init__(self, owner: "BufferedHeap", x: int):
         self.owner = owner
         self.x = x
+        self.B = owner.B
         words0 = owner._read_block_of(x, 0)
         self.blocks = {0: words0}
         self.n_tops, self.n_pending, _, self.off = words0[:4]
@@ -71,6 +85,7 @@ class _Cursor:
         self.mode = "clean"  # clean | consumed | full
         self.full: Node | None = None
         self._head: tuple[int, int, int] | None = None
+        self._blk, self._i = words0, self.B  # the head's block and word index, if it lies in one
 
     def _block(self, b: int) -> list[int]:
         blk = self.blocks.get(b)
@@ -87,43 +102,55 @@ class _Cursor:
         if self.eaten >= self.n_tops:
             return None
         pos = HEADER_WORDS + ENTRY_WORDS * (self.off + self.eaten)
-        B = self.owner.B
+        B = self.B
         b, i = divmod(pos, B)
         if i + ENTRY_WORDS <= B:
-            blk = self._block(b)
-            key, prio, ts = blk[i], blk[i + 1], blk[i + 2]
+            blk = self._blk = self._block(b)
+            self._i = i
+            self._head = (blk[i + 1], blk[i], blk[i + 2])
         else:
             # The entry straddles two blocks; the priority word is read
             # first, so the later block may be probed before the earlier.
             prio = self._block((pos + 1) // B)[(pos + 1) % B]
             key = self._block(b)[i]
             ts = self._block((pos + 2) // B)[(pos + 2) % B]
-        self._head = (prio - self.owner._prio_bias, key, ts)
+            self._head = (prio, key, ts)
+            self._i = B
         return self._head
 
-    def pop(self) -> tuple[int, int, int]:
+    def pop(self) -> None:
+        """Consume the head entry, which the caller already holds."""
         if self.mode == "full":
-            return self.full.tops.pop(0)
-        entry = self.head()
+            del self.full.tops[0]
+            return
         self._head = None
         self.eaten += 1
         self.mode = "consumed"
-        return entry
+
+    def pop_next(self) -> tuple[int, int, int] | None:
+        """Consume the head entry and return the next one, as ``next_head`` would; an
+        entry that follows it in the same block is decoded in place."""
+        if self.mode == "full":
+            self.pop()
+            return self.head()
+        self.eaten += 1
+        self.mode = "consumed"
+        i = self._i + ENTRY_WORDS
+        if i + ENTRY_WORDS <= self.B and self.eaten < self.n_tops:
+            blk = self._blk
+            self._i = i
+            self._head = head = (blk[i + 1], blk[i], blk[i + 2])
+            return head
+        self._head = None
+        return self.next_head()
 
     def next_head(self) -> tuple[int, int, int] | None:
         """The head entry, first refilling the child from below if it ran dry."""
         head = self.head()
-        if head is None and self.exhausted_with_more_below():
+        if head is None and self.mode != "full" and (self.n_pending or self.owner._below_maybe(self.x)):
             self.owner._refill(self.x, self.promote())
             head = self.head()
         return head
-
-    def exhausted_with_more_below(self) -> bool:
-        if self.mode == "full":
-            return False
-        if self.eaten < self.n_tops:
-            return False
-        return self.n_pending > 0 or self.owner._below_maybe(self.x)
 
     def promote(self) -> Node:
         """Switch to a fully loaded node for recursive refilling."""
@@ -194,11 +221,8 @@ class BufferedHeap(BufferedTree):
             return x * self._internal_blocks
         return self.first_leaf * self._internal_blocks + (x - self.first_leaf) * self._leaf_blocks
 
-    def _tops_cap(self, x: int) -> int:
-        return self.leaf_tops_cap if self._is_leaf(x) else self.cap
-
     def _pending_base(self, x: int) -> int:
-        return HEADER_WORDS + ENTRY_WORDS * self._tops_cap(x)
+        return HEADER_WORDS + ENTRY_WORDS * (self.leaf_tops_cap if self._is_leaf(x) else self.cap)
 
     # -- node I/O ---------------------------------------------------------------
 
@@ -223,8 +247,7 @@ class BufferedHeap(BufferedTree):
         words = [0] * ((max(cache) + 1) * B)
         for b, blk in cache.items():
             words[b * B : (b + 1) * B] = blk
-        bias = self._prio_bias
-        return Node(decode_entries(words, lo, n_tops, bias), decode_entries(words, pb, n_pending, bias), rr)
+        return Node(word_entries(words, lo, n_tops), word_entries(words, pb, n_pending), rr)
 
     def _write_node(self, x: int, node: Node) -> None:
         pb = self._pending_base(x)
@@ -232,10 +255,10 @@ class BufferedHeap(BufferedTree):
         p_end = pb + ENTRY_WORDS * len(node.buf)
         words = [0] * (self._blocks_for(max(t_end, p_end)) * self.B)
         words[0], words[1], words[2], words[3] = len(node.tops), len(node.buf), node.rr, 0
+        words[HEADER_WORDS:t_end] = entry_words(node.tops)
         if node.tops:
-            words[4:7] = encode_entries(node.tops[-1:], self._prio_bias)
-        words[HEADER_WORDS:t_end] = encode_entries(node.tops, self._prio_bias)
-        words[pb:p_end] = encode_entries(node.buf, self._prio_bias)
+            words[4:7] = words[t_end - ENTRY_WORDS : t_end]  # the tops maximum
+        words[pb:p_end] = entry_words(node.buf)
         touched = set(range(0, (t_end - 1) // self.B + 1))
         if node.buf:
             touched.update(range(pb // self.B, (p_end - 1) // self.B + 1))
@@ -245,28 +268,32 @@ class BufferedHeap(BufferedTree):
 
     # -- arrival and flush ---------------------------------------------------------
 
-    def _absorb(self, x: int, node: Node, incoming: list[tuple[int, int, int]]) -> None:
-        """Merge arriving entries into tops where provable, else into pending."""
+    def _absorb(self, x: int, node: Node, batch: list[tuple[int, int, int]]) -> None:
+        """Split a sorted batch at the tops maximum into tops and pending (module docstring)."""
         tops = node.tops
-        if not tops and not node.buf and not self._below_maybe(x):
-            node.tops = sorted(incoming)
+        if tops:
+            cut = bisect.bisect_left(batch, tops[-1])
+            for e in batch[:cut]:
+                bisect.insort(tops, e)
+            node.buf += batch[cut:]
+        elif node.buf or self._below_maybe(x):
+            node.buf += batch
         else:
-            for e in sorted(incoming):
-                if tops and e < tops[-1]:
-                    bisect.insort(tops, e)
-                else:
-                    node.buf.append(e)
-        cap_t = self._tops_cap(x)
+            node.tops = list(batch)
         if self._is_leaf(x):
             if node.buf:
                 node.tops = list(heapq.merge(node.tops, sorted(node.buf)))
                 node.buf = []
-            if len(node.tops) > cap_t:
+            if len(node.tops) > self.leaf_tops_cap:
                 raise StructureOverflowError(
                     f"leaf {x} overflow ({len(node.tops)} entries); construct with a larger n_hint"
                 )
             return
-        while len(node.tops) > cap_t:
+        self._spill(x, node)
+
+    def _spill(self, x: int, node: Node) -> None:
+        """Move internal node x's tops overflow to pending, and flush pending when full."""
+        while len(node.tops) > self.cap:
             node.buf.append(node.tops.pop())
         if len(node.buf) > self.cap:
             self._flush(x, node)
@@ -278,7 +305,7 @@ class BufferedHeap(BufferedTree):
         node.rr = (node.rr + 1) % self.fanout
         if not self._lazy_append(child, moved):
             cnode = self._load(child)
-            self._absorb(child, cnode, moved)
+            self._absorb(child, cnode, sorted(moved))
             self._store(child, cnode)
         self._refresh_maybe(x, node)
 
@@ -299,11 +326,8 @@ class BufferedHeap(BufferedTree):
             # Arrivals may enter tops only when the whole subtree is empty.
             if n_pending == 0 and not self._below_maybe(child):
                 return False
-        else:
-            bias = self._prio_bias
-            max_top = (words0[5] - bias, words0[4], words0[6])
-            if min(moved) < max_top:
-                return False
+        elif min(moved) < (words0[5], words0[4], words0[6]):  # below the tops maximum
+            return False
         if self._is_leaf(child) and n_tops + n_pending + len(moved) > self.leaf_tops_cap:
             return False
         pb = self._pending_base(child)
@@ -317,7 +341,7 @@ class BufferedHeap(BufferedTree):
         base_word = first * self.B
         if first in cache:
             span[: self.B] = cache[first]
-        span[lo - base_word : hi - base_word] = encode_entries(moved, self._prio_bias)
+        span[lo - base_word : hi - base_word] = entry_words(moved)
         words0[1] = n_pending + len(moved)
         if first == 0:
             span[:HEADER_WORDS] = words0[:HEADER_WORDS]
@@ -336,7 +360,15 @@ class BufferedHeap(BufferedTree):
 
     def insert(self, key: int, priority: int) -> None:
         check_entry(key, priority, self.w)
-        self._absorb(self.ROOT, self._root, [(priority, key, self._bump())])
+        entry = (priority + self._prio_bias, key, self._bump())
+        root = self._root
+        tops = root.tops
+        # ``_absorb``'s rule for one entry: below the tops maximum, or into a subtree holding nothing.
+        if (tops and entry < tops[-1]) or not (tops or root.buf or self._below_maybe(self.ROOT)):
+            bisect.insort(tops, entry)
+        else:
+            root.buf.append(entry)
+        self._spill(self.ROOT, root)
         self._live += 1
 
     def extract_min(self) -> tuple[int, int]:
@@ -347,10 +379,10 @@ class BufferedHeap(BufferedTree):
             self._refill(self.ROOT, root)
             if not root.tops:
                 raise AssertionError("live count positive but no entries found")
-        priority, key, _ = root.tops.pop(0)
+        word, key, _ = root.tops.pop(0)
         self._live -= 1
         self._refresh_maybe(self.ROOT, root)
-        return key, priority
+        return key, word - self._prio_bias
 
     def _refill(self, x: int, node: Node) -> None:
         """Fill node.tops with its subtree's minima; own pending flushed first."""
@@ -374,12 +406,14 @@ class BufferedHeap(BufferedTree):
                 merge.append((head, i))
         heapq.heapify(merge)
         taken: list[tuple[int, int, int]] = []
+        cap = self.cap
         while merge:
-            i = merge[0][1]
-            taken.append(cursors[i].pop())
-            if len(taken) >= self.cap:
+            head, i = merge[0]
+            taken.append(head)
+            if len(taken) >= cap:
+                cursors[i].pop()
                 break
-            head = cursors[i].next_head()
+            head = cursors[i].pop_next()
             if head is None:
                 heapq.heappop(merge)
             else:
@@ -393,9 +427,9 @@ class BufferedHeap(BufferedTree):
 
     def _root_words(self) -> list[int]:
         root = self._root
-        return [self._live, root.rr, len(root.tops)] + encode_entries(root.tops + root.buf, self._prio_bias)
+        return [self._live, root.rr, len(root.tops)] + entry_words(root.tops + root.buf)
 
     def _load_root_words(self, words: list[int]) -> None:
         self._live, rr, n_tops = words[:3]
-        entries = decode_entries(words, 3, (len(words) - 3) // ENTRY_WORDS, self._prio_bias)
+        entries = word_entries(words, 3, (len(words) - 3) // ENTRY_WORDS)
         self._root = Node(entries[:n_tops], entries[n_tops:], rr)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import heapq
 
 from ..errors import DuplicateKeyError, EmptyQueueError
-from .base import ENTRY_WORDS, PriorityQueueBase, decode_entries, encode_entries
+from .base import ENTRY_WORDS, PriorityQueueBase, entry_words, word_entries
 
 
 class OracleQueue(PriorityQueueBase):
@@ -81,10 +81,10 @@ class OracleQueue(PriorityQueueBase):
 
     def memory_image(self) -> list[int]:
         entries = sorted((p, k, ts) for k, (p, ts) in self._live.items())
-        return [self._clock] + encode_entries(entries, 0)
+        return [self._clock] + entry_words(entries)
 
     def load_memory_image(self, words: list[int]) -> None:
         self._clock = words[0]
         # Sorted entries already satisfy the heap invariant.
-        self._heap = decode_entries(words, 1, (len(words) - 1) // ENTRY_WORDS, 0)
+        self._heap = word_entries(words, 1, (len(words) - 1) // ENTRY_WORDS)
         self._live = {k: (p, ts) for p, k, ts in self._heap}

@@ -3,9 +3,10 @@ import math
 import pytest
 
 from pqlab import BufferedHeap, Device, DeviceConfig
-from pqlab.errors import CapabilityError, ConfigError, EmptyQueueError, EncodingError, StructureOverflowError
+from pqlab.errors import CapabilityError, ConfigError, DivergenceError, EmptyQueueError, EncodingError, StructureOverflowError
+from pqlab.ops import EXTRACTMIN
 from pqlab.pq.base import run_workload
-from pqlab.workload import make_random_workload
+from pqlab.workload import Workload, make_random_workload
 
 
 def make(B=16, M=192, w=64, n_hint=2048):
@@ -55,6 +56,18 @@ def test_matches_oracle_transcript(seed):
     wl = make_random_workload(2500, seed, universe=600, profile="insert_extract")
     q, dev = make()
     run_workload(q, dev, wl)  # raises DivergenceError on any mismatch
+
+
+def test_failed_replay_resets_probe_context():
+    wl = make_random_workload(400, 3, universe=200, profile="insert_extract")
+    bad = next(i for i, op in enumerate(wl.ops) if op.kind == EXTRACTMIN)
+    ops = list(wl.ops)
+    ops[bad] = ops[bad]._replace(priority=ops[bad].priority + 1)
+    q, dev = make()
+    with pytest.raises(DivergenceError, match=rf"^op {bad} "):
+        run_workload(q, dev, Workload(None, "random", wl.universe, wl.seed, ops))
+    dev.read_block(0)
+    assert dev.log[-1][:2] == (None, None)
 
 
 @pytest.mark.parametrize("cfg", [(8, 160, 512), (16, 192, 1024), (64, 1024, 8192), (32, 512, 2048)])

@@ -7,7 +7,9 @@ are ``materialize`` tree workloads and two hand-built arithmetic sequences
 the random generator cannot move them.  A digest that changes means the probe
 order, the probe set or an answer changed; that is a cost-model change and
 must be declared, never re-pinned silently.  The memory-image digests pin the
-word layout of the heap's and the tournament's images the same way, and the
+word layout of the heap's and the tournament's images the same way.  What a
+probe digest cannot see is pinned too: the heap's on-disk block words, a
+heap image whose ops never leave the root, and the oracle's image.  The
 CLI pins fix the bytes of ``pqlab comm``'s CSV and transcript and the exact
 singleton counts behind ``pqlab obs1``.  The ledger pins go further than the
 CSV: every message's payload digest, so a content request charged out of
@@ -18,10 +20,11 @@ import hashlib
 
 import pytest
 
-from pqlab import Device, DeviceConfig
+from pqlab import BufferedHeap, Device, DeviceConfig
 from pqlab.cli import main, make_queue
 from pqlab.comm.protocol import run_embedding_protocol, sample_instance
 from pqlab.comm.samplers import check_observation1
+from pqlab.device import WRITE
 from pqlab.dk import augmented_key_bits
 from pqlab.pq.base import run_workload
 from pqlab.ops import DECREASE, DELETE, EXTRACTMIN, INSERT, Op
@@ -160,6 +163,62 @@ def test_memory_image_digest_pinned(kind):
     queue = make_queue(kind, dev, n_hint=max(1024, len(work.ops)), seed=HASH_SEED)
     run_workload(queue, dev, work, hi=len(work.ops) // 2)
     assert hashlib.sha256(repr(queue.memory_image()).encode()).hexdigest() == IMAGES[kind]
+
+
+# queue -> sha256 of [(addr, block)] over every address written by the insert
+# half of insert_extract_3000 at (16, 192): the on-disk words, which the probe
+# digests above cannot see (entries are stored as key, priority + 2^(w-1), ts)
+BLOCKS = {
+    "buffered_heap": "e9c17690f24805eece8c1e1c76f931e04120ab85cf25a2d5f41bdced93e8341d",
+    "dk_buffered_heap": "ebc980f6303a586c3789044188b43c6df7ac49409002df8b6e85f7ea8ed3a717",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(BLOCKS))
+def test_block_words_pinned(kind):
+    work = WORKLOADS["insert_extract_3000"]()
+    w = _dk_w(work) if kind.startswith("dk_") else 64
+    dev = Device(DeviceConfig(B=16, M=192, w=w))
+    queue = make_queue(kind, dev, n_hint=max(1024, len(work.ops)), seed=HASH_SEED)
+    run_workload(queue, dev, work, hi=len(work.ops) // 2)
+    written = sorted({rec.addr for rec in dev.log if rec.access == WRITE})
+    assert hashlib.sha256(repr([(a, dev.peek_block(a)) for a in written]).encode()).hexdigest() == BLOCKS[kind]
+
+
+def test_heap_root_image_pinned():
+    """Five inserts and one extract stay in the root: no probe, so only the image shows them.
+
+    The image is [seq], the occupancy and maybe bitmaps, then [live, rr,
+    n_tops] and the root's entries as key, priority + 2^63, ts.  The maybe
+    bit of the root (the second bitmap) is set by the extract.
+    """
+    dev = Device(DeviceConfig(B=16, M=192, w=64))
+    heap = BufferedHeap(dev, n_hint=1024)
+    for key, priority in [(5, 3), (9, -7), (2, 3), (7, 1 << 40), (4, -(1 << 63))]:
+        heap.insert(key, priority)
+    assert heap.extract_min() == (4, -(1 << 63))
+    assert dev.probe_count == 0
+    bias = 1 << 63
+    assert heap.memory_image() == [5, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 4, 0, 3,
+                                   9, bias - 7, 2, 2, bias + 3, 3, 5, bias + 3, 1, 7, bias + (1 << 40), 4]
+
+
+def test_oracle_image_pinned():
+    """The oracle's image is [clock] then live entries as key, priority, ts, in (priority, key) order."""
+    oracle = OracleQueue()
+    for key, priority in [(5, 3), (9, -7), (2, 3), (7, 40), (4, -2)]:
+        oracle.insert(key, priority)
+    oracle.decrease_key(7, -9)
+    oracle.delete(2)
+    assert oracle.extract_min() == (7, -9)
+    oracle.insert(2, 0)
+    oracle.decrease_key(5, 1)
+    image = oracle.memory_image()
+    assert image == [6, 9, -7, 2, 4, -2, 5, 2, 0, 6, 5, 1, 1]
+    resumed = OracleQueue()
+    resumed.load_memory_image(image)
+    assert resumed.memory_image() == image
+    assert [resumed.extract_min() for _ in range(4)] == [(9, -7), (4, -2), (2, 0), (5, 1)]
 
 
 # queue -> sha256 of (CSV, transcript) from `pqlab comm --beta 2 --h 4 --m 2 --trials 3`
