@@ -80,6 +80,17 @@ class Device:
     def _address_error(self, addr: int) -> AddressError:
         return AddressError(f"address {addr} outside [0, 2^{self.config.w})")
 
+    def _checked(self, block: Iterable[int]) -> tuple[int, ...]:
+        """The block as a tuple of exactly B words, each in [0, 2^w)."""
+        blk = tuple(block)
+        if len(blk) != self.config.B:
+            raise BlockSizeError(f"block has {len(blk)} words, expected {self.config.B}")
+        limit = self.word_limit
+        if min(blk) < 0 or max(blk) >= limit:
+            word = next(word for word in blk if not 0 <= word < limit)
+            raise BlockSizeError(f"word {word} does not fit in {self.config.w} bits")
+        return blk
+
     def read_block(self, addr: int) -> tuple[int, ...]:
         if not 0 <= addr < self.word_limit:
             raise self._address_error(addr)
@@ -89,14 +100,7 @@ class Device:
     def write_block(self, addr: int, block: Iterable[int]) -> None:
         if not 0 <= addr < self.word_limit:
             raise self._address_error(addr)
-        blk = tuple(block)
-        if len(blk) != self.config.B:
-            raise BlockSizeError(f"block has {len(blk)} words, expected {self.config.B}")
-        limit = self.word_limit
-        if min(blk) < 0 or max(blk) >= limit:
-            word = next(word for word in blk if not 0 <= word < limit)
-            raise BlockSizeError(f"word {word} does not fit in {self.config.w} bits")
-        self._blocks[addr] = blk
+        self._blocks[addr] = self._checked(block)
         self.log.append(tuple.__new__(ProbeRecord, (self._op_index, self._leaf_id, addr, WRITE)))
 
     @property
@@ -113,10 +117,7 @@ class Device:
     def poke_block(self, addr: int, block: Iterable[int]) -> None:
         if not 0 <= addr < self.word_limit:
             raise self._address_error(addr)
-        blk = tuple(block)
-        if len(blk) != self.config.B:
-            raise BlockSizeError(f"block has {len(blk)} words, expected {self.config.B}")
-        self._blocks[addr] = blk
+        self._blocks[addr] = self._checked(block)
 
     def copy(self) -> "Device":
         """Clone block contents into a fresh device with an empty log."""

@@ -15,27 +15,26 @@ amortized; the constant is asserted as a measured regression bound, not
 proved.
 
 Node arena layout: block 0 opens with [n_tops, n_pending, round_robin,
-tops_offset, max_key, max_prio, max_ts, 0]; the sorted tops region follows
-the header, the pending region sits behind it at a fixed offset, entries
-packed 3 words each as ``key, priority + 2^(w-1), timestamp``.  In memory an
-entry is already its stored words, ``(priority + 2^(w-1), key, timestamp)``,
-which order as the entries do: ``insert`` adds the bias, ``extract_min``
-removes it, and the node codecs, the header's tops maximum and the cursor
-heads only reorder words.  Two access paths keep probes near the batching
-lower bound: tops are consumed front-first by bumping ``tops_offset`` (a
-refill reads only blocks it merges from and writes one header block per
-consumed child), and a flush whose batch provably misses the child's tops
-appends to the pending region without reading the rest of the node.
+tops_offset, 0, 0, 0, 0]; the sorted tops region follows the header, the
+pending region sits behind it at a fixed offset, entries packed 3 words each
+as ``key, priority + 2^(w-1), timestamp``.  In memory an entry is already its
+stored words, ``(priority + 2^(w-1), key, timestamp)``, which order as the
+entries do: ``insert`` adds the bias, ``extract_min`` removes it, and the
+node codecs and the cursor heads only reorder words.  Tops are consumed
+front-first by bumping ``tops_offset``: a refill reads only blocks it merges
+from and writes one header block per consumed child.  A flush has one access
+path: it loads the child whole, absorbs the batch and stores the child.  A
+leaf absorbs every batch into its tops, so leaves never hold pending entries.
 In-memory occupancy bitmaps say which arenas mean anything, making
 ``clear()`` free.  Resident state, its memory image and the M-word audit
 live in ``base.BufferedTree``: the root words are ``[live, rr, n_tops]``
 followed by the root's tops and pending entries.  Transient merge scratch
 is simulated in host memory and not charged.
 
-A flushed batch that enters a loaded node is sorted and split at the tops
-maximum: the entries below it join tops, which never moves the maximum,
-and the rest go to pending in order.  ``insert`` applies the same rule to
-its one entry at the root.
+A flushed batch that enters an internal node is sorted and split at the
+tops maximum: the entries below it join tops, which never moves the
+maximum, and the rest go to pending in order.  ``insert`` applies the same
+rule to its one entry at the root.
 
 A refill merges its children with a heap keyed by ``(head, child index)``.
 Each cursor decodes its head entry once and keeps it until the entry is
@@ -256,8 +255,6 @@ class BufferedHeap(BufferedTree):
         words = [0] * (self._blocks_for(max(t_end, p_end)) * self.B)
         words[0], words[1], words[2], words[3] = len(node.tops), len(node.buf), node.rr, 0
         words[HEADER_WORDS:t_end] = entry_words(node.tops)
-        if node.tops:
-            words[4:7] = words[t_end - ENTRY_WORDS : t_end]  # the tops maximum
         words[pb:p_end] = entry_words(node.buf)
         touched = set(range(0, (t_end - 1) // self.B + 1))
         if node.buf:
@@ -269,8 +266,16 @@ class BufferedHeap(BufferedTree):
     # -- arrival and flush ---------------------------------------------------------
 
     def _absorb(self, x: int, node: Node, batch: list[tuple[int, int, int]]) -> None:
-        """Split a sorted batch at the tops maximum into tops and pending (module docstring)."""
+        """Merge a sorted batch into a leaf's tops, or split it at an internal node's tops
+        maximum into tops and pending (module docstring)."""
         tops = node.tops
+        if self._is_leaf(x):
+            node.tops = list(heapq.merge(tops, batch))
+            if len(node.tops) > self.leaf_tops_cap:
+                raise StructureOverflowError(
+                    f"leaf {x} overflow ({len(node.tops)} entries); construct with a larger n_hint"
+                )
+            return
         if tops:
             cut = bisect.bisect_left(batch, tops[-1])
             for e in batch[:cut]:
@@ -280,15 +285,6 @@ class BufferedHeap(BufferedTree):
             node.buf += batch
         else:
             node.tops = list(batch)
-        if self._is_leaf(x):
-            if node.buf:
-                node.tops = list(heapq.merge(node.tops, sorted(node.buf)))
-                node.buf = []
-            if len(node.tops) > self.leaf_tops_cap:
-                raise StructureOverflowError(
-                    f"leaf {x} overflow ({len(node.tops)} entries); construct with a larger n_hint"
-                )
-            return
         self._spill(x, node)
 
     def _spill(self, x: int, node: Node) -> None:
@@ -303,55 +299,10 @@ class BufferedHeap(BufferedTree):
         node.buf = []
         child = self._children(x)[node.rr]
         node.rr = (node.rr + 1) % self.fanout
-        if not self._lazy_append(child, moved):
-            cnode = self._load(child)
-            self._absorb(child, cnode, sorted(moved))
-            self._store(child, cnode)
+        cnode = self._load(child)
+        self._absorb(child, cnode, sorted(moved))
+        self._store(child, cnode)
         self._refresh_maybe(x, node)
-
-    def _lazy_append(self, child: int, moved: list[tuple[int, int, int]]) -> bool:
-        """Append to the child's pending region without loading the node.
-
-        Applies only when the batch provably cannot enter the child's tops:
-        the child must hold something already, the incoming minimum must not
-        beat the tops maximum, and the pending region must have room.
-        """
-        if child not in self._occupied:
-            return False
-        words0 = self._read_block_of(child, 0)
-        n_tops, n_pending = words0[0], words0[1]
-        if n_pending + len(moved) > self.cap:
-            return False
-        if n_tops == 0:
-            # Arrivals may enter tops only when the whole subtree is empty.
-            if n_pending == 0 and not self._below_maybe(child):
-                return False
-        elif min(moved) < (words0[5], words0[4], words0[6]):  # below the tops maximum
-            return False
-        if self._is_leaf(child) and n_tops + n_pending + len(moved) > self.leaf_tops_cap:
-            return False
-        pb = self._pending_base(child)
-        lo = pb + ENTRY_WORDS * n_pending
-        hi = lo + ENTRY_WORDS * len(moved)
-        cache = {0: words0}
-        first = lo // self.B
-        if first != 0 and lo % self.B:
-            cache[first] = self._read_block_of(child, first)
-        span = [0] * (((hi - 1) // self.B + 1 - first) * self.B)
-        base_word = first * self.B
-        if first in cache:
-            span[: self.B] = cache[first]
-        span[lo - base_word : hi - base_word] = entry_words(moved)
-        words0[1] = n_pending + len(moved)
-        if first == 0:
-            span[:HEADER_WORDS] = words0[:HEADER_WORDS]
-        else:
-            self.device.write_block(self._node_base(child), words0)
-        base = self._node_base(child)
-        for i in range(0, len(span), self.B):
-            self.device.write_block(base + first + i // self.B, span[i : i + self.B])
-        self._maybe.add(child)
-        return True
 
     # -- operations ---------------------------------------------------------------
 
@@ -385,12 +336,7 @@ class BufferedHeap(BufferedTree):
         return key, word - self._prio_bias
 
     def _refill(self, x: int, node: Node) -> None:
-        """Fill node.tops with its subtree's minima; own pending flushed first."""
-        if self._is_leaf(x):
-            if node.buf:
-                node.tops = list(heapq.merge(node.tops, sorted(node.buf)))
-                node.buf = []
-            return
+        """Fill internal node x's tops with its subtree's minima; own pending flushed first."""
         if node.buf:
             self._flush(x, node)
         if node.tops:

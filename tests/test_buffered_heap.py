@@ -2,11 +2,12 @@ import math
 
 import pytest
 
-from pqlab import BufferedHeap, Device, DeviceConfig
+from pqlab import BufferedHeap, Device, DeviceConfig, ReducedQueue
+from pqlab.dk import augmented_key_bits
 from pqlab.errors import CapabilityError, ConfigError, DivergenceError, EmptyQueueError, EncodingError, StructureOverflowError
 from pqlab.ops import EXTRACTMIN
 from pqlab.pq.base import run_workload
-from pqlab.workload import Workload, make_random_workload
+from pqlab.workload import Workload, insert_extract_workload, make_random_workload
 
 
 def make(B=16, M=192, w=64, n_hint=2048):
@@ -145,3 +146,30 @@ def test_probe_envelope_insert_then_extract():
         q.extract_min()
     bound = 20 * (n / B) * (1 + math.log(max(n, M) / M, M / B))
     assert dev.probe_count <= bound
+
+
+@pytest.mark.parametrize("B,M", [(8, 128), (16, 192)])
+@pytest.mark.parametrize("traffic", ["insert_then_extract", "mixed_dk"])
+def test_leaves_hold_no_pending_and_header_tail_is_zero(B, M, traffic):
+    """Every flush absorbs into a loaded child, so no leaf stores pending entries
+    and header words 4..7 stay 0 (module docstring), checked on disk every 50 ops."""
+    if traffic == "insert_then_extract":
+        n = 1500
+        wl = insert_extract_workload(range(n), [(k * 7919) % (n // 3) for k in range(n)], n, 0)
+        dev = Device(DeviceConfig(B=B, M=M, w=64))
+        heap = queue = BufferedHeap(dev, n_hint=n)
+    else:
+        wl = make_random_workload(3000, 8, universe=500, profile="mixed")
+        dev = Device(DeviceConfig(B=B, M=M, w=augmented_key_bits(wl.universe)))
+        heap = BufferedHeap(dev, n_hint=64)  # depth 1, so the leaves fill
+        queue = ReducedQueue(heap, n0_min=16)
+    leaf_blocks = 0
+    for lo in range(0, len(wl.ops), 50):
+        run_workload(queue, dev, wl, lo=lo, hi=min(lo + 50, len(wl.ops)))
+        for x in heap._occupied:
+            header = dev.peek_block(heap._node_base(x))[:8]
+            assert header[4:] == (0, 0, 0, 0), (x, header)
+            if heap._is_leaf(x):
+                assert header[1] == 0, (x, header)
+                leaf_blocks += 1
+    assert leaf_blocks  # the replay reached the leaves

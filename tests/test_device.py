@@ -76,6 +76,18 @@ def test_block_size_enforced(device):
     assert device.probe_count == 0
 
 
+def test_poke_checks_words_like_write(device):
+    device.poke_block(0, (7,) * 16)
+    with pytest.raises(BlockSizeError, match=f"word {1 << 64} "):
+        device.poke_block(0, [1 << 64] + [0] * 15)
+    with pytest.raises(BlockSizeError, match="word -1 "):
+        device.poke_block(0, (0,) * 15 + (-1,))
+    with pytest.raises(BlockSizeError, match="3 words"):
+        device.poke_block(0, (1, 2, 3))
+    assert device.peek_block(0) == (7,) * 16
+    assert device.probe_count == 0
+
+
 def test_context_tagging(device):
     device.set_context(5, 12)
     device.read_block(0)

@@ -114,15 +114,15 @@ def _dk_w(work: Workload) -> int:
 
 # (queue, workload, B, M) -> (probes, sha256)
 CASES = {
-    ("dk_buffered_heap", "insert_extract_3000", 16, 192): (21790, "8fe9759e38878e534a4ce3d7d73a51e2991674bb480b4026b5f7cb900dd75e1a"),
+    ("dk_buffered_heap", "insert_extract_3000", 16, 192): (21280, "be8331ac48f42aafa0418537ed9b0bf02f0bbe944b9ca1c711483367c8d63f11"),
     ("dk_buffered_heap", "tree_2_4_2_s1", 16, 256): (58, "71c50728f333747dcd4cf469d9f5d6703c74801690e9c4b7f2c5b5a51706a57d"),
-    ("dk_buffered_heap", "tree_2_6_2_s5", 16, 256): (1187, "71ebc36e69fdc046c98ae08ba1901ccc4a11157ccbf90051517f2cde4f8a4e08"),
+    ("dk_buffered_heap", "tree_2_6_2_s5", 16, 256): (1164, "e2953576ff548861ed7620c8845d87c72e93e3a64e71800447397cb000967155"),
     ("dk_buffered_heap", "tree_2_6_2_s5", 64, 1024): (50, "359b74cd151a673bee5755cff28826d184f2a0d00bae76cb742f6ca56079ed57"),
     ("dk_tournament", "insert_extract_3000", 16, 192): (37523, "be980fa06820369271b0254667262201b2c51276fe04878a606a1a30d618b33c"),
     ("dk_tournament", "tree_2_4_2_s1", 16, 256): (359, "7d9dbd53b53b9863b6ee5e3a772253e74a424ea470afe83e2de0e30dd4aa946f"),
     ("dk_tournament", "tree_2_6_2_s5", 16, 256): (4161, "6c75649706b78ebed822ed2ca6c9512e3fb5b92302f0ddfc0801878d0a5ebc39"),
-    ("buffered_heap", "insert_extract_3000", 8, 128): (49642, "dfae8e76d7155be03a7aa71aaf18c0e15fe49d7a8ef8066f087ed6ac485ea533"),
-    ("buffered_heap", "insert_extract_3000", 16, 192): (21790, "8fe9759e38878e534a4ce3d7d73a51e2991674bb480b4026b5f7cb900dd75e1a"),
+    ("buffered_heap", "insert_extract_3000", 8, 128): (48725, "208f2634d3fe3faeecc5aa735cc23b682b9a3ed5662fcedeb4bd2478d88d5e4e"),
+    ("buffered_heap", "insert_extract_3000", 16, 192): (21280, "be8331ac48f42aafa0418537ed9b0bf02f0bbe944b9ca1c711483367c8d63f11"),
     ("tournament", "insert_extract_3000", 16, 192): (38583, "f0d2474e2120e2f2ed5a18c62bb18e7387fcb9722dd1426f212ea692b7aa1f18"),
     ("tournament", "mixed_arith_6000", 16, 192): (16775, "6c97a9e7d55cf45b12a09db0b7950c9df11bf82b2f50394a660b426c6695b1f9"),
     ("tournament", "tree_2_4_2_s1", 16, 256): (740, "1e639a1169b19f25135380fbefd41c13e29fbc2040e8ce3837f10f3e599b05e2"),
@@ -169,20 +169,24 @@ def test_memory_image_digest_pinned(kind):
 # half of insert_extract_3000 at (16, 192): the on-disk words, which the probe
 # digests above cannot see (entries are stored as key, priority + 2^(w-1), ts)
 BLOCKS = {
-    "buffered_heap": "e9c17690f24805eece8c1e1c76f931e04120ab85cf25a2d5f41bdced93e8341d",
-    "dk_buffered_heap": "ebc980f6303a586c3789044188b43c6df7ac49409002df8b6e85f7ea8ed3a717",
+    "buffered_heap": "e3d0a7bcb43f6af32c4681f35cc190de6e3b0863ff1a788e9c57febac8f038e8",
+    "dk_buffered_heap": "f11557d92a8807546f0c0e8fb6ae4d6f641c32420996ff400e047b3aadda0d8b",
 }
 
 
 @pytest.mark.parametrize("kind", sorted(BLOCKS))
 def test_block_words_pinned(kind):
+    assert _block_digest(kind) == BLOCKS[kind]
+
+
+def _block_digest(kind: str) -> str:
     work = WORKLOADS["insert_extract_3000"]()
     w = _dk_w(work) if kind.startswith("dk_") else 64
     dev = Device(DeviceConfig(B=16, M=192, w=w))
     queue = make_queue(kind, dev, n_hint=max(1024, len(work.ops)), seed=HASH_SEED)
     run_workload(queue, dev, work, hi=len(work.ops) // 2)
     written = sorted({rec.addr for rec in dev.log if rec.access == WRITE})
-    assert hashlib.sha256(repr([(a, dev.peek_block(a)) for a in written]).encode()).hexdigest() == BLOCKS[kind]
+    return hashlib.sha256(repr([(a, dev.peek_block(a)) for a in written]).encode()).hexdigest()
 
 
 def test_heap_root_image_pinned():
@@ -243,7 +247,7 @@ def test_comm_outputs_pinned(tmp_path, kind):
 # queue -> sha256 of every protocol run's ledger at (2,4,2), B=16, M=256, w=64:
 # the first internal node of each height, every k, seeds 0..2
 LEDGERS = {
-    "dk_buffered_heap": "448687868f39cd767624e3a50b4303daf239cbdc616313e35b051edab80d8603",
+    "dk_buffered_heap": "14ed4d781fa1bccb6f622205ddc9d9061d54ac88d0297b96d543e8000fc5a9b0",
     "tournament": "adc66ab2f63c8ed41703e0602a0f01fd048b760cc3eb1d08e15f11bccf2ac83d",
 }
 
@@ -276,8 +280,10 @@ def test_obs1_singleton_counts_pinned():
 
 
 if __name__ == "__main__":
-    # A declared cost-model change re-pins from this listing: pinned beside computed.
-    for case in sorted(CASES):
-        got = _case_digest(case)
-        mark = "" if got == CASES[case] else "  CHANGED"
-        print(f"{case}:\n  pinned   {CASES[case]}\n  computed {got}{mark}")
+    # A declared cost-model change re-pins from this listing: pinned beside computed, every pin family.
+    for family, pins, compute in (("CASES", CASES, _case_digest), ("BLOCKS", BLOCKS, _block_digest),
+                                  ("LEDGERS", LEDGERS, _ledger_digest)):
+        for key in sorted(pins):
+            got = compute(key)
+            mark = "" if got == pins[key] else "  CHANGED"
+            print(f"{family} {key}:\n  pinned   {pins[key]}\n  computed {got}{mark}")

@@ -11,8 +11,10 @@ first when it is odd.  The file records every run's end-to-end metrics and
 witness digest, whether all the digests of a ``--run`` agree
 (``witness_equal``; a warning goes to stderr when they do not), each side's
 median and quartiles, how many pairs the change won under BENCHMARK.json's
-``better`` direction, both commits, the git tree of each side's ``src/`` and
-the exact commands.
+``better`` direction, each side's failed and attempted totals, both commits,
+the git tree of each side's ``src/`` and the exact commands.  It exits 1
+after writing the file if any run failed an operation, so no win is counted
+over a failing side.
 """
 
 from __future__ import annotations
@@ -114,14 +116,22 @@ def main() -> int:
             if not witness_equal:
                 print(f"warning: {workload} seed={seed}: witness digests differ between runs",
                       file=sys.stderr, flush=True)
+            run_summary = compare(pairs, better)
+            for count in ("failed", "attempted"):
+                run_summary[count] = {side: sum(p[side][count] for p in pairs) for side in revs}
             runs.append({"workload": workload, "seed": seed, "seconds": args.seconds,
                          "command": " ".join(bench_command(workload, seed, args.seconds)),
-                         "witness_equal": witness_equal, "pairs": pairs, "summary": compare(pairs, better)})
+                         "witness_equal": witness_equal, "pairs": pairs, "summary": run_summary})
     bench = {"label": args.label, "command": " ".join(["python3", "tools/bench_pairs.py", *sys.argv[1:]]),
              "revisions": revs, "runs": runs}
     out = ROOT / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(bench, indent=1) + "\n")
     print(out)
+    failing = [f"{r['workload']} seed={r['seed']} {side}" for r in runs for side in revs
+               if r["summary"]["failed"][side]]
+    if failing:
+        print(f"error: failed operations in {', '.join(failing)}", file=sys.stderr)
+        return 1
     return 0
 
 
