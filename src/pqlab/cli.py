@@ -103,6 +103,8 @@ def cmd_gen(args) -> int:
     else:
         if None in (args.beta, args.h, args.m):
             args.usage_error(f"--variant {args.variant} needs --beta, --h and --m")
+        if args.trees < 1 or (args.variant == "basic" and args.trees != 1):
+            args.usage_error(f"--variant {args.variant} takes --trees {'1' if args.variant == 'basic' else '>= 1'}")
         wl = _tree_workload(args)
     write_workload(wl, args.out)
     if args.jsonl:
@@ -123,7 +125,7 @@ def _tree_workload(args) -> Workload:
             f"pre-populating a universe of {params.universe} keys is impractical; "
             "pass --universe (at least 2*m*h*beta^h)"
         )
-    if args.variant == "basic" and args.trees == 1:
+    if args.variant == "basic":
         return materialize(params)
     seeds = np.random.SeedSequence(args.seed).spawn(args.trees)
     parts = [

@@ -47,10 +47,23 @@ an accepted queue's image never exceeds M - 2B words.  A subclass gives the
 node id space, ``_children(x)``, the root's id and word layout, and how a
 node other than the root is read and written; a node whose id is not
 occupied is empty without a probe, which makes ``clear()`` free.
+
+The base also runs both tree walks.  A flush empties a node's buffer: for
+each ``(child, batch)`` the subclass's ``_route`` names, it loads the
+child, lets the subclass's ``_apply`` take the batch (which may flush the
+child in turn) and stores it.  A refill fills an empty node's tops with up
+to ``cap`` of its subtree's minima, flushing the node's own buffer first so
+no entry below is overlooked.  It merges one ``SOURCE`` per child in
+``_maybe`` with a heap keyed by ``(head, child index)``, yet probes as a
+full rescan would: the first round asks every source for its head in child
+order (a source whose node ran dry with entries below refills it first),
+after that only the popped source is asked again, and only while the node
+still wants entries.  The default source, ``Loaded``, holds the child whole.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from itertools import islice
 
@@ -128,19 +141,59 @@ class Node:
         self.buf = buf if buf is not None else []
         self.rr = rr
 
+    def pop_min(self) -> tuple[int, int, int]:
+        return self.tops.pop(0)
+
+    def set_tops(self, tops: list) -> None:
+        self.tops = tops
+
+
+class Loaded:
+    """A refill source holding its child node whole; it refills the node
+    from below whenever the node runs dry, and stores it back if it changed."""
+
+    __slots__ = ("owner", "x", "node", "dirty")
+
+    def __init__(self, owner: "BufferedTree", x: int, node: Node | None = None):
+        self.owner = owner
+        self.x = x
+        self.node = owner._load(x) if node is None else node
+        self.dirty = False
+
+    def next_head(self) -> tuple[int, int, int] | None:
+        node = self.node
+        if not node.tops and (node.buf or self.owner._below_maybe(self.x)):
+            self.owner._refill(self.x, node)
+            self.dirty = True
+        return node.tops[0] if node.tops else None
+
+    def pop(self) -> None:
+        self.node.pop_min()
+        self.dirty = True
+
+    def pop_next(self) -> tuple[int, int, int] | None:
+        self.pop()
+        return self.next_head()
+
+    def writeback(self) -> None:
+        if self.dirty:
+            self.owner._store(self.x, self.node)
+
 
 class BufferedTree(PriorityQueueBase):
-    """Resident state, memory image and M-word audit of an on-disk buffered tree.
+    """Resident state, memory image, M-word audit and tree walks of an on-disk buffered tree.
 
-    Subclasses set ``ROOT`` (the root's id) and ``ROOT_HEADER`` (the length
-    of their root words' header, which reads all-zero as an empty root), and
-    define ``_children``, ``_root_words``/``_load_root_words`` and
-    ``_read_node``/``_write_node``.
+    Subclasses set ``ROOT`` (the root's id), ``ROOT_HEADER`` (the length of
+    their root words' header, which reads all-zero as an empty root) and
+    ``cap`` (the most entries a refill takes), and define ``_children``,
+    ``_root_words``/``_load_root_words``, ``_read_node``/``_write_node``,
+    ``_route`` and ``_apply``.
     """
 
     ROOT: int
     ROOT_HEADER: int
     NODE = Node  # the class of the empty node an unoccupied id reads as
+    SOURCE = Loaded  # the refill source over one child: next_head, pop, pop_next, writeback
 
     def __init__(self, device):
         self.device = device
@@ -187,6 +240,47 @@ class BufferedTree(PriorityQueueBase):
         else:
             self._write_node(x, node)
             self._occupied.add(x)
+        self._refresh_maybe(x, node)
+
+    def _flush(self, x: int, node: Node) -> None:
+        """Empty node x's buffer into the children ``_route`` names (module docstring)."""
+        for child, batch in self._route(x, node):
+            cnode = self._load(child)
+            self._apply(child, cnode, batch)
+            self._store(child, cnode)
+        self._refresh_maybe(x, node)
+
+    def _refill(self, x: int, node: Node) -> None:
+        """Fill internal node x's tops with its subtree's minima; own buffer flushed first."""
+        if node.buf:
+            self._flush(x, node)
+        if node.tops:
+            return
+        sources = [self.SOURCE(self, c) for c in self._children(x) if c in self._maybe]
+        # Probes as a rescan per taken entry would (module docstring): all
+        # sources once in child order, then only the popped one.
+        merge = []
+        for i, src in enumerate(sources):
+            head = src.next_head()
+            if head is not None:
+                merge.append((head, i))
+        heapq.heapify(merge)
+        taken: list[tuple[int, int, int]] = []
+        cap = self.cap
+        while merge:
+            head, i = merge[0]
+            taken.append(head)
+            if len(taken) >= cap:
+                sources[i].pop()
+                break
+            head = sources[i].pop_next()
+            if head is None:
+                heapq.heappop(merge)
+            else:
+                heapq.heapreplace(merge, (head, i))
+        node.set_tops(taken)
+        for src in sources:
+            src.writeback()
         self._refresh_maybe(x, node)
 
     def clear(self) -> None:

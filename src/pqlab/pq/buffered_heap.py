@@ -5,50 +5,38 @@ two buffers: ``tops``, an authoritative prefix of its subtree's minima
 (every entry below the node is >= the tops maximum), and ``pending`` (the
 shared ``Node``'s ``buf``), entries in transit toward the leaves.  An
 arriving entry joins ``tops`` only when it beats the current maximum or the
-subtree holds nothing else; otherwise it rides ``pending``, which flushes
-one level down to a round-robin child when full.  ExtractMin pops the
-root's ``tops`` (held in the M-word memory) and, when empty, refills it by
-cursor-merging child minima; a refill flushes the node's own ``pending``
-first so no small entry is overlooked.  Entries move in half-buffer
-batches both ways, targeting O((1/B) log_{M/B} N) probes per operation
-amortized; the constant is asserted as a measured regression bound, not
-proved.
+subtree holds nothing else; otherwise it rides ``pending``, which a flush
+moves whole, sorted, to a round-robin child when it is full.  ExtractMin
+pops the root's ``tops`` (held in the M-word memory) and refills it when
+empty.  The two walks, flush and refill, are ``base.BufferedTree``'s.
+Entries move in half-buffer batches both ways, targeting
+O((1/B) log_{M/B} N) probes per operation amortized; the constant is
+asserted as a measured regression bound, not proved.
 
 Node arena layout: block 0 opens with [n_tops, n_pending, round_robin,
-tops_offset, 0, 0, 0, 0]; the sorted tops region follows the header, the
-pending region sits behind it at a fixed offset, entries packed 3 words each
-as ``key, priority + 2^(w-1), timestamp``.  In memory an entry is already its
-stored words, ``(priority + 2^(w-1), key, timestamp)``, which order as the
-entries do: ``insert`` adds the bias, ``extract_min`` removes it, and the
-node codecs and the cursor heads only reorder words.  Tops are consumed
-front-first by bumping ``tops_offset``: a refill reads only blocks it merges
-from and writes one header block per consumed child.  A flush has one access
-path: it loads the child whole, absorbs the batch and stores the child.  A
-leaf absorbs every batch into its tops, so leaves never hold pending entries.
-In-memory occupancy bitmaps say which arenas mean anything, making
-``clear()`` free.  Resident state, its memory image and the M-word audit
-live in ``base.BufferedTree``: the root words are ``[live, rr, n_tops]``
-followed by the root's tops and pending entries.  Transient merge scratch
-is simulated in host memory and not charged.
+tops_offset, 0, 0, 0, 0]; the sorted tops region follows the header and the
+pending region sits at the fixed offset ``HEADER_WORDS + 3 * cap``, entries
+packed 3 words each as ``key, priority + 2^(w-1), timestamp``.  In memory an
+entry is already its stored words, ``(priority + 2^(w-1), key, timestamp)``,
+which order as the entries do: ``insert`` adds the bias, ``extract_min``
+removes it, and the node codecs and the cursor heads only reorder words.  A
+leaf absorbs every batch into its tops, so leaves never hold pending
+entries.  Resident state, its memory image and the M-word audit live in
+``base.BufferedTree``: the root words are ``[live, rr, n_tops]`` followed by
+the root's tops and pending entries.  Merge scratch is host memory, not
+charged.
 
 A flushed batch that enters an internal node is sorted and split at the
 tops maximum: the entries below it join tops, which never moves the
 maximum, and the rest go to pending in order.  ``insert`` applies the same
 rule to its one entry at the root.
 
-A refill merges its children with a heap keyed by ``(head, child index)``.
-Each cursor decodes its head entry once and keeps it until the entry is
-popped, so a refill that takes c entries from f children decodes about
-c + f heads rather than c * f.  Taking an entry is one cursor call,
-``pop_next``, which decodes the next head in place when it follows the
-current one inside the same block.  The probe sequence is part of the
-output and must not depend on that bookkeeping, so the merge keeps the
-read order of a full rescan: the first round evaluates every cursor in
-child order (promoting and recursively refilling a child whose tops ran
-dry), after that only the popped cursor is evaluated again, and only while
-the node still wants entries.  A head is decoded priority word first, so
-when an entry straddles two unread blocks the later block is probed before
-the earlier.
+A refill reads each child through a lazy ``_Cursor``: tops are consumed
+front-first by bumping ``tops_offset``, so a refill reads only the blocks
+it merges from and writes one header block per consumed child.  The merge
+holds each decoded head until it is popped, and ``pop_next`` decodes the
+next head in place when it follows in the same block.  A head is decoded priority word first, so when an entry straddles
+two unread blocks the later block is probed before the earlier.
 """
 
 from __future__ import annotations
@@ -57,21 +45,22 @@ import bisect
 import heapq
 
 from ..errors import ConfigError, EmptyQueueError, StructureOverflowError
-from .base import ENTRY_WORDS, BufferedTree, Node, check_entry, entry_words, word_entries
+from .base import ENTRY_WORDS, BufferedTree, Loaded, Node, check_entry, entry_words, word_entries
 
 HEADER_WORDS = 8
 LEAF_TOPS_FACTOR = 4
 
 
 class _Cursor:
-    """Lazy front-consumption of one child's sorted tops region.
+    """Lazy front-consumption of one child's sorted tops region, as a refill source.
 
-    The decoded head entry is cached until ``pop`` or ``pop_next`` consumes
-    it, so each entry is decoded, and each of its blocks read, exactly once.
+    The merge holds each head entry until it is popped, so each entry is
+    decoded, and each of its blocks read, exactly once.  A child that runs
+    dry with entries below is loaded whole and handed to a ``Loaded`` source
+    (``full``), which refills it and serves the rest.
     """
 
-    __slots__ = ("owner", "x", "B", "blocks", "n_tops", "n_pending", "off", "eaten", "mode", "full", "_head",
-                 "_blk", "_i")
+    __slots__ = ("owner", "x", "B", "blocks", "n_tops", "n_pending", "off", "eaten", "full", "_blk", "_i")
 
     def __init__(self, owner: "BufferedHeap", x: int):
         self.owner = owner
@@ -81,9 +70,7 @@ class _Cursor:
         self.blocks = {0: words0}
         self.n_tops, self.n_pending, _, self.off = words0[:4]
         self.eaten = 0
-        self.mode = "clean"  # clean | consumed | full
-        self.full: Node | None = None
-        self._head: tuple[int, int, int] | None = None
+        self.full: Loaded | None = None
         self._blk, self._i = words0, self.B  # the head's block and word index, if it lies in one
 
     def _block(self, b: int) -> list[int]:
@@ -93,78 +80,58 @@ class _Cursor:
             self.blocks[b] = blk
         return blk
 
-    def head(self) -> tuple[int, int, int] | None:
-        if self._head is not None:
-            return self._head
-        if self.mode == "full":
-            return self.full.tops[0] if self.full.tops else None
-        if self.eaten >= self.n_tops:
-            return None
-        pos = HEADER_WORDS + ENTRY_WORDS * (self.off + self.eaten)
-        B = self.B
-        b, i = divmod(pos, B)
-        if i + ENTRY_WORDS <= B:
-            blk = self._blk = self._block(b)
-            self._i = i
-            self._head = (blk[i + 1], blk[i], blk[i + 2])
-        else:
+    def next_head(self) -> tuple[int, int, int] | None:
+        """Decode the head entry; a child that ran dry with more below is first handed to a ``Loaded``."""
+        if self.full is not None:
+            return self.full.next_head()
+        if self.eaten < self.n_tops:
+            pos = HEADER_WORDS + ENTRY_WORDS * (self.off + self.eaten)
+            B = self.B
+            b, i = divmod(pos, B)
+            if i + ENTRY_WORDS <= B:
+                blk = self._blk = self._block(b)
+                self._i = i
+                return (blk[i + 1], blk[i], blk[i + 2])
             # The entry straddles two blocks; the priority word is read
             # first, so the later block may be probed before the earlier.
             prio = self._block((pos + 1) // B)[(pos + 1) % B]
             key = self._block(b)[i]
             ts = self._block((pos + 2) // B)[(pos + 2) % B]
-            self._head = (prio, key, ts)
             self._i = B
-        return self._head
+            return (prio, key, ts)
+        if self.n_pending or self.owner._below_maybe(self.x):
+            node = self.owner._load(self.x)
+            del node.tops[: self.eaten]
+            self.full = Loaded(self.owner, self.x, node)
+            return self.full.next_head()
+        return None
 
     def pop(self) -> None:
         """Consume the head entry, which the caller already holds."""
-        if self.mode == "full":
-            del self.full.tops[0]
-            return
-        self._head = None
-        self.eaten += 1
-        self.mode = "consumed"
+        if self.full is not None:
+            self.full.pop()
+        else:
+            self.eaten += 1
 
     def pop_next(self) -> tuple[int, int, int] | None:
         """Consume the head entry and return the next one, as ``next_head`` would; an
         entry that follows it in the same block is decoded in place."""
-        if self.mode == "full":
-            self.pop()
-            return self.head()
+        if self.full is not None:
+            return self.full.pop_next()
         self.eaten += 1
-        self.mode = "consumed"
         i = self._i + ENTRY_WORDS
         if i + ENTRY_WORDS <= self.B and self.eaten < self.n_tops:
             blk = self._blk
             self._i = i
-            self._head = head = (blk[i + 1], blk[i], blk[i + 2])
-            return head
-        self._head = None
+            return (blk[i + 1], blk[i], blk[i + 2])
         return self.next_head()
-
-    def next_head(self) -> tuple[int, int, int] | None:
-        """The head entry, first refilling the child from below if it ran dry."""
-        head = self.head()
-        if head is None and self.mode != "full" and (self.n_pending or self.owner._below_maybe(self.x)):
-            self.owner._refill(self.x, self.promote())
-            head = self.head()
-        return head
-
-    def promote(self) -> Node:
-        """Switch to a fully loaded node for recursive refilling."""
-        node = self.owner._load(self.x)
-        node.tops = node.tops[self.eaten :]
-        self.full = node
-        self.mode = "full"
-        return node
 
     def writeback(self) -> None:
         o = self.owner
-        if self.mode == "full":
-            o._store(self.x, self.full)
+        if self.full is not None:
+            self.full.writeback()
             return
-        if self.mode != "consumed":
+        if not self.eaten:
             return
         words0 = self.blocks[0]
         words0[0] = self.n_tops - self.eaten
@@ -180,6 +147,7 @@ class BufferedHeap(BufferedTree):
     name = "buffered_heap"
     ROOT = 0
     ROOT_HEADER = 3
+    SOURCE = _Cursor
 
     def __init__(self, device, n_hint: int = 1 << 14):
         super().__init__(device)
@@ -194,6 +162,7 @@ class BufferedHeap(BufferedTree):
         self.first_leaf = (self.fanout**depth - 1) // (self.fanout - 1)
         self.n_nodes = (self.fanout ** (depth + 1) - 1) // (self.fanout - 1)
 
+        self._pending_at = HEADER_WORDS + ENTRY_WORDS * self.cap  # leaves hold no pending entries
         self._internal_blocks = self._blocks_for(HEADER_WORDS + ENTRY_WORDS * (2 * self.cap))
         self._leaf_blocks = self._blocks_for(HEADER_WORDS + ENTRY_WORDS * (self.leaf_tops_cap + self.cap))
         if self._node_base(self.n_nodes) >= device.config.word_limit:
@@ -220,9 +189,6 @@ class BufferedHeap(BufferedTree):
             return x * self._internal_blocks
         return self.first_leaf * self._internal_blocks + (x - self.first_leaf) * self._leaf_blocks
 
-    def _pending_base(self, x: int) -> int:
-        return HEADER_WORDS + ENTRY_WORDS * (self.leaf_tops_cap if self._is_leaf(x) else self.cap)
-
     # -- node I/O ---------------------------------------------------------------
 
     def _read_block_of(self, x: int, b: int) -> list[int]:
@@ -239,7 +205,7 @@ class BufferedHeap(BufferedTree):
         cache: dict[int, list[int]] = {0: self._read_block_of(x, 0)}
         n_tops, n_pending, rr, off = cache[0][:4]
         lo = HEADER_WORDS + ENTRY_WORDS * off
-        pb = self._pending_base(x)
+        pb = self._pending_at
         self._read_span(x, lo, lo + ENTRY_WORDS * n_tops, cache)
         self._read_span(x, pb, pb + ENTRY_WORDS * n_pending, cache)
         B = self.B
@@ -249,7 +215,7 @@ class BufferedHeap(BufferedTree):
         return Node(word_entries(words, lo, n_tops), word_entries(words, pb, n_pending), rr)
 
     def _write_node(self, x: int, node: Node) -> None:
-        pb = self._pending_base(x)
+        pb = self._pending_at
         t_end = HEADER_WORDS + ENTRY_WORDS * len(node.tops)
         p_end = pb + ENTRY_WORDS * len(node.buf)
         words = [0] * (self._blocks_for(max(t_end, p_end)) * self.B)
@@ -265,7 +231,14 @@ class BufferedHeap(BufferedTree):
 
     # -- arrival and flush ---------------------------------------------------------
 
-    def _absorb(self, x: int, node: Node, batch: list[tuple[int, int, int]]) -> None:
+    def _route(self, x: int, node: Node) -> list[tuple[int, list]]:
+        """Node x's whole buffer, sorted, to its round-robin child."""
+        moved, node.buf = node.buf, []
+        child = self._children(x)[node.rr]
+        node.rr = (node.rr + 1) % self.fanout
+        return [(child, sorted(moved))]
+
+    def _apply(self, x: int, node: Node, batch: list[tuple[int, int, int]]) -> None:
         """Merge a sorted batch into a leaf's tops, or split it at an internal node's tops
         maximum into tops and pending (module docstring)."""
         tops = node.tops
@@ -294,16 +267,6 @@ class BufferedHeap(BufferedTree):
         if len(node.buf) > self.cap:
             self._flush(x, node)
 
-    def _flush(self, x: int, node: Node) -> None:
-        moved = node.buf
-        node.buf = []
-        child = self._children(x)[node.rr]
-        node.rr = (node.rr + 1) % self.fanout
-        cnode = self._load(child)
-        self._absorb(child, cnode, sorted(moved))
-        self._store(child, cnode)
-        self._refresh_maybe(x, node)
-
     # -- operations ---------------------------------------------------------------
 
     def __len__(self) -> int:
@@ -314,7 +277,7 @@ class BufferedHeap(BufferedTree):
         entry = (priority + self._prio_bias, key, self._bump())
         root = self._root
         tops = root.tops
-        # ``_absorb``'s rule for one entry: below the tops maximum, or into a subtree holding nothing.
+        # ``_apply``'s rule for one entry: below the tops maximum, or into a subtree holding nothing.
         if (tops and entry < tops[-1]) or not (tops or root.buf or self._below_maybe(self.ROOT)):
             bisect.insort(tops, entry)
         else:
@@ -330,44 +293,10 @@ class BufferedHeap(BufferedTree):
             self._refill(self.ROOT, root)
             if not root.tops:
                 raise AssertionError("live count positive but no entries found")
-        word, key, _ = root.tops.pop(0)
+        word, key, _ = root.pop_min()
         self._live -= 1
         self._refresh_maybe(self.ROOT, root)
         return key, word - self._prio_bias
-
-    def _refill(self, x: int, node: Node) -> None:
-        """Fill internal node x's tops with its subtree's minima; own pending flushed first."""
-        if node.buf:
-            self._flush(x, node)
-        if node.tops:
-            return
-        cursors = [_Cursor(self, c) for c in self._children(x) if c in self._maybe]
-        # Probes as a rescan of every cursor per taken entry would (module
-        # docstring): all cursors once in child order, then only the popped
-        # one, and only while more entries are wanted.
-        merge = []
-        for i, cur in enumerate(cursors):
-            head = cur.next_head()
-            if head is not None:
-                merge.append((head, i))
-        heapq.heapify(merge)
-        taken: list[tuple[int, int, int]] = []
-        cap = self.cap
-        while merge:
-            head, i = merge[0]
-            taken.append(head)
-            if len(taken) >= cap:
-                cursors[i].pop()
-                break
-            head = cursors[i].pop_next()
-            if head is None:
-                heapq.heappop(merge)
-            else:
-                heapq.heapreplace(merge, (head, i))
-        node.tops = taken
-        for cur in cursors:
-            cur.writeback()
-        self._refresh_maybe(x, node)
 
     # -- root words ----------------------------------------------------------------
 

@@ -10,11 +10,12 @@ structures, the fields of the shared ``Node``:
 * ``buf`` -- a FIFO buffer of pending signals (insert, decrease, delete,
   erase, push) travelling toward the key's leaf.
 
-Operations apply one signal at the root; a full buffer flushes one level
-down, each child applying its batch in order in one ``_apply``, so a signal
-costs O(1/B) probes per level travelled.  ExtractMin pops the root's
-``tops`` and refills it with child minima when empty.  Two rules keep the
-minima exact under lazy signals:
+Operations apply one signal at the root.  A full buffer flushes one level
+down (``base.BufferedTree``'s flush walk), routed by the next bit of each
+key's 64-bit hash, and each child applies its batch in order in one
+``_apply``, so a signal costs O(1/B) probes per level travelled.
+ExtractMin pops the root's ``tops`` and refills it with child minima when
+empty.  Two rules keep the minima exact under lazy signals:
 
 * an arriving signal is matched against a node's ``tops`` before it may be
   buffered, so a signal never sinks below the record it targets;
@@ -40,13 +41,13 @@ hold the stored priority word, so the codecs only slice; the bias 2^(w-1)
 is added in ``insert``/``decrease_key`` and removed in ``extract_min``, and
 delete and erase signals carry the word 2^(w-1) (priority 0).  A ``TNode``
 also holds ``keys``, the set of its ``tops`` keys (decoded from the key
-column, then kept in step), so a signal that misses ``tops`` costs one
-lookup, not a scan.
+column, then kept in step by ``pop_min``/``set_tops``), so a signal that
+misses ``tops`` costs one lookup, not a scan.
 
 The amortized cost target is O((1/B) log2 N) probes per operation, asserted
-as a measured regression bound.  Resident state (root node, occupancy
-bitmaps, counter), its memory image and the M-word audit live in
-``base.BufferedTree``.  Flush working sets are host memory, not charged.
+as a measured regression bound.  Resident state, the memory image, the
+M-word audit and the refill merge live in ``base.BufferedTree``.  Flush
+working sets are host memory, not charged.
 """
 
 from __future__ import annotations
@@ -84,6 +85,14 @@ class TNode(Node):
         super().__init__(tops, buf)
         self.keys = {e[1] for e in self.tops} if keys is None else keys
 
+    def pop_min(self) -> tuple[int, int, int]:
+        entry = self.tops.pop(0)
+        self.keys.discard(entry[1])
+        return entry
+
+    def set_tops(self, tops: list) -> None:
+        self.tops, self.keys = tops, {e[1] for e in tops}
+
 
 class TournamentQueue(BufferedTree):
     supports_decrease_key = True
@@ -102,8 +111,7 @@ class TournamentQueue(BufferedTree):
         cap = (node_blocks * self.B - 2) // (ENTRY_WORDS + SIG_WORDS)
         if cap < 2:
             raise ConfigError("node_blocks * B too small for node buffers")
-        self.top_cap = cap
-        self.sig_cap = cap
+        self.cap = cap  # of both tops and the signal buffer
         self.node_blocks = node_blocks
 
         target_leaf_entries = max(4, (2 * self.B) // ENTRY_WORDS)
@@ -120,7 +128,7 @@ class TournamentQueue(BufferedTree):
         total_blocks = self._leaf_base + self.K * self.leaf_blocks
         if total_blocks >= device.config.word_limit:
             raise ConfigError("address space too small for tournament arenas; increase w")
-        self._setup(2 * self.K, self.ROOT_HEADER + ENTRY_WORDS * self.top_cap + SIG_WORDS * self.sig_cap)
+        self._setup(2 * self.K, self.ROOT_HEADER + (ENTRY_WORDS + SIG_WORDS) * cap)
 
     # -- geometry ---------------------------------------------------------------
 
@@ -182,8 +190,36 @@ class TournamentQueue(BufferedTree):
 
     # -- signal machinery -----------------------------------------------------------
 
+    def _route(self, x: int, node: TNode) -> list[tuple[int, list]]:
+        """Node x's buffer split by child: the child toward a key's leaf is the next bit of its 64-bit hash."""
+        sigs, node.buf = node.buf, []
+        halves: tuple[list, list] = ([], [])
+        mult, shift = self._mult, 64 - x.bit_length()
+        for sig in sigs:
+            halves[((sig[2] * mult) & M64) >> shift & 1].append(sig)
+        return [(child, batch) for child, batch in zip(self._children(x), halves) if batch]
+
     def _apply(self, x: int, node: TNode, sigs) -> None:
-        """Apply signals, in order, to internal node x."""
+        """Apply signals, in order, to node x; an internal node then flushes a full buffer."""
+        if self._is_leaf(x):
+            bykey = {k: (p, k, ts) for (p, k, ts) in node.tops}
+            for seq, kind, key, prio, ts in sigs:
+                if kind == S_INSERT or kind == S_PUSH:
+                    if key in bykey:
+                        raise AssertionError(f"duplicate settled key {key} at leaf {x}")
+                    bykey[key] = (prio, key, ts)
+                elif kind == S_DEC:
+                    cur = bykey.get(key)
+                    if cur is not None and prio < cur[0]:
+                        bykey[key] = (prio, key, cur[2])
+                elif kind == S_DEL:
+                    bykey.pop(key, None)
+                elif kind == S_ERASE:
+                    if key not in bykey:
+                        raise AssertionError(f"erase found no record for key {key} at leaf {x}")
+                    del bykey[key]
+            node.set_tops(sorted(bykey.values()))
+            return
         tops, buf, keys, insort = node.tops, node.buf, node.keys, bisect.insort
         bare = not buf and not self._below_maybe(x)  # the subtree holds nothing but tops
         for sig in sigs:
@@ -215,90 +251,13 @@ class TournamentQueue(BufferedTree):
                 buf.append((self._bump(), S_ERASE, key, self._prio_bias, 0))
             else:
                 buf.append(sig)
-            if len(tops) > self.top_cap:
+            if len(tops) > self.cap:
                 p, k, t0 = tops.pop()
                 keys.discard(k)
                 buf.append((self._bump(), S_PUSH, k, p, t0))
                 bare = False
-
-    def _apply_leaf_batch(self, x: int, sigs) -> None:
-        bykey = {k: (p, k, ts) for (p, k, ts) in self._load(x).tops}
-        for seq, kind, key, prio, ts in sigs:
-            if kind == S_INSERT or kind == S_PUSH:
-                if key in bykey:
-                    raise AssertionError(f"duplicate settled key {key} at leaf {x}")
-                bykey[key] = (prio, key, ts)
-            elif kind == S_DEC:
-                cur = bykey.get(key)
-                if cur is not None and prio < cur[0]:
-                    bykey[key] = (prio, key, cur[2])
-            elif kind == S_DEL:
-                bykey.pop(key, None)
-            elif kind == S_ERASE:
-                if key not in bykey:
-                    raise AssertionError(f"erase found no record for key {key} at leaf {x}")
-                del bykey[key]
-        self._store(x, TNode(sorted(bykey.values())))
-
-    def _flush(self, x: int, node: TNode) -> None:
-        sigs = node.buf
-        node.buf = []
-        lchild = 2 * x
-        left: list = []
-        right: list = []
-        # The child toward a key's leaf is the next bit of its 64-bit hash.
-        mult, shift = self._mult, 64 - x.bit_length()
-        for sig in sigs:
-            if ((sig[2] * mult) & M64) >> shift & 1:
-                right.append(sig)
-            else:
-                left.append(sig)
-        for child, batch in ((lchild, left), (lchild + 1, right)):
-            if not batch:
-                continue
-            if self._is_leaf(child):
-                self._apply_leaf_batch(child, batch)
-                continue
-            cnode = self._load(child)
-            self._apply(child, cnode, batch)
-            if len(cnode.buf) > self.sig_cap:
-                self._flush(child, cnode)
-            self._store(child, cnode)
-        self._refresh_maybe(x, node)
-
-    def _refill(self, x: int, node: TNode) -> None:
-        """Fill node.tops with its subtree's minima; own buffer flushed first."""
-        if node.buf:
+        if len(buf) > self.cap:
             self._flush(x, node)
-        if node.tops:
-            return
-        sources = [[c, self._load(c), False] for c in self._children(x) if c in self._maybe]  # [id, node, dirty]
-        taken: list[tuple[int, int, int]] = []
-        while len(taken) < self.top_cap:
-            best = None
-            for src in sources:
-                c, st, _ = src
-                if not st.tops and (st.buf or self._below_maybe(c)):
-                    self._refill(c, st)
-                    src[2] = True
-                if st.tops and (best is None or st.tops[0] < best[1].tops[0]):
-                    best = src
-            if best is None:
-                break
-            taken.append(best[1].tops.pop(0))
-            best[1].keys.discard(taken[-1][1])
-            best[2] = True
-        node.tops, node.keys = taken, {e[1] for e in taken}
-        for c, st, dirty in sources:
-            if dirty:
-                self._store(c, st)
-        self._refresh_maybe(x, node)
-
-    def _after_root_op(self) -> None:
-        root = self._root
-        if len(root.buf) > self.sig_cap:
-            self._flush(self.ROOT, root)
-        self._refresh_maybe(self.ROOT, root)
 
     # -- operations -------------------------------------------------------------------
 
@@ -306,19 +265,19 @@ class TournamentQueue(BufferedTree):
         check_entry(key, priority, self.w)
         seq = self._bump()
         self._apply(self.ROOT, self._root, ((seq, S_INSERT, key, priority + self._prio_bias, seq),))
-        self._after_root_op()
+        self._refresh_maybe(self.ROOT, self._root)
 
     def decrease_key(self, key: int, priority: int) -> None:
         check_entry(key, priority, self.w)
         seq = self._bump()
         self._apply(self.ROOT, self._root, ((seq, S_DEC, key, priority + self._prio_bias, 0),))
-        self._after_root_op()
+        self._refresh_maybe(self.ROOT, self._root)
 
     def delete(self, key: int) -> None:
         check_entry(key, 0, self.w)
         seq = self._bump()
         self._apply(self.ROOT, self._root, ((seq, S_DEL, key, self._prio_bias, 0),))
-        self._after_root_op()
+        self._refresh_maybe(self.ROOT, self._root)
 
     def extract_min(self) -> tuple[int, int]:
         root = self._root
@@ -326,7 +285,6 @@ class TournamentQueue(BufferedTree):
             self._refill(self.ROOT, root)
             if not root.tops:
                 raise EmptyQueueError("extract from empty queue")
-        word, key, _ = root.tops.pop(0)
-        root.keys.discard(key)
+        word, key, _ = root.pop_min()
         self._refresh_maybe(self.ROOT, root)
         return key, word - self._prio_bias

@@ -28,6 +28,18 @@ def test_gen_rejects_h_zero(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("variant,trees", [("basic", "3"), ("basic", "0"), ("multi_tree", "0"),
+                                           ("no_spurious", "-1")])
+def test_gen_rejects_trees_it_would_rewrite(tmp_path, capsys, variant, trees):
+    out = tmp_path / "x.bin"
+    with pytest.raises(SystemExit) as exc:
+        main(["gen", "--beta", "2", "--h", "2", "--m", "1", "--variant", variant, "--trees", trees,
+              "--universe", "1000", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "--trees" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_gen_regeneration_byte_identical(tmp_path):
     a, b = tmp_path / "a.bin", tmp_path / "b.bin"
     argv = ["gen", "--beta", "2", "--h", "3", "--m", "2", "--seed", "7"]

@@ -16,7 +16,12 @@ CSV: every message's payload digest, so a content request charged out of
 order or answered with the wrong block moves them.
 """
 
+import contextlib
 import hashlib
+import io
+import sys
+import tempfile
+from pathlib import Path
 
 import pytest
 
@@ -158,19 +163,27 @@ IMAGES = {
 
 @pytest.mark.parametrize("kind", sorted(IMAGES))
 def test_memory_image_digest_pinned(kind):
+    assert _image_digest(kind) == IMAGES[kind]
+
+
+def _image_digest(kind: str) -> str:
     work = WORKLOADS["insert_extract_3000"]()
     dev = Device(DeviceConfig(B=16, M=192, w=64))
     queue = make_queue(kind, dev, n_hint=max(1024, len(work.ops)), seed=HASH_SEED)
     run_workload(queue, dev, work, hi=len(work.ops) // 2)
-    assert hashlib.sha256(repr(queue.memory_image()).encode()).hexdigest() == IMAGES[kind]
+    return hashlib.sha256(repr(queue.memory_image()).encode()).hexdigest()
 
 
-# queue -> sha256 of [(addr, block)] over every address written by the insert
-# half of insert_extract_3000 at (16, 192): the on-disk words, which the probe
-# digests above cannot see (entries are stored as key, priority + 2^(w-1), ts)
+# queue -> sha256 of [(addr, block)] over every address written by the first
+# 3,000 ops at (16, 192): the on-disk words, which the probe digests above
+# cannot see (entries are stored as key, priority + 2^(w-1), ts).  The heaps
+# run the insert half of insert_extract_3000; the tournaments run
+# mixed_arith_6000, so every signal kind sits in some buffer.
 BLOCKS = {
     "buffered_heap": "e3d0a7bcb43f6af32c4681f35cc190de6e3b0863ff1a788e9c57febac8f038e8",
     "dk_buffered_heap": "f11557d92a8807546f0c0e8fb6ae4d6f641c32420996ff400e047b3aadda0d8b",
+    "dk_tournament": "e0bc74f68954057d8e6d2dd19835d11bd877059621c893fd2c68d84cf53834ae",
+    "tournament": "2563f858917dfb7813ecb3132713c5e17b264f6dc2d83aebae5219da270935ac",
 }
 
 
@@ -180,11 +193,11 @@ def test_block_words_pinned(kind):
 
 
 def _block_digest(kind: str) -> str:
-    work = WORKLOADS["insert_extract_3000"]()
+    work = WORKLOADS["mixed_arith_6000" if kind.endswith("tournament") else "insert_extract_3000"]()
     w = _dk_w(work) if kind.startswith("dk_") else 64
     dev = Device(DeviceConfig(B=16, M=192, w=w))
     queue = make_queue(kind, dev, n_hint=max(1024, len(work.ops)), seed=HASH_SEED)
-    run_workload(queue, dev, work, hi=len(work.ops) // 2)
+    run_workload(queue, dev, work, hi=3000)
     written = sorted({rec.addr for rec in dev.log if rec.access == WRITE})
     return hashlib.sha256(repr([(a, dev.peek_block(a)) for a in written]).encode()).hexdigest()
 
@@ -236,12 +249,16 @@ COMM = {
 
 @pytest.mark.parametrize("kind", sorted(COMM))
 def test_comm_outputs_pinned(tmp_path, kind):
+    assert _comm_digests(kind, tmp_path) == COMM[kind]
+
+
+def _comm_digests(kind: str, tmp_path: Path) -> tuple[str, str]:
     out, transcript = tmp_path / "comm.csv", tmp_path / "transcript.csv"
-    rc = main(["comm", "--beta", "2", "--h", "4", "--m", "2", "--trials", "3", "--queue", kind,
-               "--out", str(out), "--transcript", str(transcript)])
+    with contextlib.redirect_stdout(io.StringIO()):  # the listing below prints only digests
+        rc = main(["comm", "--beta", "2", "--h", "4", "--m", "2", "--trials", "3", "--queue", kind,
+                   "--out", str(out), "--transcript", str(transcript)])
     assert rc == 0
-    got = tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in (out, transcript))
-    assert got == COMM[kind]
+    return tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in (out, transcript))
 
 
 # queue -> sha256 of every protocol run's ledger at (2,4,2), B=16, M=256, w=64:
@@ -279,11 +296,22 @@ def test_obs1_singleton_counts_pinned():
     assert rep.singleton_counts == [19, 16, 18, 6, 10, 12, 18, 12, 13, 6, 10, 10]
 
 
+def _listing() -> int:
+    """Print every digest pin beside its computed value; 1 if any differs, else 0."""
+    changed = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        for family, pins, compute in (("CASES", CASES, _case_digest), ("IMAGES", IMAGES, _image_digest),
+                                      ("BLOCKS", BLOCKS, _block_digest),
+                                      ("COMM", COMM, lambda kind: _comm_digests(kind, Path(tmp))),
+                                      ("LEDGERS", LEDGERS, _ledger_digest)):
+            for key in sorted(pins):
+                got = compute(key)
+                changed += got != pins[key]
+                mark = "" if got == pins[key] else "  CHANGED"
+                print(f"{family} {key}:\n  pinned   {pins[key]}\n  computed {got}{mark}")
+    return 1 if changed else 0
+
+
 if __name__ == "__main__":
     # A declared cost-model change re-pins from this listing: pinned beside computed, every pin family.
-    for family, pins, compute in (("CASES", CASES, _case_digest), ("BLOCKS", BLOCKS, _block_digest),
-                                  ("LEDGERS", LEDGERS, _ledger_digest)):
-        for key in sorted(pins):
-            got = compute(key)
-            mark = "" if got == pins[key] else "  CHANGED"
-            print(f"{family} {key}:\n  pinned   {pins[key]}\n  computed {got}{mark}")
+    sys.exit(_listing())

@@ -180,7 +180,7 @@ def test_node_layout_pinned(w):
         words = [word for i in range(q.node_blocks) for word in dev.peek_block(q._addr(child) + i)]
         nt, ns = words[0], words[1]
         end = 2 + 3 * nt + 5 * ns
-        assert nt <= q.top_cap and ns <= q.sig_cap
+        assert nt <= q.cap and ns <= q.cap
         assert words[end : -(-end // q.B) * q.B] == [0] * (-end % q.B)
         entries = [tuple(words[i : i + 3]) for i in range(2, 2 + 3 * nt, 3)]
         assert entries == sorted(entries, key=lambda e: (e[1], e[0], e[2]))
@@ -361,11 +361,11 @@ def test_key_index_matches_tops():
 def test_batch_buffers_after_evicting_from_bare_child():
     # Child 2 holds five tops and nothing else, so its subtree is bare.  One
     # forced root flush then sends it four inserts: two fill its tops to
-    # top_cap, the third overflows them and evicts a push, and the fourth,
+    # cap, the third overflows them and evicts a push, and the fourth,
     # above every top, must now be buffered behind that push.
     dev = Device(DeviceConfig(B=16, M=256, w=64))
     q = TournamentQueue(dev, n_hint=40, seed=0)
-    assert (q.K, q.top_cap) == (4, 7)
+    assert (q.K, q.cap) == (4, 7)
     k = [key for key in range(100, 200) if not (key * q._mult) & (1 << 63)][:9]  # routed to child 2
     for key in range(7):
         q.insert(key, key)  # seq 1-7, they fill the root's tops
