@@ -35,8 +35,9 @@ A refill reads each child through a lazy ``_Cursor``: tops are consumed
 front-first by bumping ``tops_offset``, so a refill reads only the blocks
 it merges from and writes one header block per consumed child.  The merge
 holds each decoded head until it is popped, and ``pop_next`` decodes the
-next head in place when it follows in the same block.  A head is decoded priority word first, so when an entry straddles
-two unread blocks the later block is probed before the earlier.
+next head in place when it follows in the same block.  A head is decoded
+priority word first, so when an entry straddles two unread blocks the later
+block is probed before the earlier.
 """
 
 from __future__ import annotations

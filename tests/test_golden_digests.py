@@ -8,7 +8,7 @@ the random generator cannot move them.  A digest that changes means the probe
 order, the probe set or an answer changed; that is a cost-model change and
 must be declared, never re-pinned silently.  The memory-image digests pin the
 word layout of the heap's and the tournament's images the same way.  What a
-probe digest cannot see is pinned too: the heap's on-disk block words, a
+probe digest cannot see is pinned too: each queue's on-disk block words, a
 heap image whose ops never leave the root, and the oracle's image.  The
 CLI pins fix the bytes of ``pqlab comm``'s CSV and transcript and the exact
 singleton counts behind ``pqlab obs1``.  The ledger pins go further than the
