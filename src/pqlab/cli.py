@@ -98,6 +98,10 @@ def cmd_gen(args) -> int:
     if args.variant == "random":
         if args.n is None:
             args.usage_error("--variant random needs --n")
+        for flag, value in (("--trees", None if args.trees == 1 else args.trees),
+                            ("--beta", args.beta), ("--h", args.h), ("--m", args.m)):
+            if value is not None:
+                args.usage_error(f"--variant random does not take {flag}")
         universe = 1 << 20 if args.universe is None else args.universe
         wl = make_random_workload(args.n, args.seed, universe=universe, profile=args.profile)
     else:

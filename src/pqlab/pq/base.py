@@ -15,9 +15,9 @@ Queue implementations expose:
   DecreaseKey-then-ExtractMin recipe.
 * ``clear()``, ``memory_image()``/``load_memory_image()`` for global
   rebuilding and snapshot-resume replication.  The image is a list of w-bit
-  words in the queue's own layouts: counters, occupancy bitmaps
-  (``pack_ids``) and the root in its node layout, so its length is the
-  number of words resident in the M-word memory.
+  words in the queue's own layouts: counters and the root in its node
+  layout, so its length is the number of words resident in the M-word
+  memory.
 
 Capability flags ``supports_decrease_key``/``supports_delete`` gate which
 workloads a queue may run.
@@ -38,27 +38,31 @@ only reorder words, and the oracle's image uses them unbiased.
 
 ``BufferedTree`` is the resident half of both external queues (the buffered
 heap and the tournament).  It owns the M-word memory: an operation counter
-``_seq``, the ids of node arenas written since ``clear()`` (``_occupied``)
-and of subtrees that may hold entries (``_maybe``), and the root node.  The
-memory image is ``[seq] + pack_ids(_occupied) + pack_ids(_maybe)`` followed
-by the subclass's root words, and the constructor audit charges the largest
-image that layout can produce plus 2B words of block buffers against M, so
-an accepted queue's image never exceeds M - 2B words.  A subclass gives the
-node id space, ``_children(x)``, the root's id and word layout, and how a
-node other than the root is read and written; a node whose id is not
-occupied is empty without a probe, which makes ``clear()`` free.
+``_seq`` and the root node.  The memory image is ``[seq]`` followed by the
+subclass's root words, and the constructor audit charges the largest image
+that layout can produce plus 2B words of block buffers against M, so an
+accepted queue's image never exceeds M - 2B words, whatever N is.  Every
+node carries ``bits``, one bit per child, stored in its header: bit i is
+set iff child i's subtree holds an entry or a buffered item.  A child whose
+bit is clear is read as an empty node without a probe, so ``clear()``,
+which zeroes the root, leaves every node on disk unreachable at no cost.
+A subclass gives ``_children(x)``, the root's word layout, and how a node
+other than the root is read and written.
 
-The base also runs both tree walks.  A flush empties a node's buffer: for
-each ``(child, batch)`` the subclass's ``_route`` names, it loads the
-child, lets the subclass's ``_apply`` take the batch (which may flush the
-child in turn) and stores it.  A refill fills an empty node's tops with up
-to ``cap`` of its subtree's minima, flushing the node's own buffer first so
-no entry below is overlooked.  It merges one ``SOURCE`` per child in
-``_maybe`` with a heap keyed by ``(head, child index)``, yet probes as a
-full rescan would: the first round asks every source for its head in child
+The base also runs both tree walks, and each walk holds the parent of every
+child it changes, so it keeps the parent's bits exact at no extra probe.  A
+flush empties a node's buffer: for each ``(child index, batch)`` the
+subclass's ``_route`` names, it loads the child, lets the subclass's
+``_apply`` take the batch (which may flush the child in turn), stores it
+and sets the child's bit.  A refill fills an empty node's tops with up to
+``cap`` of its subtree's minima, flushing the node's own buffer first so no
+entry below is overlooked.  It merges one ``SOURCE`` per child whose bit is
+set with a heap keyed by ``(head, child index)``, yet probes as a full
+rescan would: the first round asks every source for its head in child
 order (a source whose node ran dry with entries below refills it first),
 after that only the popped source is asked again, and only while the node
-still wants entries.  The default source, ``Loaded``, holds the child whole.
+still wants entries.  Then each source writes back and sets its child's
+bit.  The default source, ``Loaded``, holds the child whole.
 """
 
 from __future__ import annotations
@@ -96,19 +100,6 @@ def word_entries(words: list[int], lo: int, n: int) -> list[tuple[int, int, int]
     return list(zip(span[1::3], span[0::3], span[2::3]))
 
 
-def pack_ids(ids, n: int, w: int) -> list[int]:
-    """Node ids in [0, n) as a bitmap of ceil(n/w) w-bit words, id i at bit i % w of word i // w."""
-    words = [0] * -(-n // w)
-    for i in ids:
-        words[i // w] |= 1 << (i % w)
-    return words
-
-
-def unpack_ids(words: list[int], w: int) -> set[int]:
-    """The node ids set in a ``pack_ids`` bitmap."""
-    return {j * w + i for j, word in enumerate(words) for i, bit in enumerate(f"{word:b}"[::-1]) if bit == "1"}
-
-
 class PriorityQueueBase:
     supports_decrease_key = False
     supports_delete = False
@@ -132,20 +123,30 @@ class PriorityQueueBase:
 
 class Node:
     """A buffered-tree node: sorted ``tops``, the buffer ``buf`` in transit
-    toward the leaves, and ``rr``, the next child a buffer flush goes to."""
+    toward the leaves, ``rr``, the next child a buffer flush goes to, and
+    ``bits``, whose bit i is set iff child i's subtree holds anything."""
 
-    __slots__ = ("tops", "buf", "rr")
+    __slots__ = ("tops", "buf", "rr", "bits")
 
-    def __init__(self, tops=None, buf=None, rr=0):
+    def __init__(self, tops=None, buf=None, rr=0, bits=0):
         self.tops = tops if tops is not None else []
         self.buf = buf if buf is not None else []
         self.rr = rr
+        self.bits = bits
 
     def pop_min(self) -> tuple[int, int, int]:
         return self.tops.pop(0)
 
     def set_tops(self, tops: list) -> None:
         self.tops = tops
+
+    def holds(self) -> bool:
+        """Whether this node's subtree holds an entry or a buffered item."""
+        return bool(self.tops or self.buf or self.bits)
+
+    def mark(self, i: int, holds: bool) -> None:
+        """Set child i's bit if its subtree holds anything, else clear it."""
+        self.bits = self.bits | 1 << i if holds else self.bits & ~(1 << i)
 
 
 class Loaded:
@@ -157,12 +158,12 @@ class Loaded:
     def __init__(self, owner: "BufferedTree", x: int, node: Node | None = None):
         self.owner = owner
         self.x = x
-        self.node = owner._load(x) if node is None else node
+        self.node = owner._read_node(x) if node is None else node
         self.dirty = False
 
     def next_head(self) -> tuple[int, int, int] | None:
         node = self.node
-        if not node.tops and (node.buf or self.owner._below_maybe(self.x)):
+        if not node.tops and (node.buf or node.bits):
             self.owner._refill(self.x, node)
             self.dirty = True
         return node.tops[0] if node.tops else None
@@ -175,9 +176,11 @@ class Loaded:
         self.pop()
         return self.next_head()
 
-    def writeback(self) -> None:
+    def writeback(self) -> bool:
+        """Store the node if it changed; whether its subtree still holds anything."""
         if self.dirty:
-            self.owner._store(self.x, self.node)
+            self.owner._write_node(self.x, self.node)
+        return self.node.holds()
 
 
 class BufferedTree(PriorityQueueBase):
@@ -192,7 +195,7 @@ class BufferedTree(PriorityQueueBase):
 
     ROOT: int
     ROOT_HEADER: int
-    NODE = Node  # the class of the empty node an unoccupied id reads as
+    NODE = Node  # the class of the empty node a clear bit reads as
     SOURCE = Loaded  # the refill source over one child: next_head, pop, pop_next, writeback
 
     def __init__(self, device):
@@ -201,10 +204,9 @@ class BufferedTree(PriorityQueueBase):
         self.B, self.M, self.w = cfg.B, cfg.M, cfg.w
         self._prio_bias = 1 << (self.w - 1)
 
-    def _setup(self, n_ids: int, root_words_max: int) -> None:
-        """Audit the largest image (ids in [0, n_ids)) against M - 2B, then start empty."""
-        self._n_ids = n_ids
-        resident = 1 + 2 * -(-n_ids // self.w) + root_words_max
+    def _setup(self, root_words_max: int) -> None:
+        """Audit the largest image, ``[seq]`` and the root words, against M - 2B, then start empty."""
+        resident = 1 + root_words_max
         if resident > self.M - 2 * self.B:
             raise ConfigError(
                 f"M={self.M} words cannot hold {2 * self.B} words of block buffers "
@@ -218,37 +220,15 @@ class BufferedTree(PriorityQueueBase):
             raise EncodingError("operation counter exceeded the word width")
         return self._seq
 
-    def _below_maybe(self, x: int) -> bool:
-        return not self._maybe.isdisjoint(self._children(x))
-
-    def _refresh_maybe(self, x: int, node: Node) -> None:
-        if node.tops or node.buf or self._below_maybe(x):
-            self._maybe.add(x)
-        else:
-            self._maybe.discard(x)
-
-    def _load(self, x: int) -> Node:
-        if x == self.ROOT:
-            return self._root
-        if x not in self._occupied:
-            return self.NODE()
-        return self._read_node(x)
-
-    def _store(self, x: int, node: Node) -> None:
-        if x == self.ROOT:
-            self._root = node
-        else:
-            self._write_node(x, node)
-            self._occupied.add(x)
-        self._refresh_maybe(x, node)
-
     def _flush(self, x: int, node: Node) -> None:
         """Empty node x's buffer into the children ``_route`` names (module docstring)."""
-        for child, batch in self._route(x, node):
-            cnode = self._load(child)
+        kids = self._children(x)
+        for i, batch in self._route(x, node):
+            child = kids[i]
+            cnode = self._read_node(child) if node.bits >> i & 1 else self.NODE()
             self._apply(child, cnode, batch)
-            self._store(child, cnode)
-        self._refresh_maybe(x, node)
+            self._write_node(child, cnode)
+            node.mark(i, cnode.holds())
 
     def _refill(self, x: int, node: Node) -> None:
         """Fill internal node x's tops with its subtree's minima; own buffer flushed first."""
@@ -256,49 +236,44 @@ class BufferedTree(PriorityQueueBase):
             self._flush(x, node)
         if node.tops:
             return
-        sources = [self.SOURCE(self, c) for c in self._children(x) if c in self._maybe]
+        kids = self._children(x)
+        held = [i for i in range(len(kids)) if node.bits >> i & 1]
+        sources = [self.SOURCE(self, kids[i]) for i in held]
         # Probes as a rescan per taken entry would (module docstring): all
         # sources once in child order, then only the popped one.
         merge = []
-        for i, src in enumerate(sources):
+        for j, src in enumerate(sources):
             head = src.next_head()
             if head is not None:
-                merge.append((head, i))
+                merge.append((head, j))
         heapq.heapify(merge)
         taken: list[tuple[int, int, int]] = []
         cap = self.cap
         while merge:
-            head, i = merge[0]
+            head, j = merge[0]
             taken.append(head)
             if len(taken) >= cap:
-                sources[i].pop()
+                sources[j].pop()
                 break
-            head = sources[i].pop_next()
+            head = sources[j].pop_next()
             if head is None:
                 heapq.heappop(merge)
             else:
-                heapq.heapreplace(merge, (head, i))
+                heapq.heapreplace(merge, (head, j))
         node.set_tops(taken)
-        for src in sources:
-            src.writeback()
-        self._refresh_maybe(x, node)
+        for i, src in zip(held, sources):
+            node.mark(i, src.writeback())
 
     def clear(self) -> None:
         self._seq = 0
-        self._occupied: set[int] = set()
-        self._maybe: set[int] = set()
         self._load_root_words([0] * self.ROOT_HEADER)
 
     def memory_image(self) -> list[int]:
-        n, w = self._n_ids, self.w
-        return [self._seq] + pack_ids(self._occupied, n, w) + pack_ids(self._maybe, n, w) + self._root_words()
+        return [self._seq] + self._root_words()
 
     def load_memory_image(self, words: list[int]) -> None:
-        nb = -(-self._n_ids // self.w)
         self._seq = words[0]
-        self._occupied = unpack_ids(words[1 : 1 + nb], self.w)
-        self._maybe = unpack_ids(words[1 + nb : 1 + 2 * nb], self.w)
-        self._load_root_words(words[1 + 2 * nb :])
+        self._load_root_words(words[1:])
 
 
 @dataclass

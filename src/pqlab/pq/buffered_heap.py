@@ -14,17 +14,20 @@ O((1/B) log_{M/B} N) probes per operation amortized; the constant is
 asserted as a measured regression bound, not proved.
 
 Node arena layout: block 0 opens with [n_tops, n_pending, round_robin,
-tops_offset, 0, 0, 0, 0]; the sorted tops region follows the header and the
-pending region sits at the fixed offset ``HEADER_WORDS + 3 * cap``, entries
-packed 3 words each as ``key, priority + 2^(w-1), timestamp``.  In memory an
-entry is already its stored words, ``(priority + 2^(w-1), key, timestamp)``,
-which order as the entries do: ``insert`` adds the bias, ``extract_min``
-removes it, and the node codecs and the cursor heads only reorder words.  A
-leaf absorbs every batch into its tops, so leaves never hold pending
-entries.  Resident state, its memory image and the M-word audit live in
-``base.BufferedTree``: the root words are ``[live, rr, n_tops]`` followed by
-the root's tops and pending entries.  Merge scratch is host memory, not
-charged.
+tops_offset, bits, 0, 0, 0], where bit i of ``bits`` is set iff child i's
+subtree holds an entry (the fan-out is at most 8); the sorted tops region
+follows the header and the pending region sits at the fixed offset
+``HEADER_WORDS + 3 * cap``, entries packed 3 words each as ``key, priority +
+2^(w-1), timestamp``.  In memory an entry is already its stored words,
+``(priority + 2^(w-1), key, timestamp)``, which order as the entries do:
+``insert`` adds the bias, ``extract_min`` removes it, and the node codecs
+and the cursor heads only reorder words.  A leaf absorbs every batch into
+its tops, so leaves never hold pending entries.  Resident state, its memory
+image and the M-word audit live in ``base.BufferedTree``: the root words
+are ``[live, rr, n_tops, bits]`` followed by the root's tops and pending
+entries.  A node whose subtree empties is read back, once its parent's bit
+is clear, as a fresh node, so its round-robin restarts at child 0.  Merge
+scratch is host memory, not charged.
 
 A flushed batch that enters an internal node is sorted and split at the
 tops maximum: the entries below it join tops, which never moves the
@@ -57,11 +60,12 @@ class _Cursor:
 
     The merge holds each head entry until it is popped, so each entry is
     decoded, and each of its blocks read, exactly once.  A child that runs
-    dry with entries below is loaded whole and handed to a ``Loaded`` source
-    (``full``), which refills it and serves the rest.
+    dry with entries below is built whole from the blocks the cursor holds
+    plus its pending span, and handed to a ``Loaded`` source (``full``),
+    which refills it and serves the rest.
     """
 
-    __slots__ = ("owner", "x", "B", "blocks", "n_tops", "n_pending", "off", "eaten", "full", "_blk", "_i")
+    __slots__ = ("owner", "x", "B", "blocks", "n_tops", "n_pending", "off", "bits", "eaten", "full", "_blk", "_i")
 
     def __init__(self, owner: "BufferedHeap", x: int):
         self.owner = owner
@@ -69,7 +73,7 @@ class _Cursor:
         self.B = owner.B
         words0 = owner._read_block_of(x, 0)
         self.blocks = {0: words0}
-        self.n_tops, self.n_pending, _, self.off = words0[:4]
+        self.n_tops, self.n_pending, _, self.off, self.bits = words0[:5]
         self.eaten = 0
         self.full: Loaded | None = None
         self._blk, self._i = words0, self.B  # the head's block and word index, if it lies in one
@@ -100,8 +104,8 @@ class _Cursor:
             ts = self._block((pos + 2) // B)[(pos + 2) % B]
             self._i = B
             return (prio, key, ts)
-        if self.n_pending or self.owner._below_maybe(self.x):
-            node = self.owner._load(self.x)
+        if self.n_pending or self.bits:
+            node = self.owner._read_node(self.x, self.blocks)
             del node.tops[: self.eaten]
             self.full = Loaded(self.owner, self.x, node)
             return self.full.next_head()
@@ -127,19 +131,16 @@ class _Cursor:
             return (blk[i + 1], blk[i], blk[i + 2])
         return self.next_head()
 
-    def writeback(self) -> None:
-        o = self.owner
+    def writeback(self) -> bool:
+        """Write the consumed header back; whether the child's subtree still holds anything."""
         if self.full is not None:
-            self.full.writeback()
-            return
-        if not self.eaten:
-            return
-        words0 = self.blocks[0]
-        words0[0] = self.n_tops - self.eaten
-        words0[3] = self.off + self.eaten
-        o.device.write_block(o._node_base(self.x), words0)
-        if words0[0] == 0 and self.n_pending == 0 and not o._below_maybe(self.x):
-            o._maybe.discard(self.x)
+            return self.full.writeback()
+        if self.eaten:
+            o, words0 = self.owner, self.blocks[0]
+            words0[0] = self.n_tops - self.eaten
+            words0[3] = self.off + self.eaten
+            o.device.write_block(o._node_base(self.x), words0)
+        return bool(self.eaten < self.n_tops or self.n_pending or self.bits)
 
 
 class BufferedHeap(BufferedTree):
@@ -147,7 +148,7 @@ class BufferedHeap(BufferedTree):
     supports_delete = False
     name = "buffered_heap"
     ROOT = 0
-    ROOT_HEADER = 3
+    ROOT_HEADER = 4
     SOURCE = _Cursor
 
     def __init__(self, device, n_hint: int = 1 << 14):
@@ -168,7 +169,7 @@ class BufferedHeap(BufferedTree):
         self._leaf_blocks = self._blocks_for(HEADER_WORDS + ENTRY_WORDS * (self.leaf_tops_cap + self.cap))
         if self._node_base(self.n_nodes) >= device.config.word_limit:
             raise ConfigError("address space too small for the heap arena; increase w")
-        self._setup(self.n_nodes, self.ROOT_HEADER + 2 * ENTRY_WORDS * self.cap)
+        self._setup(self.ROOT_HEADER + 2 * ENTRY_WORDS * self.cap)
 
     # -- geometry -------------------------------------------------------------
 
@@ -202,9 +203,11 @@ class BufferedHeap(BufferedTree):
             if b not in cache:
                 cache[b] = self._read_block_of(x, b)
 
-    def _read_node(self, x: int) -> Node:
-        cache: dict[int, list[int]] = {0: self._read_block_of(x, 0)}
-        n_tops, n_pending, rr, off = cache[0][:4]
+    def _read_node(self, x: int, cache: dict[int, list[int]] | None = None) -> Node:
+        """Decode node x, reading only the blocks ``cache`` (block index -> words) lacks."""
+        if cache is None:
+            cache = {0: self._read_block_of(x, 0)}
+        n_tops, n_pending, rr, off, bits = cache[0][:5]
         lo = HEADER_WORDS + ENTRY_WORDS * off
         pb = self._pending_at
         self._read_span(x, lo, lo + ENTRY_WORDS * n_tops, cache)
@@ -213,14 +216,14 @@ class BufferedHeap(BufferedTree):
         words = [0] * ((max(cache) + 1) * B)
         for b, blk in cache.items():
             words[b * B : (b + 1) * B] = blk
-        return Node(word_entries(words, lo, n_tops), word_entries(words, pb, n_pending), rr)
+        return Node(word_entries(words, lo, n_tops), word_entries(words, pb, n_pending), rr, bits)
 
     def _write_node(self, x: int, node: Node) -> None:
         pb = self._pending_at
         t_end = HEADER_WORDS + ENTRY_WORDS * len(node.tops)
         p_end = pb + ENTRY_WORDS * len(node.buf)
         words = [0] * (self._blocks_for(max(t_end, p_end)) * self.B)
-        words[0], words[1], words[2], words[3] = len(node.tops), len(node.buf), node.rr, 0
+        words[:5] = len(node.tops), len(node.buf), node.rr, 0, node.bits
         words[HEADER_WORDS:t_end] = entry_words(node.tops)
         words[pb:p_end] = entry_words(node.buf)
         touched = set(range(0, (t_end - 1) // self.B + 1))
@@ -233,11 +236,10 @@ class BufferedHeap(BufferedTree):
     # -- arrival and flush ---------------------------------------------------------
 
     def _route(self, x: int, node: Node) -> list[tuple[int, list]]:
-        """Node x's whole buffer, sorted, to its round-robin child."""
-        moved, node.buf = node.buf, []
-        child = self._children(x)[node.rr]
-        node.rr = (node.rr + 1) % self.fanout
-        return [(child, sorted(moved))]
+        """Node x's whole buffer, sorted, to its round-robin child (by index)."""
+        moved, node.buf, i = node.buf, [], node.rr
+        node.rr = (i + 1) % self.fanout
+        return [(i, sorted(moved))]
 
     def _apply(self, x: int, node: Node, batch: list[tuple[int, int, int]]) -> None:
         """Merge a sorted batch into a leaf's tops, or split it at an internal node's tops
@@ -255,7 +257,7 @@ class BufferedHeap(BufferedTree):
             for e in batch[:cut]:
                 bisect.insort(tops, e)
             node.buf += batch[cut:]
-        elif node.buf or self._below_maybe(x):
+        elif node.buf or node.bits:
             node.buf += batch
         else:
             node.tops = list(batch)
@@ -279,7 +281,7 @@ class BufferedHeap(BufferedTree):
         root = self._root
         tops = root.tops
         # ``_apply``'s rule for one entry: below the tops maximum, or into a subtree holding nothing.
-        if (tops and entry < tops[-1]) or not (tops or root.buf or self._below_maybe(self.ROOT)):
+        if (tops and entry < tops[-1]) or not (tops or root.buf or root.bits):
             bisect.insort(tops, entry)
         else:
             root.buf.append(entry)
@@ -296,16 +298,15 @@ class BufferedHeap(BufferedTree):
                 raise AssertionError("live count positive but no entries found")
         word, key, _ = root.pop_min()
         self._live -= 1
-        self._refresh_maybe(self.ROOT, root)
         return key, word - self._prio_bias
 
     # -- root words ----------------------------------------------------------------
 
     def _root_words(self) -> list[int]:
         root = self._root
-        return [self._live, root.rr, len(root.tops)] + entry_words(root.tops + root.buf)
+        return [self._live, root.rr, len(root.tops), root.bits] + entry_words(root.tops + root.buf)
 
     def _load_root_words(self, words: list[int]) -> None:
-        self._live, rr, n_tops = words[:3]
-        entries = word_entries(words, 3, (len(words) - 3) // ENTRY_WORDS)
-        self._root = Node(entries[:n_tops], entries[n_tops:], rr)
+        self._live, rr, n_tops, bits = words[:4]
+        entries = word_entries(words, 4, (len(words) - 4) // ENTRY_WORDS)
+        self._root = Node(entries[:n_tops], entries[n_tops:], rr, bits)

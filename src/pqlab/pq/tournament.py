@@ -32,10 +32,14 @@ the obsolete copy below.  Deletes annihilate at the leaf when the key is
 absent (the workload model's tolerant Delete).  DecreaseKey on an absent
 key is a contract violation the structure cannot detect: undefined.
 
-Every node, leaves included, is stored as ``[n_tops, n_sigs] + entries +
-sigs``: an entry as ``key, priority + 2^(w-1), timestamp`` and a signal as
-``seq, kind, key, priority + 2^(w-1), timestamp``.  A leaf is a node with
-no signals in a larger arena, so one pair of codecs reads and writes both.
+Every node, leaves included, is stored as ``[n_tops, n_sigs << 2 | bits]
++ entries + sigs``: ``bits`` holds one bit per child, set iff that child's
+subtree holds an entry or a signal (0 at a leaf), an entry is ``key,
+priority + 2^(w-1), timestamp`` and a signal ``seq, kind, key, priority +
+2^(w-1), timestamp``.  The constructor requires ``4 * cap + 3 < 2^w``, so
+the second word fits in w bits.  A leaf is a node with no signals in a
+larger arena, so one pair of codecs reads and writes both, and the root's
+words too.
 In memory, entries ``(priority word, key, timestamp)`` and signals already
 hold the stored priority word, so the codecs only slice; the bias 2^(w-1)
 is added in ``insert``/``decrease_key`` and removed in ``extract_min``, and
@@ -81,8 +85,8 @@ class TNode(Node):
     """A tournament node; ``keys`` is the set of keys in ``tops``."""
     __slots__ = ("keys",)
 
-    def __init__(self, tops=None, buf=None, keys=None):
-        super().__init__(tops, buf)
+    def __init__(self, tops=None, buf=None, keys=None, bits=0):
+        super().__init__(tops, buf, 0, bits)
         self.keys = {e[1] for e in self.tops} if keys is None else keys
 
     def pop_min(self) -> tuple[int, int, int]:
@@ -126,9 +130,9 @@ class TournamentQueue(BufferedTree):
 
         self._leaf_base = (self.K - 1) * node_blocks
         total_blocks = self._leaf_base + self.K * self.leaf_blocks
-        if total_blocks >= device.config.word_limit:
-            raise ConfigError("address space too small for tournament arenas; increase w")
-        self._setup(2 * self.K, self.ROOT_HEADER + (ENTRY_WORDS + SIG_WORDS) * cap)
+        if max(total_blocks, 4 * cap + 3) >= device.config.word_limit:
+            raise ConfigError("words too narrow for tournament arenas and node headers; increase w")
+        self._setup(self.ROOT_HEADER + (ENTRY_WORDS + SIG_WORDS) * cap)
 
     # -- geometry ---------------------------------------------------------------
 
@@ -148,7 +152,7 @@ class TournamentQueue(BufferedTree):
     def _read_node(self, x: int) -> TNode:
         base = self._addr(x)
         words = list(self.device.read_block(base))
-        n_words = 2 + ENTRY_WORDS * words[0] + SIG_WORDS * words[1]
+        n_words = 2 + ENTRY_WORDS * words[0] + SIG_WORDS * (words[1] >> 2)
         for i in range(1, -(-n_words // self.B)):
             words.extend(self.device.read_block(base + i))
         return self._node_from_words(words)
@@ -167,16 +171,17 @@ class TournamentQueue(BufferedTree):
             write(addr, block)
 
     def _node_from_words(self, words: list[int]) -> TNode:
-        """Decode the ``[n_tops, n_sigs] + entries + sigs`` node layout."""
+        """Decode the ``[n_tops, n_sigs << 2 | bits] + entries + sigs`` node layout."""
         p = 2 + ENTRY_WORDS * words[0]
-        it = iter(words[p : p + SIG_WORDS * words[1]])
+        it = iter(words[p : p + SIG_WORDS * (words[1] >> 2)])
         keys = words[2:p:3]
-        return TNode(list(zip(words[3:p:3], keys, words[4:p:3])), list(zip(it, it, it, it, it)), set(keys))
+        return TNode(list(zip(words[3:p:3], keys, words[4:p:3])), list(zip(it, it, it, it, it)), set(keys),
+                     words[1] & 3)
 
     def _node_words(self, node: Node) -> list[int]:
         tops = node.tops
         p = 2 + ENTRY_WORDS * len(tops)
-        words = [len(tops), len(node.buf)] + [0] * (p - 2)
+        words = [len(tops), len(node.buf) << 2 | node.bits] + [0] * (p - 2)
         if tops:
             words[3:p:3], words[2:p:3], words[4:p:3] = zip(*tops)
         words.extend(chain.from_iterable(node.buf))
@@ -191,13 +196,13 @@ class TournamentQueue(BufferedTree):
     # -- signal machinery -----------------------------------------------------------
 
     def _route(self, x: int, node: TNode) -> list[tuple[int, list]]:
-        """Node x's buffer split by child: the child toward a key's leaf is the next bit of its 64-bit hash."""
+        """Node x's buffer split by child index: the next bit of each key's 64-bit hash."""
         sigs, node.buf = node.buf, []
         halves: tuple[list, list] = ([], [])
         mult, shift = self._mult, 64 - x.bit_length()
         for sig in sigs:
             halves[((sig[2] * mult) & M64) >> shift & 1].append(sig)
-        return [(child, batch) for child, batch in zip(self._children(x), halves) if batch]
+        return [(i, batch) for i, batch in enumerate(halves) if batch]
 
     def _apply(self, x: int, node: TNode, sigs) -> None:
         """Apply signals, in order, to node x; an internal node then flushes a full buffer."""
@@ -221,7 +226,7 @@ class TournamentQueue(BufferedTree):
             node.set_tops(sorted(bykey.values()))
             return
         tops, buf, keys, insort = node.tops, node.buf, node.keys, bisect.insort
-        bare = not buf and not self._below_maybe(x)  # the subtree holds nothing but tops
+        bare = not buf and not node.bits  # the subtree holds nothing but tops
         for sig in sigs:
             seq, kind, key, prio, ts = sig
             if kind == S_INSERT or kind == S_PUSH:
@@ -265,19 +270,16 @@ class TournamentQueue(BufferedTree):
         check_entry(key, priority, self.w)
         seq = self._bump()
         self._apply(self.ROOT, self._root, ((seq, S_INSERT, key, priority + self._prio_bias, seq),))
-        self._refresh_maybe(self.ROOT, self._root)
 
     def decrease_key(self, key: int, priority: int) -> None:
         check_entry(key, priority, self.w)
         seq = self._bump()
         self._apply(self.ROOT, self._root, ((seq, S_DEC, key, priority + self._prio_bias, 0),))
-        self._refresh_maybe(self.ROOT, self._root)
 
     def delete(self, key: int) -> None:
         check_entry(key, 0, self.w)
         seq = self._bump()
         self._apply(self.ROOT, self._root, ((seq, S_DEL, key, self._prio_bias, 0),))
-        self._refresh_maybe(self.ROOT, self._root)
 
     def extract_min(self) -> tuple[int, int]:
         root = self._root
@@ -286,5 +288,4 @@ class TournamentQueue(BufferedTree):
             if not root.tops:
                 raise EmptyQueueError("extract from empty queue")
         word, key, _ = root.pop_min()
-        self._refresh_maybe(self.ROOT, root)
         return key, word - self._prio_bias

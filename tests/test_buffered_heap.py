@@ -151,8 +151,9 @@ def test_probe_envelope_insert_then_extract():
 @pytest.mark.parametrize("B,M", [(8, 128), (16, 192)])
 @pytest.mark.parametrize("traffic", ["insert_then_extract", "mixed_dk"])
 def test_leaves_hold_no_pending_and_header_tail_is_zero(B, M, traffic):
-    """Every flush absorbs into a loaded child, so no leaf stores pending entries
-    and header words 4..7 stay 0 (module docstring), checked on disk every 50 ops."""
+    """Every flush absorbs into a loaded child, so no leaf stores pending entries,
+    header words 5..7 stay 0 and word 4 holds the children's bits (module
+    docstring), checked on disk every 50 ops at every node reachable through set bits."""
     if traffic == "insert_then_extract":
         n = 1500
         wl = insert_extract_workload(range(n), [(k * 7919) % (n // 3) for k in range(n)], n, 0)
@@ -166,10 +167,16 @@ def test_leaves_hold_no_pending_and_header_tail_is_zero(B, M, traffic):
     leaf_blocks = 0
     for lo in range(0, len(wl.ops), 50):
         run_workload(queue, dev, wl, lo=lo, hi=min(lo + 50, len(wl.ops)))
-        for x in heap._occupied:
+        stack = [c for i, c in enumerate(heap._children(heap.ROOT)) if heap._root.bits >> i & 1]
+        while stack:
+            x = stack.pop()
             header = dev.peek_block(heap._node_base(x))[:8]
-            assert header[4:] == (0, 0, 0, 0), (x, header)
+            assert header[5:] == (0, 0, 0), (x, header)
+            assert header[0] or header[1] or header[4], (x, header)  # a set bit leads to a subtree holding entries
             if heap._is_leaf(x):
-                assert header[1] == 0, (x, header)
+                assert header[1] == header[4] == 0, (x, header)
                 leaf_blocks += 1
+            else:
+                assert 0 <= header[4] < 1 << heap.fanout, (x, header)
+                stack += [c for i, c in enumerate(heap._children(x)) if header[4] >> i & 1]
     assert leaf_blocks  # the replay reached the leaves

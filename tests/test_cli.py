@@ -40,6 +40,16 @@ def test_gen_rejects_trees_it_would_rewrite(tmp_path, capsys, variant, trees):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag,value", [("--trees", "5"), ("--beta", "3"), ("--h", "5"), ("--m", "2")])
+def test_gen_random_rejects_tree_flags(tmp_path, capsys, flag, value):
+    out = tmp_path / "x.bin"
+    with pytest.raises(SystemExit) as exc:
+        main(["gen", "--variant", "random", "--n", "100", flag, value, "--out", str(out)])
+    assert exc.value.code == 2
+    assert f"--variant random does not take {flag}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_gen_regeneration_byte_identical(tmp_path):
     a, b = tmp_path / "a.bin", tmp_path / "b.bin"
     argv = ["gen", "--beta", "2", "--h", "3", "--m", "2", "--seed", "7"]
@@ -221,7 +231,7 @@ def test_comm_widens_words_for_dk_queues(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "widening words to 71 bits" in err
     # the dk tables push the images past M; the run says so instead of hiding it
-    assert "memory images reach 567 words, over M=256" in err
+    assert "memory images reach 550 words, over M=256" in err
     rows = list(csv.DictReader(open(out)))
     assert len(rows) == 2 and all(r["correct"] == "1" for r in rows)
 

@@ -119,19 +119,19 @@ def _dk_w(work: Workload) -> int:
 
 # (queue, workload, B, M) -> (probes, sha256)
 CASES = {
-    ("dk_buffered_heap", "insert_extract_3000", 16, 192): (21280, "be8331ac48f42aafa0418537ed9b0bf02f0bbe944b9ca1c711483367c8d63f11"),
-    ("dk_buffered_heap", "tree_2_4_2_s1", 16, 256): (58, "71c50728f333747dcd4cf469d9f5d6703c74801690e9c4b7f2c5b5a51706a57d"),
-    ("dk_buffered_heap", "tree_2_6_2_s5", 16, 256): (1164, "e2953576ff548861ed7620c8845d87c72e93e3a64e71800447397cb000967155"),
-    ("dk_buffered_heap", "tree_2_6_2_s5", 64, 1024): (50, "359b74cd151a673bee5755cff28826d184f2a0d00bae76cb742f6ca56079ed57"),
+    ("dk_buffered_heap", "insert_extract_3000", 16, 192): (19612, "d7f9d00daef2876f375bcb18504662ae95aa36c6f42f7c680ef76bbf0b07716e"),
+    ("dk_buffered_heap", "tree_2_4_2_s1", 16, 256): (50, "abfac07f2a63315c56e0306e5bf69f7bfa98afeeebd1b59b9936bd725098c4bc"),
+    ("dk_buffered_heap", "tree_2_6_2_s5", 16, 256): (1099, "8f6458fd76d1635f1bf5f9cd31b5235a3e56234e1634fc640d37db4d78841712"),
+    ("dk_buffered_heap", "tree_2_6_2_s5", 64, 1024): (46, "31f7c2c78219bfd6ff8475d472f07cc73897ad4eedbc630c64da6196bc1ae514"),
     ("dk_tournament", "insert_extract_3000", 16, 192): (37523, "be980fa06820369271b0254667262201b2c51276fe04878a606a1a30d618b33c"),
     ("dk_tournament", "tree_2_4_2_s1", 16, 256): (359, "7d9dbd53b53b9863b6ee5e3a772253e74a424ea470afe83e2de0e30dd4aa946f"),
-    ("dk_tournament", "tree_2_6_2_s5", 16, 256): (4161, "6c75649706b78ebed822ed2ca6c9512e3fb5b92302f0ddfc0801878d0a5ebc39"),
-    ("buffered_heap", "insert_extract_3000", 8, 128): (48725, "208f2634d3fe3faeecc5aa735cc23b682b9a3ed5662fcedeb4bd2478d88d5e4e"),
-    ("buffered_heap", "insert_extract_3000", 16, 192): (21280, "be8331ac48f42aafa0418537ed9b0bf02f0bbe944b9ca1c711483367c8d63f11"),
+    ("dk_tournament", "tree_2_6_2_s5", 16, 256): (4153, "621a830ed1a58729fcc91286c678e401ac8065b54527c7463fc762cf19d39059"),
+    ("buffered_heap", "insert_extract_3000", 8, 128): (46664, "bbb2c5b8bdf35d911b3f4968fcae7252a1f892b05ab2735e4f4360298c3a2506"),
+    ("buffered_heap", "insert_extract_3000", 16, 192): (19612, "d7f9d00daef2876f375bcb18504662ae95aa36c6f42f7c680ef76bbf0b07716e"),
     ("tournament", "insert_extract_3000", 16, 192): (38583, "f0d2474e2120e2f2ed5a18c62bb18e7387fcb9722dd1426f212ea692b7aa1f18"),
-    ("tournament", "mixed_arith_6000", 16, 192): (16775, "6c97a9e7d55cf45b12a09db0b7950c9df11bf82b2f50394a660b426c6695b1f9"),
-    ("tournament", "tree_2_4_2_s1", 16, 256): (740, "1e639a1169b19f25135380fbefd41c13e29fbc2040e8ce3837f10f3e599b05e2"),
-    ("tournament", "tree_2_6_2_s5", 16, 256): (7989, "bb7ff5646a979afa667cfde2317d5cf8133ae6d981588a7c94b9cd035683cec3"),
+    ("tournament", "mixed_arith_6000", 16, 192): (16773, "bd910055213f9734f43777fe15c521d2e3aba74d72c86667e742a737e6242446"),
+    ("tournament", "tree_2_4_2_s1", 16, 256): (735, "26c6f246498741fb36ab7494e0824ba0825c4d008cd0c8915428486c86ad66d2"),
+    ("tournament", "tree_2_6_2_s5", 16, 256): (7969, "56d481cc0e6a65971fd72a32c1297b81cb71a710191bf9c6833479d55d047bdc"),
 }
 
 WORKLOADS = {
@@ -156,8 +156,8 @@ def _case_digest(case) -> tuple[int, str]:
 
 # queue -> sha256 of repr(memory_image()) after the insert half of insert_extract_3000 at (16, 192)
 IMAGES = {
-    "buffered_heap": "47e88f729ca00c9bbaa3044707b21f30763bb16684d45a3e38d921d0495b9900",
-    "tournament": "2f22c4a7eb8fc3ebbe6df8fe894e7d3e80b8ae0c4b52fad0c831d048cc88f372",
+    "buffered_heap": "724ecf5129dd0fda534d8dcb906cfb8e18afcced267be808c5d96f109ed0e4ec",
+    "tournament": "be91ce118a766510818276ff68308873fb790ac9033845819e4b575f83de94c9",
 }
 
 
@@ -180,10 +180,10 @@ def _image_digest(kind: str) -> str:
 # run the insert half of insert_extract_3000; the tournaments run
 # mixed_arith_6000, so every signal kind sits in some buffer.
 BLOCKS = {
-    "buffered_heap": "e3d0a7bcb43f6af32c4681f35cc190de6e3b0863ff1a788e9c57febac8f038e8",
-    "dk_buffered_heap": "f11557d92a8807546f0c0e8fb6ae4d6f641c32420996ff400e047b3aadda0d8b",
-    "dk_tournament": "e0bc74f68954057d8e6d2dd19835d11bd877059621c893fd2c68d84cf53834ae",
-    "tournament": "2563f858917dfb7813ecb3132713c5e17b264f6dc2d83aebae5219da270935ac",
+    "buffered_heap": "8cdbe0abbe494ea2308c4524b11941bc93299d70080d5f48bb1f48dfb77190b8",
+    "dk_buffered_heap": "d2d9574de2dbaee5ea37af53039448751ced7f546e3baed2925793a2ed829e0e",
+    "dk_tournament": "ac9e03d3c0d2ef2a9b153cf58d09e94a386d2cd0ca4182c67bb1b57441a32fec",
+    "tournament": "a6018b5b83f4abe0ce03dad7f61194bd7d6cdb06c852bfe060b74719b457cf7a",
 }
 
 
@@ -205,9 +205,9 @@ def _block_digest(kind: str) -> str:
 def test_heap_root_image_pinned():
     """Five inserts and one extract stay in the root: no probe, so only the image shows them.
 
-    The image is [seq], the occupancy and maybe bitmaps, then [live, rr,
-    n_tops] and the root's entries as key, priority + 2^63, ts.  The maybe
-    bit of the root (the second bitmap) is set by the extract.
+    The image is [seq], then [live, rr, n_tops, bits] and the root's
+    entries as key, priority + 2^63, ts.  No child holds anything, so bits
+    is 0.
     """
     dev = Device(DeviceConfig(B=16, M=192, w=64))
     heap = BufferedHeap(dev, n_hint=1024)
@@ -216,7 +216,7 @@ def test_heap_root_image_pinned():
     assert heap.extract_min() == (4, -(1 << 63))
     assert dev.probe_count == 0
     bias = 1 << 63
-    assert heap.memory_image() == [5, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 4, 0, 3,
+    assert heap.memory_image() == [5, 4, 0, 3, 0,
                                    9, bias - 7, 2, 2, bias + 3, 3, 5, bias + 3, 1, 7, bias + (1 << 40), 4]
 
 
@@ -240,9 +240,9 @@ def test_oracle_image_pinned():
 
 # queue -> sha256 of (CSV, transcript) from `pqlab comm --beta 2 --h 4 --m 2 --trials 3`
 COMM = {
-    "dk_buffered_heap": ("77ae100526179e420b5cddb903f8eff82bce5e098ec0a3673775df602319d297",
+    "dk_buffered_heap": ("0c2d5e36ff24a37282192d85450df26763bef3cfcc2693aeb6706cf4bd263a4a",
                          "761a4402fd9b6e7d0da90b104abe7335820cfad9f5c59f3320283879f38dd8c0"),
-    "tournament": ("2fbe6ddf9b2d7b5edad827abb95d18d49acd4f86ef6eaae754ee810b7a46fa9b",
+    "tournament": ("37edd93c1ae53af0c95d4f67af27714cf51803a86c2de5c36a9e4cd5d1969d8e",
                    "9a36b6b66cfe433b103800937e20fcf18942a5dbb80c928a0f144d197dbfcfda"),
 }
 
@@ -264,8 +264,8 @@ def _comm_digests(kind: str, tmp_path: Path) -> tuple[str, str]:
 # queue -> sha256 of every protocol run's ledger at (2,4,2), B=16, M=256, w=64:
 # the first internal node of each height, every k, seeds 0..2
 LEDGERS = {
-    "dk_buffered_heap": "14ed4d781fa1bccb6f622205ddc9d9061d54ac88d0297b96d543e8000fc5a9b0",
-    "tournament": "adc66ab2f63c8ed41703e0602a0f01fd048b760cc3eb1d08e15f11bccf2ac83d",
+    "dk_buffered_heap": "4c32eb4cc5174e63a9dcf3ef7dcbb2f49082a33e518ebc841346c2a46f8b9831",
+    "tournament": "5155c1c70c67e3510d1b1529284c1e1f04751a0241094b4d5c1476a8d1ce87ae",
 }
 
 

@@ -110,12 +110,22 @@ def test_image_within_memory_after_every_op(B, M, w):
         assert all(0 <= word < (1 << w) for word in image)
 
 
-@pytest.mark.parametrize("B,M,w,n_hint", [(8, 128, 32, 4096), (16, 256, 32, 16384)])
-def test_audit_rejects_images_over_memory(B, M, w, n_hint):
-    # Each occupancy bitmap takes ceil(2K/w) w-bit words; these images would
-    # reach 155 and 315 words.
+@pytest.mark.parametrize("B,M,node_blocks", [(8, 128, 14), (16, 256, 14)])
+def test_audit_rejects_images_over_memory(B, M, node_blocks):
+    # The largest image is [seq] plus the root words, 2 + 8 * cap: 107 and
+    # 219 words here fit M - 2B = 112 and 224, and one more node block
+    # raises cap past that (115 and 235 words).
+    make(B=B, M=M, node_blocks=node_blocks)
     with pytest.raises(ConfigError, match="largest memory image"):
-        make(B=B, M=M, w=w, n_hint=n_hint)
+        make(B=B, M=M, node_blocks=node_blocks + 1)
+
+
+def test_constructor_rejects_words_too_narrow_for_node_headers():
+    # Word 1 of a node is n_sigs << 2 | bits, up to 4 * cap + 3 = 127 at cap 31;
+    # the 12-block arena alone would fit 6-bit addresses.
+    make(B=64, M=1024, w=7, n_hint=16)
+    with pytest.raises(ConfigError, match="too narrow"):
+        make(B=64, M=1024, w=6, n_hint=16)
 
 
 def test_leaf_overflow_raises():
@@ -141,8 +151,9 @@ def test_delete_rejects_keys_wider_than_words():
 
 @pytest.mark.parametrize("w", [64, 128])
 def test_node_layout_pinned(w):
-    # A node is [n_tops, n_sigs] + (key, prio + 2^(w-1), ts)* +
-    # (seq, kind, key, prio + 2^(w-1), ts)*, zero-padded to whole blocks.
+    # A node is [n_tops, n_sigs << 2 | bits] + (key, prio + 2^(w-1), ts)* +
+    # (seq, kind, key, prio + 2^(w-1), ts)*, zero-padded to whole blocks;
+    # bit i is set iff leaf child i holds entries.
     # Delete and erase signals carry the word of priority 0.  A fixed mix of
     # 240 ops with fresh keys over four leaves, then a forced root flush,
     # leaves all five signal kinds in the two children's buffers.
@@ -178,9 +189,10 @@ def test_node_layout_pinned(w):
     seen = set()
     for child in (2, 3):
         words = [word for i in range(q.node_blocks) for word in dev.peek_block(q._addr(child) + i)]
-        nt, ns = words[0], words[1]
+        nt, ns, bits = words[0], words[1] >> 2, words[1] & 3
         end = 2 + 3 * nt + 5 * ns
         assert nt <= q.cap and ns <= q.cap
+        assert bits == sum(1 << i for i, leaf in enumerate(q._children(child)) if dev.peek_block(q._addr(leaf))[0])
         assert words[end : -(-end // q.B) * q.B] == [0] * (-end % q.B)
         entries = [tuple(words[i : i + 3]) for i in range(2, 2 + 3 * nt, 3)]
         assert entries == sorted(entries, key=lambda e: (e[1], e[0], e[2]))
@@ -336,26 +348,32 @@ def test_probe_envelope_mixed():
 
 
 def test_key_index_matches_tops():
-    # Every node keeps the set of keys in its tops; check it at every store
-    # and at the root after every op of a mixed run with constant flushing.
+    # Every node keeps the set of keys in its tops; check it at every store,
+    # at the root after every op of a mixed run with constant flushing, and
+    # at the end in every node reachable through set bits.
     wl = make_random_workload(2000, 29, universe=150, profile="mixed")
     dev = Device(DeviceConfig(B=8, M=96, w=64))
     q = TournamentQueue(dev, n_hint=256, seed=5, node_blocks=3)
-    store, stored = q._store, set()
+    store, stored = q._write_node, set()
 
     def checked_store(x, node):
         assert node.keys == {e[1] for e in node.tops}, f"node {x}"
         stored.add(x)
         store(x, node)
 
-    q._store = checked_store
+    q._write_node = checked_store
     for i in range(len(wl.ops)):
         run_workload(q, dev, wl, lo=i, hi=i + 1)
         assert q._root.keys == {e[1] for e in q._root.tops}
     assert any(q._is_leaf(x) for x in stored) and any(not q._is_leaf(x) for x in stored)
-    for x in q._occupied:
-        node = q._load(x)
-        assert node.keys == {e[1] for e in node.tops}
+    stack = [(q.ROOT, q._root)]
+    while stack:
+        x, node = stack.pop()
+        assert node.keys == {e[1] for e in node.tops}, f"node {x}"
+        for i, c in enumerate(() if q._is_leaf(x) else q._children(x)):
+            if node.bits >> i & 1:
+                n = q.leaf_blocks if q._is_leaf(c) else q.node_blocks
+                stack.append((c, q._node_from_words([word for b in range(n) for word in dev.peek_block(q._addr(c) + b)])))
 
 
 def test_batch_buffers_after_evicting_from_bare_child():
@@ -375,13 +393,13 @@ def test_batch_buffers_after_evicting_from_bare_child():
     for key, p in zip(k[5:], (15, 25, 35, 100)):
         q.insert(key, p)  # seq 14-17, buffered at the root
     q._flush(q.ROOT, q._root)
-    assert q._occupied == {2}
+    assert q._root.bits == 0b01  # only child 2 holds anything
 
     bias = 1 << 63
     tops = [(k[4], 10, 13), (k[5], 15, 14), (k[3], 20, 12), (k[6], 25, 15), (k[2], 30, 11),
             (k[7], 35, 16), (k[1], 40, 10)]
     sigs = [(18, S_PUSH, k[0], 50, 8), (17, S_INSERT, k[8], 100, 17)]
-    want = [7, 2]
+    want = [7, 2 << 2]  # two signals; no bit set, as nothing lies below child 2
     for key, p, ts in tops:
         want += [key, p + bias, ts]
     for seq, kind, key, p, ts in sigs:
