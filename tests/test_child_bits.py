@@ -60,12 +60,11 @@ def _check(queue, oracle) -> None:
 
 
 def _make(kind, dev, n_hint):
-    if kind == "buffered_heap":
-        return BufferedHeap(dev, n_hint=n_hint)
-    if kind == "tournament":
-        return TournamentQueue(dev, n_hint=n_hint, seed=3)
-    base = BufferedHeap(dev, n_hint=n_hint) if kind == "dk_buffered_heap" else TournamentQueue(dev, n_hint=n_hint, seed=3)
-    return ReducedQueue(base, n0_min=16)
+    if kind.endswith("heap"):
+        base = BufferedHeap(dev, n_hint=n_hint)
+    else:
+        base = TournamentQueue(dev, n_hint=n_hint, seed=3)
+    return ReducedQueue(base, n0_min=16) if kind.startswith("dk_") else base
 
 
 @pytest.mark.parametrize("B,M", [(8, 128), (16, 192)])

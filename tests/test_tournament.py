@@ -373,7 +373,8 @@ def test_key_index_matches_tops():
         for i, c in enumerate(() if q._is_leaf(x) else q._children(x)):
             if node.bits >> i & 1:
                 n = q.leaf_blocks if q._is_leaf(c) else q.node_blocks
-                stack.append((c, q._node_from_words([word for b in range(n) for word in dev.peek_block(q._addr(c) + b)])))
+                words = [word for b in range(n) for word in dev.peek_block(q._addr(c) + b)]
+                stack.append((c, q._node_from_words(words)))
 
 
 def test_batch_buffers_after_evicting_from_bare_child():
