@@ -139,7 +139,7 @@ def _tree_workload(args) -> Workload:
     ]
     if args.variant == "no_spurious":
         return transform_no_spurious(parts)
-    ops = [op for part in parts for op in part.ops]
+    ops = (op for part in parts for op in part.ops)
     return Workload(params, "multi_tree", params.universe, args.seed, ops, trees=args.trees)
 
 

@@ -296,8 +296,8 @@ def run_embedding_protocol(
     prefix = Workload(params, "basic", u, seed, ops)
 
     first_op: dict[int, int] = {}
-    for i, op in enumerate(ops):
-        first_op.setdefault(op.leaf_id, i)
+    for i, leaf_id in enumerate(ops.leaf):
+        first_op.setdefault(leaf_id, i)
     shared_end = first_op[c1_leaf]
     bob1_end = first_op[min(ck_leaves)]
     alice_end = first_op[tree.subtree_leaves(node.children[k_child])[0]]

@@ -8,7 +8,7 @@ order total and replay-deterministic.
 ``PRIORITY_INF`` is the sentinel standing in for +infinity (it strictly
 exceeds every priority the workload generator emits) and ``PRIORITY_DELETE``
 is the minimal sentinel used by the DecreaseKey-then-ExtractMin delete
-recipe.
+recipe.  ``NO_LEAF`` is a stored op's leaf when it has none (``leaf_id`` None).
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from typing import NamedTuple
 
 PRIORITY_INF = (1 << 63) - 1
 PRIORITY_DELETE = -(1 << 63)
+NO_LEAF = 0xFFFFFFFF
 
 INSERT = 1
 DELETE = 2

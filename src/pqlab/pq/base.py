@@ -69,10 +69,10 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import count
 
 from ..errors import CapabilityError, ConfigError, DivergenceError, EncodingError
-from ..ops import DECREASE, DELETE, EXTRACTMIN, INSERT, OP_NAMES
+from ..ops import DECREASE, DELETE, EXTRACTMIN, INSERT, NO_LEAF, OP_NAMES
 
 ENTRY_WORDS = 3
 
@@ -304,8 +304,7 @@ class RunReport:
         ]
 
 
-def _require_capabilities(queue, ops) -> None:
-    kinds = {op.kind for op in ops}
+def _require_capabilities(queue, kinds: set[int]) -> None:
     if DELETE in kinds and not queue.supports_delete:
         raise CapabilityError(
             f"workload contains Delete but {queue.name} does not support it; wrap it in the DecreaseKey reduction"
@@ -326,7 +325,8 @@ def run_workload(queue, device, workload, check_answers: bool = True, lo: int = 
     hi = len(ops) if hi is None else hi
     if not 0 <= lo <= hi <= len(ops):
         raise ValueError(f"op range [{lo}, {hi}) outside a workload of {len(ops)} ops")
-    _require_capabilities(queue, islice(ops, lo, hi))
+    rows = ops[lo:hi]
+    _require_capabilities(queue, set(rows.kind))
     cfg = device.config
     report = RunReport(
         structure=queue.name, B=cfg.B, M=cfg.M, w=cfg.w, n_ops=hi - lo,
@@ -337,7 +337,8 @@ def run_workload(queue, device, workload, check_answers: bool = True, lo: int = 
     probes = [0] * (max(OP_NAMES) + 1)  # per op kind
     start = len(log)
     try:
-        for idx, (kind, key, priority, leaf_id) in enumerate(islice(ops, lo, hi), lo):
+        for idx, kind, key, priority, leaf_id in zip(count(lo), *rows.columns()):
+            leaf_id = None if leaf_id == NO_LEAF else leaf_id
             set_context(idx, leaf_id)
             before = len(log)
             if kind == INSERT:

@@ -25,27 +25,29 @@ Workload files: header (magic IOPQW1, version, beta, h, m, variant, trees,
 universe, seed, op count) followed by little-endian 21-byte records (op: 1
 byte, key: 8, priority: 8 signed, leaf: 4; 0xFFFFFFFF = no leaf).
 ExtractMin records carry the expected answer, which makes files closed,
-replayable transcripts.
+replayable transcripts.  In memory, ``Workload.ops`` holds the records as
+four typed columns (``OpColumns``), a read-only view that builds ``Op``s on read.
 """
 
 from __future__ import annotations
 
 import json
 import struct
+from array import array
 from bisect import bisect_right
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, repeat
 
 import numpy as np
 
 from .errors import ConfigError, DivergenceError, WorkloadUnderflowError
-from .ops import DECREASE, DELETE, EXTRACTMIN, INSERT, OP_NAMES, PRIORITY_INF, Op
+from .ops import DECREASE, DELETE, EXTRACTMIN, INSERT, NO_LEAF, OP_NAMES, PRIORITY_INF, Op
 from .pq.oracle import OracleQueue
 
 MAGIC = b"IOPQW1"
 VERSION = 1
-NO_LEAF = 0xFFFFFFFF
 VARIANT_CODES = {"basic": 0, "no_spurious": 1, "multi_tree": 2, "random": 3}
 VARIANT_NAMES = {v: k for k, v in VARIANT_CODES.items()}
 
@@ -55,7 +57,9 @@ DELETE_LEAF = "delete_leaf"
 EXTRACT_LEAF = "extractmin_leaf"
 
 _HEADER = struct.Struct("<6sHIIQBIQQQ")
-_RECORD = struct.Struct("<BQqI")
+# A record's fields in file order, each with its array and numpy type code.
+_COLUMNS = (("kind", "B"), ("key", "Q"), ("priority", "q"), ("leaf", "I"))
+_RECORD = np.dtype([(name, "<" + code) for name, code in _COLUMNS])
 
 
 @dataclass(frozen=True)
@@ -196,33 +200,80 @@ def build_tree(params: TreeParams) -> Tree:
     return Tree(params)
 
 
+class OpColumns(Sequence):
+    """A file record's fields as four typed columns, 21 bytes per op, read as a ``Sequence[Op]``.
+
+    ``leaf`` holds ``NO_LEAF`` for no leaf.  An ``Op`` is built only when one
+    is read; a slice is a new ``OpColumns``.  Only this module's producers append.
+    """
+
+    __slots__ = tuple(name for name, _ in _COLUMNS)
+
+    def __init__(self, ops: Iterable[Op] = (), columns: Iterable[array] | None = None):
+        self.kind, self.key, self.priority, self.leaf = columns or (array(code) for _, code in _COLUMNS)
+        for kind, key, priority, leaf_id in ops:
+            self._append(kind, key, priority, NO_LEAF if leaf_id is None else leaf_id)
+
+    def _append(self, kind: int, key: int, priority: int, leaf: int = NO_LEAF) -> None:
+        self.kind.append(kind)
+        self.key.append(key)
+        self.priority.append(priority)
+        self.leaf.append(leaf)
+
+    def _extend(self, kind: int, leaf: int, pairs: list[tuple[int, int]]) -> None:
+        """Append one op per (key, priority) pair, all of one kind at one leaf."""
+        self.kind.extend(repeat(kind, len(pairs)))
+        self.key.extend(k for k, _ in pairs)
+        self.priority.extend(p for _, p in pairs)
+        self.leaf.extend(repeat(leaf, len(pairs)))
+
+    def columns(self) -> tuple[array, array, array, array]:
+        return self.kind, self.key, self.priority, self.leaf
+
+    def __len__(self) -> int:
+        return len(self.kind)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return OpColumns(columns=[col[i] for col in self.columns()])
+        leaf = self.leaf[i]
+        return Op(self.kind[i], self.key[i], self.priority[i], None if leaf == NO_LEAF else leaf)
+
+    def __iter__(self):
+        for kind, key, priority, leaf in zip(*self.columns()):
+            yield Op(kind, key, priority, None if leaf == NO_LEAF else leaf)
+
+    def __eq__(self, other) -> bool:
+        return list(self) == list(other) if isinstance(other, Sequence) else NotImplemented
+
+
 @dataclass
 class Workload:
     params: TreeParams | None
     variant: str
     universe: int
     seed: int
-    ops: list[Op]
+    ops: OpColumns  # given as OpColumns or any iterable of Op
     trees: int = 1
 
+    def __post_init__(self) -> None:
+        self.ops = self.ops if isinstance(self.ops, OpColumns) else OpColumns(self.ops)
+
     def counts(self) -> dict[str, int]:
-        c = dict.fromkeys(OP_NAMES.values(), 0)
-        for op in self.ops:
-            c[OP_NAMES[op.kind]] += 1
-        return c
+        return {name: self.ops.kind.count(kind) for kind, name in OP_NAMES.items()}
 
     def key_assignment(self, tree: Tree) -> tuple[dict[int, list[int]], dict[int, list[int]]]:
         """Per-leaf insert and delete key lists, in operation order."""
         ins: dict[int, list[int]] = {}
         dels: dict[int, list[int]] = {}
-        for op in self.ops:
-            if op.leaf_id is None:
+        for kind, key, leaf_id in zip(self.ops.kind, self.ops.key, self.ops.leaf):
+            if leaf_id == NO_LEAF:
                 continue
-            kind = tree.nodes[op.leaf_id].kind
-            if op.kind == INSERT and kind == INSERT_LEAF:
-                ins.setdefault(op.leaf_id, []).append(op.key)
-            elif op.kind == DELETE and kind == DELETE_LEAF:
-                dels.setdefault(op.leaf_id, []).append(op.key)
+            leaf_kind = tree.nodes[leaf_id].kind
+            if kind == INSERT and leaf_kind == INSERT_LEAF:
+                ins.setdefault(leaf_id, []).append(key)
+            elif kind == DELETE and leaf_kind == DELETE_LEAF:
+                dels.setdefault(leaf_id, []).append(key)
         return ins, dels
 
 
@@ -271,7 +322,7 @@ def deal_keys(tree: Tree, slots: list[int], keys: list[int]) -> dict[int, list[i
     return dealt
 
 
-def resolve_leaf_ops(tree: Tree, leaf_keys: dict[int, list[int]], stop_leaf: int | None = None) -> list[Op]:
+def resolve_leaf_ops(tree: Tree, leaf_keys: dict[int, list[int]], stop_leaf: int | None = None) -> OpColumns:
     """Pre-order adaptive execution with keys pinned per leaf.
 
     ``leaf_keys`` maps every insert- and delete-leaf (up to ``stop_leaf``,
@@ -280,18 +331,18 @@ def resolve_leaf_ops(tree: Tree, leaf_keys: dict[int, list[int]], stop_leaf: int
     """
     params = tree.params
     oracle = OracleQueue()
-    ops: list[Op] = []
+    ops = OpColumns()
     for leaf_id in tree.leaves:
         leaf = tree.nodes[leaf_id]
         count = tree.leaf_op_count(leaf)
         if leaf.kind == INSERT_LEAF:
             for k in leaf_keys[leaf_id]:
                 oracle.insert(k, leaf.height)
-                ops.append(Op(INSERT, k, leaf.height, leaf_id))
+            ops._extend(INSERT, leaf_id, [(k, leaf.height) for k in leaf_keys[leaf_id]])
         elif leaf.kind == DELETE_LEAF:
             for k in leaf_keys[leaf_id]:
                 oracle.delete(k)
-                ops.append(Op(DELETE, k, 0, leaf_id))
+            ops._extend(DELETE, leaf_id, [(k, 0) for k in leaf_keys[leaf_id]])
         else:
             answers = []
             for _ in range(count):
@@ -300,13 +351,12 @@ def resolve_leaf_ops(tree: Tree, leaf_keys: dict[int, list[int]], stop_leaf: int
                         f"extract-min leaf {leaf_id} ran dry (seed {params.seed}); "
                         "every root-level insert key was deleted"
                     )
-                k, p = oracle.extract_min()
-                answers.append((k, p))
-                ops.append(Op(EXTRACTMIN, k, p, leaf_id))
-            for k, p in answers:
-                if p != leaf.height:
-                    oracle.insert(k, p)
-                    ops.append(Op(INSERT, k, p, leaf_id))
+                answers.append(oracle.extract_min())
+            again = [(k, p) for k, p in answers if p != leaf.height]
+            for k, p in again:
+                oracle.insert(k, p)
+            ops._extend(EXTRACTMIN, leaf_id, answers)
+            ops._extend(INSERT, leaf_id, again)
         if leaf_id == stop_leaf:
             break
     return ops
@@ -346,8 +396,8 @@ def extractions_at_height(workload: Workload, tree: Tree, node_id: int) -> set[i
     node = tree.nodes[node_id]
     leaf = node.children[-1]
     return {
-        op.key for op in workload.ops
-        if op.leaf_id == leaf and op.kind == EXTRACTMIN and op.priority == node.height
+        key for kind, key, priority, leaf_id in zip(*workload.ops.columns())
+        if leaf_id == leaf and kind == EXTRACTMIN and priority == node.height
     }
 
 
@@ -374,10 +424,10 @@ def transform_no_spurious(workloads: list[Workload]) -> Workload:
     tree = build_tree(base)
     n_nodes = len(tree)
     oracle = OracleQueue()
-    ops: list[Op] = []
+    ops = OpColumns()
     for k in range(u):
         oracle.insert(k, PRIORITY_INF)
-        ops.append(Op(INSERT, k, PRIORITY_INF, None))
+        ops._append(INSERT, k, PRIORITY_INF)
 
     for t_idx, wl in enumerate(workloads):
         off = t_idx * n_nodes
@@ -389,15 +439,15 @@ def transform_no_spurious(workloads: list[Workload]) -> Workload:
             lid = off + op.leaf_id
             if leaf.kind == INSERT_LEAF:
                 oracle.delete_key(op.key)
-                ops.append(Op(DELETE, op.key, 0, lid))
+                ops._append(DELETE, op.key, 0, lid)
                 oracle.insert(op.key, op.priority)
-                ops.append(Op(INSERT, op.key, op.priority, lid))
+                ops._append(INSERT, op.key, op.priority, lid)
                 i += 1
             elif leaf.kind == DELETE_LEAF:
                 oracle.delete_key(op.key)
-                ops.append(Op(DELETE, op.key, 0, lid))
+                ops._append(DELETE, op.key, 0, lid)
                 oracle.insert(op.key, PRIORITY_INF)
-                ops.append(Op(INSERT, op.key, PRIORITY_INF, lid))
+                ops._append(INSERT, op.key, PRIORITY_INF, lid)
                 i += 1
             else:
                 count = tree.leaf_op_count(leaf)
@@ -410,16 +460,16 @@ def transform_no_spurious(workloads: list[Workload]) -> Workload:
                             f"got ({k},{p}), source recorded ({src[i].key},{src[i].priority})"
                         )
                     answers.append((k, p))
-                    ops.append(Op(EXTRACTMIN, k, p, lid))
+                    ops._append(EXTRACTMIN, k, p, lid)
                     i += 1
                 for k, p in answers:
                     if p != leaf.height:
                         oracle.insert(k, p)
-                        ops.append(Op(INSERT, k, p, lid))
+                        ops._append(INSERT, k, p, lid)
                         i += 1  # skip the source workload's re-insert record
                     else:
                         oracle.insert(k, PRIORITY_INF)
-                        ops.append(Op(INSERT, k, PRIORITY_INF, lid))
+                        ops._append(INSERT, k, PRIORITY_INF, lid)
     return Workload(base, "no_spurious", u, base.seed, ops, trees=len(workloads))
 
 
@@ -463,9 +513,9 @@ def make_random_workload(
     draws = _RawDraws(seed)
     random, below = draws.random, draws.below
     oracle = OracleQueue()
-    ops: list[Op] = []
+    ops = OpColumns()
     live: list[int] = []  # keys, duplicates pruned lazily
-    while len(ops) < n_ops:
+    while len(ops.kind) < n_ops:
         kind = kinds[bisect_right(cdf, random())]
         if kind == INSERT or len(oracle) == 0:
             k = below(universe)
@@ -474,10 +524,10 @@ def make_random_workload(
             p = below(universe)
             oracle.insert(k, p)
             live.append(k)
-            ops.append(Op(INSERT, k, p, None))
+            ops._append(INSERT, k, p)
         elif kind == EXTRACTMIN:
             k, p = oracle.extract_min()
-            ops.append(Op(EXTRACTMIN, k, p, None))
+            ops._append(EXTRACTMIN, k, p)
         elif kind == DELETE:
             if random() < 0.25:
                 k = below(universe)
@@ -488,14 +538,14 @@ def make_random_workload(
                 if k is None:
                     continue
             oracle.delete(k)
-            ops.append(Op(DELETE, k, 0, None))
+            ops._append(DELETE, k, 0)
         else:
             k = _pick_live(below, oracle, live)
             if k is None:
                 continue
             p = below(universe)
             oracle.decrease_key(k, p)
-            ops.append(Op(DECREASE, k, p, None))
+            ops._append(DECREASE, k, p)
     return Workload(None, "random", universe, seed, ops)
 
 
@@ -505,13 +555,13 @@ def insert_extract_workload(keys, priorities, universe: int, seed: int) -> Workl
     The ExtractMin answers are resolved against the oracle, so the workload
     is a closed transcript.
     """
-    ops = [Op(INSERT, int(k), int(p), None) for k, p in zip(keys, priorities)]
+    pairs = [(int(k), int(p)) for k, p in zip(keys, priorities)]
     oracle = OracleQueue()
-    for op in ops:
-        oracle.insert(op.key, op.priority)
-    for _ in range(len(ops)):
-        k, p = oracle.extract_min()
-        ops.append(Op(EXTRACTMIN, k, p, None))
+    for k, p in pairs:
+        oracle.insert(k, p)
+    ops = OpColumns()
+    ops._extend(INSERT, NO_LEAF, pairs)
+    ops._extend(EXTRACTMIN, NO_LEAF, [oracle.extract_min() for _ in pairs])
     return Workload(None, "random", universe, seed, ops)
 
 
@@ -592,9 +642,7 @@ def write_workload(workload: Workload, path) -> None:
             VARIANT_CODES[workload.variant], workload.trees,
             workload.universe, workload.seed, len(workload.ops),
         ))
-        for op in workload.ops:
-            leaf = NO_LEAF if op.leaf_id is None else op.leaf_id
-            fh.write(_RECORD.pack(op.kind, op.key, op.priority, leaf))
+        fh.write(np.rec.fromarrays(workload.ops.columns(), dtype=_RECORD).tobytes())
 
 
 def read_workload(path) -> Workload:
@@ -609,13 +657,13 @@ def read_workload(path) -> Workload:
         raise ConfigError(f"unsupported workload version {version}")
     if variant not in VARIANT_NAMES:
         raise ConfigError(f"unknown workload variant code {variant}")
-    if len(data) != _HEADER.size + count * _RECORD.size:
+    if len(data) != _HEADER.size + count * _RECORD.itemsize:
         raise ConfigError(f"workload file has {len(data)} bytes; its header declares {count} ops")
-    unknown = set(data[_HEADER.size :: _RECORD.size]) - OP_NAMES.keys()
+    records = np.frombuffer(data, dtype=_RECORD, count=count, offset=_HEADER.size)
+    unknown = set(np.unique(records["kind"]).tolist()) - OP_NAMES.keys()
     if unknown:
         raise ConfigError(f"unknown op kind {min(unknown)} in workload file")
-    ops = [Op(kind, key, priority, None if leaf == NO_LEAF else leaf)
-           for kind, key, priority, leaf in _RECORD.iter_unpack(data[_HEADER.size:])]
+    ops = OpColumns(columns=[array(code, records[name].astype(code).tobytes()) for name, code in _COLUMNS])
     name = VARIANT_NAMES[variant]
     params = None
     if beta:

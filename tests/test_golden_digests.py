@@ -13,7 +13,11 @@ heap image whose ops never leave the root, and the oracle's image.  The
 CLI pins fix the bytes of ``pqlab comm``'s CSV and transcript and the exact
 singleton counts behind ``pqlab obs1``.  The ledger pins go further than the
 CSV: every message's payload digest, so a content request charged out of
-order or answered with the wrong block moves them.
+order or answered with the wrong block moves them.  The record pins hash the
+full probe records, op index and leaf tag included, and the file pins hash
+the bytes ``write_workload`` writes for a tree, a ``no_spurious`` transform
+and a ``mixed`` random workload (whose generator stream is pinned
+separately in test_hard_dist).
 """
 
 import contextlib
@@ -34,7 +38,17 @@ from pqlab.dk import augmented_key_bits
 from pqlab.pq.base import run_workload
 from pqlab.ops import DECREASE, DELETE, EXTRACTMIN, INSERT, Op
 from pqlab.pq.oracle import OracleQueue
-from pqlab.workload import TreeParams, Workload, build_tree, insert_extract_workload, materialize
+from pqlab.workload import (
+    TreeParams,
+    Workload,
+    build_tree,
+    insert_extract_workload,
+    make_random_workload,
+    materialize,
+    read_workload,
+    transform_no_spurious,
+    write_workload,
+)
 
 HASH_SEED = 3
 
@@ -152,6 +166,58 @@ def _case_digest(case) -> tuple[int, str]:
     work = WORKLOADS[name]()
     w = _dk_w(work) if kind.startswith("dk_") else 64
     return _digest(kind, work, B, M, w)
+
+
+# (queue, workload, B, M) -> sha256 of every probe record's
+# (op_index, leaf_id, addr, access); the probe digests above see only
+# (addr, access), so a leaf tag replayed wrongly would not move them.
+RECORDS = {
+    ("tournament", "mixed_arith_6000", 16, 192): "d2aa091826c3fca21e6570f4c4f27a87b5923ed615e7eab7bd61f75732ad2b9b",
+    ("tournament", "tree_2_4_2_s1", 16, 256): "82aee77af8604afccbbd37fcbd67d910a0e21bc20148f040fd46be61bda4a387",
+}
+
+
+@pytest.mark.parametrize("case", sorted(RECORDS), ids=lambda c: "-".join(map(str, c)))
+def test_probe_records_pinned(case):
+    assert _record_digest(case) == RECORDS[case]
+
+
+def _record_digest(case) -> str:
+    kind, name, B, M = case
+    work = WORKLOADS[name]()
+    dev = Device(DeviceConfig(B=B, M=M, w=64))
+    queue = make_queue(kind, dev, n_hint=max(1024, len(work.ops)), seed=HASH_SEED)
+    run_workload(queue, dev, work)
+    records = [(rec.op_index, rec.leaf_id, rec.addr, rec.access) for rec in dev.log]
+    return hashlib.sha256(repr(records).encode()).hexdigest()
+
+
+# workload -> sha256 of the file write_workload writes for it
+FILES = {
+    "no_spurious_2_2_1_x2": "cca1a48c499233ced459751b10780932905530b761207327c1e86d313e7e3d15",
+    "random_mixed_3000": "16afc87e6e3f2079a733737ff2d8c6c3ce5811a41fb02b8fab2d510250fc771d",
+    "tree_2_4_2_s1": "7832272e8a4dee87ecc40fc14cc3b15fa09ec11fae85e477e9bd1cd1d7d08367",
+}
+
+FILE_WORKLOADS = {
+    "no_spurious_2_2_1_x2": lambda: transform_no_spurious(
+        [materialize(TreeParams(2, 2, 1, seed=s, universe_override=64)) for s in (0, 3)]),
+    "random_mixed_3000": lambda: make_random_workload(3000, 4, universe=5000, profile="mixed"),
+    "tree_2_4_2_s1": WORKLOADS["tree_2_4_2_s1"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(FILES))
+def test_workload_file_bytes_pinned(tmp_path, name):
+    assert _file_digest(name, tmp_path) == FILES[name]
+    work = FILE_WORKLOADS[name]()
+    assert read_workload(tmp_path / f"{name}.bin") == work
+
+
+def _file_digest(name: str, tmp_path: Path) -> str:
+    path = tmp_path / f"{name}.bin"
+    write_workload(FILE_WORKLOADS[name](), path)
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 # queue -> sha256 of repr(memory_image()) after the insert half of insert_extract_3000 at (16, 192)
@@ -300,7 +366,9 @@ def _listing() -> int:
     """Print every digest pin beside its computed value; 1 if any differs, else 0."""
     changed = 0
     with tempfile.TemporaryDirectory() as tmp:
-        for family, pins, compute in (("CASES", CASES, _case_digest), ("IMAGES", IMAGES, _image_digest),
+        for family, pins, compute in (("CASES", CASES, _case_digest), ("RECORDS", RECORDS, _record_digest),
+                                      ("FILES", FILES, lambda name: _file_digest(name, Path(tmp))),
+                                      ("IMAGES", IMAGES, _image_digest),
                                       ("BLOCKS", BLOCKS, _block_digest),
                                       ("COMM", COMM, lambda kind: _comm_digests(kind, Path(tmp))),
                                       ("LEDGERS", LEDGERS, _ledger_digest)):

@@ -9,8 +9,10 @@ revision from its own ``git archive`` checkout and with the same benchmark
 code it commits.  Pair i runs the base first when i is even and the change
 first when it is odd.  The file records every run's end-to-end metrics and
 witness digest, whether all the digests of a ``--run`` agree
-(``witness_equal``; a warning goes to stderr when they do not), each side's
-median and quartiles, how many pairs the change won under BENCHMARK.json's
+(``witness_equal``; the sides differ where a change declares a probe-cost
+change), whether each side's own digests agree (``witness_stable``; a
+warning goes to stderr for a side whose runs disagree), each side's median
+and quartiles, how many pairs the change won under BENCHMARK.json's
 ``better`` direction, each side's failed and attempted totals, both commits,
 the git tree of each side's ``src/`` and the exact commands.  It exits 1
 after writing the file if any run failed an operation, so no win is counted
@@ -113,15 +115,17 @@ def main() -> int:
                           f"{pair[side]['metrics']['pass_s']:.4f}", file=sys.stderr, flush=True)
                 pairs.append(pair)
             witness_equal = len({p[side]["digest"] for p in pairs for side in revs}) == 1
-            if not witness_equal:
-                print(f"warning: {workload} seed={seed}: witness digests differ between runs",
-                      file=sys.stderr, flush=True)
+            witness_stable = {side: len({p[side]["digest"] for p in pairs}) == 1 for side in revs}
+            for side in revs:
+                if not witness_stable[side]:
+                    print(f"warning: {workload} seed={seed}: {side} witness digests differ between its runs",
+                          file=sys.stderr, flush=True)
             run_summary = compare(pairs, better)
             for count in ("failed", "attempted"):
                 run_summary[count] = {side: sum(p[side][count] for p in pairs) for side in revs}
             runs.append({"workload": workload, "seed": seed, "seconds": args.seconds,
                          "command": " ".join(bench_command(workload, seed, args.seconds)),
-                         "witness_equal": witness_equal, "pairs": pairs, "summary": run_summary})
+                         "witness_equal": witness_equal, "witness_stable": witness_stable, "pairs": pairs, "summary": run_summary})
     bench = {"label": args.label, "command": " ".join(["python3", "tools/bench_pairs.py", *sys.argv[1:]]),
              "revisions": revs, "runs": runs}
     out = ROOT / f"BENCH_{args.label}.json"
