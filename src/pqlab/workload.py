@@ -6,9 +6,10 @@ contributes m*beta^h_v Inserts at priority h_v (first child), beta
 recursively built subtrees of height h_v-1, and m*beta^h_v ExtractMins (last
 child); height-0 nodes are delete-leaves holding m*h Deletes each.  Insert
 keys and delete keys are independent uniform subsets of the key universe,
-assigned in uniform random order.  ExtractMin answers are data dependent, so
-the sequence is materialized against the deterministic oracle; the extracted
-pairs whose priority differs from h_v are re-inserted in extraction order.
+assigned in uniform random order.  ExtractMin answers are data dependent:
+v's last leaf takes the smallest live (priority, key) pairs, as the oracle
+would, and re-inserts those whose priority is not h_v in extraction order;
+``resolve_leaf_ops`` finds them from one sorted key list per priority level.
 
 Exact counts for every seed: m*h*beta^h Deletes, m*h*beta^h ExtractMins, and
 between m*h*beta^h and 2*m*h*beta^h Inserts.
@@ -34,7 +35,7 @@ from __future__ import annotations
 import json
 import struct
 from array import array
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -42,7 +43,7 @@ from itertools import chain, repeat
 
 import numpy as np
 
-from .errors import ConfigError, DivergenceError, WorkloadUnderflowError
+from .errors import ConfigError, DivergenceError, DuplicateKeyError, WorkloadUnderflowError
 from .ops import DECREASE, DELETE, EXTRACTMIN, INSERT, NO_LEAF, OP_NAMES, PRIORITY_INF, Op
 from .pq.oracle import OracleQueue
 
@@ -220,12 +221,12 @@ class OpColumns(Sequence):
         self.priority.append(priority)
         self.leaf.append(leaf)
 
-    def _extend(self, kind: int, leaf: int, pairs: list[tuple[int, int]]) -> None:
-        """Append one op per (key, priority) pair, all of one kind at one leaf."""
-        self.kind.extend(repeat(kind, len(pairs)))
-        self.key.extend(k for k, _ in pairs)
-        self.priority.extend(p for _, p in pairs)
-        self.leaf.extend(repeat(leaf, len(pairs)))
+    def _extend(self, kind: int, leaf: int, keys: list[int], priorities: int | list[int]) -> None:
+        """Append one op per key, all of one kind at one leaf, at one priority or one each."""
+        self.kind.extend(repeat(kind, len(keys)))
+        self.key.extend(keys)
+        self.priority.extend(repeat(priorities, len(keys)) if isinstance(priorities, int) else priorities)
+        self.leaf.extend(repeat(leaf, len(keys)))
 
     def columns(self) -> tuple[array, array, array, array]:
         return self.kind, self.key, self.priority, self.leaf
@@ -309,9 +310,9 @@ def assign_random_order(rng: np.random.Generator, keys: list[int]) -> list[int]:
     return [keys[i] for i in rng.permutation(len(keys))]
 
 
-def deal_keys(tree: Tree, slots: list[int], keys: list[int]) -> dict[int, list[int]]:
+def deal_keys(tree: Tree, slots: list[int], keys: Sequence[int]) -> dict[int, Sequence[int]]:
     """Hand ``keys`` to the leaves in ``slots`` in order, leaf_op_count each."""
-    dealt: dict[int, list[int]] = {}
+    dealt: dict[int, Sequence[int]] = {}
     pos = 0
     for leaf_id in slots:
         count = tree.leaf_op_count(tree.nodes[leaf_id])
@@ -322,55 +323,78 @@ def deal_keys(tree: Tree, slots: list[int], keys: list[int]) -> dict[int, list[i
     return dealt
 
 
-def resolve_leaf_ops(tree: Tree, leaf_keys: dict[int, list[int]], stop_leaf: int | None = None) -> OpColumns:
+def resolve_leaf_ops(tree: Tree, leaf_keys: dict[int, Sequence[int]], stop_leaf: int | None = None) -> OpColumns:
     """Pre-order adaptive execution with keys pinned per leaf.
 
     ``leaf_keys`` maps every insert- and delete-leaf (up to ``stop_leaf``,
-    inclusive, when given) to its key list; extract-min leaves are resolved
-    against the oracle and their re-inserts appended in extraction order.
+    inclusive, when given) to its keys, a list or an int64 array.  Live keys
+    sit in one sorted list per priority, past its consumed prefix; a delete
+    of a live key bisects it out.  An extract-min leaf of height h and count
+    c answers the c smallest (priority, key) pairs level by level and
+    consumes only level h's front: each other answer is re-inserted at the
+    same pair, so it stays in place.  Live keys are distinct, so this is the
+    oracle's (priority, key, timestamp) order and its answers.
     """
-    params = tree.params
-    oracle = OracleQueue()
+    live: dict[int, int] = {}  # key -> priority
+    levels: list[list[int]] = [[] for _ in range(tree.params.h + 1)]
+    start = [0] * len(levels)  # levels[p][:start[p]] were extracted
     ops = OpColumns()
     for leaf_id in tree.leaves:
         leaf = tree.nodes[leaf_id]
-        count = tree.leaf_op_count(leaf)
+        h = leaf.height
         if leaf.kind == INSERT_LEAF:
-            for k in leaf_keys[leaf_id]:
-                oracle.insert(k, leaf.height)
-            ops._extend(INSERT, leaf_id, [(k, leaf.height) for k in leaf_keys[leaf_id]])
+            keys = np.asarray(leaf_keys[leaf_id]).tolist()
+            for k in keys:
+                if k in live:
+                    raise DuplicateKeyError(f"key {k} is already live")
+                live[k] = h
+            levels[h] = sorted(levels[h][start[h]:] + keys)
+            start[h] = 0
+            ops._extend(INSERT, leaf_id, keys, h)
         elif leaf.kind == DELETE_LEAF:
-            for k in leaf_keys[leaf_id]:
-                oracle.delete(k)
-            ops._extend(DELETE, leaf_id, [(k, 0) for k in leaf_keys[leaf_id]])
+            keys = np.asarray(leaf_keys[leaf_id]).tolist()
+            for k in keys:
+                p = live.pop(k, None)
+                if p is not None:
+                    del levels[p][bisect_left(levels[p], k, start[p])]
+            ops._extend(DELETE, leaf_id, keys, 0)
         else:
-            answers = []
-            for _ in range(count):
-                if len(oracle) == 0:
-                    raise WorkloadUnderflowError(
-                        f"extract-min leaf {leaf_id} ran dry (seed {params.seed}); "
-                        "every root-level insert key was deleted"
-                    )
-                answers.append(oracle.extract_min())
-            again = [(k, p) for k, p in answers if p != leaf.height]
-            for k, p in again:
-                oracle.insert(k, p)
-            ops._extend(EXTRACTMIN, leaf_id, answers)
-            ops._extend(INSERT, leaf_id, again)
+            need = tree.leaf_op_count(leaf)
+            if len(live) < need:
+                raise WorkloadUnderflowError(
+                    f"extract-min leaf {leaf_id} ran dry (seed {tree.params.seed}); "
+                    "every root-level insert key was deleted"
+                )
+            again = []
+            for p, level in enumerate(levels):
+                taken = level[start[p] : start[p] + need]
+                if not taken:
+                    continue
+                need -= len(taken)
+                ops._extend(EXTRACTMIN, leaf_id, taken, p)
+                if p == h:
+                    start[p] += len(taken)
+                    for k in taken:
+                        del live[k]
+                else:
+                    again.append((taken, p))
+            for taken, p in again:
+                ops._extend(INSERT, leaf_id, taken, p)
         if leaf_id == stop_leaf:
             break
     return ops
 
 
 def materialize(params: TreeParams) -> Workload:
-    """Sample keys and resolve the adaptive sequence against the oracle."""
+    """Sample keys and resolve the adaptive sequence (``resolve_leaf_ops``)."""
     tree = build_tree(params)
     n = params.n_updates
     u = params.universe
     ss = np.random.SeedSequence(params.seed)
     r_ins, r_ins_order, r_del, r_del_order = [np.random.default_rng(s) for s in ss.spawn(4)]
-    ins_keys = assign_random_order(r_ins_order, uniform_distinct(r_ins, u, n))
-    del_keys = assign_random_order(r_del_order, uniform_distinct(r_del, u, n))
+    # assign_random_order(rng, uniform_distinct(...)), draw for draw, kept as int64.
+    ins_keys = np.sort(subset_np(r_ins, u, n))[r_ins_order.permutation(n)]
+    del_keys = np.sort(subset_np(r_del, u, n))[r_del_order.permutation(n)]
     leaf_keys = deal_keys(tree, [lf for lf in tree.leaves if tree.nodes[lf].kind == INSERT_LEAF], ins_keys)
     leaf_keys.update(deal_keys(tree, [lf for lf in tree.leaves if tree.nodes[lf].kind == DELETE_LEAF], del_keys))
     ops = resolve_leaf_ops(tree, leaf_keys)
@@ -560,8 +584,8 @@ def insert_extract_workload(keys, priorities, universe: int, seed: int) -> Workl
     for k, p in pairs:
         oracle.insert(k, p)
     ops = OpColumns()
-    ops._extend(INSERT, NO_LEAF, pairs)
-    ops._extend(EXTRACTMIN, NO_LEAF, [oracle.extract_min() for _ in pairs])
+    for kind, rows in ((INSERT, pairs), (EXTRACTMIN, [oracle.extract_min() for _ in pairs])):
+        ops._extend(kind, NO_LEAF, [k for k, _ in rows], [p for _, p in rows])
     return Workload(None, "random", universe, seed, ops)
 
 

@@ -15,9 +15,10 @@ singleton counts behind ``pqlab obs1``.  The ledger pins go further than the
 CSV: every message's payload digest, so a content request charged out of
 order or answered with the wrong block moves them.  The record pins hash the
 full probe records, op index and leaf tag included, and the file pins hash
-the bytes ``write_workload`` writes for a tree, a ``no_spurious`` transform
-and a ``mixed`` random workload (whose generator stream is pinned
-separately in test_hard_dist).
+the bytes ``write_workload`` writes for three trees, a ``no_spurious``
+transform and a ``mixed`` random workload (whose generator stream is pinned
+separately in test_hard_dist).  The prefix pin hashes the op columns of one
+protocol run's prefix, whose deletes remove live keys.
 """
 
 import contextlib
@@ -32,7 +33,7 @@ import pytest
 from pqlab import BufferedHeap, Device, DeviceConfig
 from pqlab.cli import main, make_queue
 from pqlab.comm.protocol import run_embedding_protocol, sample_instance
-from pqlab.comm.samplers import check_observation1
+from pqlab.comm.samplers import SetIntersectionInstance, check_observation1
 from pqlab.device import WRITE
 from pqlab.dk import augmented_key_bits
 from pqlab.pq.base import run_workload
@@ -197,6 +198,8 @@ FILES = {
     "no_spurious_2_2_1_x2": "cca1a48c499233ced459751b10780932905530b761207327c1e86d313e7e3d15",
     "random_mixed_3000": "16afc87e6e3f2079a733737ff2d8c6c3ce5811a41fb02b8fab2d510250fc771d",
     "tree_2_4_2_s1": "7832272e8a4dee87ecc40fc14cc3b15fa09ec11fae85e477e9bd1cd1d7d08367",
+    "tree_2_8_4_s41": "066cab7555f3c1ab41ff1a34eae05d4483e951324735f8f7b4eedfa6cb17af65",
+    "tree_3_4_2_s3": "9af1925644307aa06ef160472152a2aa660d9455ff6100c3fc136bb0d25d1175",
 }
 
 FILE_WORKLOADS = {
@@ -204,6 +207,8 @@ FILE_WORKLOADS = {
         [materialize(TreeParams(2, 2, 1, seed=s, universe_override=64)) for s in (0, 3)]),
     "random_mixed_3000": lambda: make_random_workload(3000, 4, universe=5000, profile="mixed"),
     "tree_2_4_2_s1": WORKLOADS["tree_2_4_2_s1"],
+    "tree_2_8_4_s41": lambda: _tree(2, 8, 4, 41),
+    "tree_3_4_2_s3": lambda: _tree(3, 4, 2, 3),
 }
 
 
@@ -218,6 +223,34 @@ def _file_digest(name: str, tmp_path: Path) -> str:
     path = tmp_path / f"{name}.bin"
     write_workload(FILE_WORKLOADS[name](), path)
     return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+# name -> sha256 of repr([(kind, key, priority, leaf), ...]) over a protocol
+# run's prefix_workload at the perfbench protocol_pair shape: tree (2,6,2)
+# seed 41, its first height-3 node, k=2, B=16, M=256, w=128.  Half of X is
+# taken from Y, so Alice's delete leaves remove keys that are live at
+# priority h_v, which independent key sets almost never do.
+PREFIXES = {
+    "2_6_2_s41_x_meets_y": "481dec4023c3e886337f10492851ab69d6fc4615a6a5b2505f16ea91e778b326",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PREFIXES))
+def test_protocol_prefix_columns_pinned(name):
+    assert _prefix_digest(name) == PREFIXES[name]
+
+
+def _prefix_digest(name: str) -> str:
+    params = TreeParams(2, 6, 2, seed=41)
+    v = next(n.id for n in build_tree(params).internal_nodes() if n.height == 3)
+    drawn = sample_instance(params, v, seed=41)
+    xs, ys = sorted(drawn.X), sorted(drawn.Y)
+    x = frozenset(xs[len(ys) // 2:]) | frozenset(ys[: len(ys) // 2])
+    instance = SetIntersectionInstance(drawn.U, x, drawn.Y)
+    res = run_embedding_protocol(lambda dev: make_queue("tournament", dev, n_hint=4096, seed=0),
+                                 params, v, 2, instance, DeviceConfig(B=16, M=256, w=128), seed=41)
+    assert res.correct and res.expected
+    return hashlib.sha256(repr(list(zip(*res.prefix_workload.ops.columns()))).encode()).hexdigest()
 
 
 # queue -> sha256 of repr(memory_image()) after the insert half of insert_extract_3000 at (16, 192)
@@ -368,6 +401,7 @@ def _listing() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         for family, pins, compute in (("CASES", CASES, _case_digest), ("RECORDS", RECORDS, _record_digest),
                                       ("FILES", FILES, lambda name: _file_digest(name, Path(tmp))),
+                                      ("PREFIXES", PREFIXES, _prefix_digest),
                                       ("IMAGES", IMAGES, _image_digest),
                                       ("BLOCKS", BLOCKS, _block_digest),
                                       ("COMM", COMM, lambda kind: _comm_digests(kind, Path(tmp))),

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from pqlab import OracleQueue, TreeParams, build_tree, materialize, transform_no_spurious
-from pqlab.errors import ConfigError
-from pqlab.ops import DELETE, INSERT, PRIORITY_INF
+from pqlab.errors import ConfigError, DuplicateKeyError, WorkloadUnderflowError
+from pqlab.ops import DELETE, EXTRACTMIN, INSERT, PRIORITY_INF
 from pqlab.workload import (
     _RawDraws,
     DELETE_LEAF,
@@ -15,6 +15,7 @@ from pqlab.workload import (
     extractions_at_height,
     make_random_workload,
     read_workload,
+    resolve_leaf_ops,
     write_workload,
 )
 
@@ -95,17 +96,104 @@ def test_intersection_recovery_all_nodes(seed):
         assert extractions_at_height(wl, tree, node.id) == expected
 
 
+def _crossed_leaf_keys(tree, seed: int) -> dict[int, list[int]]:
+    """Distinct insert keys; each delete key is, with probability 1/2, an insert
+    key of a non-root ancestor (often live, sometimes repeated), else a fresh one."""
+    rng = np.random.default_rng(seed)
+    n = tree.params.n_updates
+    fresh_ins = iter(rng.permutation(n).tolist())
+    fresh_del = iter((n + rng.permutation(n)).tolist())
+    leaf_keys: dict[int, list[int]] = {}
+    for leaf_id in tree.leaves:
+        leaf = tree.nodes[leaf_id]
+        count = tree.leaf_op_count(leaf)
+        if leaf.kind == INSERT_LEAF:
+            leaf_keys[leaf_id] = [next(fresh_ins) for _ in range(count)]
+        elif leaf.kind == DELETE_LEAF:
+            pool, up = [], tree.nodes[leaf.parent]
+            while up.parent is not None:
+                pool += leaf_keys[up.children[0]]
+                up = tree.nodes[up.parent]
+            leaf_keys[leaf_id] = [pool[rng.integers(len(pool))] if pool and rng.random() < 0.5
+                                  else next(fresh_del) for _ in range(count)]
+    return leaf_keys
+
+
+def _closure_cases():
+    for beta in (2, 3):
+        for h in range(1, 6):
+            for m in (1, 2):
+                for seed in range(3):
+                    params = TreeParams(beta, h, m, seed)
+                    yield params, lambda params=params: materialize(params).ops
+                    tree = build_tree(params)
+                    yield params, lambda tree=tree, seed=seed: resolve_leaf_ops(tree, _crossed_leaf_keys(tree, seed))
+    for beta, h, m in [(2, 2, 1), (2, 3, 1), (3, 2, 1), (2, 4, 2)]:
+        for seed in range(3):
+            params = TreeParams(beta, h, m, seed, universe_override=16 * m * h * beta**h)
+            yield params, lambda params=params: materialize(params).ops
+
+
 def test_replay_closure():
-    params = TreeParams(2, 3, 2, seed=5)
-    wl = materialize(params)
-    oracle = OracleQueue()
-    for op in wl.ops:
-        if op.kind == INSERT:
-            oracle.insert(op.key, op.priority)
-        elif op.kind == DELETE:
-            oracle.delete(op.key)
-        else:
-            assert oracle.extract_min() == (op.key, op.priority)
+    # Every ExtractMin answer is the oracle's on the ops before it, and each
+    # extract-min leaf re-inserts exactly its answers off the leaf's height, in
+    # answer order.  The crossed trees delete live keys at every level below the
+    # root; independent key sets almost never do.
+    hits = resolved = 0
+    for params, resolve in _closure_cases():
+        tree = build_tree(params)
+        try:
+            ops = resolve()
+        except WorkloadUnderflowError:
+            continue  # a small universe deleted a root-level key; see test_resolve_underflow_*
+        resolved += 1
+        oracle = OracleQueue()
+        answers: dict[int, list[tuple[int, int]]] = {}
+        for op in ops:
+            leaf = tree.nodes[op.leaf_id]
+            if op.kind == INSERT and leaf.kind == EXTRACT_LEAF:
+                expected = [kp for kp in answers[op.leaf_id] if kp[1] != leaf.height]
+                assert (op.key, op.priority) == expected[0]
+                del answers[op.leaf_id][answers[op.leaf_id].index(expected[0])]
+                oracle.insert(op.key, op.priority)
+            elif op.kind == INSERT:
+                oracle.insert(op.key, op.priority)
+            elif op.kind == DELETE:
+                hits += oracle.is_live(op.key)
+                oracle.delete(op.key)
+            else:
+                assert oracle.extract_min() == (op.key, op.priority)
+                answers.setdefault(op.leaf_id, []).append((op.key, op.priority))
+        assert all(p == tree.nodes[lf].height for lf, kps in answers.items() for _, p in kps)
+    assert resolved >= 120
+    assert hits > 0
+
+
+def test_resolve_repeated_live_key_raises():
+    tree = build_tree(TreeParams(2, 1, 1, 0))  # leaves 1 (insert, 2 keys), 2, 3 (delete, 1 key), 4
+    with pytest.raises(DuplicateKeyError, match="^key 5 is already live$"):
+        resolve_leaf_ops(tree, {1: [5, 5], 2: [0], 3: [1]})
+    tree = build_tree(TreeParams(2, 2, 1, 0))  # insert leaves 1 (root, 4 keys), 3 and 8 (2 keys each)
+    keys = {1: [10, 11, 12, 13], 3: [20, 21], 4: [0, 1], 5: [2, 3], 8: [20, 22], 9: [4, 5], 10: [6, 7]}
+    with pytest.raises(DuplicateKeyError, match="^key 11 is already live$"):
+        resolve_leaf_ops(tree, {**keys, 8: [22, 11]})
+    # 20 was extracted at leaf 6, so leaf 8 may insert it again.
+    ops = resolve_leaf_ops(tree, keys)
+    assert [(op.key, op.priority) for op in ops if op.leaf_id == 11] == [(20, 1), (22, 1)]
+    assert [(op.kind, op.key) for op in ops if op.leaf_id == 12] == [(EXTRACTMIN, k) for k in (10, 11, 12, 13)]
+
+
+def test_resolve_underflow_names_leaf_and_seed():
+    tree = build_tree(TreeParams(2, 1, 1, 0))
+    dry = r"^extract-min leaf {} ran dry \(seed {}\); every root-level insert key was deleted$"
+    with pytest.raises(WorkloadUnderflowError, match=dry.format(4, 0)):
+        resolve_leaf_ops(tree, {1: [3, 7], 2: [3], 3: [9]})  # one of two keys left
+    with pytest.raises(WorkloadUnderflowError, match=dry.format(4, 0)):
+        resolve_leaf_ops(tree, {1: [3, 7], 2: [3], 3: [7]})  # none left
+    with pytest.raises(WorkloadUnderflowError, match=dry.format(4, 34)):
+        materialize(TreeParams(2, 1, 1, seed=34, universe_override=64))
+    with pytest.raises(WorkloadUnderflowError, match=dry.format(60, 0)):
+        materialize(TreeParams(2, 4, 1, seed=0, universe_override=256))
 
 
 def test_no_live_key_below_level_before_extract_leaf():
@@ -241,8 +329,6 @@ def test_transformed_file_roundtrip(tmp_path):
 
 def test_key_assignment_marginals_roughly_uniform():
     # first insert-leaf key over many seeds should spread across the universe
-    from pqlab.errors import WorkloadUnderflowError
-
     u = 64
     firsts = []
     seed = 0
