@@ -43,7 +43,6 @@ from .workload import (
     read_workload,
     transform_no_spurious,
     write_workload,
-    write_workload_jsonl,
 )
 
 QUEUES = ("oracle", "buffered_heap", "tournament", "dk_buffered_heap", "dk_tournament")
@@ -111,8 +110,6 @@ def cmd_gen(args) -> int:
             args.usage_error(f"--variant {args.variant} takes --trees {'1' if args.variant == 'basic' else '>= 1'}")
         wl = _tree_workload(args)
     write_workload(wl, args.out)
-    if args.jsonl:
-        write_workload_jsonl(wl, args.jsonl)
     c = wl.counts()
     print(f"workload {args.out}: variant={wl.variant} trees={wl.trees} universe={wl.universe}")
     shape = f" (m*h*beta^h={wl.params.n_updates})" if wl.params else f" decreases={c['decrease']}"
@@ -203,7 +200,7 @@ def cmd_stats(args) -> int:
                   "node_id", "height", "kind", "P", "C"]
         _write_rows(args.out, header + [f"L{k}" for k in children] + [f"R{k}" for k in children], rows)
     if args.h >= 2:
-        choice = find_embedding(reports, args.h, c_factor=args.c_factor)
+        choice = find_embedding(reports, args.h)
         print(
             f"embedding: h*={choice.h_star} v={choice.node_id} k={choice.k} "
             f"avg(L+R)={choice.avg_lr:.2f} avg C(v)={choice.avg_c:.2f}"
@@ -327,7 +324,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=None, help="ops of a random workload")
     p.add_argument("--profile", default="mixed", help="op mix of a random workload")
     p.add_argument("--out", required=True)
-    p.add_argument("--jsonl", default=None, help="also write a JSON-lines debug copy")
     p.set_defaults(func=cmd_gen, usage_error=p.error)
 
     p = sub.add_parser("run", help="execute a workload on an instrumented queue")
@@ -343,7 +339,6 @@ def build_parser() -> argparse.ArgumentParser:
     device_args(p)
     p.add_argument("--queue", choices=QUEUES, default="tournament")
     p.add_argument("--trials", type=int, default=3)
-    p.add_argument("--c-factor", type=float, default=4.0)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_stats)
 

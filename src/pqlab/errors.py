@@ -34,10 +34,10 @@ class DivergenceError(PqlabError):
 
 
 class WorkloadUnderflowError(PqlabError):
-    """The adaptive generator asked the oracle to extract from an empty queue.
+    """An extract-min leaf found fewer live keys than it takes.
 
-    Possible for unlucky seeds when every key inserted at the root collides
-    with a delete key; such seeds are rejected rather than papered over.
+    A materialized tree's root extract-min leaf takes all m*beta^h root-level
+    insert keys, so a seed that also draws any one of them to delete fails.
     """
 
 

@@ -22,8 +22,8 @@ Queue implementations expose:
 Capability flags ``supports_decrease_key``/``supports_delete`` gate which
 workloads a queue may run.
 
-``run_workload`` is the only loop that dispatches ops to a queue; the CLI,
-the protocol replicas and the tests all replay through it.  It replays the
+``run_workload`` is the only loop in the package that feeds a workload to
+a queue; the CLI and the protocol replicas replay through it.  It replays the
 half-open range ``ops[lo:hi]`` (``hi=None`` means the end), tags each probe
 with the op's absolute index in ``ops``, reports ``n_ops = hi - lo`` and
 checks each ExtractMin answer against the transcript, so a queue resumed

@@ -1,9 +1,9 @@
 """Ground-truth priority queue.
 
 Plain in-memory implementation with the global (priority, key, timestamp)
-tie-break; performs no device traffic.  It is both the reference every
-instrumented queue is replayed against and the adaptive generator's engine
-for resolving extract-min leaves.
+tie-break; performs no device traffic.  It is the reference instrumented
+queues are replayed against, and the engine of ``make_random_workload``,
+whose DecreaseKeys need a live queue; no other generator uses it.
 """
 
 from __future__ import annotations

@@ -11,8 +11,8 @@ C(v) is the total probe count of the updates in v's subtree.
 Embedding selection scans heights h* in {ceil(h/2)..h} for the smallest
 trial-averaged total of P over internal nodes of that height, then picks the
 node and middle-child index minimizing the averaged L+R, admitting only
-nodes whose averaged C stays within a configurable factor of the height
-class mean.
+nodes whose averaged C stays within ``C_FACTOR`` times the height class
+mean.
 """
 
 from __future__ import annotations
@@ -21,6 +21,8 @@ from dataclasses import dataclass, field
 
 from .errors import PqlabError
 from .workload import INTERNAL, Tree
+
+C_FACTOR = 4.0  # admission bound on a candidate's averaged C, in height-class means
 
 
 @dataclass
@@ -107,7 +109,7 @@ class EmbeddingChoice:
     avg_c: float
 
 
-def find_embedding(reports: list[StatsReport], h: int, c_factor: float = 4.0) -> EmbeddingChoice:
+def find_embedding(reports: list[StatsReport], h: int) -> EmbeddingChoice:
     """Pick (h*, v, k) minimizing trial-averaged probe interaction counts."""
     if not reports:
         raise PqlabError("no trials given")
@@ -130,7 +132,7 @@ def find_embedding(reports: list[StatsReport], h: int, c_factor: float = 4.0) ->
     h_star = min(heights, key=lambda hh: (sum(avg_p(v) for v in by_height[hh]), hh))
     candidates = by_height[h_star]
     mean_c = sum(avg_c(v) for v in candidates) / len(candidates)
-    admitted = [v for v in candidates if avg_c(v) <= c_factor * mean_c] or candidates
+    admitted = [v for v in candidates if avg_c(v) <= C_FACTOR * mean_c] or candidates
 
     best: tuple[float, int, int] | None = None
     for v in admitted:

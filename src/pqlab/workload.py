@@ -32,7 +32,6 @@ four typed columns (``OpColumns``), a read-only view that builds ``Op``s on read
 
 from __future__ import annotations
 
-import json
 import struct
 from array import array
 from bisect import bisect_left, bisect_right
@@ -301,13 +300,14 @@ def subset_np(rng: np.random.Generator, universe: int, n: int) -> np.ndarray:
     return out[:n]
 
 
-def uniform_distinct(rng: np.random.Generator, universe: int, n: int) -> list[int]:
-    """Uniform random n-subset of [universe), returned sorted."""
-    return sorted(subset_np(rng, universe, n).tolist())
+def uniform_distinct(rng: np.random.Generator, universe: int, n: int) -> np.ndarray:
+    """Uniform random n-subset of [universe), sorted, as int64."""
+    return np.sort(subset_np(rng, universe, n))
 
 
-def assign_random_order(rng: np.random.Generator, keys: list[int]) -> list[int]:
-    return [keys[i] for i in rng.permutation(len(keys))]
+def assign_random_order(rng: np.random.Generator, keys: Sequence[int]) -> np.ndarray:
+    """``keys`` in uniform random order, as int64."""
+    return np.asarray(keys, dtype=np.int64)[rng.permutation(len(keys))]
 
 
 def deal_keys(tree: Tree, slots: list[int], keys: Sequence[int]) -> dict[int, Sequence[int]]:
@@ -362,8 +362,8 @@ def resolve_leaf_ops(tree: Tree, leaf_keys: dict[int, Sequence[int]], stop_leaf:
             need = tree.leaf_op_count(leaf)
             if len(live) < need:
                 raise WorkloadUnderflowError(
-                    f"extract-min leaf {leaf_id} ran dry (seed {tree.params.seed}); "
-                    "every root-level insert key was deleted"
+                    f"extract-min leaf {leaf_id} ran dry (seed {tree.params.seed}): "
+                    f"it takes {need} keys and finds {len(live)} live"
                 )
             again = []
             for p, level in enumerate(levels):
@@ -392,9 +392,8 @@ def materialize(params: TreeParams) -> Workload:
     u = params.universe
     ss = np.random.SeedSequence(params.seed)
     r_ins, r_ins_order, r_del, r_del_order = [np.random.default_rng(s) for s in ss.spawn(4)]
-    # assign_random_order(rng, uniform_distinct(...)), draw for draw, kept as int64.
-    ins_keys = np.sort(subset_np(r_ins, u, n))[r_ins_order.permutation(n)]
-    del_keys = np.sort(subset_np(r_del, u, n))[r_del_order.permutation(n)]
+    ins_keys = assign_random_order(r_ins_order, uniform_distinct(r_ins, u, n))
+    del_keys = assign_random_order(r_del_order, uniform_distinct(r_del, u, n))
     leaf_keys = deal_keys(tree, [lf for lf in tree.leaves if tree.nodes[lf].kind == INSERT_LEAF], ins_keys)
     leaf_keys.update(deal_keys(tree, [lf for lf in tree.leaves if tree.nodes[lf].kind == DELETE_LEAF], del_keys))
     ops = resolve_leaf_ops(tree, leaf_keys)
@@ -428,11 +427,10 @@ def extractions_at_height(workload: Workload, tree: Tree, node_id: int) -> set[i
 def transform_no_spurious(workloads: list[Workload]) -> Workload:
     """Rewrite basic trees into a sequence with no deletes of absent keys.
 
-    The universe is pre-populated at the sentinel priority; each source tree
-    is replayed with Insert -> (Delete; Insert), Delete -> (Delete;
-    Insert-at-sentinel), and extract-min leaves re-inserting matched keys at
-    the sentinel, so each tree leaves every universe key live at the
-    sentinel.
+    One pass over each source's columns, with no queue.  A source that is
+    the resolution of its own keys holds its live keys below the sentinel and
+    its root's extract-min leaf takes them all, so the rewrite keeps its
+    answers; each source is re-resolved first (``DivergenceError`` if not).
     """
     if not workloads:
         raise ConfigError("need at least one workload")
@@ -445,55 +443,32 @@ def transform_no_spurious(workloads: list[Workload]) -> Workload:
             raise ConfigError("workloads must share beta, h, m and universe")
     u = base.universe
 
-    tree = build_tree(base)
-    n_nodes = len(tree)
-    oracle = OracleQueue()
     ops = OpColumns()
-    for k in range(u):
-        oracle.insert(k, PRIORITY_INF)
-        ops._append(INSERT, k, PRIORITY_INF)
-
+    ops._extend(INSERT, NO_LEAF, range(u), PRIORITY_INF)
     for t_idx, wl in enumerate(workloads):
-        off = t_idx * n_nodes
-        i = 0
-        src = wl.ops
-        while i < len(src):
-            op = src[i]
-            leaf = tree.nodes[op.leaf_id]
-            lid = off + op.leaf_id
-            if leaf.kind == INSERT_LEAF:
-                oracle.delete_key(op.key)
-                ops._append(DELETE, op.key, 0, lid)
-                oracle.insert(op.key, op.priority)
-                ops._append(INSERT, op.key, op.priority, lid)
-                i += 1
-            elif leaf.kind == DELETE_LEAF:
-                oracle.delete_key(op.key)
-                ops._append(DELETE, op.key, 0, lid)
-                oracle.insert(op.key, PRIORITY_INF)
-                ops._append(INSERT, op.key, PRIORITY_INF, lid)
-                i += 1
+        tree = build_tree(wl.params)
+        ins, dels = wl.key_assignment(tree)
+        want = resolve_leaf_ops(tree, {**ins, **dels})
+        if wl.ops.columns() != want.columns():
+            i = next((i for i, (a, b) in enumerate(zip(wl.ops, want)) if a != b), min(len(wl.ops), len(want)))
+            raise DivergenceError(f"source tree {t_idx} differs from the resolution of its keys at op {i}")
+        pos = 0
+        for leaf_id in tree.leaves:
+            leaf = tree.nodes[leaf_id]
+            count = tree.leaf_op_count(leaf)
+            lid = t_idx * len(tree) + leaf_id
+            if leaf.kind == EXTRACT_LEAF:
+                answered = wl.ops.priority[pos : pos + count]
+                again = [PRIORITY_INF if p == leaf.height else p for p in answered]
+                ops._extend(EXTRACTMIN, lid, wl.ops.key[pos : pos + count], answered)
+                ops._extend(INSERT, lid, wl.ops.key[pos : pos + count], again)
+                pos += sum(p != leaf.height for p in answered)  # skip the source's re-inserts
             else:
-                count = tree.leaf_op_count(leaf)
-                answers = []
-                for _ in range(count):
-                    k, p = oracle.extract_min()
-                    if (k, p) != (src[i].key, src[i].priority):
-                        raise DivergenceError(
-                            f"transformed replay diverged at tree {t_idx} op {i}: "
-                            f"got ({k},{p}), source recorded ({src[i].key},{src[i].priority})"
-                        )
-                    answers.append((k, p))
-                    ops._append(EXTRACTMIN, k, p, lid)
-                    i += 1
-                for k, p in answers:
-                    if p != leaf.height:
-                        oracle.insert(k, p)
-                        ops._append(INSERT, k, p, lid)
-                        i += 1  # skip the source workload's re-insert record
-                    else:
-                        oracle.insert(k, PRIORITY_INF)
-                        ops._append(INSERT, k, PRIORITY_INF, lid)
+                again = leaf.height if leaf.kind == INSERT_LEAF else PRIORITY_INF
+                for k in wl.ops.key[pos : pos + count]:
+                    ops._append(DELETE, k, 0, lid)
+                    ops._append(INSERT, k, again, lid)
+            pos += count
     return Workload(base, "no_spurious", u, base.seed, ops, trees=len(workloads))
 
 
@@ -576,15 +551,18 @@ def make_random_workload(
 def insert_extract_workload(keys, priorities, universe: int, seed: int) -> Workload:
     """Insert every (key, priority) pair in order, then extract them all.
 
-    The ExtractMin answers are resolved against the oracle, so the workload
-    is a closed transcript.
+    The answers are the pairs sorted by (priority, key), the oracle's order
+    for distinct keys; a repeated key raises ``DuplicateKeyError``.
     """
     pairs = [(int(k), int(p)) for k, p in zip(keys, priorities)]
-    oracle = OracleQueue()
-    for k, p in pairs:
-        oracle.insert(k, p)
+    live: set[int] = set()
+    for k, _ in pairs:
+        if k in live:
+            raise DuplicateKeyError(f"key {k} is already live")
+        live.add(k)
+    answers = sorted(pairs, key=lambda kp: (kp[1], kp[0]))
     ops = OpColumns()
-    for kind, rows in ((INSERT, pairs), (EXTRACTMIN, [oracle.extract_min() for _ in pairs])):
+    for kind, rows in ((INSERT, pairs), (EXTRACTMIN, answers)):
         ops._extend(kind, NO_LEAF, [k for k, _ in rows], [p for _, p in rows])
     return Workload(None, "random", universe, seed, ops)
 
@@ -694,19 +672,3 @@ def read_workload(path) -> Workload:
         params = TreeParams(beta, h, m, seed,
                             universe_override=universe if universe != (m * h * beta**h) ** 4 else None)
     return Workload(params, name, universe, seed, ops, trees=trees)
-
-
-def write_workload_jsonl(workload: Workload, path) -> None:
-    p = workload.params
-    with open(path, "w") as fh:
-        fh.write(json.dumps({
-            "magic": MAGIC.decode(), "version": VERSION,
-            "beta": p.beta if p else None, "h": p.h if p else None, "m": p.m if p else None,
-            "variant": workload.variant, "trees": workload.trees,
-            "universe": workload.universe, "seed": workload.seed, "ops": len(workload.ops),
-        }) + "\n")
-        names = {INSERT: "I", DELETE: "D", EXTRACTMIN: "E", DECREASE: "K"}
-        for op in workload.ops:
-            fh.write(json.dumps({
-                "op": names[op.kind], "key": op.key, "prio": op.priority, "leaf": op.leaf_id,
-            }) + "\n")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pqlab import OracleQueue, TreeParams, build_tree, materialize, transform_no_spurious
-from pqlab.errors import ConfigError, DuplicateKeyError, WorkloadUnderflowError
+from pqlab.errors import ConfigError, DivergenceError, DuplicateKeyError, WorkloadUnderflowError
 from pqlab.ops import DELETE, EXTRACTMIN, INSERT, PRIORITY_INF
 from pqlab.workload import (
     _RawDraws,
@@ -13,6 +13,7 @@ from pqlab.workload import (
     INSERT_LEAF,
     ground_truth,
     extractions_at_height,
+    insert_extract_workload,
     make_random_workload,
     read_workload,
     resolve_leaf_ops,
@@ -185,14 +186,14 @@ def test_resolve_repeated_live_key_raises():
 
 def test_resolve_underflow_names_leaf_and_seed():
     tree = build_tree(TreeParams(2, 1, 1, 0))
-    dry = r"^extract-min leaf {} ran dry \(seed {}\); every root-level insert key was deleted$"
-    with pytest.raises(WorkloadUnderflowError, match=dry.format(4, 0)):
+    dry = r"^extract-min leaf {} ran dry \(seed {}\): it takes {} keys and finds {} live$"
+    with pytest.raises(WorkloadUnderflowError, match=dry.format(4, 0, 2, 1)):
         resolve_leaf_ops(tree, {1: [3, 7], 2: [3], 3: [9]})  # one of two keys left
-    with pytest.raises(WorkloadUnderflowError, match=dry.format(4, 0)):
+    with pytest.raises(WorkloadUnderflowError, match=dry.format(4, 0, 2, 0)):
         resolve_leaf_ops(tree, {1: [3, 7], 2: [3], 3: [7]})  # none left
-    with pytest.raises(WorkloadUnderflowError, match=dry.format(4, 34)):
+    with pytest.raises(WorkloadUnderflowError, match=dry.format(4, 34, 2, 1)):
         materialize(TreeParams(2, 1, 1, seed=34, universe_override=64))
-    with pytest.raises(WorkloadUnderflowError, match=dry.format(60, 0)):
+    with pytest.raises(WorkloadUnderflowError, match=dry.format(60, 0, 16, 14)):
         materialize(TreeParams(2, 4, 1, seed=0, universe_override=256))
 
 
@@ -307,6 +308,22 @@ def test_transform_default_universe_tiny_tree():
     wl = transform_no_spurious(parts)
     assert wl.universe == 16
     assert wl.ops[0].priority == PRIORITY_INF
+
+
+@pytest.mark.parametrize("tamper, op", [
+    (lambda ops: ops.key.__setitem__(slice(10, 12), ops.key[11:9:-1]), 10),
+    (lambda ops: ops.priority.__setitem__(20, 1), 20),  # the re-insert of key 7, from priority 2 to 1
+], ids=["answers_swapped", "reinsert_priority_changed"])
+def test_transform_rejects_tampered_source(tamper, op):
+    parts = [materialize(TreeParams(2, 2, 1, seed=s, universe_override=64)) for s in (0, 3)]
+    tamper(parts[1].ops)
+    with pytest.raises(DivergenceError, match=rf"^source tree 1 differs from the resolution of its keys at op {op}$"):
+        transform_no_spurious(parts)
+
+
+def test_insert_extract_repeated_key_raises():
+    with pytest.raises(DuplicateKeyError, match="^key 3 is already live$"):
+        insert_extract_workload([3, 5, 3], [1, 2, 0], 8, 0)
 
 
 def test_transform_rejects_mixed_params():

@@ -14,9 +14,10 @@ change), whether each side's own digests agree (``witness_stable``; a
 warning goes to stderr for a side whose runs disagree), each side's median
 and quartiles, how many pairs the change won under BENCHMARK.json's
 ``better`` direction, each side's failed and attempted totals, both commits,
-the git tree of each side's ``src/`` and the exact commands.  It exits 1
-after writing the file if any run failed an operation, so no win is counted
-over a failing side.
+the git tree of each side's ``src/``, its line count (``src_lines``, over
+``src/pqlab/*.py`` and ``src/pqlab/*/*.py``) and the exact commands.  It
+exits 1 after writing the file if any run failed an operation, so no win is
+counted over a failing side.
 """
 
 from __future__ import annotations
@@ -44,6 +45,12 @@ def checkout(rev: str, into: Path) -> Path:
     with tarfile.open(fileobj=BytesIO(archive)) as tar:
         tar.extractall(into)
     return into
+
+
+def src_lines(tree: Path) -> int:
+    """Newlines in ``src/pqlab/*.py`` and ``src/pqlab/*/*.py``, as ``wc -l`` counts them."""
+    return sum(f.read_bytes().count(b"\n") for pattern in ("src/pqlab/*.py", "src/pqlab/*/*.py")
+               for f in tree.glob(pattern))
 
 
 def bench_command(workload: str, seed: int, seconds: float) -> list[str]:
@@ -102,6 +109,8 @@ def main() -> int:
     runs = []
     with tempfile.TemporaryDirectory() as tmp:
         trees = {side: checkout(r["commit"], Path(tmp) / side) for side, r in revs.items()}
+        for side, tree in trees.items():
+            revs[side]["src_lines"] = src_lines(tree)
         for spec in args.run:
             workload, seed, n_pairs = spec.split(":")
             seed, n_pairs = int(seed), int(n_pairs)
