@@ -310,10 +310,16 @@ def test_transform_default_universe_tiny_tree():
     assert wl.ops[0].priority == PRIORITY_INF
 
 
-@pytest.mark.parametrize("tamper, op", [
-    (lambda ops: ops.key.__setitem__(slice(10, 12), ops.key[11:9:-1]), 10),
-    (lambda ops: ops.priority.__setitem__(20, 1), 20),  # the re-insert of key 7, from priority 2 to 1
-], ids=["answers_swapped", "reinsert_priority_changed"])
+def _swap_answers(ops):
+    ops.key[10], ops.key[11] = ops.key[11], ops.key[10]
+
+
+def _move_reinsert(ops):
+    ops.priority[20] = 1  # the re-insert of key 7 at priority 2
+
+
+@pytest.mark.parametrize("tamper, op", [(_swap_answers, 10), (_move_reinsert, 20)],
+                         ids=["answers_swapped", "reinsert_priority_changed"])
 def test_transform_rejects_tampered_source(tamper, op):
     parts = [materialize(TreeParams(2, 2, 1, seed=s, universe_override=64)) for s in (0, 3)]
     tamper(parts[1].ops)
