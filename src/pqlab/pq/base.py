@@ -55,14 +55,21 @@ flush empties a node's buffer: for each ``(child index, batch)`` the
 subclass's ``_route`` names, it loads the child, lets the subclass's
 ``_apply`` take the batch (which may flush the child in turn), stores it
 and sets the child's bit.  A refill fills an empty node's tops with up to
-``cap`` of its subtree's minima, flushing the node's own buffer first so no
-entry below is overlooked.  It merges one ``SOURCE`` per child whose bit is
-set with a heap keyed by ``(head, child index)``, yet probes as a full
-rescan would: the first round asks every source for its head in child
-order (a source whose node ran dry with entries below refills it first),
-after that only the popped source is asked again, and only while the node
-still wants entries.  Then each source writes back and sets its child's
-bit.  The default source, ``Loaded``, holds the child whole.
+``cap`` of its subtree's minima.  No entry in the node's own buffer may be
+overlooked, and the class picks how, as it picks ``SOURCE``: a
+``BUF_SOURCE`` merges the buffer as one more source, and ``None`` flushes
+it first.  The heap merges its pending entries.  They are in memory, so
+this costs no probe, where a flush would write them to a child only for
+the merge to read them back; what the merge leaves stays pending, each
+entry >= the new tops maximum.  The tournament flushes first, because its
+buffer carries signals that must reach their records before any record
+climbs.  The merge takes one ``SOURCE`` per child whose bit is set, with a
+heap keyed by ``(head, source index)``, yet probes as a full rescan would:
+the first round asks every source for its head in child order (a source
+whose node ran dry with entries below refills it first), after that only
+the popped source is asked again, and only while the node still wants
+entries.  Then each source writes back and sets its child's bit.  The
+default source, ``Loaded``, holds the child whole.
 """
 
 from __future__ import annotations
@@ -197,6 +204,7 @@ class BufferedTree(PriorityQueueBase):
     ROOT_HEADER: int
     NODE = Node  # the class of the empty node a clear bit reads as
     SOURCE = Loaded  # the refill source over one child: next_head, pop, pop_next, writeback
+    BUF_SOURCE = None  # the refill source over the node's own buffer; None flushes the buffer first
 
     def __init__(self, device):
         self.device = device
@@ -231,14 +239,18 @@ class BufferedTree(PriorityQueueBase):
             node.mark(i, cnode.holds())
 
     def _refill(self, x: int, node: Node) -> None:
-        """Fill internal node x's tops with its subtree's minima; own buffer flushed first."""
-        if node.buf:
+        """Fill internal node x's tops with its subtree's minima, merging its own
+        buffer as one more source, or flushing it first (module docstring)."""
+        if node.buf and self.BUF_SOURCE is None:
             self._flush(x, node)
         if node.tops:
             return
         kids = self._children(x)
         held = [i for i in range(len(kids)) if node.bits >> i & 1]
         sources = [self.SOURCE(self, kids[i]) for i in held]
+        own = self.BUF_SOURCE(node) if node.buf else None
+        if own is not None:
+            sources.append(own)
         # Probes as a rescan per taken entry would (module docstring): all
         # sources once in child order, then only the popped one.
         merge = []
@@ -263,6 +275,8 @@ class BufferedTree(PriorityQueueBase):
         node.set_tops(taken)
         for i, src in zip(held, sources):
             node.mark(i, src.writeback())
+        if own is not None:
+            own.writeback()
 
     def clear(self) -> None:
         self._seq = 0

@@ -8,7 +8,13 @@ arriving entry joins ``tops`` only when it beats the current maximum or the
 subtree holds nothing else; otherwise it rides ``pending``, which a flush
 moves whole, sorted, to a round-robin child when it is full.  ExtractMin
 pops the root's ``tops`` (held in the M-word memory) and refills it when
-empty.  The two walks, flush and refill, are ``base.BufferedTree``'s.
+empty.  The two walks, flush and refill, are ``base.BufferedTree``'s.  A
+refill merges the node's own pending entries (``_Pending``) with its
+children's tops instead of flushing them first: they are already in memory
+(resident at the root, decoded with the node deeper down), so a flush
+would only write them to a child for the merge to read back.  What the
+merge leaves stays pending, so a refilled node may hold pending entries,
+each >= its new tops maximum, and at most ``cap`` of them.
 Entries move in half-buffer batches both ways, targeting
 O((1/B) log_{M/B} N) probes per operation amortized; the constant is
 asserted as a measured regression bound, not proved.
@@ -143,6 +149,36 @@ class _Cursor:
         return bool(self.eaten < self.n_tops or self.n_pending or self.bits)
 
 
+class _Pending:
+    """The refilled node's own pending entries as a refill source, sorted once.
+
+    They are resident (the root's) or inside the ``Loaded`` node the refill
+    holds, so no call probes; ``writeback`` leaves pending what the merge
+    did not take, each entry >= the new tops maximum.
+    """
+
+    __slots__ = ("node", "taken")
+
+    def __init__(self, node: Node):
+        node.buf.sort()
+        self.node, self.taken = node, 0
+
+    def next_head(self) -> tuple[int, int, int] | None:
+        buf = self.node.buf
+        return buf[self.taken] if self.taken < len(buf) else None
+
+    def pop(self) -> None:
+        self.taken += 1
+
+    def pop_next(self) -> tuple[int, int, int] | None:
+        self.taken += 1
+        return self.next_head()
+
+    def writeback(self) -> bool:
+        del self.node.buf[: self.taken]
+        return bool(self.node.buf)
+
+
 class BufferedHeap(BufferedTree):
     supports_decrease_key = False
     supports_delete = False
@@ -150,6 +186,7 @@ class BufferedHeap(BufferedTree):
     ROOT = 0
     ROOT_HEADER = 4
     SOURCE = _Cursor
+    BUF_SOURCE = _Pending
 
     def __init__(self, device, n_hint: int = 1 << 14):
         super().__init__(device)

@@ -7,7 +7,7 @@ from pqlab.dk import augmented_key_bits
 from pqlab.errors import CapabilityError, ConfigError, DivergenceError, EmptyQueueError, EncodingError, StructureOverflowError
 from pqlab.ops import EXTRACTMIN
 from pqlab.pq.base import run_workload
-from pqlab.workload import Workload, insert_extract_workload, make_random_workload
+from pqlab.workload import TreeParams, Workload, insert_extract_workload, make_random_workload, materialize
 
 
 def make(B=16, M=192, w=64, n_hint=2048):
@@ -148,29 +148,60 @@ def test_probe_envelope_insert_then_extract():
     assert dev.probe_count <= bound
 
 
+def test_pending_entries_refill_the_root_without_a_probe():
+    """Entries riding the root's pending buffer are merged by the refill in
+    memory, not flushed to a child and read back."""
+    q, dev = make(B=16, M=256)
+    assert q.cap == 16
+    for k in range(15, -1, -1):  # each beats the tops maximum, so all 16 join tops
+        q.insert(k, k)
+    for k in range(16, 28):
+        q.insert(k, 100 - k)
+    assert (len(q._root.tops), len(q._root.buf)) == (16, 12)
+    got = [q.extract_min() for _ in range(28)]
+    assert got == [(k, k) for k in range(16)] + [(k, 100 - k) for k in range(27, 15, -1)]
+    assert dev.probe_count == 0
+
+
+def _assert_tops_prefix(heap, node, where):
+    """tops sorted, at most cap pending entries, each >= the tops maximum."""
+    assert node.tops == sorted(node.tops), where
+    assert len(node.buf) <= heap.cap, where
+    if node.tops:
+        assert min(node.buf, default=node.tops[-1]) >= node.tops[-1], where
+
+
 @pytest.mark.parametrize("B,M", [(8, 128), (16, 192)])
-@pytest.mark.parametrize("traffic", ["insert_then_extract", "mixed_dk"])
+@pytest.mark.parametrize("traffic", ["insert_then_extract", "mixed_dk", "tree_dk"])
 def test_leaves_hold_no_pending_and_header_tail_is_zero(B, M, traffic):
     """Every flush absorbs into a loaded child, so no leaf stores pending entries,
     header words 5..7 stay 0 and word 4 holds the children's bits (module
-    docstring), checked on disk every 50 ops at every node reachable through set bits."""
+    docstring); the root and every internal node keep the tops-prefix rule,
+    pending entries a refill left included.  Checked after every op, on disk
+    through ``peek_block`` (no probe), at every node reachable through set bits."""
     if traffic == "insert_then_extract":
         n = 1500
         wl = insert_extract_workload(range(n), [(k * 7919) % (n // 3) for k in range(n)], n, 0)
         dev = Device(DeviceConfig(B=B, M=M, w=64))
         heap = queue = BufferedHeap(dev, n_hint=n)
     else:
-        wl = make_random_workload(3000, 8, universe=500, profile="mixed")
+        if traffic == "mixed_dk":
+            wl, n_hint = make_random_workload(3000, 8, universe=500, profile="mixed"), 64  # depth 1, so the leaves fill
+        else:
+            wl, n_hint = materialize(TreeParams(2, 6, 2, seed=5)), 256  # at most 252 entries live
         dev = Device(DeviceConfig(B=B, M=M, w=augmented_key_bits(wl.universe)))
-        heap = BufferedHeap(dev, n_hint=64)  # depth 1, so the leaves fill
+        heap = BufferedHeap(dev, n_hint=n_hint)
         queue = ReducedQueue(heap, n0_min=16)
     leaf_blocks = 0
-    for lo in range(0, len(wl.ops), 50):
-        run_workload(queue, dev, wl, lo=lo, hi=min(lo + 50, len(wl.ops)))
-        stack = [c for i, c in enumerate(heap._children(heap.ROOT)) if heap._root.bits >> i & 1]
+    for i in range(len(wl.ops)):
+        run_workload(queue, dev, wl, lo=i, hi=i + 1)
+        probes = dev.probe_count
+        _assert_tops_prefix(heap, heap._root, (i, heap.ROOT))
+        stack = [c for j, c in enumerate(heap._children(heap.ROOT)) if heap._root.bits >> j & 1]
         while stack:
             x = stack.pop()
-            header = dev.peek_block(heap._node_base(x))[:8]
+            base = heap._node_base(x)
+            header = dev.peek_block(base)[:8]
             assert header[5:] == (0, 0, 0), (x, header)
             assert header[0] or header[1] or header[4], (x, header)  # a set bit leads to a subtree holding entries
             if heap._is_leaf(x):
@@ -178,5 +209,8 @@ def test_leaves_hold_no_pending_and_header_tail_is_zero(B, M, traffic):
                 leaf_blocks += 1
             else:
                 assert 0 <= header[4] < 1 << heap.fanout, (x, header)
-                stack += [c for i, c in enumerate(heap._children(x)) if header[4] >> i & 1]
+                blocks = {b: list(dev.peek_block(base + b)) for b in range(heap._internal_blocks)}
+                _assert_tops_prefix(heap, heap._read_node(x, blocks), (i, x))
+                stack += [c for j, c in enumerate(heap._children(x)) if header[4] >> j & 1]
+        assert dev.probe_count == probes  # the check read nothing through the probe counter
     assert leaf_blocks  # the replay reached the leaves

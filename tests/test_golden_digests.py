@@ -134,15 +134,15 @@ def _dk_w(work: Workload) -> int:
 
 # (queue, workload, B, M) -> (probes, sha256)
 CASES = {
-    ("dk_buffered_heap", "insert_extract_3000", 16, 192): (19612, "d7f9d00daef2876f375bcb18504662ae95aa36c6f42f7c680ef76bbf0b07716e"),
-    ("dk_buffered_heap", "tree_2_4_2_s1", 16, 256): (50, "abfac07f2a63315c56e0306e5bf69f7bfa98afeeebd1b59b9936bd725098c4bc"),
-    ("dk_buffered_heap", "tree_2_6_2_s5", 16, 256): (1099, "8f6458fd76d1635f1bf5f9cd31b5235a3e56234e1634fc640d37db4d78841712"),
-    ("dk_buffered_heap", "tree_2_6_2_s5", 64, 1024): (46, "31f7c2c78219bfd6ff8475d472f07cc73897ad4eedbc630c64da6196bc1ae514"),
+    ("dk_buffered_heap", "insert_extract_3000", 16, 192): (18945, "a5a30ffdb3b5d3414c0c1cfa7f596f674598aeae0fa98feb42de2a5c7bf31ea2"),
+    ("dk_buffered_heap", "tree_2_4_2_s1", 16, 256): (28, "1ece8149c0dd30e126fbff948fb80ca2194f52c8388e6f2e5078de9f68428c89"),
+    ("dk_buffered_heap", "tree_2_6_2_s5", 16, 256): (804, "c922319037474bcff85e0d60bb108c0d90e3193a9bd845ae1f4d6c63fde3adc3"),
+    ("dk_buffered_heap", "tree_2_6_2_s5", 64, 1024): (28, "2028515e3e560435b7ea367193e2e8b78d6274a4f58ca1944c90f2f0b099e37c"),
     ("dk_tournament", "insert_extract_3000", 16, 192): (37523, "be980fa06820369271b0254667262201b2c51276fe04878a606a1a30d618b33c"),
     ("dk_tournament", "tree_2_4_2_s1", 16, 256): (359, "7d9dbd53b53b9863b6ee5e3a772253e74a424ea470afe83e2de0e30dd4aa946f"),
     ("dk_tournament", "tree_2_6_2_s5", 16, 256): (4153, "621a830ed1a58729fcc91286c678e401ac8065b54527c7463fc762cf19d39059"),
-    ("buffered_heap", "insert_extract_3000", 8, 128): (46664, "bbb2c5b8bdf35d911b3f4968fcae7252a1f892b05ab2735e4f4360298c3a2506"),
-    ("buffered_heap", "insert_extract_3000", 16, 192): (19612, "d7f9d00daef2876f375bcb18504662ae95aa36c6f42f7c680ef76bbf0b07716e"),
+    ("buffered_heap", "insert_extract_3000", 8, 128): (46582, "6c93f058eaa464bafb5529922e0619a4e6371382ea8919b1ac7377e8bf3382ab"),
+    ("buffered_heap", "insert_extract_3000", 16, 192): (18945, "a5a30ffdb3b5d3414c0c1cfa7f596f674598aeae0fa98feb42de2a5c7bf31ea2"),
     ("tournament", "insert_extract_3000", 16, 192): (38583, "f0d2474e2120e2f2ed5a18c62bb18e7387fcb9722dd1426f212ea692b7aa1f18"),
     ("tournament", "mixed_arith_6000", 16, 192): (16773, "bd910055213f9734f43777fe15c521d2e3aba74d72c86667e742a737e6242446"),
     ("tournament", "tree_2_4_2_s1", 16, 256): (735, "26c6f246498741fb36ab7494e0824ba0825c4d008cd0c8915428486c86ad66d2"),
@@ -363,7 +363,7 @@ def _comm_digests(kind: str, tmp_path: Path) -> tuple[str, str]:
 # queue -> sha256 of every protocol run's ledger at (2,4,2), B=16, M=256, w=64:
 # the first internal node of each height, every k, seeds 0..2
 LEDGERS = {
-    "dk_buffered_heap": "4c32eb4cc5174e63a9dcf3ef7dcbb2f49082a33e518ebc841346c2a46f8b9831",
+    "dk_buffered_heap": "97b36ee85947f426c4cb5437a0bbf7258d919ebec95641ed89fcfef6d5da2416",
     "tournament": "5155c1c70c67e3510d1b1529284c1e1f04751a0241094b4d5c1476a8d1ce87ae",
 }
 
