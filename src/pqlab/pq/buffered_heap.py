@@ -28,7 +28,9 @@ follows the header and the pending region sits at the fixed offset
 ``(priority + 2^(w-1), key, timestamp)``, which order as the entries do:
 ``insert`` adds the bias, ``extract_min`` removes it, and the node codecs
 and the cursor heads only reorder words.  A leaf absorbs every batch into
-its tops, so leaves never hold pending entries.  Resident state, its memory
+its tops, so leaves never hold pending entries: a leaf's arena holds the
+header and ``leaf_tops_cap`` entries, and the depth is chosen from that
+capacity.  Resident state, its memory
 image and the M-word audit live in ``base.BufferedTree``: the root words
 are ``[live, rr, n_tops, bits]`` followed by the root's tops and pending
 entries.  A node whose subtree empties is read back, once its parent's bit
@@ -203,7 +205,7 @@ class BufferedHeap(BufferedTree):
 
         self._pending_at = HEADER_WORDS + ENTRY_WORDS * self.cap  # leaves hold no pending entries
         self._internal_blocks = self._blocks_for(HEADER_WORDS + ENTRY_WORDS * (2 * self.cap))
-        self._leaf_blocks = self._blocks_for(HEADER_WORDS + ENTRY_WORDS * (self.leaf_tops_cap + self.cap))
+        self._leaf_blocks = self._blocks_for(HEADER_WORDS + ENTRY_WORDS * self.leaf_tops_cap)
         if self._node_base(self.n_nodes) >= device.config.word_limit:
             raise ConfigError("address space too small for the heap arena; increase w")
         self._setup(self.ROOT_HEADER + 2 * ENTRY_WORDS * self.cap)
@@ -212,7 +214,7 @@ class BufferedHeap(BufferedTree):
 
     def _capacity(self, depth: int) -> int:
         internal = sum(self.fanout**i for i in range(depth))
-        return 2 * self.cap * internal + (self.leaf_tops_cap + self.cap) * self.fanout**depth
+        return 2 * self.cap * internal + self.leaf_tops_cap * self.fanout**depth
 
     def _blocks_for(self, words: int) -> int:
         return (words + self.B - 1) // self.B

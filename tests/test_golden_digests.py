@@ -134,15 +134,15 @@ def _dk_w(work: Workload) -> int:
 
 # (queue, workload, B, M) -> (probes, sha256)
 CASES = {
-    ("dk_buffered_heap", "insert_extract_3000", 16, 192): (18945, "a5a30ffdb3b5d3414c0c1cfa7f596f674598aeae0fa98feb42de2a5c7bf31ea2"),
+    ("dk_buffered_heap", "insert_extract_3000", 16, 192): (18945, "46ec5623ee36ac63c2fd32fe678cda6cb08538fc3778e5ec79848caa8192f539"),
     ("dk_buffered_heap", "tree_2_4_2_s1", 16, 256): (28, "1ece8149c0dd30e126fbff948fb80ca2194f52c8388e6f2e5078de9f68428c89"),
-    ("dk_buffered_heap", "tree_2_6_2_s5", 16, 256): (804, "c922319037474bcff85e0d60bb108c0d90e3193a9bd845ae1f4d6c63fde3adc3"),
+    ("dk_buffered_heap", "tree_2_6_2_s5", 16, 256): (804, "d9cc458bb8c7f19265d1b01b0b66d283624bcdb24eeb5df59e6ef21106480899"),
     ("dk_buffered_heap", "tree_2_6_2_s5", 64, 1024): (28, "2028515e3e560435b7ea367193e2e8b78d6274a4f58ca1944c90f2f0b099e37c"),
     ("dk_tournament", "insert_extract_3000", 16, 192): (37523, "be980fa06820369271b0254667262201b2c51276fe04878a606a1a30d618b33c"),
     ("dk_tournament", "tree_2_4_2_s1", 16, 256): (359, "7d9dbd53b53b9863b6ee5e3a772253e74a424ea470afe83e2de0e30dd4aa946f"),
     ("dk_tournament", "tree_2_6_2_s5", 16, 256): (4153, "621a830ed1a58729fcc91286c678e401ac8065b54527c7463fc762cf19d39059"),
-    ("buffered_heap", "insert_extract_3000", 8, 128): (46582, "6c93f058eaa464bafb5529922e0619a4e6371382ea8919b1ac7377e8bf3382ab"),
-    ("buffered_heap", "insert_extract_3000", 16, 192): (18945, "a5a30ffdb3b5d3414c0c1cfa7f596f674598aeae0fa98feb42de2a5c7bf31ea2"),
+    ("buffered_heap", "insert_extract_3000", 8, 128): (46487, "ef3abd9d210c6fe2cf5e5f427c12fd4d4ac6e2ad852394e1feea3e284f9e8d8d"),
+    ("buffered_heap", "insert_extract_3000", 16, 192): (18945, "46ec5623ee36ac63c2fd32fe678cda6cb08538fc3778e5ec79848caa8192f539"),
     ("tournament", "insert_extract_3000", 16, 192): (38583, "f0d2474e2120e2f2ed5a18c62bb18e7387fcb9722dd1426f212ea692b7aa1f18"),
     ("tournament", "mixed_arith_6000", 16, 192): (16773, "bd910055213f9734f43777fe15c521d2e3aba74d72c86667e742a737e6242446"),
     ("tournament", "tree_2_4_2_s1", 16, 256): (735, "26c6f246498741fb36ab7494e0824ba0825c4d008cd0c8915428486c86ad66d2"),
@@ -279,8 +279,8 @@ def _image_digest(kind: str) -> str:
 # run the insert half of insert_extract_3000; the tournaments run
 # mixed_arith_6000, so every signal kind sits in some buffer.
 BLOCKS = {
-    "buffered_heap": "8cdbe0abbe494ea2308c4524b11941bc93299d70080d5f48bb1f48dfb77190b8",
-    "dk_buffered_heap": "d2d9574de2dbaee5ea37af53039448751ced7f546e3baed2925793a2ed829e0e",
+    "buffered_heap": "70c6c764215b774bebe0f25b1339003d0cb9f4b5b081285c5a99e4259818b957",
+    "dk_buffered_heap": "2df5265347454dbff1a4239dd572ff3c3bb1bfc81f46f1efd2108006300161e9",
     "dk_tournament": "ac9e03d3c0d2ef2a9b153cf58d09e94a386d2cd0ca4182c67bb1b57441a32fec",
     "tournament": "a6018b5b83f4abe0ce03dad7f61194bd7d6cdb06c852bfe060b74719b457cf7a",
 }
