@@ -136,7 +136,8 @@ def _tree_workload(args) -> Workload:
     ]
     if args.variant == "no_spurious":
         return transform_no_spurious(parts)
-    ops = (op for part in parts for op in part.ops)
+    size = len(build_tree(parts[0].params))  # tree t's leaf ids are offset by t * size, as no_spurious's are
+    ops = (op._replace(leaf_id=t * size + op.leaf_id) for t, part in enumerate(parts) for op in part.ops)
     return Workload(params, "multi_tree", params.universe, args.seed, ops, trees=args.trees)
 
 

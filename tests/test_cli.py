@@ -5,7 +5,7 @@ import pytest
 
 from pqlab import Device, DeviceConfig, cli
 from pqlab.cli import DK_FIELDS, main, make_queue
-from pqlab.ops import DECREASE, DELETE, EXTRACTMIN, INSERT, Op
+from pqlab.ops import DECREASE, DELETE, EXTRACTMIN, INSERT, NO_LEAF, Op
 from pqlab.pq.base import run_workload
 from pqlab.workload import Workload, make_random_workload, read_workload, write_workload
 
@@ -75,6 +75,18 @@ def test_gen_variants_replay(tmp_path, variant):
     work = read_workload(wl)
     assert (work.variant, work.trees, work.counts()["extractmin"]) == (variant, 3, 3 * 128)
     assert main(["run", "--workload", str(wl), "--queue", "oracle", "--out", str(tmp_path / "r.csv")]) == 0
+
+
+def test_multi_tree_leaf_ids_are_offset_per_tree(tmp_path):
+    """Tree t's leaf ids are offset by t * len(tree), as in no_spurious, so the trees stay apart."""
+    leaves = {}
+    for variant in ("multi_tree", "no_spurious"):
+        wl = tmp_path / f"{variant}.bin"
+        assert main(["gen", "--beta", "2", "--h", "2", "--m", "1", "--seed", "4", "--trees", "3",
+                     "--universe", "1024", "--variant", variant, "--out", str(wl)]) == 0
+        leaves[variant] = set(read_workload(wl).ops.leaf) - {NO_LEAF}
+    assert len(leaves["multi_tree"]) == 30 and max(leaves["multi_tree"]) == 38
+    assert leaves["multi_tree"] == leaves["no_spurious"]
 
 
 @pytest.mark.parametrize(
