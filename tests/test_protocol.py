@@ -174,6 +174,29 @@ def test_nonempty_intersection_case():
         assert res.alice_requests == res.r_vk and res.bob_requests == res.l_vk
 
 
+@pytest.mark.parametrize("height", [2, 3, 4])
+def test_dk_heap_protocol_with_intersecting_sets(height):
+    # sample_instance almost never draws X meeting Y at a tree's default
+    # universe; taking half of X from Y makes Alice's deletes remove live
+    # keys, so the dk heap discards stale entries during the run.
+    params = TreeParams(2, 6, 2, seed=41)
+    v = next(n.id for n in build_tree(params).internal_nodes() if n.height == height)
+    drawn = sample_instance(params, v, seed=41)
+    xs, ys = sorted(drawn.X), sorted(drawn.Y)
+    x = frozenset(xs[len(ys) // 2:]) | frozenset(ys[: len(ys) // 2])
+    queues = []
+
+    def factory(dev):
+        queues.append(make_queue("dk_buffered_heap", dev, n_hint=4096, seed=0))
+        return queues[-1]
+
+    res = run_embedding_protocol(factory, params, v, 2, SetIntersectionInstance(drawn.U, x, drawn.Y),
+                                 DeviceConfig(B=16, M=256, w=128), seed=41)
+    assert res.correct and res.expected
+    assert res.alice_requests == res.r_vk and res.bob_requests == res.l_vk
+    assert queues[0].stale_discards > 0
+
+
 def test_prefix_distribution_matches_materialize():
     # Embedding soundness at small parameters: per-leaf insert-key marginals
     # of the protocol prefix match direct materialization statistically.
