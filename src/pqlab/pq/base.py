@@ -15,9 +15,9 @@ Queue implementations expose:
   DecreaseKey-then-ExtractMin recipe.
 * ``clear()``, ``memory_image()``/``load_memory_image()`` for global
   rebuilding and snapshot-resume replication.  The image is a list of w-bit
-  words in the queue's own layouts: counters and the root in its node
-  layout, so its length is the number of words resident in the M-word
-  memory.
+  words in the queue's own layouts: counters and the resident nodes in
+  their node layout, so its length is the number of words resident in the
+  M-word memory.
 
 Capability flags ``supports_decrease_key``/``supports_delete`` gate which
 workloads a queue may run.
@@ -38,16 +38,19 @@ only reorder words, and the oracle's image uses them unbiased.
 
 ``BufferedTree`` is the resident half of both external queues (the buffered
 heap and the tournament).  It owns the M-word memory: an operation counter
-``_seq`` and the root node.  The memory image is ``[seq]`` followed by the
-subclass's root words, and the constructor audit charges the largest image
-that layout can produce plus 2B words of block buffers against M, so an
-accepted queue's image never exceeds M - 2B words, whatever N is.  Every
+``_seq`` and ``T`` resident nodes: the root and, in the tournament, the
+whole levels below it that fit.  The memory image is ``[seq]`` followed by
+the subclass's words for the resident nodes, and the constructor
+audit charges the largest image that layout can produce plus 2B words of
+block buffers against M, so an accepted queue's image never exceeds M - 2B
+words, whatever N is.  Every
 node carries ``bits``, one bit per child, stored in its header: bit i is
 set iff child i's subtree holds an entry or a buffered item.  A child whose
 bit is clear is read as an empty node without a probe, so ``clear()``,
-which zeroes the root, leaves every node on disk unreachable at no cost.
-A subclass gives ``_children(x)``, the root's word layout, and how a node
-other than the root is read and written.
+which empties the resident nodes, leaves every node on disk unreachable at
+no cost, and ``nodes(peek=True)`` walks every node behind set bits without
+a probe.  A subclass gives ``_children(x)``, the resident words' layout,
+and how a node other than the root is read, peeked and written.
 
 The base also runs both tree walks, and each walk holds the parent of every
 child it changes, so it keeps the parent's bits exact at no extra probe.  A
@@ -194,14 +197,15 @@ class BufferedTree(PriorityQueueBase):
     """Resident state, memory image, M-word audit and tree walks of an on-disk buffered tree.
 
     Subclasses set ``ROOT`` (the root's id), ``ROOT_HEADER`` (the length of
-    their root words' header, which reads all-zero as an empty root) and
-    ``cap`` (the most entries a refill takes), and define ``_children``,
-    ``_root_words``/``_load_root_words``, ``_read_node``/``_write_node``,
-    ``_route`` and ``_apply``.
+    their root words' header, which reads all-zero as an empty root), ``T``
+    when more than the root is resident, and ``cap`` (the most entries a
+    refill takes), and define ``_children``, ``_root_words``/``_load_root_words``,
+    ``_read_node``/``_peek_node``/``_write_node``, ``_route`` and ``_apply``.
     """
 
     ROOT: int
     ROOT_HEADER: int
+    T = 1  # nodes resident in memory, the root included; each reads as ROOT_HEADER zero words when empty
     NODE = Node  # the class of the empty node a clear bit reads as
     SOURCE = Loaded  # the refill source over one child: next_head, pop, pop_next, writeback
     BUF_SOURCE = None  # the refill source over the node's own buffer; None flushes the buffer first
@@ -213,7 +217,7 @@ class BufferedTree(PriorityQueueBase):
         self._prio_bias = 1 << (self.w - 1)
 
     def _setup(self, root_words_max: int) -> None:
-        """Audit the largest image, ``[seq]`` and the root words, against M - 2B, then start empty."""
+        """Audit the largest image, ``[seq]`` and the resident words, against M - 2B, then start empty."""
         resident = 1 + root_words_max
         if resident > self.M - 2 * self.B:
             raise ConfigError(
@@ -280,7 +284,18 @@ class BufferedTree(PriorityQueueBase):
 
     def clear(self) -> None:
         self._seq = 0
-        self._load_root_words([0] * self.ROOT_HEADER)
+        self._load_root_words([0] * (self.T * self.ROOT_HEADER))
+
+    def nodes(self, peek: bool = False):
+        """Yield ``(x, node)`` for the root and every node reachable through set
+        bits, each before its children.  Resident nodes come from memory; with
+        ``peek`` the others are decoded through ``peek_block``, at no probe."""
+        read = self._peek_node if peek else self._read_node
+        stack = [(self.ROOT, self._root)]
+        while stack:
+            x, node = stack.pop()
+            yield x, node
+            stack += [(c, read(c)) for i, c in enumerate(self._children(x)) if node.bits >> i & 1]
 
     def memory_image(self) -> list[int]:
         return [self._seq] + self._root_words()

@@ -257,6 +257,11 @@ class BufferedHeap(BufferedTree):
             words[b * B : (b + 1) * B] = blk
         return Node(word_entries(words, lo, n_tops), word_entries(words, pb, n_pending), rr, bits)
 
+    def _peek_node(self, x: int) -> Node:
+        n = self._leaf_blocks if self._is_leaf(x) else self._internal_blocks
+        base = self._node_base(x)
+        return self._read_node(x, {b: list(self.device.peek_block(base + b)) for b in range(n)})
+
     def _write_node(self, x: int, node: Node) -> None:
         pb = self._pending_at
         t_end = HEADER_WORDS + ENTRY_WORDS * len(node.tops)

@@ -38,8 +38,8 @@ subtree holds an entry or a signal (0 at a leaf), an entry is ``key,
 priority + 2^(w-1), timestamp`` and a signal ``seq, kind, key, priority +
 2^(w-1), timestamp``.  The constructor requires ``4 * cap + 3 < 2^w``, so
 the second word fits in w bits.  A leaf is a node with no signals in a
-larger arena, so one pair of codecs reads and writes both, and the root's
-words too.
+larger arena, so one pair of codecs reads and writes both, and the
+resident nodes' words too.
 In memory, entries ``(priority word, key, timestamp)`` and signals already
 hold the stored priority word, so the codecs only slice; the bias 2^(w-1)
 is added in ``insert``/``decrease_key`` and removed in ``extract_min``, and
@@ -48,10 +48,21 @@ also holds ``keys``, the set of its ``tops`` keys (decoded from the key
 column, then kept in step by ``pop_min``/``set_tops``), so a signal that
 misses ``tops`` costs one lookup, not a scan.
 
+Nodes 1..T stay in memory, where T is the largest whole-level count of
+internal nodes, 2^L - 1 < K, whose largest words fit beside ``[seq]`` and
+2B words of block buffers: ``1 + T * (2 + 8 * cap) <= M - 2B``.  Reading or
+writing one of them takes or replaces the resident ``TNode`` with no probe;
+nothing else changes, so a run's probe log is the log of the same run at
+T = 1 with the records at nodes 2..T's addresses removed.  No option sets
+T: cap depends only on B and node_blocks, K only on B and n_hint, so M
+moves T alone (3 at (B, M) = (64, 1024) and (16, 256), 1 at (16, 192)).
+The memory image is ``[seq]`` followed by nodes 1..T's words back to back,
+each in the node layout above, unpadded.
+
 The amortized cost target is O((1/B) log2 N) probes per operation, asserted
-as a measured regression bound.  Resident state, the memory image, the
-M-word audit and the refill merge live in ``base.BufferedTree``.  Flush
-working sets are host memory, not charged.
+as a measured regression bound.  The memory image, the M-word audit and
+the walks live in ``base.BufferedTree``.  Flush working sets are host
+memory, not charged.
 """
 
 from __future__ import annotations
@@ -132,7 +143,13 @@ class TournamentQueue(BufferedTree):
         total_blocks = self._leaf_base + self.K * self.leaf_blocks
         if max(total_blocks, 4 * cap + 3) >= device.config.word_limit:
             raise ConfigError("words too narrow for tournament arenas and node headers; increase w")
-        self._setup(self.ROOT_HEADER + (ENTRY_WORDS + SIG_WORDS) * cap)
+        # Nodes 1..T stay resident: the most whole levels of internal nodes whose largest words fit.
+        node_words = self.ROOT_HEADER + (ENTRY_WORDS + SIG_WORDS) * cap
+        t = 1
+        while 2 * t + 1 < self.K and 1 + (2 * t + 1) * node_words <= self.M - 2 * self.B:
+            t = 2 * t + 1
+        self.T = t
+        self._setup(t * node_words)
 
     # -- geometry ---------------------------------------------------------------
 
@@ -149,15 +166,24 @@ class TournamentQueue(BufferedTree):
             return self._leaf_base + (x - self.K) * self.leaf_blocks
         return (x - 1) * self.node_blocks
 
-    def _read_node(self, x: int) -> TNode:
+    def _read_node(self, x: int, read=None) -> TNode:
+        """Node x: resident, or decoded from the blocks ``read`` (a probe by default) returns."""
+        if x <= self.T:
+            return self._resident[x]
+        read = read or self.device.read_block
         base = self._addr(x)
-        words = list(self.device.read_block(base))
-        n_words = 2 + ENTRY_WORDS * words[0] + SIG_WORDS * (words[1] >> 2)
-        for i in range(1, -(-n_words // self.B)):
-            words.extend(self.device.read_block(base + i))
+        words = list(read(base))
+        for i in range(1, -(-self._n_words(words) // self.B)):
+            words.extend(read(base + i))
         return self._node_from_words(words)
 
+    def _peek_node(self, x: int) -> TNode:
+        return self._read_node(x, self.device.peek_block)
+
     def _write_node(self, x: int, node: Node) -> None:
+        if x <= self.T:
+            self._resident[x] = node
+            return
         if self._is_leaf(x) and len(node.tops) > self.leaf_cap:
             raise StructureOverflowError(
                 f"leaf {x} overflow ({len(node.tops)} entries); construct with a larger n_hint"
@@ -169,6 +195,11 @@ class TournamentQueue(BufferedTree):
         write = self.device.write_block
         for addr, block in enumerate(blocks, self._addr(x)):
             write(addr, block)
+
+    @staticmethod
+    def _n_words(words: list[int], p: int = 0) -> int:
+        """The length of the node whose words start at ``words[p]``."""
+        return 2 + ENTRY_WORDS * words[p] + SIG_WORDS * (words[p + 1] >> 2)
 
     def _node_from_words(self, words: list[int]) -> TNode:
         """Decode the ``[n_tops, n_sigs << 2 | bits] + entries + sigs`` node layout."""
@@ -188,10 +219,15 @@ class TournamentQueue(BufferedTree):
         return words
 
     def _root_words(self) -> list[int]:
-        return self._node_words(self._root)
+        return list(chain.from_iterable(map(self._node_words, self._resident[1:])))
 
     def _load_root_words(self, words: list[int]) -> None:
-        self._root = self._node_from_words(words)
+        resident, p = [None], 0
+        for _ in range(self.T):
+            end = p + self._n_words(words, p)
+            resident.append(self._node_from_words(words[p:end]))
+            p = end
+        self._resident, self._root = resident, resident[1]
 
     # -- signal machinery -----------------------------------------------------------
 

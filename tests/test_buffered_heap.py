@@ -196,21 +196,16 @@ def test_leaves_hold_no_pending_and_header_tail_is_zero(B, M, traffic):
     for i in range(len(wl.ops)):
         run_workload(queue, dev, wl, lo=i, hi=i + 1)
         probes = dev.probe_count
-        _assert_tops_prefix(heap, heap._root, (i, heap.ROOT))
-        stack = [c for j, c in enumerate(heap._children(heap.ROOT)) if heap._root.bits >> j & 1]
-        while stack:
-            x = stack.pop()
-            base = heap._node_base(x)
-            header = dev.peek_block(base)[:8]
-            assert header[5:] == (0, 0, 0), (x, header)
-            assert header[0] or header[1] or header[4], (x, header)  # a set bit leads to a subtree holding entries
+        for x, node in heap.nodes(peek=True):
+            if x != heap.ROOT:
+                header = dev.peek_block(heap._node_base(x))[:8]
+                assert header[5:] == (0, 0, 0), (x, header)
+                assert node.holds(), (x, header)  # a set bit leads to a subtree holding entries
             if heap._is_leaf(x):
-                assert header[1] == header[4] == 0, (x, header)
+                assert not node.buf and node.bits == 0, (x, header)
                 leaf_blocks += 1
             else:
-                assert 0 <= header[4] < 1 << heap.fanout, (x, header)
-                blocks = {b: list(dev.peek_block(base + b)) for b in range(heap._internal_blocks)}
-                _assert_tops_prefix(heap, heap._read_node(x, blocks), (i, x))
-                stack += [c for j, c in enumerate(heap._children(x)) if header[4] >> j & 1]
+                assert 0 <= node.bits < 1 << heap.fanout, (i, x)
+                _assert_tops_prefix(heap, node, (i, x))
         assert dev.probe_count == probes  # the check read nothing through the probe counter
     assert leaf_blocks  # the replay reached the leaves

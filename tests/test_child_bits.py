@@ -1,8 +1,8 @@
 """Each node's child bits, and the resident memory they replaced.
 
 A node's bit i is set iff child i's subtree holds an entry or a buffered
-item; a child whose bit is clear is never read.  The walk below decodes
-nodes with ``peek_block``, so it makes no probe, and follows set bits only:
+item; a child whose bit is clear is never read.  The walk below is
+``BufferedTree.nodes(peek=True)``, which follows set bits only and makes no probe:
 every set bit must lead to a child that holds something, and every record
 the queue still owes must be reachable that way.
 """
@@ -16,21 +16,12 @@ from pqlab.pq.tournament import S_INSERT, S_PUSH
 from pqlab.workload import make_random_workload
 
 
-def _peek_node(q, x):
-    dev = q.device
-    if isinstance(q, BufferedHeap):
-        n, base = (q._leaf_blocks if q._is_leaf(x) else q._internal_blocks), q._node_base(x)
-        return q._read_node(x, {b: list(dev.peek_block(base + b)) for b in range(n)})
-    n = q.leaf_blocks if q._is_leaf(x) else q.node_blocks
-    return q._node_from_words([word for b in range(n) for word in dev.peek_block(q._addr(x) + b)])
-
-
 def _records(q) -> list:
     """Every record reachable from the root through set bits, checking each bit on the way."""
     before = len(q.device.log)
-    records, stack = [], [(q.ROOT, q._root)]
-    while stack:
-        x, node = stack.pop()
+    records = []
+    for x, node in q.nodes(peek=True):
+        assert x == q.ROOT or node.holds(), f"a set bit leads to node {x}, whose subtree is empty"
         records += node.tops
         if isinstance(q, BufferedHeap):
             records += node.buf
@@ -38,13 +29,8 @@ def _records(q) -> list:
             records += [(p, key, ts) for _, kind, key, p, ts in node.buf if kind in (S_INSERT, S_PUSH)]
         if q._is_leaf(x):
             assert node.bits == 0, x
-            continue
-        assert 0 <= node.bits < 1 << len(q._children(x)), x
-        for i, c in enumerate(q._children(x)):
-            if node.bits >> i & 1:
-                child = _peek_node(q, c)
-                assert child.tops or child.buf or child.bits, f"bit {i} of node {x} set over an empty subtree"
-                stack.append((c, child))
+        else:
+            assert 0 <= node.bits < 1 << len(q._children(x)), x
     assert len(q.device.log) == before  # the walk made no probe
     return records
 
@@ -105,12 +91,14 @@ def test_child_bits_match_subtrees(kind, B, M):
 @pytest.mark.parametrize("B,M,n_hint", [(64, 1024, 1 << 10), (64, 1024, 1 << 16), (64, 1024, 1 << 20),
                                         (16, 256, 1 << 10), (16, 256, 1 << 16)])
 def test_empty_image_is_seq_and_root_header_at_every_n_hint(cls, B, M, n_hint):
+    # Every resident node is empty: the heap keeps its root, the tournament nodes 1..3.
     q = cls(Device(DeviceConfig(B=B, M=M, w=64)), n_hint=n_hint)
-    assert q.memory_image() == [0] * (1 + cls.ROOT_HEADER)
+    assert q.T == (3 if cls is TournamentQueue else 1)
+    assert q.memory_image() == [0] * (1 + q.T * cls.ROOT_HEADER)
 
 
 def test_tournament_builds_for_the_paper_tree_at_2_12_4():
     # The paper's (beta, h, m) = (2, 12, 4) tree replays 589,824 ops.
     q = TournamentQueue(Device(DeviceConfig(B=64, M=1024, w=64)), n_hint=589_824)
-    assert q.memory_image() == [0, 0, 0]
+    assert q.memory_image() == [0, 0, 0] + [0, 0] * 2  # [seq], then nodes 1, 2 and 3
 

@@ -139,14 +139,14 @@ CASES = {
     ("dk_buffered_heap", "tree_2_6_2_s5", 16, 256): (804, "d9cc458bb8c7f19265d1b01b0b66d283624bcdb24eeb5df59e6ef21106480899"),
     ("dk_buffered_heap", "tree_2_6_2_s5", 64, 1024): (28, "2028515e3e560435b7ea367193e2e8b78d6274a4f58ca1944c90f2f0b099e37c"),
     ("dk_tournament", "insert_extract_3000", 16, 192): (37523, "be980fa06820369271b0254667262201b2c51276fe04878a606a1a30d618b33c"),
-    ("dk_tournament", "tree_2_4_2_s1", 16, 256): (359, "7d9dbd53b53b9863b6ee5e3a772253e74a424ea470afe83e2de0e30dd4aa946f"),
-    ("dk_tournament", "tree_2_6_2_s5", 16, 256): (4153, "621a830ed1a58729fcc91286c678e401ac8065b54527c7463fc762cf19d39059"),
+    ("dk_tournament", "tree_2_4_2_s1", 16, 256): (136, "49168671f9fe81e8f51e346437d075dee3fd166b185778e4e2973a47890016eb"),
+    ("dk_tournament", "tree_2_6_2_s5", 16, 256): (2731, "0a558150fe34e2e623e642c7efaef480c770395e21af6a026a74c73992d0f66c"),
     ("buffered_heap", "insert_extract_3000", 8, 128): (46487, "ef3abd9d210c6fe2cf5e5f427c12fd4d4ac6e2ad852394e1feea3e284f9e8d8d"),
     ("buffered_heap", "insert_extract_3000", 16, 192): (18945, "46ec5623ee36ac63c2fd32fe678cda6cb08538fc3778e5ec79848caa8192f539"),
     ("tournament", "insert_extract_3000", 16, 192): (38583, "f0d2474e2120e2f2ed5a18c62bb18e7387fcb9722dd1426f212ea692b7aa1f18"),
     ("tournament", "mixed_arith_6000", 16, 192): (16773, "bd910055213f9734f43777fe15c521d2e3aba74d72c86667e742a737e6242446"),
-    ("tournament", "tree_2_4_2_s1", 16, 256): (735, "26c6f246498741fb36ab7494e0824ba0825c4d008cd0c8915428486c86ad66d2"),
-    ("tournament", "tree_2_6_2_s5", 16, 256): (7969, "56d481cc0e6a65971fd72a32c1297b81cb71a710191bf9c6833479d55d047bdc"),
+    ("tournament", "tree_2_4_2_s1", 16, 256): (357, "39faf2d97241cadf0e613cf87aff67689be4178f8d1849534c6170ce0aac3ba2"),
+    ("tournament", "tree_2_6_2_s5", 16, 256): (5471, "5081fb678298e941108036358804d637f76b9ce9d4eab41f99b69c92c382f340"),
 }
 
 WORKLOADS = {
@@ -174,7 +174,7 @@ def _case_digest(case) -> tuple[int, str]:
 # (addr, access), so a leaf tag replayed wrongly would not move them.
 RECORDS = {
     ("tournament", "mixed_arith_6000", 16, 192): "d2aa091826c3fca21e6570f4c4f27a87b5923ed615e7eab7bd61f75732ad2b9b",
-    ("tournament", "tree_2_4_2_s1", 16, 256): "82aee77af8604afccbbd37fcbd67d910a0e21bc20148f040fd46be61bda4a387",
+    ("tournament", "tree_2_4_2_s1", 16, 256): "5172bc53a3909d3ffa31928db3857a1af6bf584bd33c84452ea2910e679bfe8d",
 }
 
 
@@ -341,8 +341,8 @@ def test_oracle_image_pinned():
 COMM = {
     "dk_buffered_heap": ("0c2d5e36ff24a37282192d85450df26763bef3cfcc2693aeb6706cf4bd263a4a",
                          "761a4402fd9b6e7d0da90b104abe7335820cfad9f5c59f3320283879f38dd8c0"),
-    "tournament": ("37edd93c1ae53af0c95d4f67af27714cf51803a86c2de5c36a9e4cd5d1969d8e",
-                   "9a36b6b66cfe433b103800937e20fcf18942a5dbb80c928a0f144d197dbfcfda"),
+    "tournament": ("4749845e5f44b8e0529f9b574772a21fb7767cfcefa1b37cabb6d86880d79082",
+                   "761a4402fd9b6e7d0da90b104abe7335820cfad9f5c59f3320283879f38dd8c0"),
 }
 
 
@@ -364,7 +364,7 @@ def _comm_digests(kind: str, tmp_path: Path) -> tuple[str, str]:
 # the first internal node of each height, every k, seeds 0..2
 LEDGERS = {
     "dk_buffered_heap": "97b36ee85947f426c4cb5437a0bbf7258d919ebec95641ed89fcfef6d5da2416",
-    "tournament": "5155c1c70c67e3510d1b1529284c1e1f04751a0241094b4d5c1476a8d1ce87ae",
+    "tournament": "1b6ad08a362bcc08ac629de260e0507eb2543d255aa1febabe55f51beece1cda",
 }
 
 

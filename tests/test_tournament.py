@@ -7,6 +7,8 @@ from hypothesis import given, settings, strategies as st
 from pqlab import Device, DeviceConfig, OracleQueue, TournamentQueue
 from pqlab.errors import ConfigError, DivergenceError, EmptyQueueError, EncodingError, StructureOverflowError
 from pqlab.ops import EXTRACTMIN
+from pqlab.cli import make_queue
+from pqlab.dk import augmented_key_bits
 from pqlab.pq.base import run_workload
 from pqlab.pq.tournament import S_DEC, S_DEL, S_ERASE, S_INSERT, S_PUSH
 from pqlab.workload import Workload, make_random_workload, materialize, TreeParams
@@ -15,6 +17,18 @@ from pqlab.workload import Workload, make_random_workload, materialize, TreePara
 def make(B=16, M=256, w=64, n_hint=1024, seed=0, node_blocks=4):
     dev = Device(DeviceConfig(B=B, M=M, w=w))
     return TournamentQueue(dev, n_hint=n_hint, seed=seed, node_blocks=node_blocks), dev
+
+
+def _stored_words(q, x):
+    """Node x's stored words: its whole blocks on disk, or, when resident, its
+    span of the image, where nodes 1..T follow [seq] back to back."""
+    if x > q.T:
+        n = q.leaf_blocks if q._is_leaf(x) else q.node_blocks
+        return [word for i in range(n) for word in q.device.peek_block(q._addr(x) + i)]
+    image, p = q.memory_image(), 1
+    for _ in range(x):
+        lo, p = p, p + 2 + 3 * image[p] + 5 * (image[p + 1] >> 2)
+    return image[lo:p]
 
 
 def test_basic_ops():
@@ -99,14 +113,15 @@ def test_snapshot_resume_identical_probes():
         assert dev.log[len(dev.log) - len(dev2.log):] == dev2.log
 
 
-@pytest.mark.parametrize("B,M,w", [(8, 128, 64), (16, 256, 128)])
+@pytest.mark.parametrize("B,M,w", [(8, 128, 64), (16, 256, 128), (64, 1024, 64)])
 def test_image_within_memory_after_every_op(B, M, w):
+    # The audit's contract: the image leaves 2B words of M for block buffers.
     wl = make_random_workload(1500, 4, universe=600, profile="mixed")
     q, dev = make(B=B, M=M, w=w, n_hint=4096)
     for i in range(len(wl.ops)):
         run_workload(q, dev, wl, lo=i, hi=i + 1)
         image = q.memory_image()
-        assert len(image) <= M
+        assert len(image) <= M - 2 * B
         assert all(0 <= word < (1 << w) for word in image)
 
 
@@ -156,63 +171,67 @@ def test_node_layout_pinned(w):
     # bit i is set iff leaf child i holds entries.
     # Delete and erase signals carry the word of priority 0.  A fixed mix of
     # 240 ops with fresh keys over four leaves, then a forced root flush,
-    # leaves all five signal kinds in the two children's buffers.
-    dev = Device(DeviceConfig(B=16, M=256, w=w))
-    q = TournamentQueue(dev, n_hint=40, seed=0)
-    assert q.K == 4
-    rng = random.Random(1)
-    model: dict[int, tuple[int, int, list[int]]] = {}  # key -> (priority, insert ts, decreases)
-    live: dict[int, int] = {}
-    for key in range(240):
-        r = rng.random()
-        if r < 0.5 or not live:
-            p = rng.randrange(-1000, 1000)
-            model[key] = (p, q._seq + 1, [])
-            q.insert(key, p)
-            live[key] = p
-        elif r < 0.75:
-            k = rng.choice(sorted(live))
-            p = live[k] - rng.randrange(1, 2000)
-            model[k][2].append(p)
-            q.decrease_key(k, p)
-            live[k] = p
-        elif r < 0.9:
-            k = rng.choice(sorted(live))
-            q.delete(k)
-            del live[k]
-        else:
-            k, _ = q.extract_min()
-            del live[k]
-    q._flush(q.ROOT, q._root)
-
-    bias = 1 << (w - 1)
-    seen = set()
-    for child in (2, 3):
-        words = [word for i in range(q.node_blocks) for word in dev.peek_block(q._addr(child) + i)]
-        nt, ns, bits = words[0], words[1] >> 2, words[1] & 3
-        end = 2 + 3 * nt + 5 * ns
-        assert nt <= q.cap and ns <= q.cap
-        assert bits == sum(1 << i for i, leaf in enumerate(q._children(child)) if dev.peek_block(q._addr(leaf))[0])
-        assert words[end : -(-end // q.B) * q.B] == [0] * (-end % q.B)
-        entries = [tuple(words[i : i + 3]) for i in range(2, 2 + 3 * nt, 3)]
-        assert entries == sorted(entries, key=lambda e: (e[1], e[0], e[2]))
-        for key, word, ts in entries:
-            p, ts0, decs = model[key]
-            assert word - bias in [p] + decs and ts in (ts0, 0)
-        for i in range(2 + 3 * nt, end, 5):
-            seq, kind, key, word, ts = words[i : i + 5]
-            p, ts0, decs = model[key]
-            seen.add(kind)
-            if kind == S_INSERT:
-                assert (seq, word, ts) == (ts0, p + bias, ts0)
-            elif kind == S_PUSH:
-                assert word - bias in [p] + decs and ts in (ts0, 0)
-            elif kind == S_DEC:
-                assert word - bias in decs and ts == 0
+    # leaves all five signal kinds in the two children's buffers.  At M=192
+    # the children are on disk; at M=256 they are resident (T=3), so their
+    # words come from the image, unpadded, and the same ops leave the same words.
+    for M in (192, 256):
+        dev = Device(DeviceConfig(B=16, M=M, w=w))
+        q = TournamentQueue(dev, n_hint=40, seed=0)
+        assert (q.K, q.T) == (4, 1 if M == 192 else 3)
+        rng = random.Random(1)
+        model: dict[int, tuple[int, int, list[int]]] = {}  # key -> (priority, insert ts, decreases)
+        live: dict[int, int] = {}
+        for key in range(240):
+            r = rng.random()
+            if r < 0.5 or not live:
+                p = rng.randrange(-1000, 1000)
+                model[key] = (p, q._seq + 1, [])
+                q.insert(key, p)
+                live[key] = p
+            elif r < 0.75:
+                k = rng.choice(sorted(live))
+                p = live[k] - rng.randrange(1, 2000)
+                model[k][2].append(p)
+                q.decrease_key(k, p)
+                live[k] = p
+            elif r < 0.9:
+                k = rng.choice(sorted(live))
+                q.delete(k)
+                del live[k]
             else:
-                assert kind in (S_DEL, S_ERASE) and (word, ts) == (bias, 0)
-            assert 0 < seq <= q._seq
-    assert seen == {S_INSERT, S_DEC, S_DEL, S_ERASE, S_PUSH}
+                k, _ = q.extract_min()
+                del live[k]
+        q._flush(q.ROOT, q._root)
+
+        bias = 1 << (w - 1)
+        seen = set()
+        for child in (2, 3):
+            words = _stored_words(q, child)
+            nt, ns, bits = words[0], words[1] >> 2, words[1] & 3
+            end = 2 + 3 * nt + 5 * ns
+            assert nt <= q.cap and ns <= q.cap
+            assert bits == sum(1 << i for i, leaf in enumerate(q._children(child)) if dev.peek_block(q._addr(leaf))[0])
+            assert len(words) == (end if child <= q.T else q.node_blocks * q.B)
+            assert words[end : -(-end // q.B) * q.B] == [0] * (-end % q.B if child > q.T else 0)
+            entries = [tuple(words[i : i + 3]) for i in range(2, 2 + 3 * nt, 3)]
+            assert entries == sorted(entries, key=lambda e: (e[1], e[0], e[2]))
+            for key, word, ts in entries:
+                p, ts0, decs = model[key]
+                assert word - bias in [p] + decs and ts in (ts0, 0)
+            for i in range(2 + 3 * nt, end, 5):
+                seq, kind, key, word, ts = words[i : i + 5]
+                p, ts0, decs = model[key]
+                seen.add(kind)
+                if kind == S_INSERT:
+                    assert (seq, word, ts) == (ts0, p + bias, ts0)
+                elif kind == S_PUSH:
+                    assert word - bias in [p] + decs and ts in (ts0, 0)
+                elif kind == S_DEC:
+                    assert word - bias in decs and ts == 0
+                else:
+                    assert kind in (S_DEL, S_ERASE) and (word, ts) == (bias, 0)
+                assert 0 < seq <= q._seq
+        assert seen == {S_INSERT, S_DEC, S_DEL, S_ERASE, S_PUSH}
 
 
 def test_counter_limit_raises():
@@ -366,44 +385,78 @@ def test_key_index_matches_tops():
         run_workload(q, dev, wl, lo=i, hi=i + 1)
         assert q._root.keys == {e[1] for e in q._root.tops}
     assert any(q._is_leaf(x) for x in stored) and any(not q._is_leaf(x) for x in stored)
-    stack = [(q.ROOT, q._root)]
-    while stack:
-        x, node = stack.pop()
+    probes = dev.probe_count
+    for x, node in q.nodes(peek=True):
         assert node.keys == {e[1] for e in node.tops}, f"node {x}"
-        for i, c in enumerate(() if q._is_leaf(x) else q._children(x)):
-            if node.bits >> i & 1:
-                n = q.leaf_blocks if q._is_leaf(c) else q.node_blocks
-                words = [word for b in range(n) for word in dev.peek_block(q._addr(c) + b)]
-                stack.append((c, q._node_from_words(words)))
+    assert dev.probe_count == probes
 
 
 def test_batch_buffers_after_evicting_from_bare_child():
     # Child 2 holds five tops and nothing else, so its subtree is bare.  One
     # forced root flush then sends it four inserts: two fill its tops to
     # cap, the third overflows them and evicts a push, and the fourth,
-    # above every top, must now be buffered behind that push.
-    dev = Device(DeviceConfig(B=16, M=256, w=64))
-    q = TournamentQueue(dev, n_hint=40, seed=0)
-    assert (q.K, q.cap) == (4, 7)
-    k = [key for key in range(100, 200) if not (key * q._mult) & (1 << 63)][:9]  # routed to child 2
-    for key in range(7):
-        q.insert(key, key)  # seq 1-7, they fill the root's tops
-    for key, p in zip(k, (50, 40, 30, 20, 10)):
-        q.insert(key, p)  # seq 8 evicts itself as a push (seq 9), seq 10-13 are buffered
-    q._flush(q.ROOT, q._root)
-    for key, p in zip(k[5:], (15, 25, 35, 100)):
-        q.insert(key, p)  # seq 14-17, buffered at the root
-    q._flush(q.ROOT, q._root)
-    assert q._root.bits == 0b01  # only child 2 holds anything
+    # above every top, must now be buffered behind that push.  Child 2 is on
+    # disk at M=192 and resident at M=256.
+    for M in (192, 256):
+        dev = Device(DeviceConfig(B=16, M=M, w=64))
+        q = TournamentQueue(dev, n_hint=40, seed=0)
+        assert (q.K, q.cap, q.T) == (4, 7, 1 if M == 192 else 3)
+        k = [key for key in range(100, 200) if not (key * q._mult) & (1 << 63)][:9]  # routed to child 2
+        for key in range(7):
+            q.insert(key, key)  # seq 1-7, they fill the root's tops
+        for key, p in zip(k, (50, 40, 30, 20, 10)):
+            q.insert(key, p)  # seq 8 evicts itself as a push (seq 9), seq 10-13 are buffered
+        q._flush(q.ROOT, q._root)
+        for key, p in zip(k[5:], (15, 25, 35, 100)):
+            q.insert(key, p)  # seq 14-17, buffered at the root
+        q._flush(q.ROOT, q._root)
+        assert q._root.bits == 0b01  # only child 2 holds anything
 
-    bias = 1 << 63
-    tops = [(k[4], 10, 13), (k[5], 15, 14), (k[3], 20, 12), (k[6], 25, 15), (k[2], 30, 11),
-            (k[7], 35, 16), (k[1], 40, 10)]
-    sigs = [(18, S_PUSH, k[0], 50, 8), (17, S_INSERT, k[8], 100, 17)]
-    want = [7, 2 << 2]  # two signals; no bit set, as nothing lies below child 2
-    for key, p, ts in tops:
-        want += [key, p + bias, ts]
-    for seq, kind, key, p, ts in sigs:
-        want += [seq, kind, key, p + bias, ts]
-    words = [word for i in range(q.node_blocks) for word in dev.peek_block(q._addr(2) + i)]
-    assert words == want + [0] * (q.node_blocks * q.B - len(want))
+        bias = 1 << 63
+        tops = [(k[4], 10, 13), (k[5], 15, 14), (k[3], 20, 12), (k[6], 25, 15), (k[2], 30, 11),
+                (k[7], 35, 16), (k[1], 40, 10)]
+        sigs = [(18, S_PUSH, k[0], 50, 8), (17, S_INSERT, k[8], 100, 17)]
+        want = [7, 2 << 2]  # two signals; no bit set, as nothing lies below child 2
+        for key, p, ts in tops:
+            want += [key, p + bias, ts]
+        for seq, kind, key, p, ts in sigs:
+            want += [seq, kind, key, p + bias, ts]
+        pad = q.node_blocks * q.B - len(want) if M == 192 else 0  # disk blocks are zero-padded
+        assert _stored_words(q, 2) == want + [0] * pad
+
+
+@pytest.mark.parametrize("kind", ["tournament", "dk_tournament"])
+@pytest.mark.parametrize("B,Ts", [(16, {192: 1, 256: 3}), (64, {512: 1, 1024: 3, 4096: 15})], ids=["B16", "B64"])
+def test_resident_nodes_only_drop_their_probes(kind, B, Ts):
+    # cap depends only on B and node_blocks, and K only on B and n_hint, so M
+    # moves T alone.  Each run's log is the T=1 run's log without the records
+    # at nodes 2..T, with the same answers; the image fits M - 2B after every
+    # op; and a snapshot taken mid-run and resumed on a device copy replays the
+    # tail exactly as the uninterrupted run does.
+    wl = make_random_workload(6000, 13, universe=5000, profile="mixed")
+    w = augmented_key_bits(wl.universe) if kind.startswith("dk_") else 64
+    mid = len(wl.ops) // 2
+    runs = {}
+    for M, T in Ts.items():
+        dev = Device(DeviceConfig(B=B, M=M, w=w))
+        q = make_queue(kind, dev, n_hint=4096, seed=4)
+        base = getattr(q, "base", q)
+        assert base.T == T
+        answers = []
+        for i in range(len(wl.ops)):
+            if i == mid:
+                image, resumed_dev, at = q.memory_image(), dev.copy(), (len(answers), len(dev.log))
+            answers += run_workload(q, dev, wl, lo=i, hi=i + 1).extractions
+            assert len(base.memory_image()) <= M - 2 * B
+        resumed = make_queue(kind, resumed_dev, n_hint=4096, seed=4)
+        resumed.load_memory_image(image)
+        assert resumed.memory_image() == image
+        assert run_workload(resumed, resumed_dev, wl, lo=mid).extractions == answers[at[0]:]
+        assert resumed_dev.log == dev.log[at[1]:]
+        runs[M] = (base, dev.log, answers)
+    _, ref_log, ref_answers = runs[min(Ts)]
+    for base, log, answers in runs.values():
+        resident = {base._addr(x) + b for x in range(2, base.T + 1) for b in range(base.node_blocks)}
+        assert answers == ref_answers
+        assert log == [r for r in ref_log if r.addr not in resident]
+        assert base.T == 1 or len(log) < len(ref_log)
