@@ -18,12 +18,27 @@ the git tree of each side's ``src/``, its line count (``src_lines``, over
 ``src/pqlab/*.py`` and ``src/pqlab/*/*.py``) and the exact commands.  It
 exits 1 after writing the file if any run failed an operation, so no win is
 counted over a failing side.
+
+    python3 tools/bench_pairs.py --diff --base REV --change REV [--declared]
+
+``--diff`` replays a fixed grid on both checkouts instead, through the public
+API only (``make_queue``, ``run_workload``, ``memory_image``,
+``peek_block``): ``DIFF_SEEDS`` seeds of ``DIFF_OPS``-op random workloads on
+all four queues (``mixed`` traffic, ``insert_extract`` for the plain heap) at
+each (B, M) of ``DIFF_GEOMETRIES``, and the ``DIFF_TREES`` trees on the three
+queues that take Delete.  It prints one line per case: both probe counts, their
+delta and the first op whose probes differ.  A case fails when either side
+raises or the answers differ, and, unless ``--declared``, when the probe
+log, the final memory image or the written blocks differ; with
+``--declared`` (a declared probe-cost change) a case fails only if the
+change makes more probes.  It exits 1 if any case fails.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -33,6 +48,46 @@ from io import BytesIO
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+
+DIFF_SEEDS = 20
+DIFF_OPS = 4000
+DIFF_GEOMETRIES = ((8, 128), (16, 256), (64, 1024))
+DIFF_TREES = ((2, 4, 2), (2, 6, 2), (3, 4, 2), (2, 8, 2))
+
+# Run in each checkout with the grid as argv[1]; prints one JSON record per case.
+DIFF_SCRIPT = """
+import hashlib, json, sys
+from pqlab import Device, DeviceConfig
+from pqlab.cli import make_queue
+from pqlab.device import WRITE
+from pqlab.dk import augmented_key_bits
+from pqlab.pq.base import run_workload
+from pqlab.workload import TreeParams, make_random_workload, materialize
+
+def sha(obj):
+    return hashlib.sha256(repr(obj).encode()).hexdigest()
+
+for queue, spec, B, M in json.loads(sys.argv[1]):
+    if spec[0] == "tree":
+        wl = materialize(TreeParams(*spec[1:]))
+    else:
+        wl = make_random_workload(spec[2], spec[3], universe=spec[2], profile=spec[1])
+    w = max(64, augmented_key_bits(wl.universe)) if queue.startswith("dk_") else 64
+    dev = Device(DeviceConfig(B=B, M=M, w=w))
+    q = make_queue(queue, dev, n_hint=max(1024, len(wl.ops)), seed=3)
+    try:
+        answers, image, error = run_workload(q, dev, wl).extractions, q.memory_image(), None
+    except Exception as e:
+        answers, image, error = None, None, f"{type(e).__name__}: {e}"
+    ops = {}
+    for r in dev.log:
+        ops.setdefault(r.op_index, []).append((r.addr, r.access))
+    written = sorted({r.addr for r in dev.log if r.access == WRITE})
+    print(json.dumps({"probes": len(dev.log), "error": error, "answers": sha(answers), "image": sha(image),
+                      "log": sha([(r.addr, r.access) for r in dev.log]),
+                      "blocks": sha([(a, dev.peek_block(a)) for a in written]),
+                      "ops": [[i, sha(v)[:16]] for i, v in ops.items()]}))
+"""
 
 
 def git(*args: str) -> str:
@@ -93,14 +148,75 @@ def compare(pairs: list[dict], better: dict[str, str]) -> dict:
     return out
 
 
+def diff_grid() -> list:
+    grid = []
+    for B, M in DIFF_GEOMETRIES:
+        for queue in ("tournament", "dk_tournament", "buffered_heap", "dk_buffered_heap"):
+            profile = "insert_extract" if queue == "buffered_heap" else "mixed"
+            grid += [[queue, ["random", profile, DIFF_OPS, seed], B, M] for seed in range(DIFF_SEEDS)]
+            if queue != "buffered_heap":
+                grid += [[queue, ["tree", *shape, 1], B, M] for shape in DIFF_TREES]
+    return grid
+
+
+def first_diff_op(base: list, change: list) -> int | None:
+    """The first op index whose probes differ, from each side's (op index, digest) pairs."""
+    a, b = dict(base), dict(change)
+    return min((i for i in a.keys() | b.keys() if a.get(i) != b.get(i)), default=None)
+
+
+def diff(trees: dict[str, Path], declared: bool) -> int:
+    grid = diff_grid()
+    procs = {side: subprocess.Popen([sys.executable, "-c", DIFF_SCRIPT, json.dumps(grid)], cwd=tree, text=True,
+                                    stdout=subprocess.PIPE, env={**os.environ, "PYTHONPATH": str(tree / "src")})
+             for side, tree in trees.items()}  # both sides at once, one process each
+    results = {}
+    for side, proc in procs.items():
+        out, _ = proc.communicate()
+        if proc.returncode != 0:
+            raise SystemExit(f"error: the diff script exited with {proc.returncode} on {side}")
+        results[side] = [json.loads(line) for line in out.splitlines()]
+    failed, totals, fewer = 0, [0, 0], 0
+    for (queue, spec, B, M), base, change in zip(grid, results["base"], results["change"]):
+        name = f"{queue} {'_'.join(map(str, spec))} B={B} M={M}"
+        bad = [f"{side} raised {r['error']}" for side, r in (("base", base), ("change", change)) if r["error"]]
+        if base["answers"] != change["answers"]:
+            bad.append("answers differ")
+        if declared:
+            if change["probes"] > base["probes"]:
+                bad.append("more probes")
+        else:
+            bad += [f"{key} differs" for key in ("log", "image", "blocks") if base[key] != change[key]]
+        delta = change["probes"] - base["probes"]
+        totals[0] += base["probes"]
+        totals[1] += change["probes"]
+        fewer += delta < 0
+        failed += bool(bad)
+        op = first_diff_op(base["ops"], change["ops"])
+        print(f"{name}: {base['probes']} -> {change['probes']} ({delta:+d}), first differing op "
+              f"{'-' if op is None else op}{'  FAIL: ' + '; '.join(bad) if bad else ''}")
+    print(f"{len(grid)} cases, {failed} failed, {fewer} with fewer probes; probes {totals[0]} -> {totals[1]}"
+          f"{' (declared probe-cost change)' if declared else ''}")
+    return 1 if failed else 0
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--base", required=True, help="parent revision")
     ap.add_argument("--change", required=True, help="changed revision")
-    ap.add_argument("--label", required=True, help="writes BENCH_<label>.json at the repo root")
+    ap.add_argument("--label", help="writes BENCH_<label>.json at the repo root")
     ap.add_argument("--seconds", type=float, default=30)
-    ap.add_argument("--run", action="append", required=True, metavar="WORKLOAD:SEED:PAIRS")
+    ap.add_argument("--run", action="append", metavar="WORKLOAD:SEED:PAIRS")
+    ap.add_argument("--diff", action="store_true", help="compare both sides' probes and answers on a fixed grid")
+    ap.add_argument("--declared", action="store_true", help="with --diff: require only equal answers and no more probes")
     args = ap.parse_args()
+    if args.diff:
+        with tempfile.TemporaryDirectory() as tmp:
+            trees = {side: checkout(git("rev-parse", f"{rev}^{{commit}}"), Path(tmp) / side)
+                     for side, rev in (("base", args.base), ("change", args.change))}
+            return diff(trees, args.declared)
+    if not (args.label and args.run):
+        ap.error("--label and --run are required without --diff")
 
     revs = {side: {"rev": rev, "commit": git("rev-parse", f"{rev}^{{commit}}"),
                    "src_tree": git("rev-parse", f"{rev}:src")}
