@@ -40,17 +40,17 @@ only reorder words, and the oracle's image uses them unbiased.
 heap and the tournament).  It owns the M-word memory: an operation counter
 ``_seq`` and ``T`` resident nodes: the root and, in the tournament, the
 whole levels below it that fit.  The memory image is ``[seq]`` followed by
-the subclass's words for the resident nodes, and the constructor
-audit charges the largest image that layout can produce plus 2B words of
-block buffers against M, so an accepted queue's image never exceeds M - 2B
-words, whatever N is.  Every
-node carries ``bits``, one bit per child, stored in its header: bit i is
-set iff child i's subtree holds an entry or a buffered item.  A child whose
-bit is clear is read as an empty node without a probe, so ``clear()``,
-which empties the resident nodes, leaves every node on disk unreachable at
-no cost, and ``nodes(peek=True)`` walks every node behind set bits without
-a probe.  A subclass gives ``_children(x)``, the resident words' layout,
-and how a node other than the root is read, peeked and written.
+the subclass's words for the resident nodes, and the constructor audit
+charges the largest image that layout can produce plus 2B words of block
+buffers against M, so an accepted queue's image never exceeds M - 2B
+words, whatever N is.  Every node carries ``bits``, one bit per child,
+stored in its header: bit i is set iff child i's subtree holds an entry or
+a buffered item.  A child whose bit is clear is read as an empty node
+without a probe, so ``clear()``, which empties the resident nodes, leaves
+every node on disk unreachable at no cost, and ``nodes(peek=True)`` walks
+every node behind set bits without a probe.  A subclass gives
+``_children(x)``, the resident words' layout, and how a node other than
+the root is read, peeked and written.
 
 The base also runs both tree walks, and each walk holds the parent of every
 child it changes, so it keeps the parent's bits exact at no extra probe.  A
@@ -216,9 +216,9 @@ class BufferedTree(PriorityQueueBase):
         self.B, self.M, self.w = cfg.B, cfg.M, cfg.w
         self._prio_bias = 1 << (self.w - 1)
 
-    def _setup(self, root_words_max: int) -> None:
+    def _setup(self, resident_words_max: int) -> None:
         """Audit the largest image, ``[seq]`` and the resident words, against M - 2B, then start empty."""
-        resident = 1 + root_words_max
+        resident = 1 + resident_words_max
         if resident > self.M - 2 * self.B:
             raise ConfigError(
                 f"M={self.M} words cannot hold {2 * self.B} words of block buffers "
