@@ -27,7 +27,8 @@ API only (``make_queue``, ``run_workload``, ``memory_image``,
 all four queues (``mixed`` traffic, ``insert_extract`` for the plain heap) at
 each (B, M) of ``DIFF_GEOMETRIES``, and the ``DIFF_TREES`` trees on the three
 queues that take Delete.  It prints one line per case: both probe counts, their
-delta and the first op whose probes differ.  A case fails when either side
+delta and the first op whose probes differ, then one probe-total line per
+queue and the grand total.  A case fails when either side
 raises or the answers differ, and, unless ``--declared``, when the probe
 log, the final memory image or the written blocks differ; with
 ``--declared`` (a declared probe-cost change) a case fails only if the
@@ -177,6 +178,7 @@ def diff(trees: dict[str, Path], declared: bool) -> int:
             raise SystemExit(f"error: the diff script exited with {proc.returncode} on {side}")
         results[side] = [json.loads(line) for line in out.splitlines()]
     failed, totals, fewer = 0, [0, 0], 0
+    per_queue: dict[str, list[int]] = {}  # queue -> [base probes, change probes, cases, cases with fewer]
     for (queue, spec, B, M), base, change in zip(grid, results["base"], results["change"]):
         name = f"{queue} {'_'.join(map(str, spec))} B={B} M={M}"
         bad = [f"{side} raised {r['error']}" for side, r in (("base", base), ("change", change)) if r["error"]]
@@ -191,10 +193,17 @@ def diff(trees: dict[str, Path], declared: bool) -> int:
         totals[0] += base["probes"]
         totals[1] += change["probes"]
         fewer += delta < 0
+        q = per_queue.setdefault(queue, [0, 0, 0, 0])
+        q[0] += base["probes"]
+        q[1] += change["probes"]
+        q[2] += 1
+        q[3] += delta < 0
         failed += bool(bad)
         op = first_diff_op(base["ops"], change["ops"])
         print(f"{name}: {base['probes']} -> {change['probes']} ({delta:+d}), first differing op "
               f"{'-' if op is None else op}{'  FAIL: ' + '; '.join(bad) if bad else ''}")
+    for queue, (b, c, n, f) in per_queue.items():
+        print(f"{queue}: probes {b} -> {c} ({c - b:+d}), {f} of {n} cases with fewer probes")
     print(f"{len(grid)} cases, {failed} failed, {fewer} with fewer probes; probes {totals[0]} -> {totals[1]}"
           f"{' (declared probe-cost change)' if declared else ''}")
     return 1 if failed else 0
