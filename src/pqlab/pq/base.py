@@ -58,8 +58,9 @@ flush empties a node's buffer: for each ``(child index, batch)`` the
 subclass's ``_route`` names, it loads the child, lets the subclass's
 ``_apply`` take the batch (which may flush the child in turn), stores it
 and sets the child's bit.  A refill fills an empty node's tops with up to
-``cap`` of its subtree's minima.  No entry in the node's own buffer may be
-overlooked, and the class picks how, as it picks ``SOURCE``: a
+``_cap_of(x)`` of its subtree's minima, ``cap`` unless the subclass gives
+node x more.  No entry in the node's own buffer may be overlooked, and
+the class picks how, as it picks ``SOURCE``: a
 ``BUF_SOURCE`` merges the buffer as one more source, and ``None`` flushes
 it first.  The heap merges its pending entries.  They are in memory, so
 this costs no probe, where a flush would write them to a child only for
@@ -199,8 +200,9 @@ class BufferedTree(PriorityQueueBase):
     Subclasses set ``ROOT`` (the root's id), ``ROOT_HEADER`` (the length of
     their root words' header, which reads all-zero as an empty root), ``T``
     when more than the root is resident, and ``cap`` (the most entries a
-    refill takes), and define ``_children``, ``_root_words``/``_load_root_words``,
-    ``_read_node``/``_peek_node``/``_write_node``, ``_route`` and ``_apply``.
+    refill takes where ``_cap_of`` gives no other), and define ``_children``,
+    ``_root_words``/``_load_root_words``, ``_read_node``/``_peek_node``/``_write_node``,
+    ``_route`` and ``_apply``.
     """
 
     ROOT: int
@@ -264,7 +266,7 @@ class BufferedTree(PriorityQueueBase):
                 merge.append((head, j))
         heapq.heapify(merge)
         taken: list[tuple[int, int, int]] = []
-        cap = self.cap
+        cap = self._cap_of(x)
         while merge:
             head, j = merge[0]
             taken.append(head)
@@ -281,6 +283,10 @@ class BufferedTree(PriorityQueueBase):
             node.mark(i, src.writeback())
         if own is not None:
             own.writeback()
+
+    def _cap_of(self, x: int) -> int:
+        """The most entries node x's tops take in a refill."""
+        return self.cap
 
     def clear(self) -> None:
         self._seq = 0

@@ -8,13 +8,18 @@ arriving entry joins ``tops`` only when it beats the current maximum or the
 subtree holds nothing else; otherwise it rides ``pending``, which a flush
 moves whole, sorted, to a round-robin child when it is full.  ExtractMin
 pops the root's ``tops`` (held in the M-word memory) and refills it when
-empty.  The two walks, flush and refill, are ``base.BufferedTree``'s.  A
+empty.  An on-disk node holds up to ``cap`` entries in each buffer; the
+resident root holds up to ``root_cap``, the most whose image still passes
+the M-word audit (``1 + 4 + 6 * root_cap <= M - 2B``, never below ``cap``),
+so a root refill takes, and a root flush sends, up to ``root_cap``
+entries.  The two walks, flush and refill, are ``base.BufferedTree``'s.  A
 refill merges the node's own pending entries (``_Pending``) with its
 children's tops instead of flushing them first: they are already in memory
 (resident at the root, decoded with the node deeper down), so a flush
 would only write them to a child for the merge to read back.  What the
 merge leaves stays pending, so a refilled node may hold pending entries,
-each >= its new tops maximum, and at most ``cap`` of them.
+each >= its new tops maximum, and at most its own capacity of them
+(``root_cap`` at the root, ``cap`` elsewhere).
 Entries move in half-buffer batches both ways, targeting
 O((1/B) log_{M/B} N) probes per operation amortized; the constant is
 asserted as a measured regression bound, not proved.
@@ -30,7 +35,8 @@ follows the header and the pending region sits at the fixed offset
 and the cursor heads only reorder words.  A leaf absorbs every batch into
 its tops, so leaves never hold pending entries: a leaf's arena holds the
 header and ``leaf_tops_cap`` entries, and the depth is chosen from that
-capacity.  Resident state, its memory
+capacity.  The arena, ``leaf_tops_cap`` and the depth follow from ``cap``
+alone, so ``root_cap`` moves no block address.  Resident state, its memory
 image and the M-word audit live in ``base.BufferedTree``: the root words
 are ``[live, rr, n_tops, bits]`` followed by the root's tops and pending
 entries.  A node whose subtree empties is read back, once its parent's bit
@@ -193,6 +199,8 @@ class BufferedHeap(BufferedTree):
     def __init__(self, device, n_hint: int = 1 << 14):
         super().__init__(device)
         self.cap = max(4, (self.M - 64) // 12)
+        # The resident root's largest image, 1 + ROOT_HEADER + 6 * root_cap words, fits in M - 2B.
+        self.root_cap = max(self.cap, (self.M - 2 * self.B - 1 - self.ROOT_HEADER) // (2 * ENTRY_WORDS))
         self.leaf_tops_cap = LEAF_TOPS_FACTOR * self.cap
         self.fanout = min(8, max(2, self.M // (2 * self.B)))
 
@@ -208,7 +216,7 @@ class BufferedHeap(BufferedTree):
         self._leaf_blocks = self._blocks_for(HEADER_WORDS + ENTRY_WORDS * self.leaf_tops_cap)
         if self._node_base(self.n_nodes) >= device.config.word_limit:
             raise ConfigError("address space too small for the heap arena; increase w")
-        self._setup(self.ROOT_HEADER + 2 * ENTRY_WORDS * self.cap)
+        self._setup(self.ROOT_HEADER + 2 * ENTRY_WORDS * self.root_cap)
 
     # -- geometry -------------------------------------------------------------
 
@@ -307,11 +315,15 @@ class BufferedHeap(BufferedTree):
             node.tops = list(batch)
         self._spill(x, node)
 
+    def _cap_of(self, x: int) -> int:
+        return self.root_cap if x == self.ROOT else self.cap
+
     def _spill(self, x: int, node: Node) -> None:
         """Move internal node x's tops overflow to pending, and flush pending when full."""
-        while len(node.tops) > self.cap:
+        cap = self._cap_of(x)
+        while len(node.tops) > cap:
             node.buf.append(node.tops.pop())
-        if len(node.buf) > self.cap:
+        if len(node.buf) > cap:
             self._flush(x, node)
 
     # -- operations ---------------------------------------------------------------

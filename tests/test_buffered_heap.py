@@ -95,23 +95,25 @@ def test_snapshot_resume_identical_probes():
     assert suffix == [(r.addr, r.access) for r in dev2.log]
 
 
-@pytest.mark.parametrize("B,M,w", [(8, 128, 64), (16, 192, 64), (16, 256, 128), (8, 128, 32)])
+@pytest.mark.parametrize("B,M,w", [(8, 128, 64), (16, 192, 64), (16, 256, 128), (8, 128, 32), (64, 1024, 64)])
 def test_image_within_memory_after_every_op(B, M, w):
+    """The image stays within what the audit charged it: M less 2B words of block buffers."""
     wl = make_random_workload(1500, 4, universe=600, profile="insert_extract")
     q, dev = make(B=B, M=M, w=w, n_hint=4096)
     for i in range(len(wl.ops)):
         run_workload(q, dev, wl, lo=i, hi=i + 1)
         image = q.memory_image()
-        assert len(image) <= M
+        assert len(image) <= M - 2 * B
         assert all(0 <= word < (1 << w) for word in image)
 
 
 def test_leaf_overflow_raises():
+    # Depth 1, 8 leaves of 20 entries; each root flush sends 18, so the ninth overflows leaf 1.
     q, _ = make(B=8, M=128, n_hint=16)
-    for k in range(150):
+    for k in range(162):
         q.insert(k, k)
     with pytest.raises(StructureOverflowError, match="leaf 1 overflow"):
-        q.insert(150, 150)
+        q.insert(162, 162)
 
 
 def test_counter_limit_raises():
@@ -163,10 +165,49 @@ def test_pending_entries_refill_the_root_without_a_probe():
     assert dev.probe_count == 0
 
 
-def _assert_tops_prefix(heap, node, where):
-    """tops sorted, at most cap pending entries, each >= the tops maximum."""
+@pytest.mark.parametrize("B,M,root_cap", [(64, 1024, 148), (16, 256, 36), (16, 192, 25), (8, 128, 17)])
+def test_root_cap_fills_the_audited_memory(B, M, root_cap):
+    """The root's tops and pending each hold root_cap entries, the most whose
+    image, [seq], the root header and 2 * root_cap entries, fits in M - 2B."""
+    q, _ = make(B=B, M=M)
+    assert q.root_cap == root_cap >= q.cap
+    assert 1 + q.ROOT_HEADER + 6 * root_cap <= M - 2 * B < 1 + q.ROOT_HEADER + 6 * (root_cap + 1)
+
+
+def test_root_cap_rejects_no_geometry_a_cap_sized_root_fit():
+    """A geometry is rejected exactly when a root of cap tops and cap pending
+    entries would not fit, so sizing the root from M turns no geometry away."""
+    for B in (4, 8, 16, 32, 64):
+        for M in range(2 * B, 2049, 16):
+            dev = Device(DeviceConfig(B=B, M=M, w=64))
+            cap = max(4, (M - 64) // 12)
+            if 1 + BufferedHeap.ROOT_HEADER + 6 * cap <= M - 2 * B:
+                assert BufferedHeap(dev, n_hint=64).root_cap >= cap, (B, M)
+            else:
+                with pytest.raises(ConfigError):
+                    BufferedHeap(dev, n_hint=64)
+
+
+def test_full_root_tops_and_pending_extract_without_a_probe():
+    """root_cap entries in tops and root_cap more in pending stay resident
+    until every one is extracted."""
+    q, dev = make(B=16, M=256)
+    n = 36  # root_cap at (16, 256)
+    for k in range(n - 1, -1, -1):  # each beats the tops maximum, so all join tops
+        q.insert(k, k)
+    for k in range(n, 2 * n):
+        q.insert(k, 1000 - k)
+    assert (len(q._root.tops), len(q._root.buf)) == (n, n)
+    assert len(q.memory_image()) == 1 + q.ROOT_HEADER + 6 * n <= 256 - 2 * 16
+    got = [q.extract_min() for _ in range(2 * n)]
+    assert got == [(k, k) for k in range(n)] + [(k, 1000 - k) for k in range(2 * n - 1, n - 1, -1)]
+    assert dev.probe_count == 0
+
+
+def _assert_tops_prefix(heap, x, node, where):
+    """tops sorted, at most the node's own capacity of pending entries, each >= the tops maximum."""
     assert node.tops == sorted(node.tops), where
-    assert len(node.buf) <= heap.cap, where
+    assert len(node.buf) <= heap._cap_of(x), where
     if node.tops:
         assert min(node.buf, default=node.tops[-1]) >= node.tops[-1], where
 
@@ -206,6 +247,6 @@ def test_leaves_hold_no_pending_and_header_tail_is_zero(B, M, traffic):
                 leaf_blocks += 1
             else:
                 assert 0 <= node.bits < 1 << heap.fanout, (i, x)
-                _assert_tops_prefix(heap, node, (i, x))
+                _assert_tops_prefix(heap, x, node, (i, x))
         assert dev.probe_count == probes  # the check read nothing through the probe counter
     assert leaf_blocks  # the replay reached the leaves

@@ -134,15 +134,15 @@ def _dk_w(work: Workload) -> int:
 
 # (queue, workload, B, M) -> (probes, sha256)
 CASES = {
-    ("dk_buffered_heap", "insert_extract_3000", 16, 192): (18945, "46ec5623ee36ac63c2fd32fe678cda6cb08538fc3778e5ec79848caa8192f539"),
-    ("dk_buffered_heap", "tree_2_4_2_s1", 16, 256): (28, "1ece8149c0dd30e126fbff948fb80ca2194f52c8388e6f2e5078de9f68428c89"),
-    ("dk_buffered_heap", "tree_2_6_2_s5", 16, 256): (804, "d9cc458bb8c7f19265d1b01b0b66d283624bcdb24eeb5df59e6ef21106480899"),
-    ("dk_buffered_heap", "tree_2_6_2_s5", 64, 1024): (28, "2028515e3e560435b7ea367193e2e8b78d6274a4f58ca1944c90f2f0b099e37c"),
+    ("dk_buffered_heap", "insert_extract_3000", 16, 192): (13628, "6f5eb51a8722e3c99e7a374b539a3b0a0d990648b3abf9bd69904ee7d22fd606"),
+    ("dk_buffered_heap", "tree_2_4_2_s1", 16, 256): (0, "eddbe96fa4259658dfe4a4059230c2b6d89467a42013ac474c61e78a2cc0de21"),
+    ("dk_buffered_heap", "tree_2_6_2_s5", 16, 256): (235, "5e47aef16052db5430eefbc0840432d1e6affce3258f07f383ff80f56ce34a83"),
+    ("dk_buffered_heap", "tree_2_6_2_s5", 64, 1024): (0, "525cf1397e624475c431c99f9ad45a36f4ecc1aa8122851dc276b7f57a3ea150"),
     ("dk_tournament", "insert_extract_3000", 16, 192): (37523, "be980fa06820369271b0254667262201b2c51276fe04878a606a1a30d618b33c"),
     ("dk_tournament", "tree_2_4_2_s1", 16, 256): (136, "49168671f9fe81e8f51e346437d075dee3fd166b185778e4e2973a47890016eb"),
     ("dk_tournament", "tree_2_6_2_s5", 16, 256): (2731, "0a558150fe34e2e623e642c7efaef480c770395e21af6a026a74c73992d0f66c"),
-    ("buffered_heap", "insert_extract_3000", 8, 128): (46487, "ef3abd9d210c6fe2cf5e5f427c12fd4d4ac6e2ad852394e1feea3e284f9e8d8d"),
-    ("buffered_heap", "insert_extract_3000", 16, 192): (18945, "46ec5623ee36ac63c2fd32fe678cda6cb08538fc3778e5ec79848caa8192f539"),
+    ("buffered_heap", "insert_extract_3000", 8, 128): (31126, "7fa9cffae8431c9de014c4dbd5cc2ffb8cdce189e149761e34ebd7b030c89177"),
+    ("buffered_heap", "insert_extract_3000", 16, 192): (13628, "6f5eb51a8722e3c99e7a374b539a3b0a0d990648b3abf9bd69904ee7d22fd606"),
     ("tournament", "insert_extract_3000", 16, 192): (38583, "f0d2474e2120e2f2ed5a18c62bb18e7387fcb9722dd1426f212ea692b7aa1f18"),
     ("tournament", "mixed_arith_6000", 16, 192): (16773, "bd910055213f9734f43777fe15c521d2e3aba74d72c86667e742a737e6242446"),
     ("tournament", "tree_2_4_2_s1", 16, 256): (357, "39faf2d97241cadf0e613cf87aff67689be4178f8d1849534c6170ce0aac3ba2"),
@@ -255,7 +255,7 @@ def _prefix_digest(name: str) -> str:
 
 # queue -> sha256 of repr(memory_image()) after the insert half of insert_extract_3000 at (16, 192)
 IMAGES = {
-    "buffered_heap": "724ecf5129dd0fda534d8dcb906cfb8e18afcced267be808c5d96f109ed0e4ec",
+    "buffered_heap": "bb3e8108414d298efca68a5a3eed2e63ee0a981d041668dbc45f1ea39519bcce",
     "tournament": "be91ce118a766510818276ff68308873fb790ac9033845819e4b575f83de94c9",
 }
 
@@ -279,8 +279,8 @@ def _image_digest(kind: str) -> str:
 # run the insert half of insert_extract_3000; the tournaments run
 # mixed_arith_6000, so every signal kind sits in some buffer.
 BLOCKS = {
-    "buffered_heap": "70c6c764215b774bebe0f25b1339003d0cb9f4b5b081285c5a99e4259818b957",
-    "dk_buffered_heap": "2df5265347454dbff1a4239dd572ff3c3bb1bfc81f46f1efd2108006300161e9",
+    "buffered_heap": "295dcd18e23b20a55e9c6bc2760ebd4e973f3bb5c3f63697031588a6405fc6e8",
+    "dk_buffered_heap": "b78b86a538c818b7bbc6de4f26e7f76a4f2d225ed2c4ac61682faa4224eecd88",
     "dk_tournament": "ac9e03d3c0d2ef2a9b153cf58d09e94a386d2cd0ca4182c67bb1b57441a32fec",
     "tournament": "a6018b5b83f4abe0ce03dad7f61194bd7d6cdb06c852bfe060b74719b457cf7a",
 }
@@ -363,7 +363,7 @@ def _comm_digests(kind: str, tmp_path: Path) -> tuple[str, str]:
 # queue -> sha256 of every protocol run's ledger at (2,4,2), B=16, M=256, w=64:
 # the first internal node of each height, every k, seeds 0..2
 LEDGERS = {
-    "dk_buffered_heap": "97b36ee85947f426c4cb5437a0bbf7258d919ebec95641ed89fcfef6d5da2416",
+    "dk_buffered_heap": "037ad0a4281db9e41bb4f5a3077937cd004723fdb8e4dc5744b889cf1e711a73",
     "tournament": "1b6ad08a362bcc08ac629de260e0507eb2543d255aa1febabe55f51beece1cda",
 }
 

@@ -281,7 +281,7 @@ def test_devices_freed_without_cyclic_gc(factory):
         gc.enable()
 
 
-def recorded_run(factory, monkeypatch):
+def recorded_run(factory, monkeypatch, cfg=CFG):
     """One run at a height-3 node with k=2; returns the result, the devices in creation
     order (reference, Bob, Alice), the replayed op ranges and the segment
     bounds (shared_end, bob1_end, alice_end)."""
@@ -298,7 +298,7 @@ def recorded_run(factory, monkeypatch):
 
     monkeypatch.setattr(base, "run_workload", counting)
     v = embed_node(3)
-    res = run_embedding_protocol(recording, PARAMS, v, 2, sample_instance(PARAMS, v, seed=3), CFG, seed=1)
+    res = run_embedding_protocol(recording, PARAMS, v, 2, sample_instance(PARAMS, v, seed=3), cfg, seed=1)
     tree = build_tree(PARAMS)
     children = tree.nodes[v].children
     first_op = {}
@@ -309,11 +309,16 @@ def recorded_run(factory, monkeypatch):
     return res, devices, ranges, bounds
 
 
-@pytest.mark.parametrize("factory", [tournament_factory, dk_factory], ids=["tournament", "dk_heap"])
-def test_players_start_at_the_shared_prefix_end(factory, monkeypatch):
+# At CFG the dk heap's root holds this run's every entry, so its players would
+# probe nothing; at (8, 128) both players' segments probe.
+PLAYER_CASES = [(tournament_factory, CFG), (dk_factory, DeviceConfig(B=8, M=128, w=64))]
+
+
+@pytest.mark.parametrize("factory,cfg", PLAYER_CASES, ids=["tournament", "dk_heap"])
+def test_players_start_at_the_shared_prefix_end(factory, cfg, monkeypatch):
     # The shared prefix is replayed once, by the reference run; the players
     # start from its state and replay only their own segments.
-    res, devices, ranges, (shared_end, _, _) = recorded_run(factory, monkeypatch)
+    res, devices, ranges, (shared_end, _, _) = recorded_run(factory, monkeypatch, cfg)
     n_ops = len(res.prefix_workload.ops)
     assert 0 < shared_end < n_ops and len(devices) == 3
     assert sum(hi - lo for lo, hi in ranges) == 2 * n_ops - shared_end
@@ -321,11 +326,11 @@ def test_players_start_at_the_shared_prefix_end(factory, monkeypatch):
         assert all(rec.op_index >= shared_end for rec in player.log)
 
 
-@pytest.mark.parametrize("factory", [tournament_factory, dk_factory], ids=["tournament", "dk_heap"])
-def test_player_segments_match_the_reference_log(factory, monkeypatch):
+@pytest.mark.parametrize("factory,cfg", PLAYER_CASES, ids=["tournament", "dk_heap"])
+def test_player_segments_match_the_reference_log(factory, cfg, monkeypatch):
     # Each player segment probes exactly what the reference run probed for
     # the same ops, so the players ran from the reference run's state.
-    res, (ref, bob, alice), _, (shared_end, bob1_end, alice_end) = recorded_run(factory, monkeypatch)
+    res, (ref, bob, alice), _, (shared_end, bob1_end, alice_end) = recorded_run(factory, monkeypatch, cfg)
     end = len(res.prefix_workload.ops)
 
     def records(dev, spans):
