@@ -177,7 +177,7 @@ def diff(trees: dict[str, Path], declared: bool) -> int:
         if proc.returncode != 0:
             raise SystemExit(f"error: the diff script exited with {proc.returncode} on {side}")
         results[side] = [json.loads(line) for line in out.splitlines()]
-    failed, totals, fewer = 0, [0, 0], 0
+    failed = 0
     per_queue: dict[str, list[int]] = {}  # queue -> [base probes, change probes, cases, cases with fewer]
     for (queue, spec, B, M), base, change in zip(grid, results["base"], results["change"]):
         name = f"{queue} {'_'.join(map(str, spec))} B={B} M={M}"
@@ -190,21 +190,17 @@ def diff(trees: dict[str, Path], declared: bool) -> int:
         else:
             bad += [f"{key} differs" for key in ("log", "image", "blocks") if base[key] != change[key]]
         delta = change["probes"] - base["probes"]
-        totals[0] += base["probes"]
-        totals[1] += change["probes"]
-        fewer += delta < 0
         q = per_queue.setdefault(queue, [0, 0, 0, 0])
-        q[0] += base["probes"]
-        q[1] += change["probes"]
-        q[2] += 1
-        q[3] += delta < 0
+        for i, n in enumerate((base["probes"], change["probes"], 1, delta < 0)):
+            q[i] += n
         failed += bool(bad)
         op = first_diff_op(base["ops"], change["ops"])
         print(f"{name}: {base['probes']} -> {change['probes']} ({delta:+d}), first differing op "
               f"{'-' if op is None else op}{'  FAIL: ' + '; '.join(bad) if bad else ''}")
     for queue, (b, c, n, f) in per_queue.items():
         print(f"{queue}: probes {b} -> {c} ({c - b:+d}), {f} of {n} cases with fewer probes")
-    print(f"{len(grid)} cases, {failed} failed, {fewer} with fewer probes; probes {totals[0]} -> {totals[1]}"
+    b, c, n, f = (sum(col) for col in zip(*per_queue.values()))
+    print(f"{n} cases, {failed} failed, {f} with fewer probes; probes {b} -> {c}"
           f"{' (declared probe-cost change)' if declared else ''}")
     return 1 if failed else 0
 
