@@ -8,18 +8,18 @@ arriving entry joins ``tops`` only when it beats the current maximum or the
 subtree holds nothing else; otherwise it rides ``pending``, which a flush
 moves whole, sorted, to a round-robin child when it is full.  ExtractMin
 pops the root's ``tops`` (held in the M-word memory) and refills it when
-empty.  An on-disk node holds up to ``cap`` entries in each buffer; the
-resident root holds up to ``root_cap``, the most whose image still passes
-the M-word audit (``1 + 4 + 6 * root_cap <= M - 2B``, never below ``cap``),
-so a root refill takes, and a root flush sends, up to ``root_cap``
-entries.  The two walks, flush and refill, are ``base.BufferedTree``'s.  A
+empty.  An on-disk node holds up to ``cap`` entries in each buffer, the
+resident root up to ``root_cap``, the most the M-word audit passes
+(``1 + 4 + 6 * root_cap <= M - 2B``, never below ``cap``).  A root flush
+moves its ``root_cap + 1`` entries, sorted, in the fewest even runs of at
+most ``cap + 1``, each to the next round-robin child, so no child takes a
+larger batch than from a ``cap``-sized root.  The walks are ``base.BufferedTree``'s.  A
 refill merges the node's own pending entries (``_Pending``) with its
 children's tops instead of flushing them first: they are already in memory
 (resident at the root, decoded with the node deeper down), so a flush
 would only write them to a child for the merge to read back.  What the
 merge leaves stays pending, so a refilled node may hold pending entries,
-each >= its new tops maximum, and at most its own capacity of them
-(``root_cap`` at the root, ``cap`` elsewhere).
+each >= its new tops maximum, and at most the node's capacity of them.
 Entries move in half-buffer batches both ways, targeting
 O((1/B) log_{M/B} N) probes per operation amortized; the constant is
 asserted as a measured regression bound, not proved.
@@ -288,10 +288,12 @@ class BufferedHeap(BufferedTree):
     # -- arrival and flush ---------------------------------------------------------
 
     def _route(self, x: int, node: Node) -> list[tuple[int, list]]:
-        """Node x's whole buffer, sorted, to its round-robin child (by index)."""
-        moved, node.buf, i = node.buf, [], node.rr
-        node.rr = (i + 1) % self.fanout
-        return [(i, sorted(moved))]
+        """Node x's whole buffer, sorted, to its round-robin child (by index); the root's
+        goes in even runs of at most cap + 1, each to the next child (module docstring)."""
+        moved, n, rr = sorted(node.buf), len(node.buf), node.rr
+        k = -(-n // (self.cap + 1)) if x == self.ROOT else 1
+        node.buf, node.rr = [], (rr + k) % self.fanout
+        return [((rr + j) % self.fanout, moved[j * n // k : (j + 1) * n // k]) for j in range(k)]
 
     def _apply(self, x: int, node: Node, batch: list[tuple[int, int, int]]) -> None:
         """Merge a sorted batch into a leaf's tops, or split it at an internal node's tops

@@ -1,4 +1,6 @@
+import heapq
 import math
+import random
 
 import pytest
 
@@ -108,7 +110,8 @@ def test_image_within_memory_after_every_op(B, M, w):
 
 
 def test_leaf_overflow_raises():
-    # Depth 1, 8 leaves of 20 entries; each root flush sends 18, so the ninth overflows leaf 1.
+    # Depth 1, 8 leaves of 20 entries; each root flush sends 18 entries in three runs of 6 to
+    # successive leaves, so the ninth flush's first run is leaf 1's fourth and overflows it.
     q, _ = make(B=8, M=128, n_hint=16)
     for k in range(162):
         q.insert(k, k)
@@ -174,18 +177,66 @@ def test_root_cap_fills_the_audited_memory(B, M, root_cap):
     assert 1 + q.ROOT_HEADER + 6 * root_cap <= M - 2 * B < 1 + q.ROOT_HEADER + 6 * (root_cap + 1)
 
 
+def _geometries():
+    return [(B, M) for B in (4, 8, 16, 32, 64) for M in range(2 * B, 2049, 8)]
+
+
 def test_root_cap_rejects_no_geometry_a_cap_sized_root_fit():
     """A geometry is rejected exactly when a root of cap tops and cap pending
     entries would not fit, so sizing the root from M turns no geometry away."""
-    for B in (4, 8, 16, 32, 64):
-        for M in range(2 * B, 2049, 16):
-            dev = Device(DeviceConfig(B=B, M=M, w=64))
-            cap = max(4, (M - 64) // 12)
-            if 1 + BufferedHeap.ROOT_HEADER + 6 * cap <= M - 2 * B:
-                assert BufferedHeap(dev, n_hint=64).root_cap >= cap, (B, M)
+    for B, M in _geometries():
+        dev = Device(DeviceConfig(B=B, M=M, w=64))
+        cap = max(4, (M - 64) // 12)
+        if 1 + BufferedHeap.ROOT_HEADER + 6 * cap <= M - 2 * B:
+            assert BufferedHeap(dev, n_hint=64).root_cap >= cap, (B, M)
+        else:
+            with pytest.raises(ConfigError):
+                BufferedHeap(dev, n_hint=64)
+
+
+def test_ascending_inserts_up_to_n_hint_fit_a_shallow_heap():
+    """At (8, 120) the depth-1 leaves hold 16 entries, one fewer than a full
+    root's pending buffer plus one; the root sends it in runs, so none overflows."""
+    q, _ = make(B=8, M=120, n_hint=32)
+    assert (q.depth, q.leaf_tops_cap, q.root_cap) == (1, 16, 16)
+    for k in range(32):
+        q.insert(k, k)
+    assert [q.extract_min() for _ in range(32)] == [(k, k) for k in range(32)]
+
+
+@pytest.mark.parametrize("n_hint", [16, 32, 64])
+def test_root_flush_sends_no_child_more_than_a_cap_sized_root(n_hint):
+    """At every accepted geometry with B >= 8 (a 4-word block splits the 8-word
+    node header), ascending inserts and then a random insert/extract sweep, up
+    to n_hint entries live, give the oracle's answers, and every batch the root
+    flushes to a child holds at most cap + 1 entries, as a cap-sized root's."""
+    for B, M in _geometries():
+        if B < 8:
+            continue
+        try:
+            q, _ = make(B=B, M=M, n_hint=n_hint)
+        except ConfigError:
+            continue
+        apply, kids = q._apply, q._children(q.ROOT)
+
+        def spy(x, node, batch):
+            assert x not in kids or len(batch) <= q.cap + 1, (B, M, len(batch))
+            apply(x, node, batch)
+
+        q._apply = spy
+        for k in range(n_hint):
+            q.insert(k, k)
+        assert [q.extract_min() for _ in range(n_hint)] == [(k, k) for k in range(n_hint)], (B, M)
+        rng, live, k = random.Random(B * 4099 + M), [], n_hint
+        for _ in range(4 * n_hint):
+            if len(live) < n_hint and (not live or rng.random() < 0.6):
+                p = rng.randrange(1000)
+                q.insert(k, p)
+                heapq.heappush(live, (p, k))
+                k += 1
             else:
-                with pytest.raises(ConfigError):
-                    BufferedHeap(dev, n_hint=64)
+                p, key = heapq.heappop(live)
+                assert q.extract_min() == (key, p), (B, M)
 
 
 def test_full_root_tops_and_pending_extract_without_a_probe():

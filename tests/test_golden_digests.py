@@ -134,15 +134,17 @@ def _dk_w(work: Workload) -> int:
 
 # (queue, workload, B, M) -> (probes, sha256)
 CASES = {
-    ("dk_buffered_heap", "insert_extract_3000", 16, 192): (13628, "6f5eb51a8722e3c99e7a374b539a3b0a0d990648b3abf9bd69904ee7d22fd606"),
+    ("dk_buffered_heap", "insert_extract_3000", 16, 192): (14362, "1736368deeb6a8cf126fefd9eeb1eb48c86180bc7da69aeded4ba9947034d233"),
+    ("dk_buffered_heap", "tree_2_4_2_s1", 8, 128): (80, "813bf906966fc82b245af6358355e076b608873b099307832b08ecf89c7ac701"),
     ("dk_buffered_heap", "tree_2_4_2_s1", 16, 256): (0, "eddbe96fa4259658dfe4a4059230c2b6d89467a42013ac474c61e78a2cc0de21"),
-    ("dk_buffered_heap", "tree_2_6_2_s5", 16, 256): (235, "5e47aef16052db5430eefbc0840432d1e6affce3258f07f383ff80f56ce34a83"),
+    ("dk_buffered_heap", "tree_2_6_2_s5", 8, 128): (2127, "df8caf7b5afd3656cfa261f27785bd0e95cd1358b84271d8b3fef6f006e309b0"),
+    ("dk_buffered_heap", "tree_2_6_2_s5", 16, 256): (358, "c906d2101fedd40e8ebe03873e547068522aba3d217bf63d5c5a9b616b80ae78"),
     ("dk_buffered_heap", "tree_2_6_2_s5", 64, 1024): (0, "525cf1397e624475c431c99f9ad45a36f4ecc1aa8122851dc276b7f57a3ea150"),
     ("dk_tournament", "insert_extract_3000", 16, 192): (37523, "be980fa06820369271b0254667262201b2c51276fe04878a606a1a30d618b33c"),
     ("dk_tournament", "tree_2_4_2_s1", 16, 256): (136, "49168671f9fe81e8f51e346437d075dee3fd166b185778e4e2973a47890016eb"),
     ("dk_tournament", "tree_2_6_2_s5", 16, 256): (2731, "0a558150fe34e2e623e642c7efaef480c770395e21af6a026a74c73992d0f66c"),
-    ("buffered_heap", "insert_extract_3000", 8, 128): (31126, "7fa9cffae8431c9de014c4dbd5cc2ffb8cdce189e149761e34ebd7b030c89177"),
-    ("buffered_heap", "insert_extract_3000", 16, 192): (13628, "6f5eb51a8722e3c99e7a374b539a3b0a0d990648b3abf9bd69904ee7d22fd606"),
+    ("buffered_heap", "insert_extract_3000", 8, 128): (36047, "081c88da30445047cd4abacbf7ba06fbfc16a39ad4e02df60068297ec5971f9d"),
+    ("buffered_heap", "insert_extract_3000", 16, 192): (14362, "1736368deeb6a8cf126fefd9eeb1eb48c86180bc7da69aeded4ba9947034d233"),
     ("tournament", "insert_extract_3000", 16, 192): (38583, "f0d2474e2120e2f2ed5a18c62bb18e7387fcb9722dd1426f212ea692b7aa1f18"),
     ("tournament", "mixed_arith_6000", 16, 192): (16773, "bd910055213f9734f43777fe15c521d2e3aba74d72c86667e742a737e6242446"),
     ("tournament", "tree_2_4_2_s1", 16, 256): (357, "39faf2d97241cadf0e613cf87aff67689be4178f8d1849534c6170ce0aac3ba2"),
@@ -255,7 +257,7 @@ def _prefix_digest(name: str) -> str:
 
 # queue -> sha256 of repr(memory_image()) after the insert half of insert_extract_3000 at (16, 192)
 IMAGES = {
-    "buffered_heap": "bb3e8108414d298efca68a5a3eed2e63ee0a981d041668dbc45f1ea39519bcce",
+    "buffered_heap": "9736e19766e20e62f0c11ac65bc35a1c2bc2aa8c2a59b7482165251d81b95c02",
     "tournament": "be91ce118a766510818276ff68308873fb790ac9033845819e4b575f83de94c9",
 }
 
@@ -279,8 +281,8 @@ def _image_digest(kind: str) -> str:
 # run the insert half of insert_extract_3000; the tournaments run
 # mixed_arith_6000, so every signal kind sits in some buffer.
 BLOCKS = {
-    "buffered_heap": "295dcd18e23b20a55e9c6bc2760ebd4e973f3bb5c3f63697031588a6405fc6e8",
-    "dk_buffered_heap": "b78b86a538c818b7bbc6de4f26e7f76a4f2d225ed2c4ac61682faa4224eecd88",
+    "buffered_heap": "b6f030b0096d1444ca92cae0cf66919166b8312dd2d6ea7dbd67b55effd9415a",
+    "dk_buffered_heap": "a65b033f9e37e4c077ffc3d0c93ac7e9fe3f9e7b4504ce4687d6251cd3d07cfb",
     "dk_tournament": "ac9e03d3c0d2ef2a9b153cf58d09e94a386d2cd0ca4182c67bb1b57441a32fec",
     "tournament": "a6018b5b83f4abe0ce03dad7f61194bd7d6cdb06c852bfe060b74719b457cf7a",
 }
