@@ -284,8 +284,7 @@ class BufferedTree(PriorityQueueBase):
         if own is not None:
             own.writeback()
 
-    def _cap_of(self, x: int) -> int:
-        """The most entries node x's tops take in a refill."""
+    def _cap_of(self, x: int) -> int:  # the most entries node x's tops take in a refill
         return self.cap
 
     def clear(self) -> None:

@@ -8,12 +8,13 @@ arriving entry joins ``tops`` only when it beats the current maximum or the
 subtree holds nothing else; otherwise it rides ``pending``, which a flush
 moves whole, sorted, to a round-robin child when it is full.  ExtractMin
 pops the root's ``tops`` (held in the M-word memory) and refills it when
-empty.  An on-disk node holds up to ``cap`` entries in each buffer, the
-resident root up to ``root_cap``, the most the M-word audit passes
-(``1 + 4 + 6 * root_cap <= M - 2B``, never below ``cap``).  A root flush
-moves its ``root_cap + 1`` entries, sorted, in the fewest even runs of at
-most ``cap + 1``, each to the next round-robin child, so no child takes a
-larger batch than from a ``cap``-sized root.  The walks are ``base.BufferedTree``'s.  A
+empty.  On-disk nodes hold up to ``cap`` entries in each buffer, the root
+up to ``root_cap``: the most the M-word audit passes, never below ``cap``.
+A root flush sends its ``root_cap + 1`` entries, sorted, in the fewest even
+runs of at most ``cap + 1`` (a ``cap``-sized root's batch), one per child
+in turn, and steps its round-robin by the least count >= the runs coprime
+to the fan-out, so no child takes only the largest runs, to pile up in its
+leaves.  The walks are ``base.BufferedTree``'s.  A
 refill merges the node's own pending entries (``_Pending``) with its
 children's tops instead of flushing them first: they are already in memory
 (resident at the root, decoded with the node deeper down), so a flush
@@ -61,6 +62,7 @@ from __future__ import annotations
 
 import bisect
 import heapq
+import math
 
 from ..errors import ConfigError, EmptyQueueError, StructureOverflowError
 from .base import ENTRY_WORDS, BufferedTree, Loaded, Node, check_entry, entry_words, word_entries
@@ -288,12 +290,11 @@ class BufferedHeap(BufferedTree):
     # -- arrival and flush ---------------------------------------------------------
 
     def _route(self, x: int, node: Node) -> list[tuple[int, list]]:
-        """Node x's whole buffer, sorted, to its round-robin child (by index); the root's
-        goes in even runs of at most cap + 1, each to the next child (module docstring)."""
-        moved, n, rr = sorted(node.buf), len(node.buf), node.rr
+        """Node x's whole buffer, sorted, to its round-robin child; the root's in runs (module docstring)."""
+        moved, n, rr, f = sorted(node.buf), len(node.buf), node.rr, self.fanout
         k = -(-n // (self.cap + 1)) if x == self.ROOT else 1
-        node.buf, node.rr = [], (rr + k) % self.fanout
-        return [((rr + j) % self.fanout, moved[j * n // k : (j + 1) * n // k]) for j in range(k)]
+        node.buf, node.rr = [], (rr + next(s for s in range(k, k + f) if math.gcd(s, f) == 1)) % f
+        return [((rr + j) % f, moved[j * n // k : (j + 1) * n // k]) for j in range(k)]
 
     def _apply(self, x: int, node: Node, batch: list[tuple[int, int, int]]) -> None:
         """Merge a sorted batch into a leaf's tops, or split it at an internal node's tops

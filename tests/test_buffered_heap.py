@@ -255,6 +255,29 @@ def test_full_root_tops_and_pending_extract_without_a_probe():
     assert dev.probe_count == 0
 
 
+@pytest.mark.parametrize("B,M", [(64, 1024), (16, 256), (32, 112)])
+def test_root_flush_hands_each_child_every_run_position(B, M):
+    """Over successive root flushes each child takes the run of the smallest
+    entries as well as the run of the largest, so no subtree only collects
+    the entries that are extracted last."""
+    q, _ = make(B=B, M=M, n_hint=1 << 14)
+    route, got = q._route, []
+
+    def spy(x, node):
+        out = route(x, node)
+        if x == q.ROOT:
+            got.append([i for i, _ in out])
+        return out
+
+    q._route = spy
+    for k in range(2 * q.fanout * (q.root_cap + 1)):
+        q.insert(k, k)
+    k = len(got[0])
+    assert k >= 2 and all(len(runs) == k for runs in got)
+    for child in range(q.fanout):
+        assert {j for runs in got for j, i in enumerate(runs) if i == child} >= {0, k - 1}, child
+
+
 def _assert_tops_prefix(heap, x, node, where):
     """tops sorted, at most the node's own capacity of pending entries, each >= the tops maximum."""
     assert node.tops == sorted(node.tops), where

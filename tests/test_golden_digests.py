@@ -134,7 +134,7 @@ def _dk_w(work: Workload) -> int:
 
 # (queue, workload, B, M) -> (probes, sha256)
 CASES = {
-    ("dk_buffered_heap", "insert_extract_3000", 16, 192): (14362, "1736368deeb6a8cf126fefd9eeb1eb48c86180bc7da69aeded4ba9947034d233"),
+    ("dk_buffered_heap", "insert_extract_3000", 16, 192): (15256, "f72a47fdb451ed58faecba711f648b009d6c3bbedcf510b75f04d430d01e0cb7"),
     ("dk_buffered_heap", "tree_2_4_2_s1", 8, 128): (80, "813bf906966fc82b245af6358355e076b608873b099307832b08ecf89c7ac701"),
     ("dk_buffered_heap", "tree_2_4_2_s1", 16, 256): (0, "eddbe96fa4259658dfe4a4059230c2b6d89467a42013ac474c61e78a2cc0de21"),
     ("dk_buffered_heap", "tree_2_6_2_s5", 8, 128): (2127, "df8caf7b5afd3656cfa261f27785bd0e95cd1358b84271d8b3fef6f006e309b0"),
@@ -144,7 +144,7 @@ CASES = {
     ("dk_tournament", "tree_2_4_2_s1", 16, 256): (136, "49168671f9fe81e8f51e346437d075dee3fd166b185778e4e2973a47890016eb"),
     ("dk_tournament", "tree_2_6_2_s5", 16, 256): (2731, "0a558150fe34e2e623e642c7efaef480c770395e21af6a026a74c73992d0f66c"),
     ("buffered_heap", "insert_extract_3000", 8, 128): (36047, "081c88da30445047cd4abacbf7ba06fbfc16a39ad4e02df60068297ec5971f9d"),
-    ("buffered_heap", "insert_extract_3000", 16, 192): (14362, "1736368deeb6a8cf126fefd9eeb1eb48c86180bc7da69aeded4ba9947034d233"),
+    ("buffered_heap", "insert_extract_3000", 16, 192): (15256, "f72a47fdb451ed58faecba711f648b009d6c3bbedcf510b75f04d430d01e0cb7"),
     ("tournament", "insert_extract_3000", 16, 192): (38583, "f0d2474e2120e2f2ed5a18c62bb18e7387fcb9722dd1426f212ea692b7aa1f18"),
     ("tournament", "mixed_arith_6000", 16, 192): (16773, "bd910055213f9734f43777fe15c521d2e3aba74d72c86667e742a737e6242446"),
     ("tournament", "tree_2_4_2_s1", 16, 256): (357, "39faf2d97241cadf0e613cf87aff67689be4178f8d1849534c6170ce0aac3ba2"),
@@ -257,7 +257,7 @@ def _prefix_digest(name: str) -> str:
 
 # queue -> sha256 of repr(memory_image()) after the insert half of insert_extract_3000 at (16, 192)
 IMAGES = {
-    "buffered_heap": "9736e19766e20e62f0c11ac65bc35a1c2bc2aa8c2a59b7482165251d81b95c02",
+    "buffered_heap": "bd7c4b3013d6e562d89fbe2e8ad66ecde6a724d8efd494946df28e680e634fad",
     "tournament": "be91ce118a766510818276ff68308873fb790ac9033845819e4b575f83de94c9",
 }
 
@@ -281,8 +281,8 @@ def _image_digest(kind: str) -> str:
 # run the insert half of insert_extract_3000; the tournaments run
 # mixed_arith_6000, so every signal kind sits in some buffer.
 BLOCKS = {
-    "buffered_heap": "b6f030b0096d1444ca92cae0cf66919166b8312dd2d6ea7dbd67b55effd9415a",
-    "dk_buffered_heap": "a65b033f9e37e4c077ffc3d0c93ac7e9fe3f9e7b4504ce4687d6251cd3d07cfb",
+    "buffered_heap": "9686a11a8088f0d06f4787865f0fa7bd4807c8b008d2c1b1c167445d45cde886",
+    "dk_buffered_heap": "78883b9af423a68cf818b7323a3794b37e6ce36d6124280bc4ee8b1028abd9fc",
     "dk_tournament": "ac9e03d3c0d2ef2a9b153cf58d09e94a386d2cd0ca4182c67bb1b57441a32fec",
     "tournament": "a6018b5b83f4abe0ce03dad7f61194bd7d6cdb06c852bfe060b74719b457cf7a",
 }
