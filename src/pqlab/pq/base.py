@@ -54,20 +54,24 @@ the root is read, peeked and written.
 
 The base also runs both tree walks, and each walk holds the parent of every
 child it changes, so it keeps the parent's bits exact at no extra probe.  A
-flush empties a node's buffer: for each ``(child index, batch)`` the
-subclass's ``_route`` names, it loads the child, lets the subclass's
-``_apply`` take the batch (which may flush the child in turn), stores it
-and sets the child's bit.  A refill fills an empty node's tops with up to
-``_cap_of(x)`` of its subtree's minima, ``cap`` unless the subclass gives
-node x more.  No entry in the node's own buffer may be overlooked, and
-the class picks how, as it picks ``SOURCE``: a
-``BUF_SOURCE`` merges the buffer as one more source, and ``None`` flushes
-it first.  The heap merges its pending entries.  They are in memory, so
-this costs no probe, where a flush would write them to a child only for
-the merge to read them back; what the merge leaves stays pending, each
-entry >= the new tops maximum.  The tournament flushes first, because its
-buffer carries signals that must reach their records before any record
-climbs.  The merge takes one ``SOURCE`` per child whose bit is set, with a
+flush moves the batches the subclass's ``_route`` takes out of a node's
+buffer, which need not be all of it (the heap's takes the whole buffer,
+the tournament's its fuller half): for each ``(child index, batch)`` it
+loads the child, lets the subclass's ``_apply`` take the batch (which may
+flush the child in turn), stores it and sets the child's bit.  A refill
+fills an empty node's tops with up to ``_cap_of(x)`` of its subtree's
+minima, ``cap`` unless the subclass gives node x more.  No entry in the
+node's own buffer may be overlooked, and the class picks how, as it picks
+``SOURCE``: a ``BUF_SOURCE`` merges the buffer as one more source, and
+``None`` flushes it until it is empty first.  The heap merges its pending
+entries.  They are in memory, so this costs no probe, where a flush would
+write them to a child only for the merge to read them back; what the
+merge leaves stays pending, each entry >= the new tops maximum.  The
+tournament flushes first, because its buffer carries signals that must
+reach their records before any record climbs.  Those flushes do not store
+a child that still holds anything: it stays loaded as that child's
+source, a ``Loaded`` marked changed, so it is written once, after the
+merge, and never read back.  The merge takes one ``SOURCE`` per child whose bit is set, with a
 heap keyed by ``(head, source index)``, yet probes as a full rescan would:
 the first round asks every source for its head in child order (a source
 whose node ran dry with entries below refills it first), after that only
@@ -166,11 +170,11 @@ class Loaded:
 
     __slots__ = ("owner", "x", "node", "dirty")
 
-    def __init__(self, owner: "BufferedTree", x: int, node: Node | None = None):
+    def __init__(self, owner: "BufferedTree", x: int, node: Node | None = None, dirty: bool = False):
         self.owner = owner
         self.x = x
         self.node = owner._read_node(x) if node is None else node
-        self.dirty = False
+        self.dirty = dirty
 
     def next_head(self) -> tuple[int, int, int] | None:
         node = self.node
@@ -234,26 +238,34 @@ class BufferedTree(PriorityQueueBase):
             raise EncodingError("operation counter exceeded the word width")
         return self._seq
 
-    def _flush(self, x: int, node: Node) -> None:
-        """Empty node x's buffer into the children ``_route`` names (module docstring)."""
+    def _flush(self, x: int, node: Node, held: dict[int, Node] | None = None) -> None:
+        """Move the batches ``_route`` names from node x's buffer into its children
+        (module docstring).  With ``held``, a refill's map of child index to the
+        child nodes its flushes loaded, a child is taken from it if there, and
+        left there, not written, while it holds anything."""
         kids = self._children(x)
         for i, batch in self._route(x, node):
-            child = kids[i]
-            cnode = self._read_node(child) if node.bits >> i & 1 else self.NODE()
-            self._apply(child, cnode, batch)
-            self._write_node(child, cnode)
-            node.mark(i, cnode.holds())
+            cnode = held.pop(i, None) if held else None
+            if cnode is None:
+                cnode = self._read_node(kids[i]) if node.bits >> i & 1 else self.NODE()
+            self._apply(kids[i], cnode, batch)
+            holds = cnode.holds()
+            if held is not None and holds:
+                held[i] = cnode
+            else:
+                self._write_node(kids[i], cnode)
+            node.mark(i, holds)
 
     def _refill(self, x: int, node: Node) -> None:
         """Fill internal node x's tops with its subtree's minima, merging its own
-        buffer as one more source, or flushing it first (module docstring)."""
-        if node.buf and self.BUF_SOURCE is None:
-            self._flush(x, node)
-        if node.tops:
-            return
+        buffer as one more source, or flushing it empty first (module docstring)."""
+        held: dict[int, Node] = {}
+        while node.buf and self.BUF_SOURCE is None:
+            self._flush(x, node, held)
         kids = self._children(x)
-        held = [i for i in range(len(kids)) if node.bits >> i & 1]
-        sources = [self.SOURCE(self, kids[i]) for i in held]
+        bits = [i for i in range(len(kids)) if node.bits >> i & 1]
+        # A child the flush left loaded is the changed node itself: no probe to open it.
+        sources = [Loaded(self, kids[i], held[i], True) if i in held else self.SOURCE(self, kids[i]) for i in bits]
         own = self.BUF_SOURCE(node) if node.buf else None
         if own is not None:
             sources.append(own)
@@ -279,7 +291,7 @@ class BufferedTree(PriorityQueueBase):
             else:
                 heapq.heapreplace(merge, (head, j))
         node.set_tops(taken)
-        for i, src in zip(held, sources):
+        for i, src in zip(bits, sources):
             node.mark(i, src.writeback())
         if own is not None:
             own.writeback()

@@ -200,6 +200,8 @@ class BufferedHeap(BufferedTree):
 
     def __init__(self, device, n_hint: int = 1 << 14):
         super().__init__(device)
+        if self.B < HEADER_WORDS:
+            raise ConfigError(f"buffered heap needs B >= {HEADER_WORDS}: a node header must fit its first block")
         self.cap = max(4, (self.M - 64) // 12)
         # The resident root's largest image, 1 + ROOT_HEADER + 6 * root_cap words, fits in M - 2B.
         self.root_cap = max(self.cap, (self.M - 2 * self.B - 1 - self.ROOT_HEADER) // (2 * ENTRY_WORDS))

@@ -10,17 +10,31 @@ structures, the fields of the shared ``Node``:
 * ``buf`` -- a FIFO buffer of pending signals (insert, decrease, delete,
   erase, push) travelling toward the key's leaf.
 
-Operations apply one signal at the root.  A full buffer flushes one level
-down (``base.BufferedTree``'s flush walk), routed by the next bit of each
-key's 64-bit hash, and each child applies its batch in order in one
-``_apply``, so a signal costs O(1/B) probes per level travelled.
+Operations apply one signal at the root.  A buffer over ``cap`` signals
+flushes one level down (``base.BufferedTree``'s flush walk): the buffer
+splits by the next bit of each key's 64-bit hash, only the fuller half
+goes to its child (a tie goes to child 0), and the other half stays
+buffered in order.  The node flushes until its buffer fits, which takes at
+most two rounds, since the second sends all that is left.  Each child
+applies its batch in order in one ``_apply``.  A flush of a full buffer
+moves at least ceil((cap + 1) / 2) signals to the one child it reads and
+writes, so a signal still costs O(1/B) probes per level travelled, and a
+child with only a few signals pending is not read and rewritten for them.
 ExtractMin pops the root's ``tops`` and refills it with child minima when
 empty.  Two rules keep the minima exact under lazy signals:
 
 * an arriving signal is matched against a node's ``tops`` before it may be
   buffered, so a signal never sinks below the record it targets;
-* a refill flushes the node's own buffer before pulling entries up, so a
-  record never climbs past a signal aimed at it.
+* a refill flushes the node's own buffer empty before pulling entries up,
+  so a record never climbs past a signal aimed at it.
+
+A child that a refill's flushes loaded, and that still holds anything, stays
+in memory as the refill's source for that child: the merge reads it as it
+stands and writes it once at the end, where storing it after the flush
+would write it only to read it straight back.  A leaf raises
+``StructureOverflowError`` as it applies a batch that takes it past
+``leaf_cap`` entries, so the op that overfills it raises even when the
+leaf is written later.
 
 A subtree is bare while it holds nothing but its root's ``tops`` (empty
 buffer, no child that may hold entries): an insert or push joins ``tops``
@@ -184,10 +198,6 @@ class TournamentQueue(BufferedTree):
         if x <= self.T:
             self._resident[x] = node
             return
-        if self._is_leaf(x) and len(node.tops) > self.leaf_cap:
-            raise StructureOverflowError(
-                f"leaf {x} overflow ({len(node.tops)} entries); construct with a larger n_hint"
-            )
         words = self._node_words(node)
         B = self.B
         words += [0] * (-len(words) % B)
@@ -232,16 +242,18 @@ class TournamentQueue(BufferedTree):
     # -- signal machinery -----------------------------------------------------------
 
     def _route(self, x: int, node: TNode) -> list[tuple[int, list]]:
-        """Node x's buffer split by child index: the next bit of each key's 64-bit hash."""
-        sigs, node.buf = node.buf, []
+        """The fuller half of node x's buffer, split by the next bit of each key's
+        64-bit hash (a tie goes to child 0); the other half stays buffered, in order."""
         halves: tuple[list, list] = ([], [])
         mult, shift = self._mult, 64 - x.bit_length()
-        for sig in sigs:
+        for sig in node.buf:
             halves[((sig[2] * mult) & M64) >> shift & 1].append(sig)
-        return [(i, batch) for i, batch in enumerate(halves) if batch]
+        i = int(len(halves[1]) > len(halves[0]))
+        node.buf = halves[1 - i]
+        return [(i, halves[i])] if halves[i] else []
 
     def _apply(self, x: int, node: TNode, sigs) -> None:
-        """Apply signals, in order, to node x; an internal node then flushes a full buffer."""
+        """Apply signals, in order, to node x; an internal node then flushes until its buffer fits."""
         if self._is_leaf(x):
             bykey = {k: (p, k, ts) for (p, k, ts) in node.tops}
             for seq, kind, key, prio, ts in sigs:
@@ -260,6 +272,10 @@ class TournamentQueue(BufferedTree):
                         raise AssertionError(f"erase found no record for key {key} at leaf {x}")
                     del bykey[key]
             node.set_tops(sorted(bykey.values()))
+            if len(node.tops) > self.leaf_cap:
+                raise StructureOverflowError(
+                    f"leaf {x} overflow ({len(node.tops)} entries); construct with a larger n_hint"
+                )
             return
         tops, buf, keys, insort = node.tops, node.buf, node.keys, bisect.insort
         bare = not buf and not node.bits  # the subtree holds nothing but tops
@@ -297,7 +313,7 @@ class TournamentQueue(BufferedTree):
                 keys.discard(k)
                 buf.append((self._bump(), S_PUSH, k, p, t0))
                 bare = False
-        if len(buf) > self.cap:
+        while len(node.buf) > self.cap:  # each flush takes the fuller half: at most two rounds
             self._flush(x, node)
 
     # -- operations -------------------------------------------------------------------

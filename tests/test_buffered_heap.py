@@ -5,10 +5,12 @@ import random
 import pytest
 
 from pqlab import BufferedHeap, Device, DeviceConfig, ReducedQueue
+from pqlab.cli import make_queue
 from pqlab.dk import augmented_key_bits
 from pqlab.errors import CapabilityError, ConfigError, DivergenceError, EmptyQueueError, EncodingError, StructureOverflowError
 from pqlab.ops import EXTRACTMIN
 from pqlab.pq.base import run_workload
+from pqlab.pq.buffered_heap import HEADER_WORDS
 from pqlab.workload import TreeParams, Workload, insert_extract_workload, make_random_workload, materialize
 
 
@@ -183,15 +185,25 @@ def _geometries():
 
 def test_root_cap_rejects_no_geometry_a_cap_sized_root_fit():
     """A geometry is rejected exactly when a root of cap tops and cap pending
-    entries would not fit, so sizing the root from M turns no geometry away."""
+    entries would not fit, or a block is narrower than the 8-word node header,
+    so sizing the root from M turns no geometry away."""
     for B, M in _geometries():
         dev = Device(DeviceConfig(B=B, M=M, w=64))
         cap = max(4, (M - 64) // 12)
-        if 1 + BufferedHeap.ROOT_HEADER + 6 * cap <= M - 2 * B:
+        if B >= HEADER_WORDS and 1 + BufferedHeap.ROOT_HEADER + 6 * cap <= M - 2 * B:
             assert BufferedHeap(dev, n_hint=64).root_cap >= cap, (B, M)
         else:
             with pytest.raises(ConfigError):
                 BufferedHeap(dev, n_hint=64)
+
+
+def test_rejects_blocks_narrower_than_the_node_header():
+    # The 8-word header is unpacked from block 0 alone: at B = 4 the second
+    # flush to a child raised ValueError, so the constructor refuses B < 8.
+    for kind in ("buffered_heap", "dk_buffered_heap"):
+        with pytest.raises(ConfigError, match="B >= 8"):
+            make_queue(kind, Device(DeviceConfig(B=4, M=128, w=64)), n_hint=64, seed=0)
+    make_queue("buffered_heap", Device(DeviceConfig(B=8, M=128, w=64)), n_hint=64, seed=0)
 
 
 def test_ascending_inserts_up_to_n_hint_fit_a_shallow_heap():
@@ -206,13 +218,11 @@ def test_ascending_inserts_up_to_n_hint_fit_a_shallow_heap():
 
 @pytest.mark.parametrize("n_hint", [16, 32, 64])
 def test_root_flush_sends_no_child_more_than_a_cap_sized_root(n_hint):
-    """At every accepted geometry with B >= 8 (a 4-word block splits the 8-word
-    node header), ascending inserts and then a random insert/extract sweep, up
-    to n_hint entries live, give the oracle's answers, and every batch the root
-    flushes to a child holds at most cap + 1 entries, as a cap-sized root's."""
+    """At every accepted geometry, ascending inserts and then a random
+    insert/extract sweep, up to n_hint entries live, give the oracle's answers,
+    and every batch the root flushes to a child holds at most cap + 1 entries,
+    as a cap-sized root's."""
     for B, M in _geometries():
-        if B < 8:
-            continue
         try:
             q, _ = make(B=B, M=M, n_hint=n_hint)
         except ConfigError:

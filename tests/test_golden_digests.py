@@ -140,15 +140,15 @@ CASES = {
     ("dk_buffered_heap", "tree_2_6_2_s5", 8, 128): (2127, "df8caf7b5afd3656cfa261f27785bd0e95cd1358b84271d8b3fef6f006e309b0"),
     ("dk_buffered_heap", "tree_2_6_2_s5", 16, 256): (358, "c906d2101fedd40e8ebe03873e547068522aba3d217bf63d5c5a9b616b80ae78"),
     ("dk_buffered_heap", "tree_2_6_2_s5", 64, 1024): (0, "525cf1397e624475c431c99f9ad45a36f4ecc1aa8122851dc276b7f57a3ea150"),
-    ("dk_tournament", "insert_extract_3000", 16, 192): (37523, "be980fa06820369271b0254667262201b2c51276fe04878a606a1a30d618b33c"),
-    ("dk_tournament", "tree_2_4_2_s1", 16, 256): (136, "49168671f9fe81e8f51e346437d075dee3fd166b185778e4e2973a47890016eb"),
-    ("dk_tournament", "tree_2_6_2_s5", 16, 256): (2731, "0a558150fe34e2e623e642c7efaef480c770395e21af6a026a74c73992d0f66c"),
+    ("dk_tournament", "insert_extract_3000", 16, 192): (30229, "448b430aa6e94fc48c354da5ec5a2ac60a59ca4cc07b9601024b2cb6f0e9994b"),
+    ("dk_tournament", "tree_2_4_2_s1", 16, 256): (100, "c908d2fc938142ac5037a43214d69a898f338db3b4456d368872c32a91c3f40c"),
+    ("dk_tournament", "tree_2_6_2_s5", 16, 256): (2119, "6d2588bb822f7be49bf630b244d7ad2d69d4155872dcd9e9ae27fcdc5269dd52"),
     ("buffered_heap", "insert_extract_3000", 8, 128): (36047, "081c88da30445047cd4abacbf7ba06fbfc16a39ad4e02df60068297ec5971f9d"),
     ("buffered_heap", "insert_extract_3000", 16, 192): (15256, "f72a47fdb451ed58faecba711f648b009d6c3bbedcf510b75f04d430d01e0cb7"),
-    ("tournament", "insert_extract_3000", 16, 192): (38583, "f0d2474e2120e2f2ed5a18c62bb18e7387fcb9722dd1426f212ea692b7aa1f18"),
-    ("tournament", "mixed_arith_6000", 16, 192): (16773, "bd910055213f9734f43777fe15c521d2e3aba74d72c86667e742a737e6242446"),
-    ("tournament", "tree_2_4_2_s1", 16, 256): (357, "39faf2d97241cadf0e613cf87aff67689be4178f8d1849534c6170ce0aac3ba2"),
-    ("tournament", "tree_2_6_2_s5", 16, 256): (5471, "5081fb678298e941108036358804d637f76b9ce9d4eab41f99b69c92c382f340"),
+    ("tournament", "insert_extract_3000", 16, 192): (34717, "eca77a5833521aa851c35d96f2ec5be92981e14f8047e970652baf5826255c98"),
+    ("tournament", "mixed_arith_6000", 16, 192): (13205, "b7a2287d4fbba104db545cf1eb2ec75062cd619315fae4b8fcd5e0f10bfdac76"),
+    ("tournament", "tree_2_4_2_s1", 16, 256): (277, "9cceb71eabc9a1df4d94081f8396c815a871e137f9497140a6d4775994a68700"),
+    ("tournament", "tree_2_6_2_s5", 16, 256): (4302, "453cf1ed03c627f08455bc4679596b028c584f673115c1f30567fd3c4a6e599c"),
 }
 
 WORKLOADS = {
@@ -175,8 +175,8 @@ def _case_digest(case) -> tuple[int, str]:
 # (op_index, leaf_id, addr, access); the probe digests above see only
 # (addr, access), so a leaf tag replayed wrongly would not move them.
 RECORDS = {
-    ("tournament", "mixed_arith_6000", 16, 192): "d2aa091826c3fca21e6570f4c4f27a87b5923ed615e7eab7bd61f75732ad2b9b",
-    ("tournament", "tree_2_4_2_s1", 16, 256): "5172bc53a3909d3ffa31928db3857a1af6bf584bd33c84452ea2910e679bfe8d",
+    ("tournament", "mixed_arith_6000", 16, 192): "a9a1a058bd1a73facc316091ce68857f352d94b02a3beb076ee0da2b4017a240",
+    ("tournament", "tree_2_4_2_s1", 16, 256): "3aef0ef3f57c559fd12e5f95aee4be68e013398109980ad79f48c781ee061056",
 }
 
 
@@ -258,7 +258,7 @@ def _prefix_digest(name: str) -> str:
 # queue -> sha256 of repr(memory_image()) after the insert half of insert_extract_3000 at (16, 192)
 IMAGES = {
     "buffered_heap": "bd7c4b3013d6e562d89fbe2e8ad66ecde6a724d8efd494946df28e680e634fad",
-    "tournament": "be91ce118a766510818276ff68308873fb790ac9033845819e4b575f83de94c9",
+    "tournament": "f8566d46fe5d5a99e3c4d38a33ebf9f536484c4f0f2b3a9911cd82f4cd12e719",
 }
 
 
@@ -283,8 +283,8 @@ def _image_digest(kind: str) -> str:
 BLOCKS = {
     "buffered_heap": "9686a11a8088f0d06f4787865f0fa7bd4807c8b008d2c1b1c167445d45cde886",
     "dk_buffered_heap": "78883b9af423a68cf818b7323a3794b37e6ce36d6124280bc4ee8b1028abd9fc",
-    "dk_tournament": "ac9e03d3c0d2ef2a9b153cf58d09e94a386d2cd0ca4182c67bb1b57441a32fec",
-    "tournament": "a6018b5b83f4abe0ce03dad7f61194bd7d6cdb06c852bfe060b74719b457cf7a",
+    "dk_tournament": "71ebc8f3df5ba568c5d7beea858028e4e91f44ae8e2902d0567de7b2c4636430",
+    "tournament": "f308a6af8684b7d8f7669fdc81ad0c0e9d0e783c7ab1f8da8e251105256662fc",
 }
 
 
@@ -343,7 +343,7 @@ def test_oracle_image_pinned():
 COMM = {
     "dk_buffered_heap": ("0c2d5e36ff24a37282192d85450df26763bef3cfcc2693aeb6706cf4bd263a4a",
                          "761a4402fd9b6e7d0da90b104abe7335820cfad9f5c59f3320283879f38dd8c0"),
-    "tournament": ("4749845e5f44b8e0529f9b574772a21fb7767cfcefa1b37cabb6d86880d79082",
+    "tournament": ("b2dec79aaa31efb5e04e6942c0e950addac29e2a08e78ac76f9b058d3c24bf6b",
                    "761a4402fd9b6e7d0da90b104abe7335820cfad9f5c59f3320283879f38dd8c0"),
 }
 
@@ -366,7 +366,7 @@ def _comm_digests(kind: str, tmp_path: Path) -> tuple[str, str]:
 # the first internal node of each height, every k, seeds 0..2
 LEDGERS = {
     "dk_buffered_heap": "037ad0a4281db9e41bb4f5a3077937cd004723fdb8e4dc5744b889cf1e711a73",
-    "tournament": "1b6ad08a362bcc08ac629de260e0507eb2543d255aa1febabe55f51beece1cda",
+    "tournament": "4808db50bf495740fdcf02fd1996c23db3de4a513beccf61217d477956cdeb47",
 }
 
 

@@ -197,6 +197,20 @@ def test_dk_heap_protocol_with_intersecting_sets(height):
     assert queues[0].stale_discards > 0
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_dk_heap_requests_match_attribution_where_it_probes(seed):
+    # ACCEPT-07/08's dk heap runs at (16, 256), where its root holds every
+    # entry and neither player requests a block.  At (8, 128), on the (2,6,2)
+    # tree's height-4 node, Alice requests 20 blocks and Bob 33, and each
+    # count is what the attribution charges.
+    params = TreeParams(2, 6, 2, seed=0)
+    v = next(n.id for n in build_tree(params).internal_nodes() if n.height == 4)
+    res = run_embedding_protocol(dk_factory, params, v, 2, sample_instance(params, v, seed=seed),
+                                 DeviceConfig(B=8, M=128, w=128), seed=seed)
+    assert res.correct
+    assert (res.alice_requests, res.bob_requests) == (res.r_vk, res.l_vk) == (20, 33)
+
+
 def test_prefix_distribution_matches_materialize():
     # Embedding soundness at small parameters: per-leaf insert-key marginals
     # of the protocol prefix match direct materialization statistically.

@@ -1,5 +1,6 @@
 import math
 import random
+from itertools import count
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,9 +9,10 @@ from pqlab import Device, DeviceConfig, OracleQueue, TournamentQueue
 from pqlab.errors import ConfigError, DivergenceError, EmptyQueueError, EncodingError, StructureOverflowError
 from pqlab.ops import EXTRACTMIN
 from pqlab.cli import make_queue
+from pqlab.device import READ, WRITE
 from pqlab.dk import augmented_key_bits
 from pqlab.pq.base import run_workload
-from pqlab.pq.tournament import S_DEC, S_DEL, S_ERASE, S_INSERT, S_PUSH
+from pqlab.pq.tournament import M64, S_DEC, S_DEL, S_ERASE, S_INSERT, S_PUSH
 from pqlab.workload import Workload, make_random_workload, materialize, TreeParams
 
 
@@ -145,10 +147,81 @@ def test_constructor_rejects_words_too_narrow_for_node_headers():
 
 def test_leaf_overflow_raises():
     q, _ = make(B=8, M=128, n_hint=16)
-    for k in range(198):
+    for k in range(201):
         q.insert(k, k)
+    with pytest.raises(StructureOverflowError, match="leaf 6 overflow"):
+        q.insert(201, 201)
+
+
+def test_leaf_overflow_raises_in_the_refill_that_causes_it():
+    # Every key routes to leaf 4, below resident node 2.  The 19th extract
+    # refills node 2, whose flush overfills leaf 4 while the merge holds it
+    # loaded; the merge pops it back to the capacity before it is written,
+    # so only a check where the leaf applies its batch raises in this op.
+    q, _ = make(B=8, M=128, n_hint=16)
+    assert (q.K, q.T, q.cap, q.leaf_cap) == (4, 3, 3, 48)
+    keys = (k for k in count() if (k * q._mult) & M64 < 1 << 62)
+    for p in range(31):
+        q.insert(next(keys), p)
+    for p in range(1031, 1067, 2):
+        q.extract_min()
+        q.insert(next(keys), p)
+        q.insert(next(keys), p + 1)
     with pytest.raises(StructureOverflowError, match="leaf 4 overflow"):
-        q.insert(198, 198)
+        q.extract_min()
+
+
+def test_route_sends_the_fuller_half_and_keeps_the_rest_in_order():
+    q, _ = make()
+    half = [[k for k in range(200) if ((k * q._mult) & M64) >> 63 == i] for i in (0, 1)]  # the root's hash bit
+
+    def routed(sides):
+        node = q.NODE()
+        node.buf = [(seq, S_INSERT, half[i].pop(), 0, seq) for seq, i in enumerate(sides, 1)]
+        want = [[s for s, i in zip(node.buf, sides) if i == side] for side in (0, 1)]
+        return q._route(q.ROOT, node), node.buf, want
+
+    for sides, fuller in (([1, 0, 1, 1, 0], 1), ([0, 1, 1, 0], 0), ([1, 1], 1), ([0], 0)):
+        batches, kept, want = routed(sides)
+        assert batches == [(fuller, want[fuller])] and kept == want[1 - fuller]
+    assert routed([])[:2] == ([], [])
+
+
+@pytest.mark.parametrize("B,M", [(8, 128), (16, 256), (64, 1024)])
+def test_no_node_stores_more_than_cap_signals(B, M):
+    # A flush moves only the fuller half, so a node flushes until its buffer
+    # fits.  Flushing once left a node over cap at (8, 128), which overran its
+    # arena into the next node's blocks and raised "erase lost its target record".
+    wl = make_random_workload(2000, 1, universe=5000, profile="mixed")
+    q, dev = make(B=B, M=M, n_hint=2000, seed=1)
+    for i in range(len(wl.ops)):
+        run_workload(q, dev, wl, lo=i, hi=i + 1)
+        for x, node in q.nodes(peek=True):
+            assert len(node.buf) <= q.cap, (i, x)
+
+
+def test_refill_reads_no_child_it_wrote():
+    # At T = 1 the root's children are on disk.  An extract whose refill
+    # flushes the root's buffer keeps each child that flush loaded as that
+    # child's refill source, so no block of it is read after it is written.
+    wl = make_random_workload(2000, 5, universe=2000, profile="mixed")
+    q, dev = make(B=16, M=192, n_hint=2000, seed=3)
+    assert q.T == 1
+    kids = {q._addr(c) + b for c in q._children(q.ROOT) for b in range(q.node_blocks)}
+    refills = 0
+    for i, op in enumerate(wl.ops):
+        flushes = op.kind == EXTRACTMIN and not q._root.tops and q._root.buf
+        start = len(dev.log)
+        run_workload(q, dev, wl, lo=i, hi=i + 1)
+        if flushes:
+            refills += 1
+            written = set()
+            for rec in dev.log[start:]:
+                if rec.addr in kids:
+                    assert not (rec.access == READ and rec.addr in written), (i, rec.addr)
+                    if rec.access == WRITE:
+                        written.add(rec.addr)
+    assert refills == 18
 
 
 def test_delete_rejects_keys_wider_than_words():
@@ -170,8 +243,8 @@ def test_node_layout_pinned(w):
     # (seq, kind, key, prio + 2^(w-1), ts)*, zero-padded to whole blocks;
     # bit i is set iff leaf child i holds entries.
     # Delete and erase signals carry the word of priority 0.  A fixed mix of
-    # 240 ops with fresh keys over four leaves, then a forced root flush,
-    # leaves all five signal kinds in the two children's buffers.  At M=192
+    # 240 ops with fresh keys over four leaves, then forced root flushes until
+    # its buffer is empty, leave all five signal kinds in the two children's buffers.  At M=192
     # the children are on disk; at M=256 they are resident (T=3), so their
     # words come from the image, unpadded, and the same ops leave the same words.
     for M in (192, 256):
@@ -201,7 +274,8 @@ def test_node_layout_pinned(w):
             else:
                 k, _ = q.extract_min()
                 del live[k]
-        q._flush(q.ROOT, q._root)
+        while q._root.buf:
+            q._flush(q.ROOT, q._root)
 
         bias = 1 << (w - 1)
         seen = set()
