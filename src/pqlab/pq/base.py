@@ -71,13 +71,14 @@ tournament flushes first, because its buffer carries signals that must
 reach their records before any record climbs.  Those flushes do not store
 a child that still holds anything: it stays loaded as that child's
 source, a ``Loaded`` marked changed, so it is written once, after the
-merge, and never read back.  The merge takes one ``SOURCE`` per child whose bit is set, with a
-heap keyed by ``(head, source index)``, yet probes as a full rescan would:
-the first round asks every source for its head in child order (a source
-whose node ran dry with entries below refills it first), after that only
-the popped source is asked again, and only while the node still wants
-entries.  Then each source writes back and sets its child's bit.  The
-default source, ``Loaded``, holds the child whole.
+merge, and never read back.  The merge takes one ``SOURCE`` per child
+whose bit is set, with a heap keyed by ``(head, source index)``, yet
+probes as a full rescan would: the first round asks every source for its
+head in child order (a source whose node ran dry with entries below
+refills it first), after that only the popped source is asked again, and
+only while the node still wants entries.  Then each source writes back
+and sets its child's bit.  The default source, ``Loaded``, holds the
+child whole.
 """
 
 from __future__ import annotations
@@ -238,20 +239,20 @@ class BufferedTree(PriorityQueueBase):
             raise EncodingError("operation counter exceeded the word width")
         return self._seq
 
-    def _flush(self, x: int, node: Node, held: dict[int, Node] | None = None) -> None:
+    def _flush(self, x: int, node: Node, loaded: dict[int, Node] | None = None) -> None:
         """Move the batches ``_route`` names from node x's buffer into its children
-        (module docstring).  With ``held``, a refill's map of child index to the
-        child nodes its flushes loaded, a child is taken from it if there, and
-        left there, not written, while it holds anything."""
+        (module docstring).  With ``loaded``, a refill's map from child index to
+        the child nodes its flushes loaded, a child is taken from it if there,
+        and left there, not written, while it holds anything."""
         kids = self._children(x)
         for i, batch in self._route(x, node):
-            cnode = held.pop(i, None) if held else None
+            cnode = loaded.pop(i, None) if loaded else None
             if cnode is None:
                 cnode = self._read_node(kids[i]) if node.bits >> i & 1 else self.NODE()
             self._apply(kids[i], cnode, batch)
             holds = cnode.holds()
-            if held is not None and holds:
-                held[i] = cnode
+            if loaded is not None and holds:
+                loaded[i] = cnode
             else:
                 self._write_node(kids[i], cnode)
             node.mark(i, holds)
@@ -259,13 +260,14 @@ class BufferedTree(PriorityQueueBase):
     def _refill(self, x: int, node: Node) -> None:
         """Fill internal node x's tops with its subtree's minima, merging its own
         buffer as one more source, or flushing it empty first (module docstring)."""
-        held: dict[int, Node] = {}
+        loaded: dict[int, Node] = {}
         while node.buf and self.BUF_SOURCE is None:
-            self._flush(x, node, held)
+            self._flush(x, node, loaded)
         kids = self._children(x)
-        bits = [i for i in range(len(kids)) if node.bits >> i & 1]
-        # A child the flush left loaded is the changed node itself: no probe to open it.
-        sources = [Loaded(self, kids[i], held[i], True) if i in held else self.SOURCE(self, kids[i]) for i in bits]
+        held = [i for i in range(len(kids)) if node.bits >> i & 1]
+        # A child the flushes left loaded is already the changed node: no probe opens it.
+        sources = [Loaded(self, kids[i], loaded[i], True) if i in loaded else self.SOURCE(self, kids[i])
+                   for i in held]
         own = self.BUF_SOURCE(node) if node.buf else None
         if own is not None:
             sources.append(own)
@@ -291,7 +293,7 @@ class BufferedTree(PriorityQueueBase):
             else:
                 heapq.heapreplace(merge, (head, j))
         node.set_tops(taken)
-        for i, src in zip(bits, sources):
+        for i, src in zip(held, sources):
             node.mark(i, src.writeback())
         if own is not None:
             own.writeback()
