@@ -156,7 +156,7 @@ def test_leaf_overflow_raises():
 def test_leaf_overflow_raises_in_the_refill_that_causes_it():
     # Every key routes to leaf 4, below resident node 2.  The 19th extract
     # refills node 2, whose flush overfills leaf 4 while the merge holds it
-    # loaded; the merge pops it back to the capacity before it is written,
+    # loaded; the merge pops it back within its capacity before it is written,
     # so only a check where the leaf applies its batch raises in this op.
     q, _ = make(B=8, M=128, n_hint=16)
     assert (q.K, q.T, q.cap, q.leaf_cap) == (4, 3, 3, 48)
@@ -210,7 +210,7 @@ def test_refill_reads_no_child_it_wrote():
     kids = {q._addr(c) + b for c in q._children(q.ROOT) for b in range(q.node_blocks)}
     refills = 0
     for i, op in enumerate(wl.ops):
-        flushes = op.kind == EXTRACTMIN and not q._root.tops and q._root.buf
+        flushes = op.kind == EXTRACTMIN and not q._root.tops and bool(q._root.buf)
         start = len(dev.log)
         run_workload(q, dev, wl, lo=i, hi=i + 1)
         if flushes:
@@ -244,9 +244,10 @@ def test_node_layout_pinned(w):
     # bit i is set iff leaf child i holds entries.
     # Delete and erase signals carry the word of priority 0.  A fixed mix of
     # 240 ops with fresh keys over four leaves, then forced root flushes until
-    # its buffer is empty, leave all five signal kinds in the two children's buffers.  At M=192
-    # the children are on disk; at M=256 they are resident (T=3), so their
-    # words come from the image, unpadded, and the same ops leave the same words.
+    # its buffer is empty, leave all five signal kinds in the two children's
+    # buffers.  At M=192 the children are on disk; at M=256 they are resident
+    # (T=3), so their words come from the image, unpadded, and the same ops
+    # leave the same words.
     for M in (192, 256):
         dev = Device(DeviceConfig(B=16, M=M, w=w))
         q = TournamentQueue(dev, n_hint=40, seed=0)
