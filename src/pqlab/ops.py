@@ -1,9 +1,10 @@
 """Operation records and the shared tie-break order.
 
 All queues and the workload generator agree on one total order over live
-entries: (priority, key, timestamp).  Keys are unique among live entries, so
-the timestamp never decides between distinct keys; it exists to make the
-order total and replay-deterministic.
+entries: (priority, key).  Keys are unique among live entries, so that order
+is total.  The oracle and the buffered heap still carry an insertion
+timestamp as a third field, which never decides between distinct keys; the
+tournament orders live entries by (priority, key) alone.
 
 ``PRIORITY_INF`` is the sentinel standing in for +infinity (it strictly
 exceeds every priority the workload generator emits) and ``PRIORITY_DELETE``

@@ -4,8 +4,8 @@ Queue implementations expose:
 
 * ``insert(key, priority)``; inserting a live key is a contract violation
   (the oracle detects it, external structures trust the generator).
-* ``extract_min() -> (key, priority)``, minimum under (priority, key,
-  timestamp).
+* ``extract_min() -> (key, priority)``, minimum under (priority, key);
+  keys are unique among live entries, so no later field decides.
 * ``decrease_key(key, priority)`` where supported: new priority is
   min(old, new); requires a live key.
 * ``delete(key)`` where supported: removes the key if present, no effect
@@ -29,12 +29,15 @@ with the op's absolute index in ``ops``, reports ``n_ops = hi - lo`` and
 checks each ExtractMin answer against the transcript, so a queue resumed
 from a snapshot can run the tail of the same workload.
 
-On-disk queues store an entry ``(priority, key, timestamp)`` as three w-bit
-words ``key, priority + 2^(w-1), timestamp``; ``check_entry`` checks that
-an entry fits.  In memory, the heap and the tournament hold an entry as its
-stored words ``(priority + 2^(w-1), key, timestamp)``, which order as the
-entries do, so no codec converts one; ``entry_words``/``word_entries``
-only reorder words, and the oracle's image uses them unbiased.
+``check_entry`` checks that a key and a priority fit w-bit words.  The
+three-word entry layout here is the heap's (and, unbiased, the oracle
+image's): an entry ``(priority, key, timestamp)`` is stored as ``key,
+priority + 2^(w-1), timestamp`` and held in memory as its stored words
+``(priority + 2^(w-1), key, timestamp)``, which order as the entries do, so
+no codec converts one; ``entry_words``/``word_entries`` only reorder
+words.  The tournament stores two-word entries, ``key, priority +
+2^(w-1)``, in its own codec (``pq.tournament``).  The walks below compare
+whatever tuples a subclass's nodes hold.
 
 ``BufferedTree`` is the resident half of both external queues (the buffered
 heap and the tournament).  It owns the M-word memory: an operation counter

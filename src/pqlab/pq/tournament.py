@@ -48,30 +48,37 @@ key is a contract violation the structure cannot detect: undefined.
 
 Every node, leaves included, is stored as ``[n_tops, n_sigs << 2 | bits]
 + entries + sigs``: ``bits`` holds one bit per child, set iff that child's
-subtree holds an entry or a signal (0 at a leaf), an entry is ``key,
-priority + 2^(w-1), timestamp`` and a signal ``seq, kind, key, priority +
-2^(w-1), timestamp``.  The constructor requires ``4 * cap + 3 < 2^w``, so
-the second word fits in w bits.  A leaf is a node with no signals in a
-larger arena, so one pair of codecs reads and writes both, and the
-resident nodes' words too.
-In memory, entries ``(priority word, key, timestamp)`` and signals already
-hold the stored priority word, so the codecs only slice; the bias 2^(w-1)
-is added in ``insert``/``decrease_key`` and removed in ``extract_min``, and
-delete and erase signals carry the word 2^(w-1) (priority 0).  A ``TNode``
-also holds ``keys``, the set of its ``tops`` keys (decoded from the key
-column, then kept in step by ``pop_min``/``set_tops``), so a signal that
-misses ``tops`` costs one lookup, not a scan.
+subtree holds an entry or a signal (0 at a leaf), an entry is the two
+words ``key, priority + 2^(w-1)`` and a signal the three words ``kind,
+key, priority + 2^(w-1)``.  Keys are unique among live entries and in a
+node's ``tops``, so (priority, key) orders entries with no timestamp, and
+a signal needs no sequence number: a buffer keeps its signals in arrival
+order.  Node sizes follow from ``cap = (node_blocks * B - 2) // 5``.  The
+constructor requires ``4 * cap + 3 < 2^w``, so the second word fits in w
+bits.  A leaf is a node with no signals in a larger arena, so one pair of
+codecs reads and writes both, and the resident nodes' words too.
+In memory, entries ``(priority word, key)`` and signals ``(kind, key,
+priority word)`` already hold the stored priority word, so the codecs only
+slice; the bias 2^(w-1) is added in ``insert``/``decrease_key`` and
+removed in ``extract_min``, and delete and erase signals carry the word
+2^(w-1) (priority 0).  A ``TNode`` also holds ``keys``, a dict from each
+of its ``tops`` keys to its priority word (decoded from the entry columns,
+then kept in step by ``pop_min``/``set_tops`` and ``_apply``), so a signal
+that misses ``tops`` costs one lookup, and one that hits it finds its
+record by bisection, not by a scan.  At a leaf, ``keys`` is the working
+record set that a batch edits before ``tops`` is sorted from it.
 
 Nodes 1..T stay in memory, where T is the largest whole-level count of
 internal nodes, 2^L - 1 < K, whose largest words fit beside ``[seq]`` and
-2B words of block buffers: ``1 + T * (2 + 8 * cap) <= M - 2B``.  Reading or
+2B words of block buffers: ``1 + T * (2 + 5 * cap) <= M - 2B``.  Reading or
 writing one of them takes or replaces the resident ``TNode`` with no probe;
 nothing else changes, so a run's probe log is the log of the same run at
 T = 1 with the records at nodes 2..T's addresses removed.  No option sets
 T: cap depends only on B and node_blocks, K only on B and n_hint, so M
 moves T alone (3 at (B, M) = (64, 1024) and (16, 256), 1 at (16, 192)).
-The memory image is ``[seq]`` followed by nodes 1..T's words back to back,
-each in the node layout above, unpadded.
+The memory image is ``[seq]``, the count of inserts, decreases and deletes
+so far, followed by nodes 1..T's words back to back, each in the node
+layout above, unpadded.
 
 The amortized cost target is O((1/B) log2 N) probes per operation, asserted
 as a measured regression bound.  The memory image, the M-word audit and
@@ -85,9 +92,10 @@ import bisect
 from itertools import chain
 
 from ..errors import ConfigError, EmptyQueueError, StructureOverflowError
-from .base import ENTRY_WORDS, BufferedTree, Node, check_entry
+from .base import BufferedTree, Node, check_entry
 
-SIG_WORDS = 5
+ENTRY_WORDS = 2  # key, priority word
+SIG_WORDS = 3  # kind, key, priority word
 
 S_INSERT = 1
 S_DEC = 2
@@ -107,20 +115,20 @@ def _splitmix64(v: int) -> int:
 
 
 class TNode(Node):
-    """A tournament node; ``keys`` is the set of keys in ``tops``."""
+    """A tournament node; ``keys`` maps each key in ``tops`` to its priority word."""
     __slots__ = ("keys",)
 
     def __init__(self, tops=None, buf=None, keys=None, bits=0):
         super().__init__(tops, buf, 0, bits)
-        self.keys = {e[1] for e in self.tops} if keys is None else keys
+        self.keys = {k: p for p, k in self.tops} if keys is None else keys
 
-    def pop_min(self) -> tuple[int, int, int]:
+    def pop_min(self) -> tuple[int, int]:
         entry = self.tops.pop(0)
-        self.keys.discard(entry[1])
+        del self.keys[entry[1]]
         return entry
 
     def set_tops(self, tops: list) -> None:
-        self.tops, self.keys = tops, {e[1] for e in tops}
+        self.tops, self.keys = tops, {k: p for p, k in tops}
 
 
 class TournamentQueue(BufferedTree):
@@ -143,7 +151,7 @@ class TournamentQueue(BufferedTree):
         self.cap = cap  # of both tops and the signal buffer
         self.node_blocks = node_blocks
 
-        target_leaf_entries = max(4, (2 * self.B) // ENTRY_WORDS)
+        target_leaf_entries = max(4, (2 * self.B) // 3)  # K sizes leaves for about 2B/3 entries
         k = 2
         while k * target_leaf_entries < n_hint:
             k *= 2
@@ -215,16 +223,15 @@ class TournamentQueue(BufferedTree):
         """Decode the ``[n_tops, n_sigs << 2 | bits] + entries + sigs`` node layout."""
         p = 2 + ENTRY_WORDS * words[0]
         it = iter(words[p : p + SIG_WORDS * (words[1] >> 2)])
-        keys = words[2:p:3]
-        return TNode(list(zip(words[3:p:3], keys, words[4:p:3])), list(zip(it, it, it, it, it)), set(keys),
-                     words[1] & 3)
+        keys, prios = words[2:p:2], words[3:p:2]
+        return TNode(list(zip(prios, keys)), list(zip(it, it, it)), dict(zip(keys, prios)), words[1] & 3)
 
     def _node_words(self, node: Node) -> list[int]:
         tops = node.tops
         p = 2 + ENTRY_WORDS * len(tops)
         words = [len(tops), len(node.buf) << 2 | node.bits] + [0] * (p - 2)
         if tops:
-            words[3:p:3], words[2:p:3], words[4:p:3] = zip(*tops)
+            words[3:p:2], words[2:p:2] = zip(*tops)
         words.extend(chain.from_iterable(node.buf))
         return words
 
@@ -247,71 +254,72 @@ class TournamentQueue(BufferedTree):
         halves: tuple[list, list] = ([], [])
         mult, shift = self._mult, 64 - x.bit_length()
         for sig in node.buf:
-            halves[((sig[2] * mult) & M64) >> shift & 1].append(sig)
+            halves[((sig[1] * mult) & M64) >> shift & 1].append(sig)
         i = int(len(halves[1]) > len(halves[0]))
         node.buf = halves[1 - i]
         return [(i, halves[i])] if halves[i] else []
 
     def _apply(self, x: int, node: TNode, sigs) -> None:
         """Apply signals, in order, to node x; an internal node then flushes until its buffer fits."""
+        keys = node.keys
         if self._is_leaf(x):
-            bykey = {k: (p, k, ts) for (p, k, ts) in node.tops}
-            for seq, kind, key, prio, ts in sigs:
+            for kind, key, prio in sigs:
                 if kind == S_INSERT or kind == S_PUSH:
-                    if key in bykey:
+                    if key in keys:
                         raise AssertionError(f"duplicate settled key {key} at leaf {x}")
-                    bykey[key] = (prio, key, ts)
+                    keys[key] = prio
                 elif kind == S_DEC:
-                    cur = bykey.get(key)
-                    if cur is not None and prio < cur[0]:
-                        bykey[key] = (prio, key, cur[2])
+                    if prio < keys.get(key, prio):
+                        keys[key] = prio
                 elif kind == S_DEL:
-                    bykey.pop(key, None)
+                    keys.pop(key, None)
                 elif kind == S_ERASE:
-                    if key not in bykey:
+                    if key not in keys:
                         raise AssertionError(f"erase found no record for key {key} at leaf {x}")
-                    del bykey[key]
-            node.set_tops(sorted(bykey.values()))
+                    del keys[key]
+            node.tops = sorted((p, k) for k, p in keys.items())
             if len(node.tops) > self.leaf_cap:
                 raise StructureOverflowError(
                     f"leaf {x} overflow ({len(node.tops)} entries); construct with a larger n_hint"
                 )
             return
-        tops, buf, keys, insort = node.tops, node.buf, node.keys, bisect.insort
+        tops, buf, insort = node.tops, node.buf, bisect.insort
         bare = not buf and not node.bits  # the subtree holds nothing but tops
         for sig in sigs:
-            seq, kind, key, prio, ts = sig
+            kind, key, prio = sig
             if kind == S_INSERT or kind == S_PUSH:
-                entry = (prio, key, ts)
+                entry = (prio, key)
                 # It provably belongs to the subtree minima: bare, or below the maximum.
                 if bare or (tops and entry < tops[-1]):
                     insort(tops, entry)
-                    keys.add(key)
+                    keys[key] = prio
                 else:
                     buf.append(sig)
                     bare = False
             elif key in keys:
-                i = [e[1] for e in tops].index(key)
+                i = bisect.bisect_left(tops, (keys[key], key))
                 if kind != S_DEC:  # S_DEL and S_ERASE remove the record and stop
                     del tops[i]
-                    keys.discard(key)
+                    del keys[key]
                 elif prio < tops[i][0]:
-                    insort(tops, (prio, key, tops.pop(i)[2]))
+                    del tops[i]
+                    insort(tops, (prio, key))
+                    keys[key] = prio
             elif bare:  # the key is nowhere in this subtree: a spurious decrease or delete
                 if kind == S_ERASE:
                     raise AssertionError(f"erase lost its target record for key {key}")
-            elif kind == S_DEC and tops and (prio, key, 0) < tops[-1]:
+            elif kind == S_DEC and tops and (prio, key) < tops[-1]:
                 # The key's record sits below with a larger priority; adopt the
                 # decreased record here and chase the stale copy with an erase.
-                insort(tops, (prio, key, 0))
-                keys.add(key)
-                buf.append((self._bump(), S_ERASE, key, self._prio_bias, 0))
+                insort(tops, (prio, key))
+                keys[key] = prio
+                buf.append((S_ERASE, key, self._prio_bias))
             else:
                 buf.append(sig)
             if len(tops) > self.cap:
-                p, k, t0 = tops.pop()
-                keys.discard(k)
-                buf.append((self._bump(), S_PUSH, k, p, t0))
+                p, k = tops.pop()
+                del keys[k]
+                buf.append((S_PUSH, k, p))
                 bare = False
         while len(node.buf) > self.cap:  # each flush takes the fuller half: at most two rounds
             self._flush(x, node)
@@ -320,18 +328,18 @@ class TournamentQueue(BufferedTree):
 
     def insert(self, key: int, priority: int) -> None:
         check_entry(key, priority, self.w)
-        seq = self._bump()
-        self._apply(self.ROOT, self._root, ((seq, S_INSERT, key, priority + self._prio_bias, seq),))
+        self._bump()
+        self._apply(self.ROOT, self._root, ((S_INSERT, key, priority + self._prio_bias),))
 
     def decrease_key(self, key: int, priority: int) -> None:
         check_entry(key, priority, self.w)
-        seq = self._bump()
-        self._apply(self.ROOT, self._root, ((seq, S_DEC, key, priority + self._prio_bias, 0),))
+        self._bump()
+        self._apply(self.ROOT, self._root, ((S_DEC, key, priority + self._prio_bias),))
 
     def delete(self, key: int) -> None:
         check_entry(key, 0, self.w)
-        seq = self._bump()
-        self._apply(self.ROOT, self._root, ((seq, S_DEL, key, self._prio_bias, 0),))
+        self._bump()
+        self._apply(self.ROOT, self._root, ((S_DEL, key, self._prio_bias),))
 
     def extract_min(self) -> tuple[int, int]:
         root = self._root
@@ -339,5 +347,5 @@ class TournamentQueue(BufferedTree):
             self._refill(self.ROOT, root)
             if not root.tops:
                 raise EmptyQueueError("extract from empty queue")
-        word, key, _ = root.pop_min()
+        word, key = root.pop_min()
         return key, word - self._prio_bias

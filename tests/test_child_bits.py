@@ -26,7 +26,7 @@ def _records(q) -> list:
         if isinstance(q, BufferedHeap):
             records += node.buf
         else:
-            records += [(p, key, ts) for _, kind, key, p, ts in node.buf if kind in (S_INSERT, S_PUSH)]
+            records += [(p, key) for kind, key, p in node.buf if kind in (S_INSERT, S_PUSH)]
         if q._is_leaf(x):
             assert node.bits == 0, x
         else:
@@ -42,7 +42,7 @@ def _check(queue, oracle) -> None:
     elif isinstance(queue, BufferedHeap):
         assert len(_records(queue)) == len(queue)
     else:  # a decrease or delete may still be on its way to an older copy, so compare keys
-        assert {key for _, key, _ in _records(queue)} >= {key for key, _ in oracle.live_items()}
+        assert {key for _, key in _records(queue)} >= {key for key, _ in oracle.live_items()}
 
 
 def _make(kind, dev, n_hint):

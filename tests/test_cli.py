@@ -129,9 +129,9 @@ def test_run_tournament_nonzero_and_deterministic(tmp_path):
 
 
 def test_run_reports_decrease_probes(tmp_path, capsys):
-    ops = [Op(INSERT, k, 100 + k, None) for k in range(40)]
-    ops += [Op(DECREASE, k, k, None) for k in range(20, 40)]
-    ops += [Op(EXTRACTMIN, k, k, None) for k in range(20, 40)]
+    ops = [Op(INSERT, k, 100 + k, None) for k in range(80)]
+    ops += [Op(DECREASE, k, k, None) for k in range(40, 80)]
+    ops += [Op(EXTRACTMIN, k, k, None) for k in range(40, 80)]
     wl = tmp_path / "wl.bin"
     write_workload(Workload(None, "random", 1 << 10, 0, ops), wl)
     rep = tmp_path / "rep.csv"
@@ -142,7 +142,7 @@ def test_run_reports_decrease_probes(tmp_path, capsys):
     by_class = [int(row[f"probes_{c}"]) for c in ("insert", "delete", "extractmin", "decrease")]
     assert int(row["probes_decrease"]) > 0
     assert sum(by_class) == int(row["probes_total"])
-    assert f"t_DK: {row['probes_decrease']} probes / 20 ops" in capsys.readouterr().out
+    assert f"t_DK: {row['probes_decrease']} probes / 40 ops" in capsys.readouterr().out
 
     # dk queues also print the wrapper's counters.
     dev = Device(DeviceConfig(B=16, M=256, w=64))

@@ -140,15 +140,15 @@ CASES = {
     ("dk_buffered_heap", "tree_2_6_2_s5", 8, 128): (2127, "df8caf7b5afd3656cfa261f27785bd0e95cd1358b84271d8b3fef6f006e309b0"),
     ("dk_buffered_heap", "tree_2_6_2_s5", 16, 256): (358, "c906d2101fedd40e8ebe03873e547068522aba3d217bf63d5c5a9b616b80ae78"),
     ("dk_buffered_heap", "tree_2_6_2_s5", 64, 1024): (0, "525cf1397e624475c431c99f9ad45a36f4ecc1aa8122851dc276b7f57a3ea150"),
-    ("dk_tournament", "insert_extract_3000", 16, 192): (30229, "448b430aa6e94fc48c354da5ec5a2ac60a59ca4cc07b9601024b2cb6f0e9994b"),
-    ("dk_tournament", "tree_2_4_2_s1", 16, 256): (100, "c908d2fc938142ac5037a43214d69a898f338db3b4456d368872c32a91c3f40c"),
-    ("dk_tournament", "tree_2_6_2_s5", 16, 256): (2119, "6d2588bb822f7be49bf630b244d7ad2d69d4155872dcd9e9ae27fcdc5269dd52"),
+    ("dk_tournament", "insert_extract_3000", 16, 192): (17427, "7f4dfe8d6d0062c7b70a2336c6faee96a469e275ff192efccc86ca04fb6d30ec"),
+    ("dk_tournament", "tree_2_4_2_s1", 16, 256): (47, "56fad627667eb161acdfe1edaabf97f2e8ed6c714f4d587c580bed0690f2f86c"),
+    ("dk_tournament", "tree_2_6_2_s5", 16, 256): (1002, "06ad06f7c8609bdf8e574a2d03c0653ce27f4c26d22a5adfe7a9d2d0bd31518b"),
     ("buffered_heap", "insert_extract_3000", 8, 128): (36047, "081c88da30445047cd4abacbf7ba06fbfc16a39ad4e02df60068297ec5971f9d"),
     ("buffered_heap", "insert_extract_3000", 16, 192): (15256, "f72a47fdb451ed58faecba711f648b009d6c3bbedcf510b75f04d430d01e0cb7"),
-    ("tournament", "insert_extract_3000", 16, 192): (34717, "eca77a5833521aa851c35d96f2ec5be92981e14f8047e970652baf5826255c98"),
-    ("tournament", "mixed_arith_6000", 16, 192): (13205, "b7a2287d4fbba104db545cf1eb2ec75062cd619315fae4b8fcd5e0f10bfdac76"),
-    ("tournament", "tree_2_4_2_s1", 16, 256): (277, "9cceb71eabc9a1df4d94081f8396c815a871e137f9497140a6d4775994a68700"),
-    ("tournament", "tree_2_6_2_s5", 16, 256): (4302, "453cf1ed03c627f08455bc4679596b028c584f673115c1f30567fd3c4a6e599c"),
+    ("tournament", "insert_extract_3000", 16, 192): (18054, "bbac12a93df34174480d0959381c3dc3c1c2b94c5656c2629e0a628b9633a474"),
+    ("tournament", "mixed_arith_6000", 16, 192): (7343, "8d38b59bd605b39b0ef1249137fdc1e9054574783079ea8a0b52d7704f6af184"),
+    ("tournament", "tree_2_4_2_s1", 16, 256): (80, "f2c8e4a8b1c8c7290bb8ae85cd9fd526c0ec21bd572147b35f0cce2911dc7031"),
+    ("tournament", "tree_2_6_2_s5", 16, 256): (2048, "55cb0afd1e23bc2a4b7d5f1e7e5f4145224397183e04be951254eea5adf045d7"),
 }
 
 WORKLOADS = {
@@ -175,8 +175,8 @@ def _case_digest(case) -> tuple[int, str]:
 # (op_index, leaf_id, addr, access); the probe digests above see only
 # (addr, access), so a leaf tag replayed wrongly would not move them.
 RECORDS = {
-    ("tournament", "mixed_arith_6000", 16, 192): "a9a1a058bd1a73facc316091ce68857f352d94b02a3beb076ee0da2b4017a240",
-    ("tournament", "tree_2_4_2_s1", 16, 256): "3aef0ef3f57c559fd12e5f95aee4be68e013398109980ad79f48c781ee061056",
+    ("tournament", "mixed_arith_6000", 16, 192): "8752ecbb0e931038ef8a23b4e3f4addef38370b98d542d3ff73e1c13f3c76708",
+    ("tournament", "tree_2_4_2_s1", 16, 256): "142ce0b09baa89623bea24829eea0755a23415db01272c8dd56f70504d10051c",
 }
 
 
@@ -258,7 +258,7 @@ def _prefix_digest(name: str) -> str:
 # queue -> sha256 of repr(memory_image()) after the insert half of insert_extract_3000 at (16, 192)
 IMAGES = {
     "buffered_heap": "bd7c4b3013d6e562d89fbe2e8ad66ecde6a724d8efd494946df28e680e634fad",
-    "tournament": "f8566d46fe5d5a99e3c4d38a33ebf9f536484c4f0f2b3a9911cd82f4cd12e719",
+    "tournament": "1238783a196c0444d1cf762341fa4fa38a95985d809a522bb28e787701691757",
 }
 
 
@@ -277,14 +277,15 @@ def _image_digest(kind: str) -> str:
 
 # queue -> sha256 of [(addr, block)] over every address written by the first
 # 3,000 ops at (16, 192): the on-disk words, which the probe digests above
-# cannot see (entries are stored as key, priority + 2^(w-1), ts).  The heaps
-# run the insert half of insert_extract_3000; the tournaments run
-# mixed_arith_6000, so every signal kind sits in some buffer.
+# cannot see (a heap entry is stored as key, priority + 2^(w-1), ts, a
+# tournament entry as key, priority + 2^(w-1)).  The heaps run the insert
+# half of insert_extract_3000; the tournaments run mixed_arith_6000, so
+# every signal kind sits in some buffer.
 BLOCKS = {
     "buffered_heap": "9686a11a8088f0d06f4787865f0fa7bd4807c8b008d2c1b1c167445d45cde886",
     "dk_buffered_heap": "78883b9af423a68cf818b7323a3794b37e6ce36d6124280bc4ee8b1028abd9fc",
-    "dk_tournament": "71ebc8f3df5ba568c5d7beea858028e4e91f44ae8e2902d0567de7b2c4636430",
-    "tournament": "f308a6af8684b7d8f7669fdc81ad0c0e9d0e783c7ab1f8da8e251105256662fc",
+    "dk_tournament": "fcfb364bb4388e744e4d6d02cc3bdd84528617060c1038ab32bc3e453c7815be",
+    "tournament": "bd54012dd7709d150726b86b4f9fbc272263b7a31af626caeabcf233a18f649a",
 }
 
 
@@ -343,7 +344,7 @@ def test_oracle_image_pinned():
 COMM = {
     "dk_buffered_heap": ("0c2d5e36ff24a37282192d85450df26763bef3cfcc2693aeb6706cf4bd263a4a",
                          "761a4402fd9b6e7d0da90b104abe7335820cfad9f5c59f3320283879f38dd8c0"),
-    "tournament": ("b2dec79aaa31efb5e04e6942c0e950addac29e2a08e78ac76f9b058d3c24bf6b",
+    "tournament": ("a60e05f5190b70b3ca445c90f692056ea659c93a30e1ef85f615c3496df95712",
                    "761a4402fd9b6e7d0da90b104abe7335820cfad9f5c59f3320283879f38dd8c0"),
 }
 
@@ -366,7 +367,7 @@ def _comm_digests(kind: str, tmp_path: Path) -> tuple[str, str]:
 # the first internal node of each height, every k, seeds 0..2
 LEDGERS = {
     "dk_buffered_heap": "037ad0a4281db9e41bb4f5a3077937cd004723fdb8e4dc5744b889cf1e711a73",
-    "tournament": "4808db50bf495740fdcf02fd1996c23db3de4a513beccf61217d477956cdeb47",
+    "tournament": "c17e62551dc25788497b32f1af76121a801079c68d58064e323a63b0fa57d94a",
 }
 
 

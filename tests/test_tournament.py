@@ -29,7 +29,7 @@ def _stored_words(q, x):
         return [word for i in range(n) for word in q.device.peek_block(q._addr(x) + i)]
     image, p = q.memory_image(), 1
     for _ in range(x):
-        lo, p = p, p + 2 + 3 * image[p] + 5 * (image[p + 1] >> 2)
+        lo, p = p, p + 2 + 2 * image[p] + 3 * (image[p + 1] >> 2)
     return image[lo:p]
 
 
@@ -83,6 +83,20 @@ def test_matches_oracle_across_geometries(cfg):
     run_workload(TournamentQueue(dev, n_hint=512, seed=3, node_blocks=nb), dev, wl)
 
 
+@pytest.mark.parametrize("B,M", [(8, 128), (16, 192), (16, 256), (64, 1024)])
+@pytest.mark.parametrize("kind", ["tournament", "dk_tournament"])
+@pytest.mark.parametrize("profile", ["mixed", "delete_heavy"])
+def test_tied_priorities_match_transcript(profile, kind, B, M):
+    # Keys and priorities both lie in [0, 64), so most live priorities tie
+    # and keys alone break the ties: entries carry no timestamp, and every
+    # extract must still match the oracle's transcript.
+    for seed in range(9):
+        wl = make_random_workload(3000, seed, universe=64, profile=profile)
+        w = augmented_key_bits(wl.universe) if kind.startswith("dk_") else 64
+        dev = Device(DeviceConfig(B=B, M=M, w=max(64, w)))
+        run_workload(make_queue(kind, dev, n_hint=3000, seed=seed), dev, wl)
+
+
 def test_deep_cascades_tiny_buffers():
     # B=8 with 3-block nodes yields capacity-2 buffers: constant flushing.
     wl = make_random_workload(2500, 17, universe=120, profile="delete_heavy")
@@ -100,10 +114,10 @@ def test_hard_workload_with_spurious_deletes():
 def test_snapshot_resume_identical_probes():
     # The image carries the root's pending signals, delete and erase included.
     wl = make_random_workload(1000, 23, universe=300, profile="mixed")
-    for w, split, pending in ((64, 500, {S_DEL}), (64, 130, {S_DEL, S_ERASE}), (128, 130, {S_DEL, S_ERASE})):
+    for w, split, pending in ((64, 500, {S_DEL}), (64, 140, {S_DEL, S_ERASE}), (128, 140, {S_DEL, S_ERASE})):
         q, dev = make(w=w, seed=1)
         run_workload(q, dev, wl, hi=split)
-        assert pending <= {sig[1] for sig in q._root.buf}
+        assert pending <= {sig[0] for sig in q._root.buf}
         img = q.memory_image()
         dev2 = dev.copy()
         q2 = TournamentQueue(dev2, n_hint=1024, seed=1)
@@ -127,30 +141,30 @@ def test_image_within_memory_after_every_op(B, M, w):
         assert all(0 <= word < (1 << w) for word in image)
 
 
-@pytest.mark.parametrize("B,M,node_blocks", [(8, 128, 14), (16, 256, 14)])
+@pytest.mark.parametrize("B,M,node_blocks", [(8, 128, 13), (16, 256, 14)])
 def test_audit_rejects_images_over_memory(B, M, node_blocks):
-    # The largest image is [seq] plus the root words, 2 + 8 * cap: 107 and
-    # 219 words here fit M - 2B = 112 and 224, and one more node block
-    # raises cap past that (115 and 235 words).
+    # The largest image is [seq] plus the root words, 2 + 5 * cap: 103 and
+    # 223 words here fit M - 2B = 112 and 224, and one more node block
+    # raises cap past that (113 and 238 words).
     make(B=B, M=M, node_blocks=node_blocks)
     with pytest.raises(ConfigError, match="largest memory image"):
         make(B=B, M=M, node_blocks=node_blocks + 1)
 
 
 def test_constructor_rejects_words_too_narrow_for_node_headers():
-    # Word 1 of a node is n_sigs << 2 | bits, up to 4 * cap + 3 = 127 at cap 31;
-    # the 12-block arena alone would fit 6-bit addresses.
-    make(B=64, M=1024, w=7, n_hint=16)
+    # Word 1 of a node is n_sigs << 2 | bits, up to 4 * cap + 3 = 203 at cap 50;
+    # the 10-block arena alone would fit 4-bit addresses.
+    make(B=64, M=1024, w=8, n_hint=16)
     with pytest.raises(ConfigError, match="too narrow"):
-        make(B=64, M=1024, w=6, n_hint=16)
+        make(B=64, M=1024, w=7, n_hint=16)
 
 
 def test_leaf_overflow_raises():
     q, _ = make(B=8, M=128, n_hint=16)
-    for k in range(201):
+    for k in range(216):
         q.insert(k, k)
-    with pytest.raises(StructureOverflowError, match="leaf 6 overflow"):
-        q.insert(201, 201)
+    with pytest.raises(StructureOverflowError, match="leaf 4 overflow"):
+        q.insert(216, 216)
 
 
 def test_leaf_overflow_raises_in_the_refill_that_causes_it():
@@ -159,7 +173,7 @@ def test_leaf_overflow_raises_in_the_refill_that_causes_it():
     # loaded; the merge pops it back within its capacity before it is written,
     # so only a check where the leaf applies its batch raises in this op.
     q, _ = make(B=8, M=128, n_hint=16)
-    assert (q.K, q.T, q.cap, q.leaf_cap) == (4, 3, 3, 48)
+    assert (q.K, q.T, q.cap, q.leaf_cap) == (4, 3, 6, 48)
     keys = (k for k in count() if (k * q._mult) & M64 < 1 << 62)
     for p in range(31):
         q.insert(next(keys), p)
@@ -177,7 +191,7 @@ def test_route_sends_the_fuller_half_and_keeps_the_rest_in_order():
 
     def routed(sides):
         node = q.NODE()
-        node.buf = [(seq, S_INSERT, half[i].pop(), 0, seq) for seq, i in enumerate(sides, 1)]
+        node.buf = [(S_INSERT, half[i].pop(), word) for word, i in enumerate(sides, 1)]
         want = [[s for s, i in zip(node.buf, sides) if i == side] for side in (0, 1)]
         return q._route(q.ROOT, node), node.buf, want
 
@@ -204,7 +218,7 @@ def test_refill_reads_no_child_it_wrote():
     # At T = 1 the root's children are on disk.  An extract whose refill
     # flushes the root's buffer keeps each child that flush loaded as that
     # child's refill source, so no block of it is read after it is written.
-    wl = make_random_workload(2000, 5, universe=2000, profile="mixed")
+    wl = make_random_workload(4000, 5, universe=2000, profile="mixed")
     q, dev = make(B=16, M=192, n_hint=2000, seed=3)
     assert q.T == 1
     kids = {q._addr(c) + b for c in q._children(q.ROOT) for b in range(q.node_blocks)}
@@ -221,7 +235,7 @@ def test_refill_reads_no_child_it_wrote():
                     assert not (rec.access == READ and rec.addr in written), (i, rec.addr)
                     if rec.access == WRITE:
                         written.add(rec.addr)
-    assert refills == 18
+    assert refills == 15
 
 
 def test_delete_rejects_keys_wider_than_words():
@@ -239,73 +253,78 @@ def test_delete_rejects_keys_wider_than_words():
 
 @pytest.mark.parametrize("w", [64, 128])
 def test_node_layout_pinned(w):
-    # A node is [n_tops, n_sigs << 2 | bits] + (key, prio + 2^(w-1), ts)* +
-    # (seq, kind, key, prio + 2^(w-1), ts)*, zero-padded to whole blocks;
-    # bit i is set iff leaf child i holds entries.
+    # A node is [n_tops, n_sigs << 2 | bits] + (key, prio + 2^(w-1))* +
+    # (kind, key, prio + 2^(w-1))*, zero-padded to whole blocks; bit i is
+    # set iff leaf child i holds entries.
     # Delete and erase signals carry the word of priority 0.  A fixed mix of
-    # 240 ops with fresh keys over four leaves, then forced root flushes until
+    # 320 ops with fresh keys over four leaves, then forced root flushes until
     # its buffer is empty, leave all five signal kinds in the two children's
     # buffers.  At M=192 the children are on disk; at M=256 they are resident
     # (T=3), so their words come from the image, unpadded, and the same ops
-    # leave the same words.
+    # leave the same words.  The counter [seq] counts inserts, decreases and
+    # deletes, not the signals the nodes send on.
     for M in (192, 256):
         dev = Device(DeviceConfig(B=16, M=M, w=w))
         q = TournamentQueue(dev, n_hint=40, seed=0)
         assert (q.K, q.T) == (4, 1 if M == 192 else 3)
         rng = random.Random(1)
-        model: dict[int, tuple[int, int, list[int]]] = {}  # key -> (priority, insert ts, decreases)
+        model: dict[int, tuple[int, list[int]]] = {}  # key -> (priority, decreases)
         live: dict[int, int] = {}
-        for key in range(240):
+        updates = 0
+        for key in range(320):
             r = rng.random()
             if r < 0.5 or not live:
                 p = rng.randrange(-1000, 1000)
-                model[key] = (p, q._seq + 1, [])
+                model[key] = (p, [])
                 q.insert(key, p)
                 live[key] = p
+                updates += 1
             elif r < 0.75:
                 k = rng.choice(sorted(live))
                 p = live[k] - rng.randrange(1, 2000)
-                model[k][2].append(p)
+                model[k][1].append(p)
                 q.decrease_key(k, p)
                 live[k] = p
+                updates += 1
             elif r < 0.9:
                 k = rng.choice(sorted(live))
                 q.delete(k)
                 del live[k]
+                updates += 1
             else:
                 k, _ = q.extract_min()
                 del live[k]
         while q._root.buf:
             q._flush(q.ROOT, q._root)
+        assert q._seq == q.memory_image()[0] == updates
 
         bias = 1 << (w - 1)
         seen = set()
         for child in (2, 3):
             words = _stored_words(q, child)
             nt, ns, bits = words[0], words[1] >> 2, words[1] & 3
-            end = 2 + 3 * nt + 5 * ns
+            end = 2 + 2 * nt + 3 * ns
             assert nt <= q.cap and ns <= q.cap
             assert bits == sum(1 << i for i, leaf in enumerate(q._children(child)) if dev.peek_block(q._addr(leaf))[0])
             assert len(words) == (end if child <= q.T else q.node_blocks * q.B)
             assert words[end : -(-end // q.B) * q.B] == [0] * (-end % q.B if child > q.T else 0)
-            entries = [tuple(words[i : i + 3]) for i in range(2, 2 + 3 * nt, 3)]
-            assert entries == sorted(entries, key=lambda e: (e[1], e[0], e[2]))
-            for key, word, ts in entries:
-                p, ts0, decs = model[key]
-                assert word - bias in [p] + decs and ts in (ts0, 0)
-            for i in range(2 + 3 * nt, end, 5):
-                seq, kind, key, word, ts = words[i : i + 5]
-                p, ts0, decs = model[key]
+            entries = [tuple(words[i : i + 2]) for i in range(2, 2 + 2 * nt, 2)]
+            assert entries == sorted(entries, key=lambda e: (e[1], e[0]))
+            for key, word in entries:
+                p, decs = model[key]
+                assert word - bias in [p] + decs
+            for i in range(2 + 2 * nt, end, 3):
+                kind, key, word = words[i : i + 3]
+                p, decs = model[key]
                 seen.add(kind)
                 if kind == S_INSERT:
-                    assert (seq, word, ts) == (ts0, p + bias, ts0)
+                    assert word == p + bias
                 elif kind == S_PUSH:
-                    assert word - bias in [p] + decs and ts in (ts0, 0)
+                    assert word - bias in [p] + decs
                 elif kind == S_DEC:
-                    assert word - bias in decs and ts == 0
+                    assert word - bias in decs
                 else:
-                    assert kind in (S_DEL, S_ERASE) and (word, ts) == (bias, 0)
-                assert 0 < seq <= q._seq
+                    assert kind in (S_DEL, S_ERASE) and word == bias
         assert seen == {S_INSERT, S_DEC, S_DEL, S_ERASE, S_PUSH}
 
 
@@ -445,57 +464,57 @@ def test_key_index_matches_tops():
     # Every node keeps the set of keys in its tops; check it at every store,
     # at the root after every op of a mixed run with constant flushing, and
     # at the end in every node reachable through set bits.
-    wl = make_random_workload(2000, 29, universe=150, profile="mixed")
+    wl = make_random_workload(2000, 29, universe=600, profile="mixed")
     dev = Device(DeviceConfig(B=8, M=96, w=64))
     q = TournamentQueue(dev, n_hint=256, seed=5, node_blocks=3)
     store, stored = q._write_node, set()
 
     def checked_store(x, node):
-        assert node.keys == {e[1] for e in node.tops}, f"node {x}"
+        assert node.keys == {k: p for p, k in node.tops}, f"node {x}"
         stored.add(x)
         store(x, node)
 
     q._write_node = checked_store
     for i in range(len(wl.ops)):
         run_workload(q, dev, wl, lo=i, hi=i + 1)
-        assert q._root.keys == {e[1] for e in q._root.tops}
+        assert q._root.keys == {k: p for p, k in q._root.tops}
     assert any(q._is_leaf(x) for x in stored) and any(not q._is_leaf(x) for x in stored)
     probes = dev.probe_count
     for x, node in q.nodes(peek=True):
-        assert node.keys == {e[1] for e in node.tops}, f"node {x}"
+        assert node.keys == {k: p for p, k in node.tops}, f"node {x}"
     assert dev.probe_count == probes
 
 
 def test_batch_buffers_after_evicting_from_bare_child():
     # Child 2 holds five tops and nothing else, so its subtree is bare.  One
-    # forced root flush then sends it four inserts: two fill its tops to
-    # cap, the third overflows them and evicts a push, and the fourth,
+    # forced root flush then sends it nine inserts: seven fill its tops to
+    # cap, the eighth overflows them and evicts a push, and the ninth,
     # above every top, must now be buffered behind that push.  Child 2 is on
     # disk at M=192 and resident at M=256.
     for M in (192, 256):
         dev = Device(DeviceConfig(B=16, M=M, w=64))
         q = TournamentQueue(dev, n_hint=40, seed=0)
-        assert (q.K, q.cap, q.T) == (4, 7, 1 if M == 192 else 3)
-        k = [key for key in range(100, 200) if not (key * q._mult) & (1 << 63)][:9]  # routed to child 2
-        for key in range(7):
-            q.insert(key, key)  # seq 1-7, they fill the root's tops
-        for key, p in zip(k, (50, 40, 30, 20, 10)):
-            q.insert(key, p)  # seq 8 evicts itself as a push (seq 9), seq 10-13 are buffered
+        assert (q.K, q.cap, q.T) == (4, 12, 1 if M == 192 else 3)
+        k = [key for key in range(100, 200) if not (key * q._mult) & (1 << 63)][:14]  # routed to child 2
+        for key in range(12):
+            q.insert(key, key)  # they fill the root's tops
+        for key, p in zip(k, (50, 40, 30, 20, 13)):
+            q.insert(key, p)  # the first evicts itself as a push, the other four are buffered
         q._flush(q.ROOT, q._root)
-        for key, p in zip(k[5:], (15, 25, 35, 100)):
-            q.insert(key, p)  # seq 14-17, buffered at the root
+        for key, p in zip(k[5:], (15, 25, 35, 45, 17, 27, 37, 42, 100)):
+            q.insert(key, p)  # buffered at the root
         q._flush(q.ROOT, q._root)
         assert q._root.bits == 0b01  # only child 2 holds anything
 
         bias = 1 << 63
-        tops = [(k[4], 10, 13), (k[5], 15, 14), (k[3], 20, 12), (k[6], 25, 15), (k[2], 30, 11),
-                (k[7], 35, 16), (k[1], 40, 10)]
-        sigs = [(18, S_PUSH, k[0], 50, 8), (17, S_INSERT, k[8], 100, 17)]
-        want = [7, 2 << 2]  # two signals; no bit set, as nothing lies below child 2
-        for key, p, ts in tops:
-            want += [key, p + bias, ts]
-        for seq, kind, key, p, ts in sigs:
-            want += [seq, kind, key, p + bias, ts]
+        tops = [(k[4], 13), (k[5], 15), (k[9], 17), (k[3], 20), (k[6], 25), (k[10], 27), (k[2], 30),
+                (k[7], 35), (k[11], 37), (k[1], 40), (k[12], 42), (k[8], 45)]
+        sigs = [(S_PUSH, k[0], 50), (S_INSERT, k[13], 100)]
+        want = [12, 2 << 2]  # two signals; no bit set, as nothing lies below child 2
+        for key, p in tops:
+            want += [key, p + bias]
+        for kind, key, p in sigs:
+            want += [kind, key, p + bias]
         pad = q.node_blocks * q.B - len(want) if M == 192 else 0  # disk blocks are zero-padded
         assert _stored_words(q, 2) == want + [0] * pad
 

@@ -21,12 +21,16 @@ counted over a failing side.
 
     python3 tools/bench_pairs.py --diff --base REV --change REV [--declared]
 
-``--diff`` replays a fixed grid on both checkouts instead, through the public
-API only (``make_queue``, ``run_workload``, ``memory_image``,
-``peek_block``): ``DIFF_SEEDS`` seeds of ``DIFF_OPS``-op random workloads on
-all four queues (``mixed`` traffic, ``insert_extract`` for the plain heap) at
-each (B, M) of ``DIFF_GEOMETRIES``, and the ``DIFF_TREES`` trees on the three
-queues that take Delete.  It prints one line per case: both probe counts, their
+``--diff`` replays a fixed grid of 306 cases on both checkouts instead,
+through the public API only (``make_queue``, ``run_workload``,
+``memory_image``, ``peek_block``).  At each (B, M) of ``DIFF_GEOMETRIES`` it
+runs ``DIFF_SEEDS`` seeds of ``DIFF_OPS``-op random workloads over a
+universe of ``DIFF_OPS`` on all four queues (``mixed`` traffic,
+``insert_extract`` for the plain heap), the ``DIFF_TREES`` trees on the
+three queues that take Delete, and ``DIFF_TIED_SEEDS`` seeds of
+``DIFF_OPS``-op ``mixed`` workloads over a universe of ``DIFF_TIED_UNIVERSE``
+on the two tournaments, where most priorities tie.  A random case's spec
+carries its universe.  It prints one line per case: both probe counts, their
 delta and the first op whose probes differ, then one probe-total line per
 queue and the grand total.  A case fails when either side
 raises or the answers differ, and, unless ``--declared``, when the probe
@@ -54,6 +58,8 @@ DIFF_SEEDS = 20
 DIFF_OPS = 4000
 DIFF_GEOMETRIES = ((8, 128), (16, 256), (64, 1024))
 DIFF_TREES = ((2, 4, 2), (2, 6, 2), (3, 4, 2), (2, 8, 2))
+DIFF_TIED_SEEDS = 5
+DIFF_TIED_UNIVERSE = 64
 
 # Run in each checkout with the grid as argv[1]; prints one JSON record per case.
 DIFF_SCRIPT = """
@@ -72,7 +78,7 @@ for queue, spec, B, M in json.loads(sys.argv[1]):
     if spec[0] == "tree":
         wl = materialize(TreeParams(*spec[1:]))
     else:
-        wl = make_random_workload(spec[2], spec[3], universe=spec[2], profile=spec[1])
+        wl = make_random_workload(spec[2], spec[3], universe=spec[4], profile=spec[1])
     w = max(64, augmented_key_bits(wl.universe)) if queue.startswith("dk_") else 64
     dev = Device(DeviceConfig(B=B, M=M, w=w))
     q = make_queue(queue, dev, n_hint=max(1024, len(wl.ops)), seed=3)
@@ -154,9 +160,12 @@ def diff_grid() -> list:
     for B, M in DIFF_GEOMETRIES:
         for queue in ("tournament", "dk_tournament", "buffered_heap", "dk_buffered_heap"):
             profile = "insert_extract" if queue == "buffered_heap" else "mixed"
-            grid += [[queue, ["random", profile, DIFF_OPS, seed], B, M] for seed in range(DIFF_SEEDS)]
+            grid += [[queue, ["random", profile, DIFF_OPS, seed, DIFF_OPS], B, M] for seed in range(DIFF_SEEDS)]
             if queue != "buffered_heap":
                 grid += [[queue, ["tree", *shape, 1], B, M] for shape in DIFF_TREES]
+            if queue.endswith("tournament"):
+                grid += [[queue, ["random", "mixed", DIFF_OPS, seed, DIFF_TIED_UNIVERSE], B, M]
+                         for seed in range(DIFF_TIED_SEEDS)]
     return grid
 
 
