@@ -2,9 +2,9 @@
 
 All queues and the workload generator agree on one total order over live
 entries: (priority, key).  Keys are unique among live entries, so that order
-is total.  The oracle and the buffered heap still carry an insertion
-timestamp as a third field, which never decides between distinct keys; the
-tournament orders live entries by (priority, key) alone.
+is total, and both external trees order their entries by (priority, key)
+alone.  Only the oracle still carries an insertion timestamp, as a third
+field that never decides between distinct keys.
 
 ``PRIORITY_INF`` is the sentinel standing in for +infinity (it strictly
 exceeds every priority the workload generator emits) and ``PRIORITY_DELETE``

@@ -29,23 +29,20 @@ with the op's absolute index in ``ops``, reports ``n_ops = hi - lo`` and
 checks each ExtractMin answer against the transcript, so a queue resumed
 from a snapshot can run the tail of the same workload.
 
-``check_entry`` checks that a key and a priority fit w-bit words.  The
-three-word entry layout here is the heap's (and, unbiased, the oracle
-image's): an entry ``(priority, key, timestamp)`` is stored as ``key,
-priority + 2^(w-1), timestamp`` and held in memory as its stored words
-``(priority + 2^(w-1), key, timestamp)``, which order as the entries do, so
-no codec converts one; ``entry_words``/``word_entries`` only reorder
-words.  The tournament stores two-word entries, ``key, priority +
-2^(w-1)``, in its own codec (``pq.tournament``).  The walks below compare
-whatever tuples a subclass's nodes hold.
+``check_entry`` checks that a key and a priority fit w-bit words.  Both
+external trees store an entry as the two words ``key, priority +
+2^(w-1)`` and hold it in memory as ``(priority + 2^(w-1), key)``, which
+orders as the entries do: keys are unique among live entries, so (priority,
+key) is total and no timestamp is stored.  ``entry_words``/``word_entries``
+are the one codec between the two, and only reorder words.  The walks below
+compare these tuples.
 
 ``BufferedTree`` is the resident half of both external queues (the buffered
-heap and the tournament).  It owns the M-word memory: an operation counter
-``_seq`` and ``T`` resident nodes: the root and, in the tournament, the
-whole levels below it that fit.  The memory image is ``[seq]`` followed by
-the subclass's words for the resident nodes, and the constructor audit
-charges the largest image that layout can produce plus 2B words of block
-buffers against M, so an accepted queue's image never exceeds M - 2B
+heap and the tournament).  It owns the M-word memory, ``T`` resident nodes:
+the root and, in the tournament, the whole levels below it that fit.  The
+memory image is the subclass's words for the resident nodes, and the
+constructor audit charges the largest image that layout can produce plus 2B
+words of block buffers against M, so an accepted queue's image never exceeds M - 2B
 words, whatever N is.  Every node carries ``bits``, one bit per child,
 stored in its header: bit i is set iff child i's subtree holds an entry or
 a buffered item.  A child whose bit is clear is read as an empty node
@@ -93,7 +90,7 @@ from itertools import count
 from ..errors import CapabilityError, ConfigError, DivergenceError, EncodingError
 from ..ops import DECREASE, DELETE, EXTRACTMIN, INSERT, NO_LEAF, OP_NAMES
 
-ENTRY_WORDS = 3
+ENTRY_WORDS = 2  # key, priority word
 
 
 def check_entry(key: int, priority: int, w: int) -> None:
@@ -106,17 +103,17 @@ def check_entry(key: int, priority: int, w: int) -> None:
 
 
 def entry_words(entries) -> list[int]:
-    """Lay (priority word, key, timestamp) entries out as key, priority word, timestamp."""
+    """Lay (priority word, key) entries out as key, priority word."""
     words = [0] * (ENTRY_WORDS * len(entries))
     if entries:
-        words[1::3], words[0::3], words[2::3] = zip(*entries)
+        words[1::2], words[0::2] = zip(*entries)
     return words
 
 
-def word_entries(words: list[int], lo: int, n: int) -> list[tuple[int, int, int]]:
-    """The n entries laid out from word lo, as (priority word, key, timestamp)."""
+def word_entries(words: list[int], lo: int, n: int) -> list[tuple[int, int]]:
+    """The n entries laid out from word lo, as (priority word, key)."""
     span = words[lo : lo + ENTRY_WORDS * n]
-    return list(zip(span[1::3], span[0::3], span[2::3]))
+    return list(zip(span[1::2], span[0::2]))
 
 
 class PriorityQueueBase:
@@ -153,7 +150,7 @@ class Node:
         self.rr = rr
         self.bits = bits
 
-    def pop_min(self) -> tuple[int, int, int]:
+    def pop_min(self) -> tuple[int, int]:
         return self.tops.pop(0)
 
     def set_tops(self, tops: list) -> None:
@@ -180,7 +177,7 @@ class Loaded:
         self.node = owner._read_node(x) if node is None else node
         self.dirty = dirty
 
-    def next_head(self) -> tuple[int, int, int] | None:
+    def next_head(self) -> tuple[int, int] | None:
         node = self.node
         if not node.tops and (node.buf or node.bits):
             self.owner._refill(self.x, node)
@@ -191,7 +188,7 @@ class Loaded:
         self.node.pop_min()
         self.dirty = True
 
-    def pop_next(self) -> tuple[int, int, int] | None:
+    def pop_next(self) -> tuple[int, int] | None:
         self.pop()
         return self.next_head()
 
@@ -227,20 +224,13 @@ class BufferedTree(PriorityQueueBase):
         self._prio_bias = 1 << (self.w - 1)
 
     def _setup(self, resident_words_max: int) -> None:
-        """Audit the largest image, ``[seq]`` and the resident words, against M - 2B, then start empty."""
-        resident = 1 + resident_words_max
-        if resident > self.M - 2 * self.B:
+        """Audit the largest image, the resident words, against M - 2B, then start empty."""
+        if resident_words_max > self.M - 2 * self.B:
             raise ConfigError(
                 f"M={self.M} words cannot hold {2 * self.B} words of block buffers "
-                f"plus the largest memory image ({resident} words)"
+                f"plus the largest memory image ({resident_words_max} words)"
             )
         self.clear()
-
-    def _bump(self) -> int:
-        self._seq += 1
-        if self._seq >= (1 << self.w):
-            raise EncodingError("operation counter exceeded the word width")
-        return self._seq
 
     def _flush(self, x: int, node: Node, loaded: dict[int, Node] | None = None) -> None:
         """Move the batches ``_route`` names from node x's buffer into its children
@@ -282,7 +272,7 @@ class BufferedTree(PriorityQueueBase):
             if head is not None:
                 merge.append((head, j))
         heapq.heapify(merge)
-        taken: list[tuple[int, int, int]] = []
+        taken: list[tuple[int, int]] = []
         cap = self._cap_of(x)
         while merge:
             head, j = merge[0]
@@ -305,7 +295,6 @@ class BufferedTree(PriorityQueueBase):
         return self.cap
 
     def clear(self) -> None:
-        self._seq = 0
         self._load_root_words([0] * (self.T * self.ROOT_HEADER))
 
     def nodes(self, peek: bool = False):
@@ -320,11 +309,10 @@ class BufferedTree(PriorityQueueBase):
             stack += [(c, read(c)) for i, c in enumerate(self._children(x)) if node.bits >> i & 1]
 
     def memory_image(self) -> list[int]:
-        return [self._seq] + self._root_words()
+        return self._root_words()
 
     def load_memory_image(self, words: list[int]) -> None:
-        self._seq = words[0]
-        self._load_root_words(words[1:])
+        self._load_root_words(words)
 
 
 @dataclass

@@ -29,20 +29,23 @@ Node arena layout: block 0 opens with [n_tops, n_pending, round_robin,
 tops_offset, bits, 0, 0, 0], where bit i of ``bits`` is set iff child i's
 subtree holds an entry (the fan-out is at most 8); the sorted tops region
 follows the header and the pending region sits at the fixed offset
-``HEADER_WORDS + 3 * cap``, entries packed 3 words each as ``key, priority +
-2^(w-1), timestamp``.  In memory an entry is already its stored words,
-``(priority + 2^(w-1), key, timestamp)``, which order as the entries do:
-``insert`` adds the bias, ``extract_min`` removes it, and the node codecs
-and the cursor heads only reorder words.  A leaf absorbs every batch into
-its tops, so leaves never hold pending entries: a leaf's arena holds the
-header and ``leaf_tops_cap`` entries, and the depth is chosen from that
-capacity.  The arena, ``leaf_tops_cap`` and the depth follow from ``cap``
-alone, so ``root_cap`` moves no block address.  Resident state, its memory
-image and the M-word audit live in ``base.BufferedTree``: the root words
-are ``[live, rr, n_tops, bits]`` followed by the root's tops and pending
-entries.  A node whose subtree empties is read back, once its parent's bit
-is clear, as a fresh node, so its round-robin restarts at child 0.  Merge
-scratch is host memory, not charged.
+``HEADER_WORDS + 2 * cap``, entries packed 2 words each as ``key, priority +
+2^(w-1)`` by ``base.entry_words``.  In memory an entry is ``(priority +
+2^(w-1), key)``, which orders as the entries do, since keys are unique
+among live entries: ``insert`` adds the bias, ``extract_min`` removes it,
+and the node codecs and the cursor heads only reorder words.  A leaf
+absorbs every batch into its tops, so leaves never hold pending entries: a
+leaf's arena holds the header and ``leaf_tops_cap`` entries, and the depth
+is chosen from that capacity.  The arena, ``leaf_tops_cap`` and the depth
+follow from ``cap`` alone, so ``root_cap`` moves no block address.
+Resident state, its memory image and the M-word audit live in
+``base.BufferedTree``: the root words, and so the image, are ``[live, rr,
+n_tops, bits]`` followed by the root's tops and pending entries, at most
+``ROOT_HEADER + 4 * root_cap`` words, so ``root_cap = (M - 2B -
+ROOT_HEADER) // 4`` where that exceeds ``cap``.  A node whose subtree
+empties is read back, once its parent's bit is clear, as a fresh node, so
+its round-robin restarts at child 0.  Merge scratch is host memory, not
+charged.
 
 A flushed batch that enters an internal node is sorted and split at the
 tops maximum: the entries below it join tops, which never moves the
@@ -54,8 +57,8 @@ front-first by bumping ``tops_offset``, so a refill reads only the blocks
 it merges from and writes one header block per consumed child.  The merge
 holds each decoded head until it is popped, and ``pop_next`` decodes the
 next head in place when it follows in the same block.  A head is decoded
-priority word first, so when an entry straddles two unread blocks the later
-block is probed before the earlier.
+priority word first, so when an entry straddles two unread blocks (at odd
+B) the later block is probed before the earlier.
 """
 
 from __future__ import annotations
@@ -101,7 +104,7 @@ class _Cursor:
             self.blocks[b] = blk
         return blk
 
-    def next_head(self) -> tuple[int, int, int] | None:
+    def next_head(self) -> tuple[int, int] | None:
         """Decode the head entry; a child that ran dry with more below is first handed to a ``Loaded``."""
         if self.full is not None:
             return self.full.next_head()
@@ -112,14 +115,12 @@ class _Cursor:
             if i + ENTRY_WORDS <= B:
                 blk = self._blk = self._block(b)
                 self._i = i
-                return (blk[i + 1], blk[i], blk[i + 2])
-            # The entry straddles two blocks; the priority word is read
-            # first, so the later block may be probed before the earlier.
-            prio = self._block((pos + 1) // B)[(pos + 1) % B]
-            key = self._block(b)[i]
-            ts = self._block((pos + 2) // B)[(pos + 2) % B]
+                return (blk[i + 1], blk[i])
+            # The entry straddles two blocks (odd B); the priority word is
+            # read first, so the later block may be probed before the earlier.
+            prio = self._block(b + 1)[0]
             self._i = B
-            return (prio, key, ts)
+            return (prio, self._block(b)[i])
         if self.n_pending or self.bits:
             node = self.owner._read_node(self.x, self.blocks)
             del node.tops[: self.eaten]
@@ -134,7 +135,7 @@ class _Cursor:
         else:
             self.eaten += 1
 
-    def pop_next(self) -> tuple[int, int, int] | None:
+    def pop_next(self) -> tuple[int, int] | None:
         """Consume the head entry and return the next one, as ``next_head`` would; an
         entry that follows it in the same block is decoded in place."""
         if self.full is not None:
@@ -144,7 +145,7 @@ class _Cursor:
         if i + ENTRY_WORDS <= self.B and self.eaten < self.n_tops:
             blk = self._blk
             self._i = i
-            return (blk[i + 1], blk[i], blk[i + 2])
+            return (blk[i + 1], blk[i])
         return self.next_head()
 
     def writeback(self) -> bool:
@@ -173,14 +174,14 @@ class _Pending:
         node.buf.sort()
         self.node, self.taken = node, 0
 
-    def next_head(self) -> tuple[int, int, int] | None:
+    def next_head(self) -> tuple[int, int] | None:
         buf = self.node.buf
         return buf[self.taken] if self.taken < len(buf) else None
 
     def pop(self) -> None:
         self.taken += 1
 
-    def pop_next(self) -> tuple[int, int, int] | None:
+    def pop_next(self) -> tuple[int, int] | None:
         self.taken += 1
         return self.next_head()
 
@@ -203,8 +204,8 @@ class BufferedHeap(BufferedTree):
         if self.B < HEADER_WORDS:
             raise ConfigError(f"buffered heap needs B >= {HEADER_WORDS}: a node header must fit its first block")
         self.cap = max(4, (self.M - 64) // 12)
-        # The resident root's largest image, 1 + ROOT_HEADER + 6 * root_cap words, fits in M - 2B.
-        self.root_cap = max(self.cap, (self.M - 2 * self.B - 1 - self.ROOT_HEADER) // (2 * ENTRY_WORDS))
+        # The resident root's largest image, ROOT_HEADER + 4 * root_cap words, fits in M - 2B.
+        self.root_cap = max(self.cap, (self.M - 2 * self.B - self.ROOT_HEADER) // (2 * ENTRY_WORDS))
         self.leaf_tops_cap = LEAF_TOPS_FACTOR * self.cap
         self.fanout = min(8, max(2, self.M // (2 * self.B)))
 
@@ -298,7 +299,7 @@ class BufferedHeap(BufferedTree):
         node.buf, node.rr = [], (rr + next(s for s in range(k, k + f) if math.gcd(s, f) == 1)) % f
         return [((rr + j) % f, moved[j * n // k : (j + 1) * n // k]) for j in range(k)]
 
-    def _apply(self, x: int, node: Node, batch: list[tuple[int, int, int]]) -> None:
+    def _apply(self, x: int, node: Node, batch: list[tuple[int, int]]) -> None:
         """Merge a sorted batch into a leaf's tops, or split it at an internal node's tops
         maximum into tops and pending (module docstring)."""
         tops = node.tops
@@ -338,7 +339,7 @@ class BufferedHeap(BufferedTree):
 
     def insert(self, key: int, priority: int) -> None:
         check_entry(key, priority, self.w)
-        entry = (priority + self._prio_bias, key, self._bump())
+        entry = (priority + self._prio_bias, key)
         root = self._root
         tops = root.tops
         # ``_apply``'s rule for one entry: below the tops maximum, or into a subtree holding nothing.
@@ -357,7 +358,7 @@ class BufferedHeap(BufferedTree):
             self._refill(self.ROOT, root)
             if not root.tops:
                 raise AssertionError("live count positive but no entries found")
-        word, key, _ = root.pop_min()
+        word, key = root.pop_min()
         self._live -= 1
         return key, word - self._prio_bias
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import heapq
 
 from ..errors import DuplicateKeyError, EmptyQueueError
-from .base import ENTRY_WORDS, PriorityQueueBase, entry_words, word_entries
+from .base import PriorityQueueBase
 
 
 class OracleQueue(PriorityQueueBase):
@@ -80,11 +80,14 @@ class OracleQueue(PriorityQueueBase):
         self._heap.clear()
 
     def memory_image(self) -> list[int]:
-        entries = sorted((p, k, ts) for k, (p, ts) in self._live.items())
-        return [self._clock] + entry_words(entries)
+        """``[clock]``, then the live entries in order, each as ``key, priority, timestamp``."""
+        words = [self._clock]
+        for p, k, ts in sorted((p, k, ts) for k, (p, ts) in self._live.items()):
+            words += (k, p, ts)
+        return words
 
     def load_memory_image(self, words: list[int]) -> None:
         self._clock = words[0]
         # Sorted entries already satisfy the heap invariant.
-        self._heap = word_entries(words, 1, (len(words) - 1) // ENTRY_WORDS)
+        self._heap = list(zip(words[2::3], words[1::3], words[3::3]))
         self._live = {k: (p, ts) for p, k, ts in self._heap}

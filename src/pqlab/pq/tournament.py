@@ -49,35 +49,34 @@ key is a contract violation the structure cannot detect: undefined.
 Every node, leaves included, is stored as ``[n_tops, n_sigs << 2 | bits]
 + entries + sigs``: ``bits`` holds one bit per child, set iff that child's
 subtree holds an entry or a signal (0 at a leaf), an entry is the two
-words ``key, priority + 2^(w-1)`` and a signal the three words ``kind,
-key, priority + 2^(w-1)``.  Keys are unique among live entries and in a
-node's ``tops``, so (priority, key) orders entries with no timestamp, and
-a signal needs no sequence number: a buffer keeps its signals in arrival
-order.  Node sizes follow from ``cap = (node_blocks * B - 2) // 5``.  The
+words ``key, priority + 2^(w-1)`` of ``base.entry_words`` (the heap's
+layout) and a signal the three words ``kind, key, priority + 2^(w-1)``.
+Keys are unique among live entries and in a node's ``tops``, so (priority,
+key) orders entries with no timestamp, and a signal needs no sequence
+number: a buffer keeps its signals in arrival order.  Node sizes follow from ``cap = (node_blocks * B - 2) // 5``.  The
 constructor requires ``4 * cap + 3 < 2^w``, so the second word fits in w
 bits.  A leaf is a node with no signals in a larger arena, so one pair of
 codecs reads and writes both, and the resident nodes' words too.
 In memory, entries ``(priority word, key)`` and signals ``(kind, key,
 priority word)`` already hold the stored priority word, so the codecs only
-slice; the bias 2^(w-1) is added in ``insert``/``decrease_key`` and
-removed in ``extract_min``, and delete and erase signals carry the word
+reorder words; the bias 2^(w-1) is added in ``insert``/``decrease_key``
+and removed in ``extract_min``, and delete and erase signals carry the word
 2^(w-1) (priority 0).  A ``TNode`` also holds ``keys``, a dict from each
-of its ``tops`` keys to its priority word (decoded from the entry columns,
-then kept in step by ``pop_min``/``set_tops`` and ``_apply``), so a signal
+of its ``tops`` keys to its priority word (built from ``tops`` as a node
+is decoded, then kept in step by ``pop_min``/``set_tops`` and ``_apply``), so a signal
 that misses ``tops`` costs one lookup, and one that hits it finds its
 record by bisection, not by a scan.  At a leaf, ``keys`` is the working
 record set that a batch edits before ``tops`` is sorted from it.
 
 Nodes 1..T stay in memory, where T is the largest whole-level count of
-internal nodes, 2^L - 1 < K, whose largest words fit beside ``[seq]`` and
-2B words of block buffers: ``1 + T * (2 + 5 * cap) <= M - 2B``.  Reading or
-writing one of them takes or replaces the resident ``TNode`` with no probe;
-nothing else changes, so a run's probe log is the log of the same run at
+internal nodes, 2^L - 1 < K, whose largest words fit beside 2B words of
+block buffers: ``T * (2 + 5 * cap) <= M - 2B``.  Reading or writing one of
+them takes or replaces the resident ``TNode`` with no probe; nothing else
+changes, so a run's probe log is the log of the same run at
 T = 1 with the records at nodes 2..T's addresses removed.  No option sets
 T: cap depends only on B and node_blocks, K only on B and n_hint, so M
 moves T alone (3 at (B, M) = (64, 1024) and (16, 256), 1 at (16, 192)).
-The memory image is ``[seq]``, the count of inserts, decreases and deletes
-so far, followed by nodes 1..T's words back to back, each in the node
+The memory image is nodes 1..T's words back to back, each in the node
 layout above, unpadded.
 
 The amortized cost target is O((1/B) log2 N) probes per operation, asserted
@@ -92,9 +91,8 @@ import bisect
 from itertools import chain
 
 from ..errors import ConfigError, EmptyQueueError, StructureOverflowError
-from .base import BufferedTree, Node, check_entry
+from .base import ENTRY_WORDS, BufferedTree, Node, check_entry, entry_words, word_entries
 
-ENTRY_WORDS = 2  # key, priority word
 SIG_WORDS = 3  # kind, key, priority word
 
 S_INSERT = 1
@@ -118,9 +116,9 @@ class TNode(Node):
     """A tournament node; ``keys`` maps each key in ``tops`` to its priority word."""
     __slots__ = ("keys",)
 
-    def __init__(self, tops=None, buf=None, keys=None, bits=0):
+    def __init__(self, tops=None, buf=None, bits=0):
         super().__init__(tops, buf, 0, bits)
-        self.keys = {k: p for p, k in self.tops} if keys is None else keys
+        self.keys = {k: p for p, k in self.tops}
 
     def pop_min(self) -> tuple[int, int]:
         entry = self.tops.pop(0)
@@ -168,7 +166,7 @@ class TournamentQueue(BufferedTree):
         # Nodes 1..T stay resident: the most whole levels of internal nodes whose largest words fit.
         node_words = self.ROOT_HEADER + (ENTRY_WORDS + SIG_WORDS) * cap
         t = 1
-        while 2 * t + 1 < self.K and 1 + (2 * t + 1) * node_words <= self.M - 2 * self.B:
+        while 2 * t + 1 < self.K and (2 * t + 1) * node_words <= self.M - 2 * self.B:
             t = 2 * t + 1
         self.T = t
         self._setup(t * node_words)
@@ -223,15 +221,10 @@ class TournamentQueue(BufferedTree):
         """Decode the ``[n_tops, n_sigs << 2 | bits] + entries + sigs`` node layout."""
         p = 2 + ENTRY_WORDS * words[0]
         it = iter(words[p : p + SIG_WORDS * (words[1] >> 2)])
-        keys, prios = words[2:p:2], words[3:p:2]
-        return TNode(list(zip(prios, keys)), list(zip(it, it, it)), dict(zip(keys, prios)), words[1] & 3)
+        return TNode(word_entries(words, 2, words[0]), list(zip(it, it, it)), words[1] & 3)
 
     def _node_words(self, node: Node) -> list[int]:
-        tops = node.tops
-        p = 2 + ENTRY_WORDS * len(tops)
-        words = [len(tops), len(node.buf) << 2 | node.bits] + [0] * (p - 2)
-        if tops:
-            words[3:p:2], words[2:p:2] = zip(*tops)
+        words = [len(node.tops), len(node.buf) << 2 | node.bits] + entry_words(node.tops)
         words.extend(chain.from_iterable(node.buf))
         return words
 
@@ -328,17 +321,14 @@ class TournamentQueue(BufferedTree):
 
     def insert(self, key: int, priority: int) -> None:
         check_entry(key, priority, self.w)
-        self._bump()
         self._apply(self.ROOT, self._root, ((S_INSERT, key, priority + self._prio_bias),))
 
     def decrease_key(self, key: int, priority: int) -> None:
         check_entry(key, priority, self.w)
-        self._bump()
         self._apply(self.ROOT, self._root, ((S_DEC, key, priority + self._prio_bias),))
 
     def delete(self, key: int) -> None:
         check_entry(key, 0, self.w)
-        self._bump()
         self._apply(self.ROOT, self._root, ((S_DEL, key, self._prio_bias),))
 
     def extract_min(self) -> tuple[int, int]:

@@ -332,8 +332,9 @@ def resolve_leaf_ops(tree: Tree, leaf_keys: dict[int, Sequence[int]], stop_leaf:
     of a live key bisects it out.  An extract-min leaf of height h and count
     c answers the c smallest (priority, key) pairs level by level and
     consumes only level h's front: each other answer is re-inserted at the
-    same pair, so it stays in place.  Live keys are distinct, so this is the
-    oracle's (priority, key, timestamp) order and its answers.
+    same pair, so it stays in place.  Live keys are distinct, so (priority,
+    key) is a total order: the oracle's answers, which its timestamp never
+    decides.
     """
     live: dict[int, int] = {}  # key -> priority
     levels: list[list[int]] = [[] for _ in range(tree.params.h + 1)]

@@ -7,10 +7,10 @@ import pytest
 from pqlab import BufferedHeap, Device, DeviceConfig, ReducedQueue
 from pqlab.cli import make_queue
 from pqlab.dk import augmented_key_bits
-from pqlab.errors import CapabilityError, ConfigError, DivergenceError, EmptyQueueError, EncodingError, StructureOverflowError
+from pqlab.errors import CapabilityError, ConfigError, DivergenceError, EmptyQueueError, StructureOverflowError
 from pqlab.ops import EXTRACTMIN
-from pqlab.pq.base import run_workload
-from pqlab.pq.buffered_heap import HEADER_WORDS
+from pqlab.pq.base import ENTRY_WORDS, run_workload
+from pqlab.pq.buffered_heap import HEADER_WORDS, _Cursor
 from pqlab.workload import TreeParams, Workload, insert_extract_workload, make_random_workload, materialize
 
 
@@ -112,21 +112,14 @@ def test_image_within_memory_after_every_op(B, M, w):
 
 
 def test_leaf_overflow_raises():
-    # Depth 1, 8 leaves of 20 entries; each root flush sends 18 entries in three runs of 6 to
-    # successive leaves, so the ninth flush's first run is leaf 1's fourth and overflows it.
+    # Depth 1, 8 leaves of 20 entries; each root flush sends 28 entries in five runs of 5 or 6
+    # to successive leaves, stepping by 5, so the fifth flush's last run is leaf 1's fourth
+    # and takes it to 23 entries.
     q, _ = make(B=8, M=128, n_hint=16)
-    for k in range(162):
+    for k in range(140):
         q.insert(k, k)
     with pytest.raises(StructureOverflowError, match="leaf 1 overflow"):
-        q.insert(162, 162)
-
-
-def test_counter_limit_raises():
-    q, _ = make()
-    q.insert(1, 1)
-    q.load_memory_image([(1 << 64) - 1] + q.memory_image()[1:])
-    with pytest.raises(EncodingError, match="operation counter"):
-        q.insert(2, 2)
+        q.insert(140, 140)
 
 
 def test_clear_resets_behavior():
@@ -170,13 +163,13 @@ def test_pending_entries_refill_the_root_without_a_probe():
     assert dev.probe_count == 0
 
 
-@pytest.mark.parametrize("B,M,root_cap", [(64, 1024, 148), (16, 256, 36), (16, 192, 25), (8, 128, 17)])
+@pytest.mark.parametrize("B,M,root_cap", [(64, 1024, 223), (16, 256, 55), (16, 192, 39), (8, 128, 27)])
 def test_root_cap_fills_the_audited_memory(B, M, root_cap):
     """The root's tops and pending each hold root_cap entries, the most whose
-    image, [seq], the root header and 2 * root_cap entries, fits in M - 2B."""
+    image, the root header and 2 * root_cap two-word entries, fits in M - 2B."""
     q, _ = make(B=B, M=M)
     assert q.root_cap == root_cap >= q.cap
-    assert 1 + q.ROOT_HEADER + 6 * root_cap <= M - 2 * B < 1 + q.ROOT_HEADER + 6 * (root_cap + 1)
+    assert q.ROOT_HEADER + 4 * root_cap <= M - 2 * B < q.ROOT_HEADER + 4 * (root_cap + 1)
 
 
 def _geometries():
@@ -190,7 +183,7 @@ def test_root_cap_rejects_no_geometry_a_cap_sized_root_fit():
     for B, M in _geometries():
         dev = Device(DeviceConfig(B=B, M=M, w=64))
         cap = max(4, (M - 64) // 12)
-        if B >= HEADER_WORDS and 1 + BufferedHeap.ROOT_HEADER + 6 * cap <= M - 2 * B:
+        if B >= HEADER_WORDS and BufferedHeap.ROOT_HEADER + 4 * cap <= M - 2 * B:
             assert BufferedHeap(dev, n_hint=64).root_cap >= cap, (B, M)
         else:
             with pytest.raises(ConfigError):
@@ -207,10 +200,10 @@ def test_rejects_blocks_narrower_than_the_node_header():
 
 
 def test_ascending_inserts_up_to_n_hint_fit_a_shallow_heap():
-    """At (8, 120) the depth-1 leaves hold 16 entries, one fewer than a full
+    """At (8, 120) the depth-1 leaves hold 16 entries, ten fewer than a full
     root's pending buffer plus one; the root sends it in runs, so none overflows."""
     q, _ = make(B=8, M=120, n_hint=32)
-    assert (q.depth, q.leaf_tops_cap, q.root_cap) == (1, 16, 16)
+    assert (q.depth, q.leaf_tops_cap, q.root_cap) == (1, 16, 25)
     for k in range(32):
         q.insert(k, k)
     assert [q.extract_min() for _ in range(32)] == [(k, k) for k in range(32)]
@@ -253,13 +246,13 @@ def test_full_root_tops_and_pending_extract_without_a_probe():
     """root_cap entries in tops and root_cap more in pending stay resident
     until every one is extracted."""
     q, dev = make(B=16, M=256)
-    n = 36  # root_cap at (16, 256)
+    n = 55  # root_cap at (16, 256)
     for k in range(n - 1, -1, -1):  # each beats the tops maximum, so all join tops
         q.insert(k, k)
     for k in range(n, 2 * n):
         q.insert(k, 1000 - k)
     assert (len(q._root.tops), len(q._root.buf)) == (n, n)
-    assert len(q.memory_image()) == 1 + q.ROOT_HEADER + 6 * n <= 256 - 2 * 16
+    assert len(q.memory_image()) == q.ROOT_HEADER + 4 * n <= 256 - 2 * 16
     got = [q.extract_min() for _ in range(2 * n)]
     assert got == [(k, k) for k in range(n)] + [(k, 1000 - k) for k in range(2 * n - 1, n - 1, -1)]
     assert dev.probe_count == 0
@@ -334,3 +327,29 @@ def test_leaves_hold_no_pending_and_header_tail_is_zero(B, M, traffic):
                 _assert_tops_prefix(heap, x, node, (i, x))
         assert dev.probe_count == probes  # the check read nothing through the probe counter
     assert leaf_blocks  # the replay reached the leaves
+
+
+@pytest.mark.parametrize("B", [9, 11])
+@pytest.mark.parametrize("kind", ["buffered_heap", "dk_buffered_heap"])
+def test_odd_blocks_decode_straddling_entries(kind, B):
+    """At odd B a two-word entry at word 8 + 2j can start in a block's last
+    word (j = 0 mod 9 at B = 9, j = 1 mod 11 at B = 11), so a refill's cursor
+    decodes heads that straddle two blocks; the answers still match the
+    transcript."""
+    straddled = 0
+    next_head = _Cursor.next_head
+
+    def spy(cursor):
+        nonlocal straddled
+        pos = HEADER_WORDS + ENTRY_WORDS * (cursor.off + cursor.eaten)
+        straddled += cursor.full is None and cursor.eaten < cursor.n_tops and pos % B == B - 1
+        return next_head(cursor)
+
+    wl = make_random_workload(3000, B, universe=1000, profile="mixed" if kind.startswith("dk_") else "insert_extract")
+    w = max(64, augmented_key_bits(wl.universe)) if kind.startswith("dk_") else 64
+    dev = Device(DeviceConfig(B=B, M=128, w=w))
+    queue = make_queue(kind, dev, n_hint=3000, seed=0)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_Cursor, "next_head", spy)
+        run_workload(queue, dev, wl)
+    assert straddled > 0

@@ -92,13 +92,14 @@ def test_child_bits_match_subtrees(kind, B, M):
                                         (16, 256, 1 << 10), (16, 256, 1 << 16)])
 def test_empty_image_is_seq_and_root_header_at_every_n_hint(cls, B, M, n_hint):
     # Every resident node is empty: the heap keeps its root, the tournament nodes 1..3.
+    # The image holds no operation counter, only the resident nodes' zero headers.
     q = cls(Device(DeviceConfig(B=B, M=M, w=64)), n_hint=n_hint)
     assert q.T == (3 if cls is TournamentQueue else 1)
-    assert q.memory_image() == [0] * (1 + q.T * cls.ROOT_HEADER)
+    assert q.memory_image() == [0] * (q.T * cls.ROOT_HEADER)
 
 
 def test_tournament_builds_for_the_paper_tree_at_2_12_4():
     # The paper's (beta, h, m) = (2, 12, 4) tree replays 589,824 ops.
     q = TournamentQueue(Device(DeviceConfig(B=64, M=1024, w=64)), n_hint=589_824)
-    assert q.memory_image() == [0, 0, 0] + [0, 0] * 2  # [seq], then nodes 1, 2 and 3
+    assert q.memory_image() == [0, 0] * 3  # nodes 1, 2 and 3
 

@@ -239,7 +239,7 @@ def test_comm_widens_words_for_dk_queues(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "widening words to 71 bits" in err
     # the dk tables push the images past M; the run says so instead of hiding it
-    assert "memory images reach 658 words, over M=256" in err
+    assert "memory images reach 636 words, over M=256" in err
     rows = list(csv.DictReader(open(out)))
     assert len(rows) == 2 and all(r["correct"] == "1" for r in rows)
 

@@ -134,17 +134,17 @@ def _dk_w(work: Workload) -> int:
 
 # (queue, workload, B, M) -> (probes, sha256)
 CASES = {
-    ("dk_buffered_heap", "insert_extract_3000", 16, 192): (15256, "f72a47fdb451ed58faecba711f648b009d6c3bbedcf510b75f04d430d01e0cb7"),
-    ("dk_buffered_heap", "tree_2_4_2_s1", 8, 128): (80, "813bf906966fc82b245af6358355e076b608873b099307832b08ecf89c7ac701"),
+    ("dk_buffered_heap", "insert_extract_3000", 16, 192): (10257, "53cce6bf2ec84e5b101936a991e993bb96bc96aacdde6f06e334bef719a8bfd9"),
+    ("dk_buffered_heap", "tree_2_4_2_s1", 8, 128): (39, "b95f949d42b45d0739b47b677823fa41d0dd6613b8ddf811ccfb5ee3b2c29564"),
     ("dk_buffered_heap", "tree_2_4_2_s1", 16, 256): (0, "eddbe96fa4259658dfe4a4059230c2b6d89467a42013ac474c61e78a2cc0de21"),
-    ("dk_buffered_heap", "tree_2_6_2_s5", 8, 128): (2127, "df8caf7b5afd3656cfa261f27785bd0e95cd1358b84271d8b3fef6f006e309b0"),
-    ("dk_buffered_heap", "tree_2_6_2_s5", 16, 256): (358, "c906d2101fedd40e8ebe03873e547068522aba3d217bf63d5c5a9b616b80ae78"),
+    ("dk_buffered_heap", "tree_2_6_2_s5", 8, 128): (1518, "a56928d8927b906d66a6e878619236752b3adbc0f2327f0ccd2bc6385c6eb59c"),
+    ("dk_buffered_heap", "tree_2_6_2_s5", 16, 256): (203, "62cf09e7086226fdaf4ebc7d766c64310603cc33896c2ea44d20c59a2df71ef6"),
     ("dk_buffered_heap", "tree_2_6_2_s5", 64, 1024): (0, "525cf1397e624475c431c99f9ad45a36f4ecc1aa8122851dc276b7f57a3ea150"),
     ("dk_tournament", "insert_extract_3000", 16, 192): (17427, "7f4dfe8d6d0062c7b70a2336c6faee96a469e275ff192efccc86ca04fb6d30ec"),
     ("dk_tournament", "tree_2_4_2_s1", 16, 256): (47, "56fad627667eb161acdfe1edaabf97f2e8ed6c714f4d587c580bed0690f2f86c"),
     ("dk_tournament", "tree_2_6_2_s5", 16, 256): (1002, "06ad06f7c8609bdf8e574a2d03c0653ce27f4c26d22a5adfe7a9d2d0bd31518b"),
-    ("buffered_heap", "insert_extract_3000", 8, 128): (36047, "081c88da30445047cd4abacbf7ba06fbfc16a39ad4e02df60068297ec5971f9d"),
-    ("buffered_heap", "insert_extract_3000", 16, 192): (15256, "f72a47fdb451ed58faecba711f648b009d6c3bbedcf510b75f04d430d01e0cb7"),
+    ("buffered_heap", "insert_extract_3000", 8, 128): (28555, "b64c8f9d139921187e7ba45f05b7f25e28ca8d7fc5864437984951a3a3959151"),
+    ("buffered_heap", "insert_extract_3000", 16, 192): (10257, "53cce6bf2ec84e5b101936a991e993bb96bc96aacdde6f06e334bef719a8bfd9"),
     ("tournament", "insert_extract_3000", 16, 192): (18054, "bbac12a93df34174480d0959381c3dc3c1c2b94c5656c2629e0a628b9633a474"),
     ("tournament", "mixed_arith_6000", 16, 192): (7343, "8d38b59bd605b39b0ef1249137fdc1e9054574783079ea8a0b52d7704f6af184"),
     ("tournament", "tree_2_4_2_s1", 16, 256): (80, "f2c8e4a8b1c8c7290bb8ae85cd9fd526c0ec21bd572147b35f0cce2911dc7031"),
@@ -257,8 +257,8 @@ def _prefix_digest(name: str) -> str:
 
 # queue -> sha256 of repr(memory_image()) after the insert half of insert_extract_3000 at (16, 192)
 IMAGES = {
-    "buffered_heap": "bd7c4b3013d6e562d89fbe2e8ad66ecde6a724d8efd494946df28e680e634fad",
-    "tournament": "1238783a196c0444d1cf762341fa4fa38a95985d809a522bb28e787701691757",
+    "buffered_heap": "ff666c30ba512beccc2bb8e66e1560403b313cc669f030f9f0958c8ebbc80ea6",
+    "tournament": "0843dba8be7d4d4ccb0ff332985d79f31746c0e1fd4c712e39815842dcd4cd13",
 }
 
 
@@ -277,13 +277,12 @@ def _image_digest(kind: str) -> str:
 
 # queue -> sha256 of [(addr, block)] over every address written by the first
 # 3,000 ops at (16, 192): the on-disk words, which the probe digests above
-# cannot see (a heap entry is stored as key, priority + 2^(w-1), ts, a
-# tournament entry as key, priority + 2^(w-1)).  The heaps run the insert
+# cannot see (an entry of either tree is stored as key, priority + 2^(w-1)).  The heaps run the insert
 # half of insert_extract_3000; the tournaments run mixed_arith_6000, so
 # every signal kind sits in some buffer.
 BLOCKS = {
-    "buffered_heap": "9686a11a8088f0d06f4787865f0fa7bd4807c8b008d2c1b1c167445d45cde886",
-    "dk_buffered_heap": "78883b9af423a68cf818b7323a3794b37e6ce36d6124280bc4ee8b1028abd9fc",
+    "buffered_heap": "1672a4ca06ded90bb8a7937c8626ca1085756be85cf433ebaa67244471c2eb6a",
+    "dk_buffered_heap": "b3832224d6d4c531176e286c7e092c600a6b75998ff36e2dbbd950d29898a716",
     "dk_tournament": "fcfb364bb4388e744e4d6d02cc3bdd84528617060c1038ab32bc3e453c7815be",
     "tournament": "bd54012dd7709d150726b86b4f9fbc272263b7a31af626caeabcf233a18f649a",
 }
@@ -307,9 +306,9 @@ def _block_digest(kind: str) -> str:
 def test_heap_root_image_pinned():
     """Five inserts and one extract stay in the root: no probe, so only the image shows them.
 
-    The image is [seq], then [live, rr, n_tops, bits] and the root's
-    entries as key, priority + 2^63, ts.  No child holds anything, so bits
-    is 0.
+    The image is [live, rr, n_tops, bits], then the root's entries as key,
+    priority + 2^63; the tied priorities 3 order by key.  No child holds
+    anything, so bits is 0.
     """
     dev = Device(DeviceConfig(B=16, M=192, w=64))
     heap = BufferedHeap(dev, n_hint=1024)
@@ -318,8 +317,7 @@ def test_heap_root_image_pinned():
     assert heap.extract_min() == (4, -(1 << 63))
     assert dev.probe_count == 0
     bias = 1 << 63
-    assert heap.memory_image() == [5, 4, 0, 3, 0,
-                                   9, bias - 7, 2, 2, bias + 3, 3, 5, bias + 3, 1, 7, bias + (1 << 40), 4]
+    assert heap.memory_image() == [4, 0, 3, 0, 9, bias - 7, 2, bias + 3, 5, bias + 3, 7, bias + (1 << 40)]
 
 
 def test_oracle_image_pinned():
@@ -342,9 +340,9 @@ def test_oracle_image_pinned():
 
 # queue -> sha256 of (CSV, transcript) from `pqlab comm --beta 2 --h 4 --m 2 --trials 3`
 COMM = {
-    "dk_buffered_heap": ("0c2d5e36ff24a37282192d85450df26763bef3cfcc2693aeb6706cf4bd263a4a",
+    "dk_buffered_heap": ("7c725ee15ca85ea02cea886f79cac9cbac5514f87c30fe4aaf326fe65196f51a",
                          "761a4402fd9b6e7d0da90b104abe7335820cfad9f5c59f3320283879f38dd8c0"),
-    "tournament": ("a60e05f5190b70b3ca445c90f692056ea659c93a30e1ef85f615c3496df95712",
+    "tournament": ("94847bec2cbcf9a391ae4fbd62d36c154860bc99e3e6864d66a4fea2a8b2689f",
                    "761a4402fd9b6e7d0da90b104abe7335820cfad9f5c59f3320283879f38dd8c0"),
 }
 
@@ -366,8 +364,8 @@ def _comm_digests(kind: str, tmp_path: Path) -> tuple[str, str]:
 # queue -> sha256 of every protocol run's ledger at (2,4,2), B=16, M=256, w=64:
 # the first internal node of each height, every k, seeds 0..2
 LEDGERS = {
-    "dk_buffered_heap": "037ad0a4281db9e41bb4f5a3077937cd004723fdb8e4dc5744b889cf1e711a73",
-    "tournament": "c17e62551dc25788497b32f1af76121a801079c68d58064e323a63b0fa57d94a",
+    "dk_buffered_heap": "3774037dc5319daf84875710be58ed4c098701cb25e6c6ba616c4caf97b9837c",
+    "tournament": "54adea757fac1f8c6af20df625f9ca5da03687305d0fe84343717ca757c8af4e",
 }
 
 

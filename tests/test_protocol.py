@@ -201,14 +201,14 @@ def test_dk_heap_protocol_with_intersecting_sets(height):
 def test_dk_heap_requests_match_attribution_where_it_probes(seed):
     # ACCEPT-07/08's dk heap runs at (16, 256), where its root holds every
     # entry and neither player requests a block.  At (8, 128), on the (2,6,2)
-    # tree's height-4 node, Alice requests 20 blocks and Bob 33, and each
+    # tree's height-4 node, Alice requests 28 blocks and Bob 26, and each
     # count is what the attribution charges.
     params = TreeParams(2, 6, 2, seed=0)
     v = next(n.id for n in build_tree(params).internal_nodes() if n.height == 4)
     res = run_embedding_protocol(dk_factory, params, v, 2, sample_instance(params, v, seed=seed),
                                  DeviceConfig(B=8, M=128, w=128), seed=seed)
     assert res.correct
-    assert (res.alice_requests, res.bob_requests) == (res.r_vk, res.l_vk) == (20, 33)
+    assert (res.alice_requests, res.bob_requests) == (res.r_vk, res.l_vk) == (28, 26)
 
 
 def test_prefix_distribution_matches_materialize():
@@ -324,8 +324,9 @@ def recorded_run(factory, monkeypatch, cfg=CFG):
 
 
 # At CFG the dk heap's root holds this run's every entry, so its players would
-# probe nothing; at (8, 128) both players' segments probe.
-PLAYER_CASES = [(tournament_factory, CFG), (dk_factory, DeviceConfig(B=8, M=128, w=64))]
+# probe nothing, and at (8, 128) Alice's segment would; at (8, 96) both
+# players' segments probe.
+PLAYER_CASES = [(tournament_factory, CFG), (dk_factory, DeviceConfig(B=8, M=96, w=64))]
 
 
 @pytest.mark.parametrize("factory,cfg", PLAYER_CASES, ids=["tournament", "dk_heap"])

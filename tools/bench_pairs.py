@@ -21,18 +21,21 @@ counted over a failing side.
 
     python3 tools/bench_pairs.py --diff --base REV --change REV [--declared]
 
-``--diff`` replays a fixed grid of 306 cases on both checkouts instead,
+``--diff`` replays a fixed grid of 296 cases on both checkouts instead,
 through the public API only (``make_queue``, ``run_workload``,
 ``memory_image``, ``peek_block``).  At each (B, M) of ``DIFF_GEOMETRIES`` it
 runs ``DIFF_SEEDS`` seeds of ``DIFF_OPS``-op random workloads over a
 universe of ``DIFF_OPS`` on all four queues (``mixed`` traffic,
-``insert_extract`` for the plain heap), the ``DIFF_TREES`` trees on the
-three queues that take Delete, and ``DIFF_TIED_SEEDS`` seeds of
-``DIFF_OPS``-op ``mixed`` workloads over a universe of ``DIFF_TIED_UNIVERSE``
-on the two tournaments, where most priorities tie.  A random case's spec
-carries its universe.  It prints one line per case: both probe counts, their
-delta and the first op whose probes differ, then one probe-total line per
-queue and the grand total.  A case fails when either side
+``insert_extract`` for the plain heap) and the ``DIFF_TREES`` trees on the
+three queues that take Delete.  At ``DIFF_TIED_GEOMETRY`` alone, where
+every queue's tied cases reach the disk, it adds ``DIFF_TIED_SEEDS`` seeds
+of tied cases on all four queues, where most priorities tie: ``DIFF_OPS``-op
+``mixed`` workloads over a universe of ``DIFF_TIED_UNIVERSE``, and for the
+plain heap a fill and drain of ``DIFF_OPS // 2`` keys with priorities below
+``DIFF_TIED_UNIVERSE``.  A random case's spec carries its universe.  It
+prints one line per case: both probe counts, their delta and the first op
+whose probes differ, then one probe-total line per queue and the grand
+total with the count of cases that made no probe on either side.  A case fails when either side
 raises or the answers differ, and, unless ``--declared``, when the probe
 log, the final memory image or the written blocks differ; with
 ``--declared`` (a declared probe-cost change) a case fails only if the
@@ -60,16 +63,17 @@ DIFF_GEOMETRIES = ((8, 128), (16, 256), (64, 1024))
 DIFF_TREES = ((2, 4, 2), (2, 6, 2), (3, 4, 2), (2, 8, 2))
 DIFF_TIED_SEEDS = 5
 DIFF_TIED_UNIVERSE = 64
+DIFF_TIED_GEOMETRY = (8, 128)
 
 # Run in each checkout with the grid as argv[1]; prints one JSON record per case.
 DIFF_SCRIPT = """
-import hashlib, json, sys
+import hashlib, json, random, sys
 from pqlab import Device, DeviceConfig
 from pqlab.cli import make_queue
 from pqlab.device import WRITE
 from pqlab.dk import augmented_key_bits
 from pqlab.pq.base import run_workload
-from pqlab.workload import TreeParams, make_random_workload, materialize
+from pqlab.workload import TreeParams, insert_extract_workload, make_random_workload, materialize
 
 def sha(obj):
     return hashlib.sha256(repr(obj).encode()).hexdigest()
@@ -77,6 +81,10 @@ def sha(obj):
 for queue, spec, B, M in json.loads(sys.argv[1]):
     if spec[0] == "tree":
         wl = materialize(TreeParams(*spec[1:]))
+    elif spec[0] == "fill_drain":  # n distinct keys inserted, priorities below the universe, then extracted
+        n, seed, universe = spec[1:]
+        rng = random.Random(seed)
+        wl = insert_extract_workload(rng.sample(range(n), n), [rng.randrange(universe) for _ in range(n)], n, seed)
     else:
         wl = make_random_workload(spec[2], spec[3], universe=spec[4], profile=spec[1])
     w = max(64, augmented_key_bits(wl.universe)) if queue.startswith("dk_") else 64
@@ -163,9 +171,10 @@ def diff_grid() -> list:
             grid += [[queue, ["random", profile, DIFF_OPS, seed, DIFF_OPS], B, M] for seed in range(DIFF_SEEDS)]
             if queue != "buffered_heap":
                 grid += [[queue, ["tree", *shape, 1], B, M] for shape in DIFF_TREES]
-            if queue.endswith("tournament"):
-                grid += [[queue, ["random", "mixed", DIFF_OPS, seed, DIFF_TIED_UNIVERSE], B, M]
-                         for seed in range(DIFF_TIED_SEEDS)]
+            if (B, M) == DIFF_TIED_GEOMETRY:
+                tied = (["fill_drain", DIFF_OPS // 2] if queue == "buffered_heap"
+                        else ["random", "mixed", DIFF_OPS])
+                grid += [[queue, [*tied, seed, DIFF_TIED_UNIVERSE], B, M] for seed in range(DIFF_TIED_SEEDS)]
     return grid
 
 
@@ -186,7 +195,7 @@ def diff(trees: dict[str, Path], declared: bool) -> int:
         if proc.returncode != 0:
             raise SystemExit(f"error: the diff script exited with {proc.returncode} on {side}")
         results[side] = [json.loads(line) for line in out.splitlines()]
-    failed = 0
+    failed = idle = 0
     per_queue: dict[str, list[int]] = {}  # queue -> [base probes, change probes, cases, cases with fewer]
     for (queue, spec, B, M), base, change in zip(grid, results["base"], results["change"]):
         name = f"{queue} {'_'.join(map(str, spec))} B={B} M={M}"
@@ -203,13 +212,15 @@ def diff(trees: dict[str, Path], declared: bool) -> int:
         for i, n in enumerate((base["probes"], change["probes"], 1, delta < 0)):
             q[i] += n
         failed += bool(bad)
+        idle += base["probes"] == change["probes"] == 0
         op = first_diff_op(base["ops"], change["ops"])
         print(f"{name}: {base['probes']} -> {change['probes']} ({delta:+d}), first differing op "
               f"{'-' if op is None else op}{'  FAIL: ' + '; '.join(bad) if bad else ''}")
     for queue, (b, c, n, f) in per_queue.items():
         print(f"{queue}: probes {b} -> {c} ({c - b:+d}), {f} of {n} cases with fewer probes")
     b, c, n, f = (sum(col) for col in zip(*per_queue.values()))
-    print(f"{n} cases, {failed} failed, {f} with fewer probes; probes {b} -> {c}"
+    print(f"{n} cases, {failed} failed, {f} with fewer probes, {idle} with no probe on either side; "
+          f"probes {b} -> {c}"
           f"{' (declared probe-cost change)' if declared else ''}")
     return 1 if failed else 0
 
