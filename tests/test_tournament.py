@@ -84,9 +84,10 @@ def test_matches_oracle_across_geometries(cfg):
 
 
 def _tied_workload(profile: str, seed: int) -> Workload:
-    """3000 ops whose priorities lie in [0, 64).  ``fill_drain`` (Insert and
+    """Ops whose priorities lie in [0, 64).  ``fill_drain`` (Insert and
     ExtractMin only) inserts 1000 distinct keys and then extracts them all, so
-    all of them are live at once; the random profiles draw keys from [0, 64)."""
+    all of them are live at once; the random profiles run 3000 ops over keys
+    in [0, 64)."""
     if profile == "fill_drain":
         rng = random.Random(seed)
         return insert_extract_workload(rng.sample(range(1000), 1000), [rng.randrange(64) for _ in range(1000)],
@@ -110,7 +111,8 @@ def test_tied_priorities_match_transcript(profile, kind, B, M):
         dev = Device(DeviceConfig(B=B, M=M, w=max(64, w)))
         run_workload(make_queue(kind, dev, n_hint=3000, seed=seed), dev, wl)
         probes += dev.probe_count
-    assert probes or (B, M) != (8, 128)
+    if (B, M) == (8, 128):
+        assert probes
 
 
 def test_deep_cascades_tiny_buffers():
