@@ -53,8 +53,9 @@ class Device:
 
     A device instance is single-threaded; independent trials use independent
     devices.  ``peek_block``/``poke_block`` bypass the log and exist only for
-    replication plumbing (state snapshots, protocol content transfer); they
-    are not part of the cost model.
+    replication plumbing (state snapshots, protocol content transfer) and,
+    ``peek_block`` alone, for the probe-free node walk
+    ``BufferedTree.nodes(peek=True)``; they are not part of the cost model.
     """
 
     def __init__(self, config: DeviceConfig):

@@ -50,7 +50,14 @@ without a probe, so ``clear()``, which empties the resident nodes, leaves
 every node on disk unreachable at no cost, and ``nodes(peek=True)`` walks
 every node behind set bits without a probe.  A subclass gives
 ``_children(x)``, the resident words' layout, and how a node other than
-the root is read, peeked and written.
+the root is decoded and encoded.
+
+``BufferedTree._load``/``_store`` are the one site in ``pq/`` that reaches
+the device.  Both take word spans [lo, hi) of node x's arena, whole blocks
+from block ``_addr(x)``: ``_load`` reads each block a span covers that its
+block map lacks (through ``peek_block`` for the probe-free walk), and
+``_store`` zero-pads the words to whole blocks and writes every block a
+span touches, in ascending block order.
 
 The base also runs both tree walks, and each walk holds the parent of every
 child it changes, so it keeps the parent's bits exact at no extra probe.  A
@@ -205,8 +212,9 @@ class BufferedTree(PriorityQueueBase):
     Subclasses set ``ROOT`` (the root's id), ``ROOT_HEADER`` (the length of
     their root words' header, which reads all-zero as an empty root), ``T``
     when more than the root is resident, and ``cap`` (the most entries a
-    refill takes where ``_cap_of`` gives no other), and define ``_children``,
-    ``_root_words``/``_load_root_words``, ``_read_node``/``_peek_node``/``_write_node``,
+    refill takes where ``_cap_of`` gives no other), and define ``_addr`` (a
+    node's first block), ``_children``, the codecs ``_root_words``/
+    ``_load_root_words`` and ``_read_node(x, peek)``/``_write_node``,
     ``_route`` and ``_apply``.
     """
 
@@ -294,6 +302,26 @@ class BufferedTree(PriorityQueueBase):
     def _cap_of(self, x: int) -> int:  # the most entries node x's tops take in a refill
         return self.cap
 
+    def _load(self, x: int, lo: int, hi: int, blocks: dict, peek: bool = False) -> dict:
+        """Read into ``blocks`` (block index -> words), through ``peek_block`` with ``peek``,
+        each block of node x's arena that the word span [lo, hi) covers and ``blocks`` lacks."""
+        if hi > lo:
+            read = self.device.peek_block if peek else self.device.read_block
+            base, B = self._addr(x), self.B
+            for b in range(lo // B, (hi - 1) // B + 1):
+                if b not in blocks:
+                    blocks[b] = read(base + b)
+        return blocks
+
+    def _store(self, x: int, words: list[int], spans) -> None:
+        """Zero-pad node x's ``words`` to whole blocks and write, in ascending order, each block a span touches."""
+        B = self.B
+        words += [0] * (-len(words) % B)
+        touched = {b for lo, hi in spans if hi > lo for b in range(lo // B, (hi - 1) // B + 1)}
+        write, base = self.device.write_block, self._addr(x)
+        for b in sorted(touched):
+            write(base + b, words[b * B : (b + 1) * B])
+
     def clear(self) -> None:
         self._load_root_words([0] * (self.T * self.ROOT_HEADER))
 
@@ -301,12 +329,11 @@ class BufferedTree(PriorityQueueBase):
         """Yield ``(x, node)`` for the root and every node reachable through set
         bits, each before its children.  Resident nodes come from memory; with
         ``peek`` the others are decoded through ``peek_block``, at no probe."""
-        read = self._peek_node if peek else self._read_node
         stack = [(self.ROOT, self._root)]
         while stack:
             x, node = stack.pop()
             yield x, node
-            stack += [(c, read(c)) for i, c in enumerate(self._children(x)) if node.bits >> i & 1]
+            stack += [(c, self._read_node(c, peek)) for i, c in enumerate(self._children(x)) if node.bits >> i & 1]
 
     def memory_image(self) -> list[int]:
         return self._root_words()

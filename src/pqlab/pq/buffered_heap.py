@@ -90,18 +90,17 @@ class _Cursor:
         self.owner = owner
         self.x = x
         self.B = owner.B
-        words0 = owner._read_block_of(x, 0)
-        self.blocks = {0: words0}
+        self.blocks = owner._load(x, 0, HEADER_WORDS, {})
+        words0 = self.blocks[0]
         self.n_tops, self.n_pending, _, self.off, self.bits = words0[:5]
         self.eaten = 0
         self.full: Loaded | None = None
         self._blk, self._i = words0, self.B  # the head's block and word index, if it lies in one
 
-    def _block(self, b: int) -> list[int]:
+    def _block(self, b: int) -> tuple[int, ...]:
         blk = self.blocks.get(b)
         if blk is None:
-            blk = self.owner._read_block_of(self.x, b)
-            self.blocks[b] = blk
+            blk = self.owner._load(self.x, b * self.B, b * self.B + 1, self.blocks)[b]
         return blk
 
     def next_head(self) -> tuple[int, int] | None:
@@ -122,7 +121,7 @@ class _Cursor:
             self._i = B
             return (prio, self._block(b)[i])
         if self.n_pending or self.bits:
-            node = self.owner._read_node(self.x, self.blocks)
+            node = self.owner._read_node(self.x, blocks=self.blocks)
             del node.tops[: self.eaten]
             self.full = Loaded(self.owner, self.x, node)
             return self.full.next_head()
@@ -153,10 +152,10 @@ class _Cursor:
         if self.full is not None:
             return self.full.writeback()
         if self.eaten:
-            o, words0 = self.owner, self.blocks[0]
+            words0 = list(self.blocks[0])
             words0[0] = self.n_tops - self.eaten
             words0[3] = self.off + self.eaten
-            o.device.write_block(o._node_base(self.x), words0)
+            self.owner._store(self.x, words0, ((0, HEADER_WORDS),))
         return bool(self.eaten < self.n_tops or self.n_pending or self.bits)
 
 
@@ -219,7 +218,7 @@ class BufferedHeap(BufferedTree):
         self._pending_at = HEADER_WORDS + ENTRY_WORDS * self.cap  # leaves hold no pending entries
         self._internal_blocks = self._blocks_for(HEADER_WORDS + ENTRY_WORDS * (2 * self.cap))
         self._leaf_blocks = self._blocks_for(HEADER_WORDS + ENTRY_WORDS * self.leaf_tops_cap)
-        if self._node_base(self.n_nodes) >= device.config.word_limit:
+        if self._addr(self.n_nodes) >= device.config.word_limit:
             raise ConfigError("address space too small for the heap arena; increase w")
         self._setup(self.ROOT_HEADER + 2 * ENTRY_WORDS * self.root_cap)
 
@@ -238,57 +237,36 @@ class BufferedHeap(BufferedTree):
     def _is_leaf(self, x: int) -> bool:
         return x >= self.first_leaf
 
-    def _node_base(self, x: int) -> int:
+    def _addr(self, x: int) -> int:
         if x <= self.first_leaf:
             return x * self._internal_blocks
         return self.first_leaf * self._internal_blocks + (x - self.first_leaf) * self._leaf_blocks
 
     # -- node I/O ---------------------------------------------------------------
 
-    def _read_block_of(self, x: int, b: int) -> list[int]:
-        return list(self.device.read_block(self._node_base(x) + b))
-
-    def _read_span(self, x: int, lo: int, hi: int, cache: dict[int, list[int]]) -> None:
-        if hi <= lo:
-            return
-        for b in range(lo // self.B, (hi - 1) // self.B + 1):
-            if b not in cache:
-                cache[b] = self._read_block_of(x, b)
-
-    def _read_node(self, x: int, cache: dict[int, list[int]] | None = None) -> Node:
-        """Decode node x, reading only the blocks ``cache`` (block index -> words) lacks."""
-        if cache is None:
-            cache = {0: self._read_block_of(x, 0)}
-        n_tops, n_pending, rr, off, bits = cache[0][:5]
+    def _read_node(self, x: int, peek: bool = False, blocks: dict | None = None) -> Node:
+        """Decode node x, loading the blocks of its header, tops and pending spans that ``blocks`` lacks."""
+        blocks = self._load(x, 0, HEADER_WORDS, {} if blocks is None else blocks, peek)
+        n_tops, n_pending, rr, off, bits = blocks[0][:5]
         lo = HEADER_WORDS + ENTRY_WORDS * off
         pb = self._pending_at
-        self._read_span(x, lo, lo + ENTRY_WORDS * n_tops, cache)
-        self._read_span(x, pb, pb + ENTRY_WORDS * n_pending, cache)
+        self._load(x, lo, lo + ENTRY_WORDS * n_tops, blocks, peek)
+        self._load(x, pb, pb + ENTRY_WORDS * n_pending, blocks, peek)
         B = self.B
-        words = [0] * ((max(cache) + 1) * B)
-        for b, blk in cache.items():
+        words = [0] * ((max(blocks) + 1) * B)
+        for b, blk in blocks.items():
             words[b * B : (b + 1) * B] = blk
         return Node(word_entries(words, lo, n_tops), word_entries(words, pb, n_pending), rr, bits)
-
-    def _peek_node(self, x: int) -> Node:
-        n = self._leaf_blocks if self._is_leaf(x) else self._internal_blocks
-        base = self._node_base(x)
-        return self._read_node(x, {b: list(self.device.peek_block(base + b)) for b in range(n)})
 
     def _write_node(self, x: int, node: Node) -> None:
         pb = self._pending_at
         t_end = HEADER_WORDS + ENTRY_WORDS * len(node.tops)
         p_end = pb + ENTRY_WORDS * len(node.buf)
-        words = [0] * (self._blocks_for(max(t_end, p_end)) * self.B)
+        words = [0] * max(t_end, p_end)
         words[:5] = len(node.tops), len(node.buf), node.rr, 0, node.bits
         words[HEADER_WORDS:t_end] = entry_words(node.tops)
         words[pb:p_end] = entry_words(node.buf)
-        touched = set(range(0, (t_end - 1) // self.B + 1))
-        if node.buf:
-            touched.update(range(pb // self.B, (p_end - 1) // self.B + 1))
-        base = self._node_base(x)
-        for b in sorted(touched):
-            self.device.write_block(base + b, words[b * self.B : (b + 1) * self.B])
+        self._store(x, words, ((0, t_end), (pb, p_end)))
 
     # -- arrival and flush ---------------------------------------------------------
 

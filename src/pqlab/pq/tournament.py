@@ -186,31 +186,20 @@ class TournamentQueue(BufferedTree):
             return self._leaf_base + (x - self.K) * self.leaf_blocks
         return (x - 1) * self.node_blocks
 
-    def _read_node(self, x: int, read=None) -> TNode:
-        """Node x: resident, or decoded from the blocks ``read`` (a probe by default) returns."""
+    def _read_node(self, x: int, peek: bool = False) -> TNode:
+        """Node x: resident, or decoded from the blocks its first block's header spans."""
         if x <= self.T:
             return self._resident[x]
-        read = read or self.device.read_block
-        base = self._addr(x)
-        words = list(read(base))
-        for i in range(1, -(-self._n_words(words) // self.B)):
-            words.extend(read(base + i))
-        return self._node_from_words(words)
-
-    def _peek_node(self, x: int) -> TNode:
-        return self._read_node(x, self.device.peek_block)
+        blocks = self._load(x, 0, 1, {}, peek)
+        self._load(x, self.B, self._n_words(blocks[0]), blocks, peek)
+        return self._node_from_words(sum(blocks.values(), ()))
 
     def _write_node(self, x: int, node: Node) -> None:
         if x <= self.T:
             self._resident[x] = node
             return
         words = self._node_words(node)
-        B = self.B
-        words += [0] * (-len(words) % B)
-        blocks = [tuple(words[i : i + B]) for i in range(0, len(words), B)]
-        write = self.device.write_block
-        for addr, block in enumerate(blocks, self._addr(x)):
-            write(addr, block)
+        self._store(x, words, ((0, len(words)),))
 
     @staticmethod
     def _n_words(words: list[int], p: int = 0) -> int:

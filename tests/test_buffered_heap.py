@@ -316,7 +316,7 @@ def test_leaves_hold_no_pending_and_header_tail_is_zero(B, M, traffic):
         probes = dev.probe_count
         for x, node in heap.nodes(peek=True):
             if x != heap.ROOT:
-                header = dev.peek_block(heap._node_base(x))[:8]
+                header = dev.peek_block(heap._addr(x))[:8]
                 assert header[5:] == (0, 0, 0), (x, header)
                 assert node.holds(), (x, header)  # a set bit leads to a subtree holding entries
             if heap._is_leaf(x):

@@ -61,6 +61,18 @@ def test_decrease_min_rule():
     assert q.extract_min() == (4, 3)
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 5: DecreaseKey on an absent key is undefined; a decrease that beats "
+                          "the tops maximum adopts a record for a key that was never inserted")
+@pytest.mark.parametrize("seed", range(4))
+def test_decrease_of_an_absent_key_extracts_no_phantom(seed):
+    q, _ = make(seed=seed)
+    for k in range(50):
+        q.insert(k, 1000 + k)
+    q.decrease_key(999999, 0)  # never inserted
+    assert q.extract_min() == (0, 1000)
+
+
 def test_rejects_tiny_blocks():
     dev = Device(DeviceConfig(B=4, M=64, w=64))
     with pytest.raises(ConfigError):

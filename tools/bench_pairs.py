@@ -34,10 +34,12 @@ of tied cases on all four queues, where most priorities tie: ``DIFF_OPS``-op
 plain heap a fill and drain of ``DIFF_OPS // 2`` keys with priorities below
 ``DIFF_TIED_UNIVERSE``.  A random case's spec carries its universe.  It
 prints one line per case: both probe counts, their delta and the first op
-whose probes differ, then one probe-total line per queue and the grand
-total with the count of cases that made no probe on either side.  A case fails when either side
-raises or the answers differ, and, unless ``--declared``, when the probe
-log, the final memory image or the written blocks differ; with
+whose probes differ, then one probe-total line per queue, one line naming
+each case that made no probe on either side (it compares only answers and
+final images), and a summary line: the case, failure and no-probe counts,
+the grand probe totals and each side's ``src_lines``.  A case fails when
+either side raises or the answers differ, and, unless ``--declared``, when
+the probe log, the final memory image or the written blocks differ; with
 ``--declared`` (a declared probe-cost change) a case fails only if the
 change makes more probes.  It exits 1 if any case fails.
 """
@@ -195,7 +197,7 @@ def diff(trees: dict[str, Path], declared: bool) -> int:
         if proc.returncode != 0:
             raise SystemExit(f"error: the diff script exited with {proc.returncode} on {side}")
         results[side] = [json.loads(line) for line in out.splitlines()]
-    failed = idle = 0
+    failed, idle = 0, []
     per_queue: dict[str, list[int]] = {}  # queue -> [base probes, change probes, cases, cases with fewer]
     for (queue, spec, B, M), base, change in zip(grid, results["base"], results["change"]):
         name = f"{queue} {'_'.join(map(str, spec))} B={B} M={M}"
@@ -212,16 +214,20 @@ def diff(trees: dict[str, Path], declared: bool) -> int:
         for i, n in enumerate((base["probes"], change["probes"], 1, delta < 0)):
             q[i] += n
         failed += bool(bad)
-        idle += base["probes"] == change["probes"] == 0
+        if base["probes"] == change["probes"] == 0:
+            idle.append(name)
         op = first_diff_op(base["ops"], change["ops"])
         print(f"{name}: {base['probes']} -> {change['probes']} ({delta:+d}), first differing op "
               f"{'-' if op is None else op}{'  FAIL: ' + '; '.join(bad) if bad else ''}")
     for queue, (b, c, n, f) in per_queue.items():
         print(f"{queue}: probes {b} -> {c} ({c - b:+d}), {f} of {n} cases with fewer probes")
     b, c, n, f = (sum(col) for col in zip(*per_queue.values()))
-    print(f"{n} cases, {failed} failed, {f} with fewer probes, {idle} with no probe on either side; "
-          f"probes {b} -> {c}"
-          f"{' (declared probe-cost change)' if declared else ''}")
+    for name in idle:
+        print(f"no probe on either side: {name}")
+    lines = {side: src_lines(tree) for side, tree in trees.items()}
+    print(f"{n} cases, {failed} failed, {f} with fewer probes, {len(idle)} with no probe on either side; "
+          f"probes {b} -> {c}{' (declared probe-cost change)' if declared else ''}; "
+          f"src lines {lines['base']} -> {lines['change']} ({lines['change'] - lines['base']:+d})")
     return 1 if failed else 0
 
 
