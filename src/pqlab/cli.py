@@ -7,7 +7,8 @@ comm (two-phase protocol runs), obs1 (singleton-bucket check), bench (probe
 envelope regression).
 All randomness descends from the single --seed via numpy SeedSequence
 spawning; every CSV row carries the seed, the parameter set, and the
-package version.
+package version, except the rows of comm's --transcript dump (index,
+sender, phase, kind, bits), whose bytes are pinned.
 """
 
 from __future__ import annotations
@@ -284,7 +285,7 @@ def cmd_bench(args) -> int:
         bound = 20 * (n / cfg.B) * (1 + math.log(max(n, cfg.M) / cfg.M, cfg.M / cfg.B))
         ok = rep.probes_total <= bound
         status |= 0 if ok else 1
-        rows.append(["buffered_heap", n, cfg.B, cfg.M, rep.probes_total, f"{bound:.0f}", int(ok)])
+        rows.append(["buffered_heap", n, cfg.B, cfg.M, cfg.w, args.seed, rep.probes_total, f"{bound:.0f}", int(ok)])
         print(f"buffered_heap: {rep.probes_total} probes vs bound {bound:.0f} -> {'ok' if ok else 'EXCEEDED'}")
     if args.queue in ("tournament", "all"):
         wl = make_random_workload(n, args.seed + 1, universe=1 << 20, profile="mixed")
@@ -293,9 +294,9 @@ def cmd_bench(args) -> int:
         bound = 20 * (n / cfg.B) * math.log2(n)
         ok = rep.probes_total <= bound
         status |= 0 if ok else 1
-        rows.append(["tournament", n, cfg.B, cfg.M, rep.probes_total, f"{bound:.0f}", int(ok)])
+        rows.append(["tournament", n, cfg.B, cfg.M, cfg.w, args.seed, rep.probes_total, f"{bound:.0f}", int(ok)])
         print(f"tournament: {rep.probes_total} probes vs bound {bound:.0f} -> {'ok' if ok else 'EXCEEDED'}")
-    _write_rows(args.out, ["structure", "N", "B", "M", "probes", "bound", "ok"], rows)
+    _write_rows(args.out, ["structure", "N", "B", "M", "w", "seed", "probes", "bound", "ok"], rows)
     return status
 
 

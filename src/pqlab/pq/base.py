@@ -37,20 +37,27 @@ key) is total and no timestamp is stored.  ``entry_words``/``word_entries``
 are the one codec between the two, and only reorder words.  The walks below
 compare these tuples.
 
-``BufferedTree`` is the resident half of both external queues (the buffered
-heap and the tournament).  It owns the M-word memory, ``T`` resident nodes:
-the root and, in the tournament, the whole levels below it that fit.  The
-memory image is the subclass's words for the resident nodes, and the
-constructor audit charges the largest image that layout can produce plus 2B
-words of block buffers against M, so an accepted queue's image never exceeds M - 2B
-words, whatever N is.  Every node carries ``bits``, one bit per child,
-stored in its header: bit i is set iff child i's subtree holds an entry or
-a buffered item.  A child whose bit is clear is read as an empty node
-without a probe, so ``clear()``, which empties the resident nodes, leaves
-every node on disk unreachable at no cost, and ``nodes(peek=True)`` walks
-every node behind set bits without a probe.  A subclass gives
-``_children(x)``, the resident words' layout, and how a node other than
-the root is decoded and encoded.
+``BufferedTree`` is the one tree shape and the resident half of both
+external queues (the buffered heap and the tournament).  The tree is a
+complete ``fanout``-ary tree numbered level by level from ``ROOT``, its
+leaves from ``first_leaf`` on; node x's arena is ``node_blocks`` blocks
+(``leaf_blocks`` at a leaf) from block ``_addr(x)``, the internal nodes'
+arenas first, so the ``n_nodes`` arenas tile blocks [0, ``_addr(ROOT +
+n_nodes)``), a bound the constructor audits against 2^w.  The base owns
+the M-word memory, ``T`` resident nodes: the root and, in the tournament,
+the whole levels below it that fit.  The memory image is the subclass's
+words for the resident nodes, and the constructor audit charges the largest
+image that layout can produce plus 2B words of block buffers against M, so
+an accepted queue's image never exceeds M - 2B words, whatever N is.  Every
+node carries ``bits``, one bit per child, stored in its header: bit i is
+set iff child i's subtree holds an entry or a buffered item.  A child whose
+bit is clear is read as an empty node without a probe, so ``clear()``,
+which empties the resident nodes, leaves every node on disk unreachable at
+no cost, and ``nodes(peek=True)`` walks every node behind set bits without
+a probe.  A subclass gives the sizes above, its node layouts (the resident
+words' ``memory_image``/``load_memory_image`` and the on-disk node's
+``_read_node``/``_write_node``) and its node rules (``_route``,
+``_apply`` and the operations).
 
 ``BufferedTree._load``/``_store`` are the one site in ``pq/`` that reaches
 the device.  Both take word spans [lo, hi) of node x's arena, whole blocks
@@ -94,7 +101,7 @@ import heapq
 from dataclasses import dataclass, field
 from itertools import count
 
-from ..errors import CapabilityError, ConfigError, DivergenceError, EncodingError
+from ..errors import CapabilityError, ConfigError, DivergenceError, EncodingError, StructureOverflowError
 from ..ops import DECREASE, DELETE, EXTRACTMIN, INSERT, NO_LEAF, OP_NAMES
 
 ENTRY_WORDS = 2  # key, priority word
@@ -207,15 +214,15 @@ class Loaded:
 
 
 class BufferedTree(PriorityQueueBase):
-    """Resident state, memory image, M-word audit and tree walks of an on-disk buffered tree.
+    """Tree shape, resident state, audits, block I/O and tree walks of an on-disk buffered tree.
 
-    Subclasses set ``ROOT`` (the root's id), ``ROOT_HEADER`` (the length of
-    their root words' header, which reads all-zero as an empty root), ``T``
-    when more than the root is resident, and ``cap`` (the most entries a
-    refill takes where ``_cap_of`` gives no other), and define ``_addr`` (a
-    node's first block), ``_children``, the codecs ``_root_words``/
-    ``_load_root_words`` and ``_read_node(x, peek)``/``_write_node``,
-    ``_route`` and ``_apply``.
+    Subclasses set the sizes ``ROOT``, ``fanout``, ``first_leaf``,
+    ``n_nodes``, ``node_blocks`` and ``leaf_blocks`` (module docstring),
+    ``ROOT_HEADER`` (the length of their root words' header, which reads
+    all-zero as an empty root), ``T`` when more than the root is resident,
+    and ``cap`` (the most entries a refill takes where ``_cap_of`` gives no
+    other).  They define the codecs ``memory_image``/``load_memory_image``
+    and ``_read_node(x, peek)``/``_write_node``, and ``_route`` and ``_apply``.
     """
 
     ROOT: int
@@ -232,7 +239,11 @@ class BufferedTree(PriorityQueueBase):
         self._prio_bias = 1 << (self.w - 1)
 
     def _setup(self, resident_words_max: int) -> None:
-        """Audit the largest image, the resident words, against M - 2B, then start empty."""
+        """Audit the arena against w-bit addresses and the largest image, the
+        resident words, against M - 2B, then start empty."""
+        blocks = self._addr(self.ROOT + self.n_nodes)
+        if blocks >= self.device.config.word_limit:
+            raise ConfigError(f"{self.w}-bit words too narrow to address a {blocks}-block tree arena; increase w")
         if resident_words_max > self.M - 2 * self.B:
             raise ConfigError(
                 f"M={self.M} words cannot hold {2 * self.B} words of block buffers "
@@ -302,6 +313,30 @@ class BufferedTree(PriorityQueueBase):
     def _cap_of(self, x: int) -> int:  # the most entries node x's tops take in a refill
         return self.cap
 
+    # -- tree shape ---------------------------------------------------------------
+
+    def _children(self, x: int) -> range:
+        first = self.fanout * (x - self.ROOT) + self.ROOT + 1
+        return range(first, first + self.fanout)
+
+    def _is_leaf(self, x: int) -> bool:
+        return x >= self.first_leaf
+
+    def _blocks_for(self, words: int) -> int:
+        return (words + self.B - 1) // self.B
+
+    def _addr(self, x: int) -> int:
+        """Node x's first block: ``node_blocks`` per internal node from ``ROOT``, then ``leaf_blocks`` per leaf."""
+        if x <= self.first_leaf:
+            return (x - self.ROOT) * self.node_blocks
+        return (self.first_leaf - self.ROOT) * self.node_blocks + (x - self.first_leaf) * self.leaf_blocks
+
+    @staticmethod
+    def _check_leaf(x: int, n: int, cap: int) -> None:
+        """Raise StructureOverflowError if leaf x holds more than its ``cap`` entries."""
+        if n > cap:
+            raise StructureOverflowError(f"leaf {x} overflow ({n} entries); construct with a larger n_hint")
+
     def _load(self, x: int, lo: int, hi: int, blocks: dict, peek: bool = False) -> dict:
         """Read into ``blocks`` (block index -> words), through ``peek_block`` with ``peek``,
         each block of node x's arena that the word span [lo, hi) covers and ``blocks`` lacks."""
@@ -323,7 +358,7 @@ class BufferedTree(PriorityQueueBase):
             write(base + b, words[b * B : (b + 1) * B])
 
     def clear(self) -> None:
-        self._load_root_words([0] * (self.T * self.ROOT_HEADER))
+        self.load_memory_image([0] * (self.T * self.ROOT_HEADER))
 
     def nodes(self, peek: bool = False):
         """Yield ``(x, node)`` for the root and every node reachable through set
@@ -334,12 +369,6 @@ class BufferedTree(PriorityQueueBase):
             x, node = stack.pop()
             yield x, node
             stack += [(c, self._read_node(c, peek)) for i, c in enumerate(self._children(x)) if node.bits >> i & 1]
-
-    def memory_image(self) -> list[int]:
-        return self._root_words()
-
-    def load_memory_image(self, words: list[int]) -> None:
-        self._load_root_words(words)
 
 
 @dataclass

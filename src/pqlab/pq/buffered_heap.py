@@ -37,11 +37,11 @@ and the node codecs and the cursor heads only reorder words.  A leaf
 absorbs every batch into its tops, so leaves never hold pending entries: a
 leaf's arena holds the header and ``leaf_tops_cap`` entries, and the depth
 is chosen from that capacity.  The arena, ``leaf_tops_cap`` and the depth
-follow from ``cap`` alone, so ``root_cap`` moves no block address.
-Resident state, its memory image and the M-word audit live in
-``base.BufferedTree``: the root words, and so the image, are ``[live, rr,
-n_tops, bits]`` followed by the root's tops and pending entries, at most
-``ROOT_HEADER + 4 * root_cap`` words, so ``root_cap = (M - 2B -
+follow from ``cap`` alone, so ``root_cap`` moves no block address.  The
+tree shape, arena addresses, audits and resident state live in
+``base.BufferedTree``.  The root words, and so the image, are ``[live,
+rr, n_tops, bits]`` followed by the root's tops and pending entries, at
+most ``ROOT_HEADER + 4 * root_cap`` words, so ``root_cap = (M - 2B -
 ROOT_HEADER) // 4`` where that exceeds ``cap``.  A node whose subtree
 empties is read back, once its parent's bit is clear, as a fresh node, so
 its round-robin restarts at child 0.  Merge scratch is host memory, not
@@ -67,7 +67,7 @@ import bisect
 import heapq
 import math
 
-from ..errors import ConfigError, EmptyQueueError, StructureOverflowError
+from ..errors import ConfigError, EmptyQueueError
 from .base import ENTRY_WORDS, BufferedTree, Loaded, Node, check_entry, entry_words, word_entries
 
 HEADER_WORDS = 8
@@ -216,10 +216,8 @@ class BufferedHeap(BufferedTree):
         self.n_nodes = (self.fanout ** (depth + 1) - 1) // (self.fanout - 1)
 
         self._pending_at = HEADER_WORDS + ENTRY_WORDS * self.cap  # leaves hold no pending entries
-        self._internal_blocks = self._blocks_for(HEADER_WORDS + ENTRY_WORDS * (2 * self.cap))
-        self._leaf_blocks = self._blocks_for(HEADER_WORDS + ENTRY_WORDS * self.leaf_tops_cap)
-        if self._addr(self.n_nodes) >= device.config.word_limit:
-            raise ConfigError("address space too small for the heap arena; increase w")
+        self.node_blocks = self._blocks_for(HEADER_WORDS + ENTRY_WORDS * (2 * self.cap))
+        self.leaf_blocks = self._blocks_for(HEADER_WORDS + ENTRY_WORDS * self.leaf_tops_cap)
         self._setup(self.ROOT_HEADER + 2 * ENTRY_WORDS * self.root_cap)
 
     # -- geometry -------------------------------------------------------------
@@ -227,20 +225,6 @@ class BufferedHeap(BufferedTree):
     def _capacity(self, depth: int) -> int:
         internal = sum(self.fanout**i for i in range(depth))
         return 2 * self.cap * internal + self.leaf_tops_cap * self.fanout**depth
-
-    def _blocks_for(self, words: int) -> int:
-        return (words + self.B - 1) // self.B
-
-    def _children(self, x: int) -> range:
-        return range(self.fanout * x + 1, self.fanout * x + 1 + self.fanout)
-
-    def _is_leaf(self, x: int) -> bool:
-        return x >= self.first_leaf
-
-    def _addr(self, x: int) -> int:
-        if x <= self.first_leaf:
-            return x * self._internal_blocks
-        return self.first_leaf * self._internal_blocks + (x - self.first_leaf) * self._leaf_blocks
 
     # -- node I/O ---------------------------------------------------------------
 
@@ -283,10 +267,7 @@ class BufferedHeap(BufferedTree):
         tops = node.tops
         if self._is_leaf(x):
             node.tops = list(heapq.merge(tops, batch))
-            if len(node.tops) > self.leaf_tops_cap:
-                raise StructureOverflowError(
-                    f"leaf {x} overflow ({len(node.tops)} entries); construct with a larger n_hint"
-                )
+            self._check_leaf(x, len(node.tops), self.leaf_tops_cap)
             return
         if tops:
             cut = bisect.bisect_left(batch, tops[-1])
@@ -340,13 +321,13 @@ class BufferedHeap(BufferedTree):
         self._live -= 1
         return key, word - self._prio_bias
 
-    # -- root words ----------------------------------------------------------------
+    # -- memory image --------------------------------------------------------------
 
-    def _root_words(self) -> list[int]:
+    def memory_image(self) -> list[int]:
         root = self._root
         return [self._live, root.rr, len(root.tops), root.bits] + entry_words(root.tops + root.buf)
 
-    def _load_root_words(self, words: list[int]) -> None:
+    def load_memory_image(self, words: list[int]) -> None:
         self._live, rr, n_tops, bits = words[:4]
         entries = word_entries(words, 4, (len(words) - 4) // ENTRY_WORDS)
         self._root = Node(entries[:n_tops], entries[n_tops:], rr, bits)

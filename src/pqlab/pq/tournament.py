@@ -53,10 +53,11 @@ words ``key, priority + 2^(w-1)`` of ``base.entry_words`` (the heap's
 layout) and a signal the three words ``kind, key, priority + 2^(w-1)``.
 Keys are unique among live entries and in a node's ``tops``, so (priority,
 key) orders entries with no timestamp, and a signal needs no sequence
-number: a buffer keeps its signals in arrival order.  Node sizes follow from ``cap = (node_blocks * B - 2) // 5``.  The
-constructor requires ``4 * cap + 3 < 2^w``, so the second word fits in w
-bits.  A leaf is a node with no signals in a larger arena, so one pair of
-codecs reads and writes both, and the resident nodes' words too.
+number: a buffer keeps its signals in arrival order.  Node sizes follow
+from ``cap = (node_blocks * B - 2) // 5``.  The constructor requires ``4 *
+cap + 3 < 2^w``, so the second word fits in w bits.  A leaf is a node with
+no signals in a larger arena, so one pair of codecs reads and writes both,
+and the resident nodes' words too.
 In memory, entries ``(priority word, key)`` and signals ``(kind, key,
 priority word)`` already hold the stored priority word, so the codecs only
 reorder words; the bias 2^(w-1) is added in ``insert``/``decrease_key``
@@ -80,9 +81,9 @@ The memory image is nodes 1..T's words back to back, each in the node
 layout above, unpadded.
 
 The amortized cost target is O((1/B) log2 N) probes per operation, asserted
-as a measured regression bound.  The memory image, the M-word audit and
-the walks live in ``base.BufferedTree``.  Flush working sets are host
-memory, not charged.
+as a measured regression bound.  The tree shape (``fanout = 2``, leaves
+from ``K``), arena addresses, audits and walks live in
+``base.BufferedTree``.  Flush working sets are host memory, not charged.
 """
 
 from __future__ import annotations
@@ -90,7 +91,7 @@ from __future__ import annotations
 import bisect
 from itertools import chain
 
-from ..errors import ConfigError, EmptyQueueError, StructureOverflowError
+from ..errors import ConfigError, EmptyQueueError
 from .base import ENTRY_WORDS, BufferedTree, Node, check_entry, entry_words, word_entries
 
 SIG_WORDS = 3  # kind, key, priority word
@@ -133,6 +134,7 @@ class TournamentQueue(BufferedTree):
     supports_decrease_key = True
     supports_delete = True
     name = "tournament"
+    fanout = 2
     ROOT = 1
     ROOT_HEADER = 2
     NODE = TNode
@@ -153,16 +155,13 @@ class TournamentQueue(BufferedTree):
         k = 2
         while k * target_leaf_entries < n_hint:
             k *= 2
-        self.K = k
-        self.levels = k.bit_length() - 1
+        self.K = self.first_leaf = k
+        self.n_nodes = 2 * k - 1
         expected = max(1, n_hint // k)
         self.leaf_cap = 8 * expected + 16
-        self.leaf_blocks = (2 + ENTRY_WORDS * self.leaf_cap + self.B - 1) // self.B
-
-        self._leaf_base = (self.K - 1) * node_blocks
-        total_blocks = self._leaf_base + self.K * self.leaf_blocks
-        if max(total_blocks, 4 * cap + 3) >= device.config.word_limit:
-            raise ConfigError("words too narrow for tournament arenas and node headers; increase w")
+        self.leaf_blocks = self._blocks_for(2 + ENTRY_WORDS * self.leaf_cap)
+        if 4 * cap + 3 >= device.config.word_limit:
+            raise ConfigError("words too narrow for tournament node headers; increase w")
         # Nodes 1..T stay resident: the most whole levels of internal nodes whose largest words fit.
         node_words = self.ROOT_HEADER + (ENTRY_WORDS + SIG_WORDS) * cap
         t = 1
@@ -171,20 +170,7 @@ class TournamentQueue(BufferedTree):
         self.T = t
         self._setup(t * node_words)
 
-    # -- geometry ---------------------------------------------------------------
-
-    def _is_leaf(self, x: int) -> bool:
-        return x >= self.K
-
-    def _children(self, x: int) -> tuple[int, int]:
-        return 2 * x, 2 * x + 1
-
     # -- node I/O -----------------------------------------------------------------
-
-    def _addr(self, x: int) -> int:
-        if self._is_leaf(x):
-            return self._leaf_base + (x - self.K) * self.leaf_blocks
-        return (x - 1) * self.node_blocks
 
     def _read_node(self, x: int, peek: bool = False) -> TNode:
         """Node x: resident, or decoded from the blocks its first block's header spans."""
@@ -217,10 +203,10 @@ class TournamentQueue(BufferedTree):
         words.extend(chain.from_iterable(node.buf))
         return words
 
-    def _root_words(self) -> list[int]:
+    def memory_image(self) -> list[int]:
         return list(chain.from_iterable(map(self._node_words, self._resident[1:])))
 
-    def _load_root_words(self, words: list[int]) -> None:
+    def load_memory_image(self, words: list[int]) -> None:
         resident, p = [None], 0
         for _ in range(self.T):
             end = p + self._n_words(words, p)
@@ -260,10 +246,7 @@ class TournamentQueue(BufferedTree):
                         raise AssertionError(f"erase found no record for key {key} at leaf {x}")
                     del keys[key]
             node.tops = sorted((p, k) for k, p in keys.items())
-            if len(node.tops) > self.leaf_cap:
-                raise StructureOverflowError(
-                    f"leaf {x} overflow ({len(node.tops)} entries); construct with a larger n_hint"
-                )
+            self._check_leaf(x, len(node.tops), self.leaf_cap)
             return
         tops, buf, insort = node.tops, node.buf, bisect.insort
         bare = not buf and not node.bits  # the subtree holds nothing but tops

@@ -124,20 +124,35 @@ def test_04_rebuild_contract():
     verdict(4, "N0 = max(|L|/2, 16) across two rebuilds; post-rebuild replay equivalent")
 
 
+def _check_attribution(wl, seed, B, M):
+    """Replay wl on a tournament, assert sum P = probes and sum L = sum R = P at
+    each internal node; return the probe count and the internal nodes with P > 0."""
+    tree = build_tree(wl.params)
+    dev = Device(DeviceConfig(B=B, M=M, w=64))
+    run_workload(TournamentQueue(dev, n_hint=4 * len(wl.ops) // 3, seed=seed), dev, wl)
+    rep = node_stats(attribute(dev.log, tree))
+    assert sum(st.p_count for st in rep.nodes) == dev.probe_count
+    internal = [st for st in rep.nodes if st.kind == "internal"]
+    for st in internal:
+        assert sum(st.l_counts) == sum(st.r_counts) == st.p_count
+    return dev.probe_count, sum(st.p_count > 0 for st in internal)
+
+
 def test_05_attribution_conservation(hard_workloads):
     checked = 0
     for (beta, h, m, seed) in [(2, 4, 2, s) for s in range(5)] + [(3, 4, 2, 0), (2, 8, 4, 0)]:
-        wl = hard_workloads[(beta, h, m, seed)]
-        tree = build_tree(wl.params)
-        dev = Device(DeviceConfig(B=32, M=512, w=64))
-        run_workload(TournamentQueue(dev, n_hint=4 * len(wl.ops) // 3, seed=seed), dev, wl)
-        rep = node_stats(attribute(dev.log, tree))
-        assert sum(st.p_count for st in rep.nodes) == dev.probe_count
-        for st in rep.nodes:
-            if st.kind == "internal":
-                assert sum(st.l_counts) == sum(st.r_counts) == st.p_count
+        _check_attribution(hard_workloads[(beta, h, m, seed)], seed, B=32, M=512)
         checked += 1
     verdict(5, f"sum P(v) = total probes and sum L = sum R = P on {checked} instrumented runs")
+
+
+def test_05_attribution_conservation_on_disk(hard_workloads):
+    # At B=32, M=512 the (2,4,2) runs above make no probe, so their identities
+    # read 0 = 0; at B=8, M=128 the same runs reach the disk.
+    for seed in range(5):
+        probes, charged = _check_attribution(hard_workloads[(2, 4, 2, seed)], seed, B=8, M=128)
+        assert probes > 0 and charged >= 8, (seed, probes, charged)
+    verdict(5, "sum P(v) = total probes and sum L = sum R = P on 5 (2,4,2) runs that probe")
 
 
 def test_06_observation1():

@@ -275,6 +275,14 @@ def test_bench_within_envelope(tmp_path, capsys):
     rows = list(csv.DictReader(open(tmp_path / "bench.csv")))
     assert {r["structure"] for r in rows} == {"buffered_heap", "tournament"}
     assert all(r["ok"] == "1" for r in rows)
+    assert all((r["w"], r["seed"]) == ("64", "0") for r in rows)
+    # rows of two seeds and word widths are told apart by their own columns
+    out = tmp_path / "bench1.csv"
+    assert main(["bench", "--n", "2048", "--b", "32", "--mem", "512", "--queue", "tournament",
+                 "--seed", "1", "--w", "72", "--out", str(out)]) == 0
+    (row,) = csv.DictReader(open(out))
+    assert (row["structure"], row["N"], row["w"], row["seed"]) == ("tournament", "2048", "72", "1")
+    assert list(row) == ["structure", "N", "B", "M", "w", "seed", "probes", "bound", "ok", "version"]
 
 
 def test_rows_carry_seed_and_version(tmp_path):
