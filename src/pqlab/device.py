@@ -2,10 +2,10 @@
 
 The machine model: an addressable array of blocks, each holding exactly B
 words of w bits, plus M words of main memory that is free to examine.  Every
-block read or write is one probe and is appended to the device log together
-with the operation context set by the caller.  The device performs no
-caching; deciding what lives in the M-word memory is the data structure's
-job, and accesses to that memory never appear in the log.
+block read or write is one probe and is appended to the device log, untagged:
+``run_workload`` stamps each op's records with its index and leaf.  The
+device performs no caching; deciding what lives in the M-word memory is
+the data structure's job; accesses to that memory never appear in the log.
 
 Blocks are zero-initialized and the address space is stored sparsely as a
 map from address to block tuple, so w may be large.
@@ -64,15 +64,6 @@ class Device:
         self._blocks: dict[int, tuple[int, ...]] = {}
         self._zero = (0,) * config.B
         self.log: list[ProbeRecord] = []
-        self._op_index: int | None = None
-        self._leaf_id: int | None = None
-
-    # -- context ------------------------------------------------------------
-
-    def set_context(self, op_index: int | None, leaf_id: int | None) -> None:
-        """Tag subsequent probes with the current operation and leaf."""
-        self._op_index = op_index
-        self._leaf_id = leaf_id
 
     # -- probes -------------------------------------------------------------
     # Run once per probe: the address check is inlined and records are
@@ -95,14 +86,14 @@ class Device:
     def read_block(self, addr: int) -> tuple[int, ...]:
         if not 0 <= addr < self.word_limit:
             raise self._address_error(addr)
-        self.log.append(tuple.__new__(ProbeRecord, (self._op_index, self._leaf_id, addr, READ)))
+        self.log.append(tuple.__new__(ProbeRecord, (None, None, addr, READ)))
         return self._blocks.get(addr, self._zero)
 
     def write_block(self, addr: int, block: Iterable[int]) -> None:
         if not 0 <= addr < self.word_limit:
             raise self._address_error(addr)
         self._blocks[addr] = self._checked(block)
-        self.log.append(tuple.__new__(ProbeRecord, (self._op_index, self._leaf_id, addr, WRITE)))
+        self.log.append(tuple.__new__(ProbeRecord, (None, None, addr, WRITE)))
 
     @property
     def probe_count(self) -> int:

@@ -47,13 +47,13 @@ class ReducedQueue(PriorityQueueBase):
         self.name = f"dk_{base.name}"
         self.n0_min = n0_min
         base_w = getattr(base, "w", None)
-        self._key_limit = 1 << (base_w - CTR_BITS) if base_w is not None else None
-        if self._key_limit is not None and self._key_limit < 2:
+        self._key_limit = 1 << (base_w - CTR_BITS) if base_w is not None else float("inf")
+        if self._key_limit < 2:
             raise ConfigError(f"base word width {base_w} leaves no room for {CTR_BITS} counter bits")
         self._delete_sentinel = -(1 << (base_w - 1)) if base_w is not None else PRIORITY_DELETE
-        self._ctr = 0
-        self._ops_since = 0
+        self._ctr = 0  # the next operation's counter value
         self._n0 = n0_min
+        self._rebuild_at = n0_min - 1  # the counter value of the op that ends in a rebuild
         self._live: dict[int, int] = {}  # live key -> C of its most recent insert
         self.rebuilds = 0
         self.stale_discards = 0
@@ -66,45 +66,42 @@ class ReducedQueue(PriorityQueueBase):
     def is_live(self, key: int) -> bool:
         return key in self._live
 
-    def _aug(self, key: int, c: int) -> int:
-        if self._key_limit is not None and key >= self._key_limit:
-            raise ConfigError(f"key {key} leaves no room for the counter in the base key word")
-        return (key << CTR_BITS) | c
+    @property
+    def _ops_since(self) -> int:  # operations since the last rebuild
+        return self._ctr - self._rebuild_at + self._n0 - 1
 
-    def _next_op(self) -> int:
-        """Counter value for this operation; the first operation sees 0."""
-        c = self._ctr
-        self._ctr += 1
-        if self._ctr > CTR_MASK:
+    def _overflow(self, c: int, key: int | None) -> None:
+        """Raise for a spent 32-bit counter, else for a key too wide for the base key word."""
+        if c >= CTR_MASK:
             raise ConfigError("wrapper operation counter overflowed its 32-bit field")
-        self._ops_since += 1
-        return c
-
-    def _maybe_rebuild(self) -> None:
-        if self._ops_since >= self._n0:
-            self.rebuild()
+        raise ConfigError(f"key {key} leaves no room for the counter in the base key word")
 
     # -- operations -----------------------------------------------------------
+    # Each op takes counter value c in place and rebuilds once c reaches ``_rebuild_at``.
 
     def insert(self, key: int, priority: int) -> None:
         if key in self._live:
             raise DuplicateKeyError(f"key {key} is already live")
-        self._put(key, priority)
-        self._maybe_rebuild()
-
-    def _put(self, key: int, priority: int) -> None:
-        """Insert a key that is not live: one counter value, one base insert."""
-        c = self._next_op()
-        self.base.insert(self._aug(key, c), priority)
+        c = self._ctr
+        self._ctr = c + 1
+        if c >= CTR_MASK or key >= self._key_limit:
+            self._overflow(c, key)
+        self.base.insert(key << CTR_BITS | c, priority)
         self._live[key] = c
+        if c >= self._rebuild_at:
+            self.rebuild()
 
     def decrease_key(self, key: int, priority: int) -> None:
-        c = self._next_op()
+        c = self._ctr
+        self._ctr = c + 1
+        if c >= CTR_MASK or key >= self._key_limit:
+            self._overflow(c, key)
         if key not in self._live:
             self.absent_decreases += 1
-        self.base.insert(self._aug(key, c), priority)
+        self.base.insert(key << CTR_BITS | c, priority)
         self._stale += 1  # the key's older entry, or this one if the key is absent
-        self._maybe_rebuild()
+        if c >= self._rebuild_at:
+            self.rebuild()
 
     def extract_min(self) -> tuple[int, int]:
         pair = self._pop_live()
@@ -112,8 +109,12 @@ class ReducedQueue(PriorityQueueBase):
             if self._live:
                 raise AssertionError("live count positive but base queue exhausted")
             raise EmptyQueueError("no logically live element to extract")
-        self._next_op()
-        self._maybe_rebuild()
+        c = self._ctr
+        self._ctr = c + 1
+        if c >= CTR_MASK:
+            self._overflow(c, None)
+        if c >= self._rebuild_at:
+            self.rebuild()
         return pair
 
     def _pop_live(self) -> tuple[int, int] | None:
@@ -132,11 +133,14 @@ class ReducedQueue(PriorityQueueBase):
             return key, priority
 
     def delete(self, key: int) -> None:
-        if key not in self._live:
-            self._next_op()
-            self._maybe_rebuild()
-            return
-        self.delete_key(key)
+        if key in self._live:
+            return self.delete_key(key)
+        c = self._ctr
+        self._ctr = c + 1
+        if c >= CTR_MASK:
+            self._overflow(c, None)
+        if c >= self._rebuild_at:
+            self.rebuild()
 
     def delete_key(self, key: int) -> None:
         if key not in self._live:
@@ -158,17 +162,22 @@ class ReducedQueue(PriorityQueueBase):
                 drained.append(pair)
             self.base.clear()
             self._stale = 0
-            for key, priority in drained:
-                self._put(key, priority)
+            for key, priority in drained:  # each re-insert spends a counter value, as insert does
+                c = self._ctr
+                self._ctr = c + 1
+                if c >= CTR_MASK or key >= self._key_limit:
+                    self._overflow(c, key)
+                self.base.insert(key << CTR_BITS | c, priority)
+                self._live[key] = c
         self._n0 = max(len(self._live) // 2, self.n0_min)
-        self._ops_since = 0
+        self._rebuild_at = self._ctr + self._n0 - 1
         self.rebuilds += 1
 
     def clear(self) -> None:
         self.base.clear()
         self._ctr = 0
-        self._ops_since = 0
         self._n0 = self.n0_min
+        self._rebuild_at = self.n0_min - 1
         self._live.clear()
         self._stale = 0
 
@@ -195,8 +204,9 @@ class ReducedQueue(PriorityQueueBase):
                  self.absent_decreases, self._stale, len(self._live)] + live + self.base.memory_image())
 
     def load_memory_image(self, words: list[int]) -> None:
-        (self._ctr, self._ops_since, self._n0, self.rebuilds,
+        (self._ctr, ops_since, self._n0, self.rebuilds,
          self.stale_discards, self.absent_decreases, self._stale, n) = words[:8]
+        self._rebuild_at = self._ctr - ops_since + self._n0 - 1
         end = 8 + 2 * n
         self._live = dict(zip(words[8:end:2], words[9:end:2]))
         self.base.load_memory_image(words[end:])

@@ -90,7 +90,9 @@ whose bit is set, with a heap keyed by ``(head, source index)``, yet
 probes as a full rescan would: the first round asks every source for its
 head in child order (a source whose node ran dry with entries below
 refills it first), after that only the popped source is asked again, and
-only while the node still wants entries.  Then each source writes back
+only while the node still wants entries.  A source keeps the lead with no
+heap step while its next head stays below every other source's (a gallop),
+so a run from one child costs one heap step.  Then each source writes back
 and sets its child's bit.  The default source, ``Loaded``, holds the
 child whole.
 """
@@ -101,10 +103,12 @@ import heapq
 from dataclasses import dataclass, field
 from itertools import count
 
+from ..device import ProbeRecord
 from ..errors import CapabilityError, ConfigError, DivergenceError, EncodingError, StructureOverflowError
 from ..ops import DECREASE, DELETE, EXTRACTMIN, INSERT, NO_LEAF, OP_NAMES
 
 ENTRY_WORDS = 2  # key, priority word
+_LAST = ((float("inf"),), 0)  # a merge item whose head follows every entry
 
 
 def check_entry(key: int, priority: int, w: int) -> None:
@@ -295,11 +299,13 @@ class BufferedTree(PriorityQueueBase):
         cap = self._cap_of(x)
         while merge:
             head, j = merge[0]
+            bound = min(merge[1:3], default=_LAST)[0]  # gallop: j leads while below every other head
             taken.append(head)
+            while len(taken) < cap and (head := sources[j].pop_next()) is not None and head < bound:
+                taken.append(head)
             if len(taken) >= cap:
                 sources[j].pop()
                 break
-            head = sources[j].pop_next()
             if head is None:
                 heapq.heappop(merge)
             else:
@@ -352,10 +358,12 @@ class BufferedTree(PriorityQueueBase):
         """Zero-pad node x's ``words`` to whole blocks and write, in ascending order, each block a span touches."""
         B = self.B
         words += [0] * (-len(words) % B)
-        touched = {b for lo, hi in spans if hi > lo for b in range(lo // B, (hi - 1) // B + 1)}
-        write, base = self.device.write_block, self._addr(x)
-        for b in sorted(touched):
-            write(base + b, words[b * B : (b + 1) * B])
+        write, base, last = self.device.write_block, self._addr(x), -1
+        for lo, hi in spans:  # ascending, so one pass past the last block written skips repeats
+            if hi > lo:
+                for b in range(max(lo // B, last + 1), (hi - 1) // B + 1):
+                    write(base + b, words[b * B : (b + 1) * B])
+                    last = b
 
     def clear(self) -> None:
         self.load_memory_image([0] * (self.T * self.ROOT_HEADER))
@@ -409,12 +417,13 @@ def _require_capabilities(queue, kinds: set[int]) -> None:
 
 
 def run_workload(queue, device, workload, check_answers: bool = True, lo: int = 0, hi: int | None = None) -> RunReport:
-    """Replay ``workload.ops[lo:hi]`` on an instrumented queue, one context per op.
+    """Replay ``workload.ops[lo:hi]`` on an instrumented queue, stamping each op's probes.
 
     Every ExtractMin record carries its answer, and the answers act as the
     oracle transcript; any divergence aborts with a diagnostic naming the
-    absolute op index.  Probe counts are aggregated per operation class from
-    the device log delta.  The device context is reset on every exit.
+    absolute op index.  The device logs untagged records; once an op returns
+    or raises, the records it added get its absolute index and leaf.  Probe
+    counts are aggregated per operation class from the same log deltas.
     """
     ops = workload.ops
     hi = len(ops) if hi is None else hi
@@ -427,15 +436,12 @@ def run_workload(queue, device, workload, check_answers: bool = True, lo: int = 
         structure=queue.name, B=cfg.B, M=cfg.M, w=cfg.w, n_ops=hi - lo,
         seed=getattr(workload, "seed", None),
     )
-    log, set_context = device.log, device.set_context
+    log = device.log
     insert, extract_min, decrease_key, delete = queue.insert, queue.extract_min, queue.decrease_key, queue.delete
     probes = [0] * (max(OP_NAMES) + 1)  # per op kind
-    start = len(log)
-    try:
-        for idx, kind, key, priority, leaf_id in zip(count(lo), *rows.columns()):
-            leaf_id = None if leaf_id == NO_LEAF else leaf_id
-            set_context(idx, leaf_id)
-            before = len(log)
+    start = stamped = len(log)
+    for idx, kind, key, priority, leaf_id in zip(count(lo), *rows.columns()):
+        try:
             if kind == INSERT:
                 insert(key, priority)
             elif kind == EXTRACTMIN:
@@ -443,7 +449,7 @@ def run_workload(queue, device, workload, check_answers: bool = True, lo: int = 
                 report.extractions.append(got)
                 if check_answers and got != (key, priority):
                     raise DivergenceError(
-                        f"op {idx} (leaf {leaf_id}): {queue.name} extracted "
+                        f"op {idx} (leaf {None if leaf_id == NO_LEAF else leaf_id}): {queue.name} extracted "
                         f"({got[0]},{got[1]}), oracle transcript says ({key},{priority})"
                     )
             elif kind == DECREASE:
@@ -452,9 +458,12 @@ def run_workload(queue, device, workload, check_answers: bool = True, lo: int = 
                 delete(key)
             else:
                 raise ValueError(f"unknown op kind {kind}")
-            probes[kind] += len(log) - before
-    finally:
-        set_context(None, None)
+        finally:  # stamp the op's records, also when it raises
+            if len(log) != stamped:
+                probes[kind] += len(log) - stamped
+                leaf = None if leaf_id == NO_LEAF else leaf_id
+                log[stamped:] = [tuple.__new__(ProbeRecord, (idx, leaf) + rec[2:]) for rec in log[stamped:]]
+                stamped = len(log)
     report.probes_insert, report.probes_delete = probes[INSERT], probes[DELETE]
     report.probes_extractmin, report.probes_decrease = probes[EXTRACTMIN], probes[DECREASE]
     report.probes_total = len(log) - start

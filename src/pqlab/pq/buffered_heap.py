@@ -278,18 +278,14 @@ class BufferedHeap(BufferedTree):
             node.buf += batch
         else:
             node.tops = list(batch)
-        self._spill(x, node)
+        # Spill: tops overflow moves to pending, and a full pending flushes (x is a child, so cap is ``cap``).
+        while len(node.tops) > self.cap:
+            node.buf.append(node.tops.pop())
+        if len(node.buf) > self.cap:
+            self._flush(x, node)
 
     def _cap_of(self, x: int) -> int:
         return self.root_cap if x == self.ROOT else self.cap
-
-    def _spill(self, x: int, node: Node) -> None:
-        """Move internal node x's tops overflow to pending, and flush pending when full."""
-        cap = self._cap_of(x)
-        while len(node.tops) > cap:
-            node.buf.append(node.tops.pop())
-        if len(node.buf) > cap:
-            self._flush(x, node)
 
     # -- operations ---------------------------------------------------------------
 
@@ -297,16 +293,21 @@ class BufferedHeap(BufferedTree):
         return self._live
 
     def insert(self, key: int, priority: int) -> None:
-        check_entry(key, priority, self.w)
-        entry = (priority + self._prio_bias, key)
+        word, limit = priority + self._prio_bias, self.device.word_limit
+        if not (0 <= key < limit and 0 <= word < limit):
+            check_entry(key, priority, self.w)  # raises
+        entry = (word, key)
         root = self._root
         tops = root.tops
-        # ``_apply``'s rule for one entry: below the tops maximum, or into a subtree holding nothing.
+        # ``_apply``'s rule and spill for one entry: below the tops maximum, or into an empty subtree.
         if (tops and entry < tops[-1]) or not (tops or root.buf or root.bits):
             bisect.insort(tops, entry)
+            if len(tops) > self.root_cap:
+                root.buf.append(tops.pop())
         else:
             root.buf.append(entry)
-        self._spill(self.ROOT, root)
+        if len(root.buf) > self.root_cap:
+            self._flush(self.ROOT, root)
         self._live += 1
 
     def extract_min(self) -> tuple[int, int]:
@@ -317,7 +318,7 @@ class BufferedHeap(BufferedTree):
             self._refill(self.ROOT, root)
             if not root.tops:
                 raise AssertionError("live count positive but no entries found")
-        word, key = root.pop_min()
+        word, key = root.tops.pop(0)
         self._live -= 1
         return key, word - self._prio_bias
 

@@ -114,12 +114,14 @@ def _splitmix64(v: int) -> int:
 
 
 class TNode(Node):
-    """A tournament node; ``keys`` maps each key in ``tops`` to its priority word."""
-    __slots__ = ("keys",)
+    """A tournament node; ``keys`` maps each key in ``tops`` to its priority word, and
+    ``buf[:kept]``, the half the last flush left, all route to child ``kept_to``."""
+    __slots__ = ("keys", "kept", "kept_to")
 
     def __init__(self, tops=None, buf=None, bits=0):
         super().__init__(tops, buf, 0, bits)
         self.keys = {k: p for p, k in self.tops}
+        self.kept = self.kept_to = 0
 
     def pop_min(self) -> tuple[int, int]:
         entry = self.tops.pop(0)
@@ -220,11 +222,12 @@ class TournamentQueue(BufferedTree):
         """The fuller half of node x's buffer, split by the next bit of each key's
         64-bit hash (a tie goes to child 0); the other half stays buffered, in order."""
         halves: tuple[list, list] = ([], [])
+        halves[node.kept_to].extend(node.buf[: node.kept])
         mult, shift = self._mult, 64 - x.bit_length()
-        for sig in node.buf:
+        for sig in node.buf[node.kept :]:
             halves[((sig[1] * mult) & M64) >> shift & 1].append(sig)
         i = int(len(halves[1]) > len(halves[0]))
-        node.buf = halves[1 - i]
+        node.buf, node.kept, node.kept_to = halves[1 - i], len(halves[1 - i]), 1 - i
         return [(i, halves[i])] if halves[i] else []
 
     def _apply(self, x: int, node: TNode, sigs) -> None:

@@ -38,7 +38,7 @@ from bisect import bisect_left, bisect_right
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import chain, repeat
+from itertools import chain
 
 import numpy as np
 
@@ -222,10 +222,11 @@ class OpColumns(Sequence):
 
     def _extend(self, kind: int, leaf: int, keys: list[int], priorities: int | list[int]) -> None:
         """Append one op per key, all of one kind at one leaf, at one priority or one each."""
-        self.kind.extend(repeat(kind, len(keys)))
+        n = len(keys)  # a constant column grows by a repeated one-element array (typecodes: _COLUMNS)
+        self.kind.extend(array("B", (kind,)) * n)
         self.key.extend(keys)
-        self.priority.extend(repeat(priorities, len(keys)) if isinstance(priorities, int) else priorities)
-        self.leaf.extend(repeat(leaf, len(keys)))
+        self.priority.extend(array("q", (priorities,)) * n if isinstance(priorities, int) else priorities)
+        self.leaf.extend(array("I", (leaf,)) * n)
 
     def columns(self) -> tuple[array, array, array, array]:
         return self.kind, self.key, self.priority, self.leaf

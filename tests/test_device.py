@@ -2,7 +2,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pqlab import Device, DeviceConfig, ProbeRecord
-from pqlab.errors import AddressError, BlockSizeError, ConfigError
+from pqlab.errors import AddressError, BlockSizeError, ConfigError, DivergenceError
+from pqlab.ops import DECREASE, DELETE, EXTRACTMIN, INSERT, Op
+from pqlab.pq.base import PriorityQueueBase, run_workload
+from pqlab.workload import Workload
 
 
 def test_config_examples():
@@ -88,35 +91,80 @@ def test_poke_checks_words_like_write(device):
     assert device.probe_count == 0
 
 
-def test_context_tagging(device):
-    device.set_context(5, 12)
-    device.read_block(0)
-    device.write_block(3, (0,) * 16)
-    assert all(type(r) is ProbeRecord for r in device.log)
-    assert [r._asdict() for r in device.log] == [
-        {"op_index": 5, "leaf_id": 12, "addr": 0, "access": "read"},
-        {"op_index": 5, "leaf_id": 12, "addr": 3, "access": "write"},
+class _Prober(PriorityQueueBase):
+    """A queue whose probes are known: ``insert(key, n)`` reads block ``key`` n times,
+    ``extract_min`` writes block 0 once and returns ``(0, 0)``, ``delete`` never probes,
+    and ``decrease_key`` reads block 1 and raises."""
+
+    name = "prober"
+    supports_decrease_key = supports_delete = True
+
+    def __init__(self, device):
+        self.device = device
+
+    def insert(self, key, priority):
+        for _ in range(priority):
+            self.device.read_block(key)
+
+    def extract_min(self):
+        self.device.write_block(0, (0,) * self.device.config.B)
+        return 0, 0
+
+    def delete(self, key):
+        pass
+
+    def decrease_key(self, key, priority):
+        self.device.read_block(1)
+        raise RuntimeError("decrease_key after a probe")
+
+
+def _stamped(ops, lo=0, hi=None):
+    device = Device(DeviceConfig(B=16, M=256, w=64))
+    run_workload(_Prober(device), device, Workload(None, "random", 16, 0, ops), lo=lo, hi=hi)
+    return device.log
+
+
+def test_context_tagging():
+    # run_workload stamps each op's records with its index and leaf; no leaf reads as None.
+    log = _stamped([Op(DELETE, 1, 0, 3), Op(INSERT, 4, 1, 12), Op(EXTRACTMIN, 0, 0, None)])
+    assert all(type(r) is ProbeRecord for r in log)
+    assert [r._asdict() for r in log] == [
+        {"op_index": 1, "leaf_id": 12, "addr": 4, "access": "read"},
+        {"op_index": 2, "leaf_id": None, "addr": 0, "access": "write"},
     ]
-    device.set_context(None, None)
+
+
+def test_context_partitions_at_change():
+    log = _stamped([Op(INSERT, 0, 3, 1), Op(INSERT, 0, 2, 2)])
+    assert [(r.op_index, r.leaf_id) for r in log] == [(0, 1)] * 3 + [(1, 2)] * 2
+
+
+def test_resumed_range_carries_absolute_indices():
+    ops = [Op(INSERT, k, 1, 10 + k) for k in range(5)]
+    assert [(r.op_index, r.leaf_id, r.addr) for r in _stamped(ops, lo=2, hi=4)] == [(2, 12, 2), (3, 13, 3)]
+
+
+def test_the_op_that_raises_is_stamped(device):
+    queue = _Prober(device)
+    # An ExtractMin whose answer diverges from the transcript, after its write.
+    with pytest.raises(DivergenceError, match=r"op 1 \(leaf 7\)"):
+        run_workload(queue, device, Workload(None, "random", 16, 0, [Op(INSERT, 2, 1, 5), Op(EXTRACTMIN, 3, 3, 7)]))
+    # A queue op that raises after its probe.
+    with pytest.raises(RuntimeError):
+        run_workload(queue, device, Workload(None, "random", 16, 0, [Op(DELETE, 1, 0, 2), Op(DECREASE, 1, 0, 9)]))
+    assert [(r.op_index, r.leaf_id, r.addr) for r in device.log] == [(0, 5, 2), (1, 7, 0), (1, 9, 1)]
+
+
+def test_probe_outside_run_workload_is_untagged(device):
     device.read_block(0)
-    assert device.log[-1].leaf_id is None
-
-
-def test_context_partitions_at_change(device):
-    device.set_context(0, 1)
-    for _ in range(3):
-        device.read_block(0)
-    device.set_context(1, 2)
-    for _ in range(2):
-        device.read_block(0)
-    leaves = [r.leaf_id for r in device.log]
-    assert leaves == [1, 1, 1, 2, 2]
+    run_workload(_Prober(device), device, Workload(None, "random", 16, 0, [Op(INSERT, 3, 1, 4)]))
+    device.write_block(5, (0,) * 16)
+    assert [(r.op_index, r.leaf_id) for r in device.log] == [(None, None), (0, 4), (None, None)]
 
 
 def test_determinism():
     def run():
         d = Device(DeviceConfig(B=4, M=8, w=32))
-        d.set_context(0, 0)
         d.write_block(1, (9, 8, 7, 6))
         d.read_block(1)
         d.read_block(2)

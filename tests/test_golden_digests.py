@@ -2,8 +2,9 @@
 
 Each case replays a fixed workload and pins the sha256 of the device log's
 ``(addr, access)`` sequence together with the extraction answers.  The inputs
-are ``materialize`` tree workloads and two hand-built arithmetic sequences
-(insert-all/extract-all, and a mix of all four op kinds); they deliberately avoid ``make_random_workload`` so that a change to
+are ``materialize`` tree workloads and three hand-built arithmetic sequences
+(insert-all/extract-all, an ascending fill and drain, and a mix of all four
+op kinds); they deliberately avoid ``make_random_workload`` so that a change to
 the random generator cannot move them.  A digest that changes means the probe
 order, the probe set or an answer changed; that is a cost-model change and
 must be declared, never re-pinned silently.  The memory-image digests pin the
@@ -143,6 +144,9 @@ CASES = {
     ("dk_tournament", "insert_extract_3000", 16, 192): (17427, "7f4dfe8d6d0062c7b70a2336c6faee96a469e275ff192efccc86ca04fb6d30ec"),
     ("dk_tournament", "tree_2_4_2_s1", 16, 256): (47, "56fad627667eb161acdfe1edaabf97f2e8ed6c714f4d587c580bed0690f2f86c"),
     ("dk_tournament", "tree_2_6_2_s5", 16, 256): (1002, "06ad06f7c8609bdf8e574a2d03c0653ce27f4c26d22a5adfe7a9d2d0bd31518b"),
+    # Ascending fill then drain: each child's tops feed a refill long runs, at even and odd B.
+    ("buffered_heap", "ascending_2000", 8, 128): (15781, "d822d7a01ad9322995f570bd24cb6c20234cfecf0fe57803bf3e3345c72e9352"),
+    ("buffered_heap", "ascending_2000", 9, 128): (14756, "4835c3ddc69d4a6312eafbf42eeca4bb8563fe8f4f7b1eaab35b807bf5cd7c42"),
     ("buffered_heap", "insert_extract_3000", 8, 128): (28555, "b64c8f9d139921187e7ba45f05b7f25e28ca8d7fc5864437984951a3a3959151"),
     ("buffered_heap", "insert_extract_3000", 16, 192): (10257, "53cce6bf2ec84e5b101936a991e993bb96bc96aacdde6f06e334bef719a8bfd9"),
     ("tournament", "insert_extract_3000", 16, 192): (18054, "bbac12a93df34174480d0959381c3dc3c1c2b94c5656c2629e0a628b9633a474"),
@@ -152,6 +156,7 @@ CASES = {
 }
 
 WORKLOADS = {
+    "ascending_2000": lambda: insert_extract_workload(range(2000), range(2000), 2000, 0),
     "insert_extract_3000": lambda: _insert_all_extract_all(3000),
     "mixed_arith_6000": lambda: _mixed_arith(6000),
     "tree_2_4_2_s1": lambda: _tree(2, 4, 2, 1),
@@ -205,6 +210,7 @@ FILES = {
 }
 
 FILE_WORKLOADS = {
+    "ascending_2000": lambda: insert_extract_workload(range(2000), range(2000), 2000, 0),
     "no_spurious_2_2_1_x2": lambda: transform_no_spurious(
         [materialize(TreeParams(2, 2, 1, seed=s, universe_override=64)) for s in (0, 3)]),
     "random_mixed_3000": lambda: make_random_workload(3000, 4, universe=5000, profile="mixed"),

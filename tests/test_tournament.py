@@ -231,6 +231,27 @@ def test_route_sends_the_fuller_half_and_keeps_the_rest_in_order():
     assert routed([])[:2] == ([], [])
 
 
+@pytest.mark.parametrize("seed", range(10))
+def test_route_rehashes_only_what_the_last_flush_did_not_keep(seed):
+    # A node keeps the half its last route left (``kept``); routing it again
+    # must split the buffer as a full rehash of a copy with kept = 0 does.
+    rng = random.Random(seed)
+    q, _ = make(seed=seed)
+
+    def sigs():
+        return [(S_INSERT, rng.randrange(1 << 20), rng.randrange(1 << 10)) for _ in range(rng.randrange(30))]
+
+    for x in (q.ROOT, 2, 5, 11):  # nodes at four levels hash four different bits
+        node = q.NODE()
+        for _ in range(5):
+            node.buf += sigs()
+            fresh = q.NODE()
+            fresh.buf = list(node.buf)
+            assert fresh.kept == 0
+            assert q._route(x, node) == q._route(x, fresh)
+            assert node.buf == fresh.buf and node.kept == len(node.buf)
+
+
 @pytest.mark.parametrize("B,M", [(8, 128), (16, 256), (64, 1024)])
 def test_no_node_stores_more_than_cap_signals(B, M):
     # A flush moves only the fuller half, so a node flushes until its buffer
