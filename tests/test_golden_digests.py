@@ -210,7 +210,6 @@ FILES = {
 }
 
 FILE_WORKLOADS = {
-    "ascending_2000": lambda: insert_extract_workload(range(2000), range(2000), 2000, 0),
     "no_spurious_2_2_1_x2": lambda: transform_no_spurious(
         [materialize(TreeParams(2, 2, 1, seed=s, universe_override=64)) for s in (0, 3)]),
     "random_mixed_3000": lambda: make_random_workload(3000, 4, universe=5000, profile="mixed"),
