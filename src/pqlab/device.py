@@ -74,7 +74,7 @@ class Device:
 
     def _checked(self, block: Iterable[int]) -> tuple[int, ...]:
         """The block as a tuple of exactly B words, each in [0, 2^w)."""
-        blk = tuple(block)
+        blk = tuple(block)  # a tuple block is kept as is, not copied
         if len(blk) != self.config.B:
             raise BlockSizeError(f"block has {len(blk)} words, expected {self.config.B}")
         limit = self.word_limit

@@ -63,8 +63,8 @@ words' ``memory_image``/``load_memory_image`` and the on-disk node's
 the device.  Both take word spans [lo, hi) of node x's arena, whole blocks
 from block ``_addr(x)``: ``_load`` reads each block a span covers that its
 block map lacks (through ``peek_block`` for the probe-free walk), and
-``_store`` zero-pads the words to whole blocks and writes every block a
-span touches, in ascending block order.
+``_store`` zero-pads the words to whole blocks and writes, as tuples, every
+block a span touches, in ascending block order, and returns those blocks.
 
 The base also runs both tree walks, and each walk holds the parent of every
 child it changes, so it keeps the parent's bits exact at no extra probe.  A
@@ -354,16 +354,20 @@ class BufferedTree(PriorityQueueBase):
                     blocks[b] = read(base + b)
         return blocks
 
-    def _store(self, x: int, words: list[int], spans) -> None:
-        """Zero-pad node x's ``words`` to whole blocks and write, in ascending order, each block a span touches."""
+    def _store(self, x: int, words: list[int], spans) -> list[tuple[int, ...]]:
+        """Zero-pad node x's ``words`` to whole blocks and write, in ascending order, each block a span
+        touches, as a tuple the device keeps without a copy; return those blocks, in order."""
         B = self.B
         words += [0] * (-len(words) % B)
-        write, base, last = self.device.write_block, self._addr(x), -1
+        words = tuple(words)
+        write, base, last, out = self.device.write_block, self._addr(x), -1, []
         for lo, hi in spans:  # ascending, so one pass past the last block written skips repeats
             if hi > lo:
                 for b in range(max(lo // B, last + 1), (hi - 1) // B + 1):
-                    write(base + b, words[b * B : (b + 1) * B])
+                    out.append(words[b * B : (b + 1) * B])
+                    write(base + b, out[-1])
                     last = b
+        return out
 
     def clear(self) -> None:
         self.load_memory_image([0] * (self.T * self.ROOT_HEADER))

@@ -80,6 +80,15 @@ moves T alone (3 at (B, M) = (64, 1024) and (16, 256), 1 at (16, 192)).
 The memory image is nodes 1..T's words back to back, each in the node
 layout above, unpadded.
 
+A node written to disk also stays decoded until its next read, in host
+memory that is not charged: ``_write_node`` keeps it beside the block
+tuples ``_store`` handed the device.  ``_read_node`` still reads every
+block, so no probe changes, and returns the kept node, once, only if each
+block read *is* a block that write stored.  Any other block (a hand-off's
+``poke_block``, a copied device under a fresh queue) is decoded, and so is
+every peek, which leaves the kept node in place.  A reused node keeps its
+``kept``/``kept_to``, which a decode resets to 0; both route alike.
+
 The amortized cost target is O((1/B) log2 N) probes per operation, asserted
 as a measured regression bound.  The tree shape (``fanout = 2``, leaves
 from ``K``), arena addresses, audits and walks live in
@@ -90,6 +99,7 @@ from __future__ import annotations
 
 import bisect
 from itertools import chain
+from operator import is_
 
 from ..errors import ConfigError, EmptyQueueError
 from .base import ENTRY_WORDS, BufferedTree, Node, check_entry, entry_words, word_entries
@@ -170,16 +180,22 @@ class TournamentQueue(BufferedTree):
         while 2 * t + 1 < self.K and (2 * t + 1) * node_words <= self.M - 2 * self.B:
             t = 2 * t + 1
         self.T = t
+        self._stored: dict[int, tuple[TNode, list]] = {}  # x > T -> (node, the blocks its last write stored)
         self._setup(t * node_words)
 
     # -- node I/O -----------------------------------------------------------------
 
     def _read_node(self, x: int, peek: bool = False) -> TNode:
-        """Node x: resident, or decoded from the blocks its first block's header spans."""
+        """Node x: resident, or read from the blocks its first block's header spans.  Unless
+        ``peek``, the node its last write kept comes back, once, if each block read is the
+        very block that write stored (module docstring); otherwise the blocks are decoded."""
         if x <= self.T:
             return self._resident[x]
         blocks = self._load(x, 0, 1, {}, peek)
         self._load(x, self.B, self._n_words(blocks[0]), blocks, peek)
+        kept = None if peek else self._stored.pop(x, None)
+        if kept is not None and all(map(is_, blocks.values(), kept[1])):
+            return kept[0]
         return self._node_from_words(sum(blocks.values(), ()))
 
     def _write_node(self, x: int, node: Node) -> None:
@@ -187,7 +203,7 @@ class TournamentQueue(BufferedTree):
             self._resident[x] = node
             return
         words = self._node_words(node)
-        self._store(x, words, ((0, len(words)),))
+        self._stored[x] = (node, self._store(x, words, ((0, len(words)),)))
 
     @staticmethod
     def _n_words(words: list[int], p: int = 0) -> int:
@@ -223,9 +239,13 @@ class TournamentQueue(BufferedTree):
         64-bit hash (a tie goes to child 0); the other half stays buffered, in order."""
         halves: tuple[list, list] = ([], [])
         halves[node.kept_to].extend(node.buf[: node.kept])
-        mult, shift = self._mult, 64 - x.bit_length()
+        mult, bit = self._mult, 1 << (64 - x.bit_length())  # a bit below 64: no M64 mask
+        put0, put1 = halves[0].append, halves[1].append
         for sig in node.buf[node.kept :]:
-            halves[((sig[1] * mult) & M64) >> shift & 1].append(sig)
+            if sig[1] * mult & bit:
+                put1(sig)
+            else:
+                put0(sig)
         i = int(len(halves[1]) > len(halves[0]))
         node.buf, node.kept, node.kept_to = halves[1 - i], len(halves[1 - i]), 1 - i
         return [(i, halves[i])] if halves[i] else []
@@ -233,7 +253,7 @@ class TournamentQueue(BufferedTree):
     def _apply(self, x: int, node: TNode, sigs) -> None:
         """Apply signals, in order, to node x; an internal node then flushes until its buffer fits."""
         keys = node.keys
-        if self._is_leaf(x):
+        if x >= self.first_leaf:
             for kind, key, prio in sigs:
                 if kind == S_INSERT or kind == S_PUSH:
                     if key in keys:
@@ -251,19 +271,16 @@ class TournamentQueue(BufferedTree):
             node.tops = sorted((p, k) for k, p in keys.items())
             self._check_leaf(x, len(node.tops), self.leaf_cap)
             return
-        tops, buf, insort = node.tops, node.buf, bisect.insort
+        tops, buf, insort, cap = node.tops, node.buf, bisect.insort, self.cap
         bare = not buf and not node.bits  # the subtree holds nothing but tops
         for sig in sigs:
             kind, key, prio = sig
             if kind == S_INSERT or kind == S_PUSH:
-                entry = (prio, key)
-                # It provably belongs to the subtree minima: bare, or below the maximum.
-                if bare or (tops and entry < tops[-1]):
-                    insort(tops, entry)
-                    keys[key] = prio
-                else:
+                # It joins tops if it provably belongs to the subtree minima: bare, or below the maximum.
+                if not (bare or (tops and (prio, key) < tops[-1])):
                     buf.append(sig)
                     bare = False
+                    continue
             elif key in keys:
                 i = bisect.bisect_left(tops, (keys[key], key))
                 if kind != S_DEC:  # S_DEL and S_ERASE remove the record and stop
@@ -273,37 +290,45 @@ class TournamentQueue(BufferedTree):
                     del tops[i]
                     insort(tops, (prio, key))
                     keys[key] = prio
+                continue
             elif bare:  # the key is nowhere in this subtree: a spurious decrease or delete
                 if kind == S_ERASE:
                     raise AssertionError(f"erase lost its target record for key {key}")
+                continue
             elif kind == S_DEC and tops and (prio, key) < tops[-1]:
                 # The key's record sits below with a larger priority; adopt the
                 # decreased record here and chase the stale copy with an erase.
-                insort(tops, (prio, key))
-                keys[key] = prio
                 buf.append((S_ERASE, key, self._prio_bias))
             else:
                 buf.append(sig)
-            if len(tops) > self.cap:
+                continue
+            insort(tops, (prio, key))  # only a signal that joined tops can take it past cap
+            keys[key] = prio
+            if len(tops) > cap:
                 p, k = tops.pop()
                 del keys[k]
                 buf.append((S_PUSH, k, p))
                 bare = False
-        while len(node.buf) > self.cap:  # each flush takes the fuller half: at most two rounds
+        while len(node.buf) > cap:  # each flush takes the fuller half: at most two rounds
             self._flush(x, node)
 
     # -- operations -------------------------------------------------------------------
 
     def insert(self, key: int, priority: int) -> None:
-        check_entry(key, priority, self.w)
-        self._apply(self.ROOT, self._root, ((S_INSERT, key, priority + self._prio_bias),))
+        word, limit = priority + self._prio_bias, self.device.word_limit
+        if not (0 <= key < limit and 0 <= word < limit):
+            check_entry(key, priority, self.w)  # raises
+        self._apply(self.ROOT, self._root, ((S_INSERT, key, word),))
 
     def decrease_key(self, key: int, priority: int) -> None:
-        check_entry(key, priority, self.w)
-        self._apply(self.ROOT, self._root, ((S_DEC, key, priority + self._prio_bias),))
+        word, limit = priority + self._prio_bias, self.device.word_limit
+        if not (0 <= key < limit and 0 <= word < limit):
+            check_entry(key, priority, self.w)  # raises
+        self._apply(self.ROOT, self._root, ((S_DEC, key, word),))
 
     def delete(self, key: int) -> None:
-        check_entry(key, 0, self.w)
+        if not 0 <= key < self.device.word_limit:
+            check_entry(key, 0, self.w)  # raises
         self._apply(self.ROOT, self._root, ((S_DEL, key, self._prio_bias),))
 
     def extract_min(self) -> tuple[int, int]:

@@ -295,7 +295,7 @@ def subset_np(rng: np.random.Generator, universe: int, n: int) -> np.ndarray:
     out = np.empty(0, dtype=np.int64)
     while out.size < n:
         batch = rng.integers(0, universe, size=max(16, 2 * (n - out.size)), dtype=np.uint64)
-        merged = np.concatenate([out, batch.astype(np.int64)])
+        merged = np.concatenate([out, batch.view(np.int64)])  # draws < 2^63: same values, no copy
         _, idx = np.unique(merged, return_index=True)
         out = merged[np.sort(idx)]
     return out[:n]

@@ -593,3 +593,94 @@ def test_resident_nodes_only_drop_their_probes(kind, B, Ts):
         assert answers == ref_answers
         assert log == [r for r in ref_log if r.addr not in resident]
         assert base.T == 1 or len(log) < len(ref_log)
+
+
+def _decoded(q, x):
+    """Node x decoded afresh from the blocks on its device."""
+    return q._node_from_words(_stored_words(q, x))
+
+
+def _same_node(a, b):
+    return (a.tops, a.buf, a.bits, a.keys) == (b.tops, b.buf, b.bits, b.keys)
+
+
+@pytest.mark.parametrize("B,M,source", [(8, 128, "mixed"), (16, 256, "mixed"), (64, 1024, "mixed"),
+                                        (16, 256, "tree")])
+def test_reused_node_equals_its_decode(monkeypatch, B, M, source):
+    # A node the tree wrote comes back at its next read without a decode.  On
+    # every such reuse the blocks just read must decode to the same node, and
+    # the half its last flush kept must still route to ``kept_to``.
+    read, reuses = TournamentQueue._read_node, [0]
+
+    def checked_read(q, x, peek=False):
+        kept = q._stored.get(x)
+        node = read(q, x, peek)
+        if kept is not None and node is kept[0]:
+            reuses[0] += 1
+            assert not peek and x not in q._stored
+            assert _same_node(node, _decoded(q, x)), x
+            shift = 64 - x.bit_length()
+            assert all(((k * q._mult) & M64) >> shift & 1 == node.kept_to for _, k, _ in node.buf[: node.kept])
+        return node
+
+    monkeypatch.setattr(TournamentQueue, "_read_node", checked_read)
+    if source == "tree":
+        wl = materialize(TreeParams(2, 8, 2, seed=0))
+        dev = Device(DeviceConfig(B=B, M=M, w=64))
+        run_workload(TournamentQueue(dev, n_hint=len(wl.ops), seed=1), dev, wl)
+    else:
+        for seed in range(10):  # ACCEPT-03's first ten mixed workloads
+            wl = make_random_workload(10_000, 47_000 + seed, universe=4096, profile="mixed")
+            dev = Device(DeviceConfig(B=B, M=M, w=64))
+            run_workload(TournamentQueue(dev, n_hint=8192, seed=seed), dev, wl)
+    assert reuses[0] > 0
+
+
+def _flushed_to_disk():
+    """A queue at T = 1 whose root has flushed, so a child it wrote is kept."""
+    q, dev = make(B=16, M=192)
+    assert q.T == 1
+    k = 0
+    while not q._stored:
+        q.insert(k, 1000 - k)
+        k += 1
+    return q, dev
+
+
+def test_a_poked_block_is_decoded_not_reused():
+    q, dev = _flushed_to_disk()
+    x, (node, blocks) = next(iter(q._stored.items()))
+    dev.poke_block(q._addr(x), list(blocks[0]))  # equal words in a new block: decoded, equal
+    got = q._read_node(x)
+    assert got is not node and _same_node(got, node)
+    q._write_node(x, node)
+    other = q.NODE([(q._prio_bias + 7, 12345)], [(S_DEL, 99, q._prio_bias)], 1)
+    words = q._node_words(other)
+    dev.poke_block(q._addr(x), words + [0] * (q.B - len(words)))
+    got = q._read_node(x)
+    assert got is not node and _same_node(got, other) and _same_node(got, _decoded(q, x))
+
+
+def test_a_peek_walk_neither_returns_nor_consumes_a_kept_node():
+    q, _ = _flushed_to_disk()
+    kept = dict(q._stored)
+    walked = [node for _, node in q.nodes(peek=True)]
+    assert len(walked) > 1
+    assert not any(node is entry[0] for node in walked for entry in kept.values())
+    assert q._stored == kept
+    x, (node, _) = next(iter(kept.items()))
+    assert q._read_node(x) is node
+
+
+def test_a_read_after_an_overflow_decodes_the_device_blocks():
+    # The overflowing insert reads leaf 4, the kept node, and raises before
+    # writing it back; the next read must decode what the device holds.
+    q, _ = make(B=8, M=128, n_hint=16)
+    for k in range(216):
+        q.insert(k, k)
+    assert 4 in q._stored
+    with pytest.raises(StructureOverflowError, match="leaf 4 overflow"):
+        q.insert(216, 216)
+    assert 4 not in q._stored
+    got = q._read_node(4)
+    assert _same_node(got, _decoded(q, 4)) and len(got.tops) <= q.leaf_cap
