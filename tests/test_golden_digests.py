@@ -8,11 +8,11 @@ op kinds); they deliberately avoid ``make_random_workload`` so that a change to
 the random generator cannot move them.  A digest that changes means the probe
 order, the probe set or an answer changed; that is a cost-model change and
 must be declared, never re-pinned silently.  The memory-image digests pin the
-word layout of the heap's and the tournament's images the same way.  What a
-probe digest cannot see is pinned too: each queue's on-disk block words, a
-heap image whose ops never leave the root, and the oracle's image.  The
-CLI pins fix the bytes of ``pqlab comm``'s CSV and transcript and the exact
-singleton counts behind ``pqlab obs1``.  The ledger pins go further than the
+word layout of the heap's and the tournament's images, bare and under the dk
+wrapper, the same way.  What a probe digest cannot see is pinned too: each
+queue's on-disk block words, a heap image whose ops never leave the root,
+and the oracle's image.  The CLI pins fix the bytes of ``pqlab comm``'s CSV
+and transcript and the exact singleton counts behind ``pqlab obs1``.  The ledger pins go further than the
 CSV: every message's payload digest, so a content request charged out of
 order or answered with the wrong block moves them.  The record pins hash the
 full probe records, op index and leaf tag included, and the file pins hash
@@ -260,9 +260,12 @@ def _prefix_digest(name: str) -> str:
     return hashlib.sha256(repr(list(zip(*res.prefix_workload.ops.columns()))).encode()).hexdigest()
 
 
-# queue -> sha256 of repr(memory_image()) after the insert half of insert_extract_3000 at (16, 192)
+# queue -> sha256 of repr(memory_image()) after the insert half of insert_extract_3000 at (16, 192);
+# the dk images hold the wrapper's counters and live table ahead of the base's words
 IMAGES = {
     "buffered_heap": "ff666c30ba512beccc2bb8e66e1560403b313cc669f030f9f0958c8ebbc80ea6",
+    "dk_buffered_heap": "7b2156cfcc09c7fcdb918a44a96fc6206eb66702b1ebc0de51c74f4cdc00cdcc",
+    "dk_tournament": "11af20a1a9a2c5bfce6bbf2a9148778a7beee4b12ad15c72d36775aa34b42b1b",
     "tournament": "0843dba8be7d4d4ccb0ff332985d79f31746c0e1fd4c712e39815842dcd4cd13",
 }
 
@@ -274,7 +277,8 @@ def test_memory_image_digest_pinned(kind):
 
 def _image_digest(kind: str) -> str:
     work = WORKLOADS["insert_extract_3000"]()
-    dev = Device(DeviceConfig(B=16, M=192, w=64))
+    w = _dk_w(work) if kind.startswith("dk_") else 64
+    dev = Device(DeviceConfig(B=16, M=192, w=w))
     queue = make_queue(kind, dev, n_hint=max(1024, len(work.ops)), seed=HASH_SEED)
     run_workload(queue, dev, work, hi=len(work.ops) // 2)
     return hashlib.sha256(repr(queue.memory_image()).encode()).hexdigest()
