@@ -274,28 +274,25 @@ def cmd_bench(args) -> int:
     n = args.n
     cfg = DeviceConfig(B=args.b, M=args.mem, w=args.w)
     rng = np.random.default_rng(np.random.SeedSequence(args.seed))
-    rows = []
-    status = 0
+    runs = []  # (name, workload, queue, bound), heap first: its workload draws from rng
     if args.queue in ("buffered_heap", "all"):
         half = n // 2
         wl = insert_extract_workload(rng.permutation(half), rng.integers(0, 1 << 30, half),
                                      1 << 30, args.seed)
-        dev = Device(cfg)
-        rep = run_workload(BufferedHeap(dev, n_hint=half), dev, wl)
-        bound = 20 * (n / cfg.B) * (1 + math.log(max(n, cfg.M) / cfg.M, cfg.M / cfg.B))
-        ok = rep.probes_total <= bound
-        status |= 0 if ok else 1
-        rows.append(["buffered_heap", n, cfg.B, cfg.M, cfg.w, args.seed, rep.probes_total, f"{bound:.0f}", int(ok)])
-        print(f"buffered_heap: {rep.probes_total} probes vs bound {bound:.0f} -> {'ok' if ok else 'EXCEEDED'}")
+        runs.append(("buffered_heap", wl, BufferedHeap(Device(cfg), n_hint=half),
+                     20 * (n / cfg.B) * (1 + math.log(max(n, cfg.M) / cfg.M, cfg.M / cfg.B))))
     if args.queue in ("tournament", "all"):
         wl = make_random_workload(n, args.seed + 1, universe=1 << 20, profile="mixed")
-        dev = Device(cfg)
-        rep = run_workload(TournamentQueue(dev, n_hint=n, seed=args.seed), dev, wl)
-        bound = 20 * (n / cfg.B) * math.log2(n)
-        ok = rep.probes_total <= bound
+        runs.append(("tournament", wl, TournamentQueue(Device(cfg), n_hint=n, seed=args.seed),
+                     20 * (n / cfg.B) * math.log2(n)))
+    rows = []
+    status = 0
+    for name, wl, queue, bound in runs:
+        probes = run_workload(queue, queue.device, wl).probes_total
+        ok = probes <= bound
         status |= 0 if ok else 1
-        rows.append(["tournament", n, cfg.B, cfg.M, cfg.w, args.seed, rep.probes_total, f"{bound:.0f}", int(ok)])
-        print(f"tournament: {rep.probes_total} probes vs bound {bound:.0f} -> {'ok' if ok else 'EXCEEDED'}")
+        rows.append([name, n, cfg.B, cfg.M, cfg.w, args.seed, probes, f"{bound:.0f}", int(ok)])
+        print(f"{name}: {probes} probes vs bound {bound:.0f} -> {'ok' if ok else 'EXCEEDED'}")
     _write_rows(args.out, ["structure", "N", "B", "M", "w", "seed", "probes", "bound", "ok"], rows)
     return status
 

@@ -21,13 +21,18 @@ live key then has one entry, ordered among the others as its key is.
 The table is internal-memory state charged zero probes; when the base is
 an external-memory queue only base probes count.  This asymmetry is
 inherent to the construction and is reported, not hidden.
+
+The memory image is eight counter words (the op counter, ops since the last
+rebuild, N0, rebuilds, stale discards, absent decreases, stale entries and
+the live count n), then the live table in key order as n ``key, counter``
+pairs written by ``entry_words``, then the base's image.
 """
 
 from __future__ import annotations
 
 from .errors import ConfigError, DuplicateKeyError, EmptyQueueError
 from .ops import PRIORITY_DELETE
-from .pq.base import PriorityQueueBase
+from .pq.base import ENTRY_WORDS, PriorityQueueBase, entry_words, word_entries
 
 CTR_BITS = 32
 CTR_MASK = (1 << CTR_BITS) - 1
@@ -199,7 +204,7 @@ class ReducedQueue(PriorityQueueBase):
     # -- snapshot ----------------------------------------------------------------
 
     def memory_image(self) -> list[int]:
-        live = [v for pair in sorted(self._live.items()) for v in pair]
+        live = entry_words([(c, key) for key, c in sorted(self._live.items())])
         return ([self._ctr, self._ops_since, self._n0, self.rebuilds, self.stale_discards,
                  self.absent_decreases, self._stale, len(self._live)] + live + self.base.memory_image())
 
@@ -207,6 +212,5 @@ class ReducedQueue(PriorityQueueBase):
         (self._ctr, ops_since, self._n0, self.rebuilds,
          self.stale_discards, self.absent_decreases, self._stale, n) = words[:8]
         self._rebuild_at = self._ctr - ops_since + self._n0 - 1
-        end = 8 + 2 * n
-        self._live = dict(zip(words[8:end:2], words[9:end:2]))
-        self.base.load_memory_image(words[end:])
+        self._live = {key: c for c, key in word_entries(words, 8, n)}
+        self.base.load_memory_image(words[8 + ENTRY_WORDS * n:])

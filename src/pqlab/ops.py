@@ -2,9 +2,7 @@
 
 All queues and the workload generator agree on one total order over live
 entries: (priority, key).  Keys are unique among live entries, so that order
-is total, and both external trees order their entries by (priority, key)
-alone.  Only the oracle still carries an insertion timestamp, as a third
-field that never decides between distinct keys.
+is total, and no queue stores a further field to break ties.
 
 ``PRIORITY_INF`` is the sentinel standing in for +infinity (it strictly
 exceeds every priority the workload generator emits) and ``PRIORITY_DELETE``

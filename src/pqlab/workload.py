@@ -158,15 +158,9 @@ class Tree:
             return p.m * p.h
         raise ValueError("internal nodes hold no operations")
 
-    def subtree_ids(self, node_id: int) -> list[int]:
-        # Pre-order ids are contiguous within a subtree.
-        out = [node_id]
-        stack = [node_id]
-        while stack:
-            for c in self.nodes[stack.pop()].children:
-                out.append(c)
-                stack.append(c)
-        return sorted(out)
+    def subtree_ids(self, node_id: int) -> range:
+        # Pre-order ids are contiguous within a subtree, which ends at its extract leaf.
+        return range(node_id, (self.nodes[node_id].children or [node_id])[-1] + 1)
 
     def subtree_leaves(self, node_id: int) -> list[int]:
         return [i for i in self.subtree_ids(node_id) if self.nodes[i].kind != INTERNAL]
@@ -334,8 +328,7 @@ def resolve_leaf_ops(tree: Tree, leaf_keys: dict[int, Sequence[int]], stop_leaf:
     c answers the c smallest (priority, key) pairs level by level and
     consumes only level h's front: each other answer is re-inserted at the
     same pair, so it stays in place.  Live keys are distinct, so (priority,
-    key) is a total order: the oracle's answers, which its timestamp never
-    decides.
+    key) is a total order: the oracle's answers.
     """
     live: dict[int, int] = {}  # key -> priority
     levels: list[list[int]] = [[] for _ in range(tree.params.h + 1)]

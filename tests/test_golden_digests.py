@@ -330,7 +330,7 @@ def test_heap_root_image_pinned():
 
 
 def test_oracle_image_pinned():
-    """The oracle's image is [clock] then live entries as key, priority, ts, in (priority, key) order."""
+    """The oracle's image is the live entries as key, priority, in (priority, key) order."""
     oracle = OracleQueue()
     for key, priority in [(5, 3), (9, -7), (2, 3), (7, 40), (4, -2)]:
         oracle.insert(key, priority)
@@ -340,7 +340,7 @@ def test_oracle_image_pinned():
     oracle.insert(2, 0)
     oracle.decrease_key(5, 1)
     image = oracle.memory_image()
-    assert image == [6, 9, -7, 2, 4, -2, 5, 2, 0, 6, 5, 1, 1]
+    assert image == [9, -7, 4, -2, 2, 0, 5, 1]
     resumed = OracleQueue()
     resumed.load_memory_image(image)
     assert resumed.memory_image() == image

@@ -57,6 +57,23 @@ def test_insert_totals_beta3_h2():
     assert total == params.m * params.h * params.beta**params.h == 90
 
 
+@pytest.mark.parametrize("beta,h,m", [(2, 4, 2), (3, 4, 2), (4, 3, 1)])
+def test_subtree_ids_are_the_ids_under_each_node(beta, h, m):
+    tree = build_tree(TreeParams(beta, h, m, 0))
+
+    def ancestors(x):
+        while x is not None:
+            yield x
+            x = tree.nodes[x].parent
+
+    under = {v: set() for v in range(len(tree))}
+    for x in range(len(tree)):
+        for v in ancestors(x):
+            under[v].add(x)
+    for v in range(len(tree)):
+        assert set(tree.subtree_ids(v)) == under[v]
+
+
 @pytest.mark.parametrize("beta,h,m", [(2, 2, 1), (2, 3, 2), (3, 2, 2)])
 @pytest.mark.parametrize("seed", [0, 1, 7])
 def test_property1_counts(beta, h, m, seed):

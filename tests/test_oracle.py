@@ -3,6 +3,8 @@ from hypothesis import given, settings, strategies as st
 
 from pqlab import OracleQueue
 from pqlab.errors import DuplicateKeyError, EmptyQueueError
+from pqlab.ops import DECREASE, DELETE, EXTRACTMIN, INSERT
+from pqlab.workload import make_random_workload
 
 
 def test_singleton():
@@ -75,6 +77,56 @@ def test_tolerant_delete_noop_when_absent():
         q.delete_key(99)
 
 
+@pytest.mark.parametrize("decrease", [False, True])
+def test_equal_stale_copy_is_no_phantom(decrease):
+    # The deleted entry's copy in the heap equals the re-inserted one: one extraction, not two.
+    q = OracleQueue()
+    q.insert(3, 5)
+    if decrease:
+        q.decrease_key(3, 2)
+    q.delete(3)
+    q.insert(3, 2 if decrease else 5)
+    assert q.extract_min() == (3, 2 if decrease else 5)
+    with pytest.raises(EmptyQueueError):
+        q.extract_min()
+
+
+def test_image_holds_live_entries_only():
+    q = OracleQueue()
+    for k in range(6):
+        q.insert(k, 10 + k)
+    q.decrease_key(1, 0)
+    q.decrease_key(4, 3)
+    q.delete(2)
+    q.delete_key(5)
+    assert len(q._heap) > len(q)  # the stale copies are still in the heap
+    assert len(q.memory_image()) == 2 * len(q) == 8
+
+
+def _drain(q):
+    seq = []
+    while True:
+        try:
+            seq.append(q.extract_min())
+        except EmptyQueueError:
+            return seq
+
+
+def _replay(q, ops):
+    answers = []
+    for kind, key, priority, _ in ops:
+        if kind == INSERT:
+            q.insert(key, priority)
+        elif kind == DECREASE:
+            q.decrease_key(key, priority)
+        elif kind == DELETE:
+            q.delete(key)
+        else:
+            assert kind == EXTRACTMIN
+            answers.append(q.extract_min())
+    return answers
+
+
 def test_snapshot_roundtrip():
     q = OracleQueue()
     for k, p in [(1, 5), (2, 3), (3, 9)]:
@@ -83,13 +135,19 @@ def test_snapshot_roundtrip():
     img = q.memory_image()
     q2 = OracleQueue()
     q2.load_memory_image(img)
-    seq = []
-    while True:
-        try:
-            seq.append(q2.extract_min())
-        except EmptyQueueError:
-            break
-    assert seq == [(3, 1), (2, 3), (1, 5)]
+    assert _drain(q2) == [(3, 1), (2, 3), (1, 5)]
+
+    # A mixed random workload, resumed from the image at its midpoint, gives the same tail answers.
+    ops = make_random_workload(2000, 7, universe=3000, profile="mixed").ops
+    mid = len(ops) // 2
+    q = OracleQueue()
+    _replay(q, ops[:mid])
+    q2 = OracleQueue()
+    q2.load_memory_image(q.memory_image())
+    tail = _replay(q, ops[mid:])
+    assert _replay(q2, ops[mid:]) == tail
+    assert tail == [(key, priority) for kind, key, priority, _ in ops[mid:] if kind == EXTRACTMIN]
+    assert _drain(q2) == _drain(q)
 
 
 class BruteQueue:
