@@ -274,7 +274,7 @@ def cmd_bench(args) -> int:
     n = args.n
     cfg = DeviceConfig(B=args.b, M=args.mem, w=args.w)
     rng = np.random.default_rng(np.random.SeedSequence(args.seed))
-    runs = []  # (name, workload, queue, bound), heap first: its workload draws from rng
+    runs = []  # (name, workload, queue, bound), in output order
     if args.queue in ("buffered_heap", "all"):
         half = n // 2
         wl = insert_extract_workload(rng.permutation(half), rng.integers(0, 1 << 30, half),

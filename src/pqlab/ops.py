@@ -2,7 +2,7 @@
 
 All queues and the workload generator agree on one total order over live
 entries: (priority, key).  Keys are unique among live entries, so that order
-is total, and no queue stores a further field to break ties.
+is total, and no queue stores a further field to break ties between keys.
 
 ``PRIORITY_INF`` is the sentinel standing in for +infinity (it strictly
 exceeds every priority the workload generator emits) and ``PRIORITY_DELETE``
